@@ -39,7 +39,7 @@ func (e *Engine) Atomic(t *dvm.Thread, a *dvm.Atomic) int64 {
 		// like a system call. The location is logged before the upgrade
 		// so its conflict check covers this access.
 		if ts.depth > 0 {
-			ts.atomTouch(a.Addr(t))
+			ts.log.touchAtomic(a.Addr(t))
 			if !e.enterIrrevocable(t, ts) {
 				return t.Regs[a.Dst] // reverted: value is irrelevant
 			}
@@ -61,11 +61,10 @@ func (e *Engine) Atomic(t *dvm.Thread, a *dvm.Atomic) int64 {
 // irrevocable — both cases are deterministic.
 func (e *Engine) irrevocableAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	addr := a.Addr(t)
-	if ts.atomCount[addr] > 0 {
+	if ts.log.hasAtomic(addr) {
 		cur := ts.mem.Load(addr)
 		store, result := a.Apply(t, cur)
 		ts.mem.Store(addr, store)
-		ts.atomTouch(addr)
 		e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
 		return result
 	}
@@ -74,7 +73,7 @@ func (e *Engine) irrevocableAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int
 	// The value was computed against state newer than the view's base, so
 	// the store must win the commit merge even if it looks silent.
 	ts.mem.StoreDirty(addr, store)
-	ts.atomTouch(addr)
+	ts.log.touchAtomic(addr)
 	e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
 	return result
 }
@@ -110,27 +109,16 @@ func (e *Engine) specAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	cur := ts.mem.Load(addr)
 	store, result := a.Apply(t, cur)
 	ts.mem.Store(addr, store)
-	ts.atomTouch(addr)
+	ts.log.touchAtomic(addr)
 	e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
 	return result
-}
-
-// atomTouch records an atomically accessed location in the run's log.
-func (ts *tstate) atomTouch(addr int64) {
-	if ts.atomCount == nil {
-		ts.atomCount = make(map[int64]int)
-	}
-	if ts.atomCount[addr] == 0 {
-		ts.atomLog = append(ts.atomLog, addr)
-	}
-	ts.atomCount[addr]++
 }
 
 // validateAtomics checks the atomic log against the location table: a
 // conflict exists if any logged location was atomically updated by a commit
 // the run's heap base does not include.
 func (e *Engine) validateAtomics(ts *tstate) bool {
-	for _, addr := range ts.atomLog {
+	for _, addr := range ts.log.atoms {
 		if e.tbl.Atomics[addr] > ts.baseAtBegin {
 			return false
 		}
@@ -141,11 +129,11 @@ func (e *Engine) validateAtomics(ts *tstate) bool {
 // commitAtomicsLocked publishes the run's atomic updates into the location
 // table. Caller holds the turn and has committed the heap.
 func (e *Engine) commitAtomicsLocked(ts *tstate) {
-	if len(ts.atomLog) == 0 {
+	if len(ts.log.atoms) == 0 {
 		return
 	}
 	seq := e.pipe.Seq()
-	for _, addr := range ts.atomLog {
+	for _, addr := range ts.log.atoms {
 		e.tbl.Atomics[addr] = seq
 	}
 }

@@ -272,6 +272,9 @@ type Engine struct {
 	spec  *stats.Spec
 	tel   *telemetry.Recorder
 
+	// mems holds the per-thread memory windows, indexed by thread ID.
+	mems []mempipe.Thread
+
 	// audit is the invariant checker, nil unless Config.CheckInvariants.
 	audit *invariant.Checker
 
@@ -320,6 +323,16 @@ func New(cfg Config, d Deps) *Engine {
 		e.pipe = mempipe.NewVersioned(d.Heap, d.Tel)
 	} else {
 		e.pipe = mempipe.NewFlat(d.Mem)
+	}
+	// Every thread's memory window is created here, before any thread runs,
+	// so all views start from the same heap sequence. Created in ThreadStart
+	// they would be based on whatever had been committed by the wall-clock
+	// moment each goroutine first ran — and a first speculation run's
+	// baseAtBegin, hence its validation outcome, would depend on host
+	// scheduling (TestInitialViewBaseIgnoresStartOrder).
+	e.mems = make([]mempipe.Thread, d.Arb.N())
+	for tid := range e.mems {
+		e.mems[tid] = e.pipe.NewThread(tid)
 	}
 	if d.Tel != nil {
 		// A pure function of the heap configuration, so a gated metric: a
@@ -385,8 +398,8 @@ type tstate struct {
 	// depth is the current lock nesting, speculative or conventional,
 	// exclusive or shared.
 	depth        int
-	heldConv     []int64 // conventionally held exclusive locks
-	heldConvRead []int64 // conventionally held shared locks
+	heldConv     []heldLock // conventionally held exclusive locks
+	heldConvRead []int64    // conventionally held shared locks
 
 	// tickFlushes counts the batched clock flushes this thread sent into
 	// the arbiter (see dlc.TickWindow) — published as the deterministic
@@ -407,16 +420,11 @@ type tstate struct {
 	// so recycling cannot perturb deterministic allocation-order counts).
 	snapScratch  *dvm.Snapshot
 	dirtyScratch *vheap.DirtySnapshot
-	logLocks     []int64        // L_i: locks touched, in first-acquisition order
-	logCount     map[int64]int  // acquisitions per logged lock
-	logWrite     map[int64]bool // logged lock was taken exclusively at least once
-	heldSpecRead []int64        // locks currently held speculatively in shared mode
-	atomLog      []int64        // atomically accessed locations (§7 extension)
-	atomCount    map[int64]int  // accesses per logged location
-	wroteUnder   map[int64]bool // locks held during a store (WriteAware mode)
-	heldSpec     []int64        // locks currently held speculatively
-	runCS        int            // critical sections in the current run
-	noSpecNext   bool           // progress guarantee after a revert (§3.2)
+	log          specLog // L_i and the atomic log (speclog.go)
+	heldSpec     []int32 // log.locks indices of locks held speculatively, exclusive mode
+	heldSpecRead []int64 // locks currently held speculatively in shared mode
+	runCS        int     // critical sections in the current run
+	noSpecNext   bool    // progress guarantee after a revert (§3.2)
 
 	// Per-thread speculation history, used when PerLockStats is off.
 	threadHist     uint64
@@ -450,14 +458,10 @@ func (e *Engine) ts(t *dvm.Thread) *tstate { return t.EngineData.(*tstate) }
 // are spawned.
 func (e *Engine) ThreadStart(t *dvm.Thread) {
 	ts := &tstate{threadHist: ^uint64(0)}
-	ts.mem = e.pipe.NewThread(t.ID)
+	ts.mem = e.mems[t.ID]
 	t.Mem = ts.mem
 	if e.strong() && e.cfg.Spec.WriteAware {
 		t.Mem = writeAwareWindow{ts.mem, ts}
-	}
-	if e.cfg.Speculation {
-		ts.logCount = make(map[int64]int)
-		ts.logWrite = make(map[int64]bool)
 	}
 	t.EngineData = ts
 	// The thread's logical-clock reader: arb.DLC is this thread's own
@@ -547,16 +551,21 @@ func (w writeAwareWindow) Store(addr, val int64) {
 	}
 }
 
-// markWrite tags every currently held lock as having guarded a write.
+// heldLock is a conventionally held exclusive lock; wrote records that a
+// store executed under it (WriteAware mode), which its release publishes as
+// the lock's commit sequence.
+type heldLock struct {
+	lock  int64
+	wrote bool
+}
+
+// markWrite tags every exclusively held lock as having guarded a write.
 func (ts *tstate) markWrite() {
-	if ts.wroteUnder == nil {
-		ts.wroteUnder = make(map[int64]bool)
+	for _, i := range ts.heldSpec {
+		ts.log.locks[i].wrote = true
 	}
-	for _, l := range ts.heldSpec {
-		ts.wroteUnder[l] = true
-	}
-	for _, l := range ts.heldConv {
-		ts.wroteUnder[l] = true
+	for i := range ts.heldConv {
+		ts.heldConv[i].wrote = true
 	}
 }
 

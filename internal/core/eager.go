@@ -68,7 +68,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 			}
 			st.Acquires++
 			ts.depth++
-			ts.heldConv = append(ts.heldConv, l)
+			ts.heldConv = append(ts.heldConv, heldLock{lock: l})
 			if e.spec != nil {
 				e.spec.TotalAcquires.Add(1)
 			}
@@ -102,26 +102,26 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	}
 	st.Owner = 0
 	st.ReleaseDLC = e.arb.DLC(t.ID)
-	if !e.cfg.Spec.WriteAware || ts.wroteUnder[l] {
+	ts.depth--
+	if wrote := ts.dropHeldConv(l); wrote || !e.cfg.Spec.WriteAware {
 		// The critical section's writes became visible with this
 		// commit; speculation runs based on older heap states conflict.
 		st.LastCommitSeq = e.pipe.Seq()
 	}
-	delete(ts.wroteUnder, l)
-	ts.depth--
-	ts.dropHeldConv(l)
 	e.rec.Sync(t.ID, trace.OpRelease, l, st.ReleaseDLC)
 	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
 }
 
-// dropHeldConv removes the most recent occurrence of l.
-func (ts *tstate) dropHeldConv(l int64) {
+// dropHeldConv removes the most recent occurrence of l and reports whether a
+// store executed while it was held (tracked in WriteAware mode only).
+func (ts *tstate) dropHeldConv(l int64) (wrote bool) {
 	for i := len(ts.heldConv) - 1; i >= 0; i-- {
-		if ts.heldConv[i] == l {
+		if h := ts.heldConv[i]; h.lock == l {
 			ts.heldConv = append(ts.heldConv[:i], ts.heldConv[i+1:]...)
-			return
+			return h.wrote
 		}
 	}
+	return false
 }
 
 // CondWait implements dvm.Engine: release l, park deterministically on cv,
@@ -146,12 +146,10 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	st := &e.tbl.Locks[l]
 	st.Owner = 0
 	st.ReleaseDLC = my
-	if !e.cfg.Spec.WriteAware || ts.wroteUnder[l] {
+	ts.depth--
+	if wrote := ts.dropHeldConv(l); wrote || !e.cfg.Spec.WriteAware {
 		st.LastCommitSeq = e.pipe.Seq()
 	}
-	delete(ts.wroteUnder, l)
-	ts.depth--
-	ts.dropHeldConv(l)
 	c := &e.tbl.Conds[cv]
 	c.Waiters = append(c.Waiters, t.ID)
 	e.rec.Sync(t.ID, trace.OpCondWait, cv, my)

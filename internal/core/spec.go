@@ -74,14 +74,10 @@ func (e *Engine) beginRun(t *dvm.Thread, ts *tstate) {
 // acquisitions (write = false) are logged as reads, which never conflict
 // with other readers.
 func (e *Engine) specAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
-	if ts.logCount[l] == 0 {
-		ts.logLocks = append(ts.logLocks, l)
-	}
-	ts.logCount[l]++
+	i := ts.log.acquire(l, write)
 	op := trace.OpRAcquire
 	if write {
-		ts.logWrite[l] = true
-		ts.heldSpec = append(ts.heldSpec, l)
+		ts.heldSpec = append(ts.heldSpec, int32(i))
 		op = trace.OpAcquire
 	} else {
 		ts.heldSpecRead = append(ts.heldSpecRead, l)
@@ -100,7 +96,7 @@ func (e *Engine) specAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 // specRelease records a speculative exclusive release. An irrevocable run
 // terminates at the first point where no locks are held (§3.5).
 func (e *Engine) specRelease(t *dvm.Thread, ts *tstate, l int64) {
-	dropLast(&ts.heldSpec, l)
+	ts.dropHeldSpec(l)
 	ts.depth--
 	e.rec.Sync(t.ID, trace.OpRelease, l, e.arb.DLC(t.ID))
 	if ts.irrevocable && ts.depth == 0 {
@@ -147,8 +143,8 @@ func (e *Engine) recordOutcome(ts *tstate, tid int, success bool) {
 		ts.threadHist = detsync.PushOutcome(ts.threadHist, success)
 		return
 	}
-	for _, l := range ts.logLocks {
-		h := &e.tbl.Locks[l].SpecHist[tid]
+	for _, r := range ts.log.locks {
+		h := &e.tbl.Locks[r.lock].SpecHist[tid]
 		*h = detsync.PushOutcome(*h, success)
 	}
 }
@@ -168,7 +164,8 @@ func (e *Engine) validate(ts *tstate) bool {
 	if !e.validateAtomics(ts) {
 		return false
 	}
-	for _, l := range ts.logLocks {
+	for _, r := range ts.log.locks {
+		l := r.lock
 		if e.hint(l) == HintDisjoint {
 			// Statically disjoint footprints: no section guarded by l
 			// reads or writes data another section of l touches, so
@@ -184,7 +181,7 @@ func (e *Engine) validate(ts *tstate) bool {
 			st.ConflictReverts++
 			return false // exclusively held by another thread
 		}
-		if ts.logWrite[l] && st.Readers != 0 {
+		if r.write && st.Readers != 0 {
 			st.ConflictReverts++
 			return false // our write conflicts with live readers
 		}
@@ -241,34 +238,30 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 	// under the same per-lock policy, attributed to the run's first logged
 	// lock (the lock that began the run). An irrevocable run publishes
 	// eagerly: its deferred state was already settled at the upgrade.
-	if !ts.irrevocable && len(ts.logLocks) > 0 {
-		e.releasePublish(t, ts, ts.logLocks[0])
+	if !ts.irrevocable && len(ts.log.locks) > 0 {
+		e.releasePublish(t, ts, ts.log.locks[0].lock)
 	} else {
 		e.publishRefreshLazy(t, ts)
 	}
 	my := e.arb.DLC(t.ID)
 	seq := e.pipe.Seq()
-	for _, l := range ts.logLocks {
-		st := &e.tbl.Locks[l]
-		if ts.logWrite[l] {
+	for _, r := range ts.log.locks {
+		st := &e.tbl.Locks[r.lock]
+		if r.write {
 			st.LastAcquireDLC = my
-			if !e.cfg.Spec.WriteAware {
+			if r.wrote || !e.cfg.Spec.WriteAware {
 				st.LastCommitSeq = seq
-			} else if ts.wroteUnder[l] {
-				st.LastCommitSeq = seq
-				// heldSpec is a handful of nested locks at most; a linear
-				// scan beats allocating a membership map per commit.
-				if !containsLock(ts.heldSpec, l) {
-					delete(ts.wroteUnder, l)
-				}
 			}
 		}
-		st.Acquires += int64(ts.logCount[l])
+		st.Acquires += int64(r.count)
 	}
 	e.commitAtomicsLocked(ts)
-	for _, l := range ts.heldSpec {
-		e.tbl.Locks[l].Owner = int32(t.ID) + 1
-		ts.heldConv = append(ts.heldConv, l)
+	for _, i := range ts.heldSpec {
+		// A still-held lock keeps its wrote flag: the conventional release
+		// that ends the section publishes it again.
+		r := ts.log.locks[i]
+		e.tbl.Locks[r.lock].Owner = int32(t.ID) + 1
+		ts.heldConv = append(ts.heldConv, heldLock{lock: r.lock, wrote: r.wrote})
 	}
 	for _, l := range ts.heldSpecRead {
 		e.tbl.Locks[l].Readers++
@@ -322,33 +315,28 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 	}
 	e.rec.Sync(t.ID, trace.OpSpecRevert, int64(ts.runCS), e.arb.DLC(t.ID))
 	ts.noSpecNext = true
-	clear(ts.wroteUnder) // discarded writes never became visible
+	// The log's wrote flags go with it: discarded writes never became visible.
 	e.resetSpec(ts)
 	ts.depth = len(ts.heldConv) + len(ts.heldConvRead) // always 0: runs begin outside critical sections
 }
 
-// containsLock reports whether lock l appears in held, a nesting-depth-sized
-// slice of currently held speculative locks.
-func containsLock(held []int64, l int64) bool {
-	for _, h := range held {
-		if h == l {
-			return true
+// dropHeldSpec removes the most recent speculative exclusive hold of l.
+func (ts *tstate) dropHeldSpec(l int64) {
+	for i := len(ts.heldSpec) - 1; i >= 0; i-- {
+		if ts.log.locks[ts.heldSpec[i]].lock == l {
+			ts.heldSpec = append(ts.heldSpec[:i], ts.heldSpec[i+1:]...)
+			return
 		}
 	}
-	return false
 }
 
-// resetSpec clears per-run state.
+// resetSpec clears per-run state: O(1), the log's buffers are retained.
 func (e *Engine) resetSpec(ts *tstate) {
 	ts.spec = false
 	ts.irrevocable = false
 	ts.snap = nil
 	ts.dirtySnap = nil
-	ts.logLocks = ts.logLocks[:0]
-	clear(ts.logCount)
-	clear(ts.logWrite)
-	ts.atomLog = ts.atomLog[:0]
-	clear(ts.atomCount)
+	ts.log.reset()
 	ts.heldSpec = ts.heldSpec[:0]
 	ts.heldSpecRead = ts.heldSpecRead[:0]
 	ts.runCS = 0

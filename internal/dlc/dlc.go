@@ -10,11 +10,13 @@
 // discipline (see paper §2): the thread that arrives first in deterministic
 // logical time goes next.
 //
-// Waiting is blocking, not spinning: a thread that wants the turn publishes
-// itself as a waiter and sleeps on a condition variable. Running threads
-// advance their clocks with Tick; when a tick moves a thread's clock past the
-// minimum waiter's clock the runner wakes the waiter, because the set of
-// threads that could be blocking it has shrunk.
+// Waiting is blocking, not spinning, and the turn is passed like a baton: a
+// thread that is not yet the minimum registers as a waiter and sleeps on its
+// token channel. Whoever then changes arbiter state — a release, a park, an
+// exit, a tick crossing the minimum waiter's clock — evaluates the turn
+// predicate on the minimum waiter's behalf under the mutex it already holds
+// and, only if it holds, makes the waiter the turn holder and sends it one
+// token. A token IS a grant: the woken thread returns without re-checking.
 //
 // # Tournament arbitration
 //
@@ -32,10 +34,10 @@
 // same reason TickWindow batching is: clocks only advance, so a lagging
 // published clock can only make its thread look earlier than it is — which
 // delays other threads' grants but never produces a wrong one. Liveness is
-// lazy: when a waiter finds the tree root is a stale runner, the waiter
-// itself re-publishes that runner's clock and replays its path, repeating
-// until the root is either fresh (waiter sleeps; a later tick crossing the
-// min-waiter clock wakes it) or the waiter itself (grant).
+// lazy: when a waiter's check finds the tree root is a stale runner, the
+// checker re-publishes that runner's clock and replays its path, repeating
+// until the root is either fresh (no grant; a later tick crossing the
+// min-waiter clock re-runs the check) or the waiter itself (grant).
 //
 // The previous flat implementation — O(n) scans over the live atomics for
 // every grant, notify and deadlock check — is preserved behind
@@ -149,15 +151,14 @@ func WithFlatArbiter() Option {
 
 // Arbiter arbitrates the deterministic turn between a fixed set of threads.
 //
-// Wakeups are targeted: only the minimum waiter can ever be granted the
-// turn (any other waiter is blocked by it), so state changes wake exactly
-// that thread through its buffered channel instead of broadcasting to all
-// waiters — the difference between O(1) and O(threads) scheduler work per
-// synchronization operation.
+// Grants are targeted: only the minimum waiter can ever be granted the
+// turn (any other waiter is blocked by it), so state changes examine exactly
+// that thread and wake it only when it is granted — at most one scheduler
+// wakeup per turn instead of a broadcast to all waiters.
 type Arbiter struct {
 	mu        sync.Mutex
 	slots     []slot
-	wake      []chan struct{} // per-thread wakeup tokens, buffered 1
+	wake      []chan struct{} // per-thread grant tokens, buffered 1 (see handOffLocked)
 	minWaiter atomic.Int64    // min DLC among StatusWaiting threads, noWaiter if none
 
 	// flat selects the O(n)-scan oracle implementation; the tournament
@@ -181,8 +182,8 @@ type Arbiter struct {
 	live   int
 	parked int
 
-	// Cumulative cost counters, guarded by mu. wakes counts wakeup tokens
-	// delivered; grantWork counts per-thread key inspections (scan length
+	// Cumulative cost counters, guarded by mu. wakes counts grant tokens
+	// sent; grantWork counts per-thread key inspections (scan length
 	// in flat mode, match replays and lazy refreshes in tree mode).
 	wakes     int64
 	grantWork int64
@@ -351,11 +352,11 @@ func (a *Arbiter) publishLocked(tid int) {
 }
 
 // Tick advances thread tid's logical clock by cost. If the clock crosses the
-// minimum waiter's clock, the waiter is woken so it can re-evaluate the turn
-// predicate. Tick must only be called by thread tid itself while running.
-// cost may be a multi-instruction batch (see TickWindow): the crossing test
-// below brackets the minimum waiter between the old and new clock, so a
-// batch that jumps past the waiter still wakes it.
+// minimum waiter's clock, the ticker re-runs the waiter's turn check and
+// hands the turn off if it now holds. Tick must only be called by thread tid
+// itself while running. cost may be a multi-instruction batch (see
+// TickWindow): the crossing test below brackets the minimum waiter between
+// the old and new clock, so a batch that jumps past the waiter still checks.
 //
 // The minWaiter load is deliberately outside a.mu. The resulting race with a
 // registering waiter is benign — see TestTickWaiterRegistrationRace for the
@@ -363,8 +364,9 @@ func (a *Arbiter) publishLocked(tid int) {
 // minWaiter load, the waiter's minWaiter store is sequenced before its clock
 // reads, and Go's sync/atomic operations are sequentially consistent, so in
 // any interleaving at least one side observes the other (the store-buffer
-// litmus shape) — either the ticker sees the waiter's clock and wakes it, or
-// the waiter sees the ticker's advanced clock and never blocks on it.
+// litmus shape) — either the ticker sees the waiter's clock and checks it, or
+// the waiter's own registration check sees the ticker's advanced clock and
+// never blocks on it. Both checks read live clocks under a.mu.
 func (a *Arbiter) Tick(tid int, cost int64) {
 	if a.nondet || cost == 0 {
 		return
@@ -376,12 +378,12 @@ func (a *Arbiter) Tick(tid int, cost int64) {
 		// We just reached or passed the minimum waiter's clock, so we
 		// may have stopped blocking it: a waiter with a lower thread ID
 		// is unblocked at clock equality (tie-break), one with a higher
-		// ID once we strictly exceed it. Wake it to re-check.
+		// ID once we strictly exceed it.
 		a.mu.Lock()
 		if !a.flat {
 			a.publishLocked(tid)
 		}
-		a.notifyMinWaiterLocked()
+		a.handOffLocked()
 		a.mu.Unlock()
 	}
 }
@@ -452,63 +454,72 @@ func (a *Arbiter) isMinLocked(tid int) bool {
 	}
 }
 
-// refreshMinWaiterLocked recomputes the cached minimum-waiter clock that
-// Tick's crossing test reads. Caller holds a.mu.
-func (a *Arbiter) refreshMinWaiterLocked() {
-	if a.flat {
-		a.grantWork += int64(len(a.slots))
-		min := int64(noWaiter)
-		for i := range a.slots {
-			if Status(a.slots[i].status.Load()) == StatusWaiting {
-				if d := a.slots[i].dlc.Load(); d < min {
-					min = d
-				}
-			}
+// minWaiterLocked returns the waiter with the minimum (DLC, tid) key — the
+// only waiter whose turn predicate can hold — or -1 when nobody waits. Caller
+// holds a.mu. The flat scan keeps the first thread at the minimum clock: the
+// lowest tid among equal-DLC waiters, as the wait tree's tie-break elects.
+func (a *Arbiter) minWaiterLocked() int {
+	if !a.flat {
+		a.grantWork++
+		return int(a.waitTree[1])
+	}
+	a.grantWork += int64(len(a.slots))
+	best, bestDLC := -1, int64(0)
+	for i := range a.slots {
+		if Status(a.slots[i].status.Load()) != StatusWaiting {
+			continue
 		}
-		a.minWaiter.Store(min)
-		return
+		if d := a.slots[i].dlc.Load(); best == -1 || d < bestDLC {
+			best, bestDLC = i, d
+		}
 	}
-	a.grantWork++
-	if w := a.waitTree[1]; w >= 0 {
-		a.minWaiter.Store(a.pub[w])
-	} else {
-		a.minWaiter.Store(noWaiter)
-	}
+	return best
 }
 
-// notifyMinWaiterLocked drops a wakeup token for the waiter with the
-// minimum (DLC, tid) — the only waiter whose turn predicate can have become
-// true. Caller holds a.mu.
-//
-// The flat scan keeps the first thread at the minimum clock, which under
-// in-order iteration is the lowest tid among equal-DLC waiters — the same
-// waiter the wait tree's (DLC, tid) tie-break elects, and the only one of
-// them the turn predicate can accept.
-func (a *Arbiter) notifyMinWaiterLocked() {
-	best := -1
-	if a.flat {
-		a.grantWork += int64(len(a.slots))
-		var bestDLC int64
-		for i := range a.slots {
-			if Status(a.slots[i].status.Load()) != StatusWaiting {
-				continue
-			}
-			d := a.slots[i].dlc.Load()
-			if best == -1 || d < bestDLC {
-				best, bestDLC = i, d
-			}
-		}
-	} else {
-		a.grantWork++
-		best = int(a.waitTree[1])
+// refreshMinWaiterLocked recomputes the cached minimum-waiter clock that
+// Tick's crossing test reads (a waiter's clock is frozen, so its live clock
+// is its exact key). Caller holds a.mu.
+func (a *Arbiter) refreshMinWaiterLocked() {
+	min := int64(noWaiter)
+	if w := a.minWaiterLocked(); w >= 0 {
+		min = a.slots[w].dlc.Load()
 	}
-	if best >= 0 {
-		//lazydet:nondeterministic non-blocking token send; a pending token and a fresh one are indistinguishable to the receiver
-		select {
-		case a.wake[best] <- struct{}{}:
-			a.wakes++
-		default: // a token is already pending; one is enough to re-check
-		}
+	a.minWaiter.Store(min)
+}
+
+// grantLocked makes waiter tid the turn holder: it leaves the wait tree, the
+// min-waiter cache moves on, and the grant is booked in the chain counters.
+// Caller holds a.mu and has established isMinLocked(tid).
+func (a *Arbiter) grantLocked(tid int) {
+	a.setStatusLocked(tid, StatusTurn)
+	if tid == a.lastGrant {
+		// A consecutive same-thread grant even when the cached election
+		// could not be reused (stale runner snapshots forced the slow path):
+		// the gated chain counter tracks the deterministic grant sequence,
+		// not the wall-clock-dependent fast path.
+		a.chainHits++
+	}
+	a.lastGrant = tid
+	if !a.flat {
+		a.replayLocked(a.waitTree, tid, false)
+	}
+	a.refreshMinWaiterLocked()
+}
+
+// handOffLocked passes the baton: the caller has just changed arbiter state,
+// so it evaluates the turn predicate on behalf of the minimum waiter — with
+// the same isMinLocked, on the same live clocks, the waiter itself would use
+// — and, only if the waiter is the global minimum, grants it the turn and
+// sends its token. Caller holds a.mu.
+//
+// The send cannot block: tokens go only to Waiting threads, the grant ends
+// the waiting episode under a.mu, and the episode's WaitTurn consumes the
+// token before the thread can wait again, so the buffer is empty here.
+func (a *Arbiter) handOffLocked() {
+	if w := a.minWaiterLocked(); w >= 0 && a.isMinLocked(w) {
+		a.grantLocked(w)
+		a.wakes++
+		a.wake[w] <- struct{}{}
 	}
 }
 
@@ -548,36 +559,23 @@ func (a *Arbiter) WaitTurn(tid int) {
 		a.publishLocked(tid)
 		a.replayLocked(a.waitTree, tid, true)
 	}
+	// The min-waiter cache is stored before the check below reads other
+	// threads' clocks — the order Tick's lock-free crossing test relies on.
 	a.refreshMinWaiterLocked()
-	for !a.isMinLocked(tid) {
+	if a.isMinLocked(tid) {
+		a.grantLocked(tid) // already the minimum: self-grant, no token
 		a.mu.Unlock()
-		<-a.wake[tid]
-		a.mu.Lock()
-	}
-	a.setStatusLocked(tid, StatusTurn)
-	if tid == a.lastGrant {
-		// Still a consecutive same-thread grant even when the cached
-		// election could not be reused (stale runner snapshots forced the
-		// slow path): the gated chain counter tracks the deterministic
-		// grant sequence, not the wall-clock-dependent fast path.
-		a.chainHits++
-	}
-	a.lastGrant = tid
-	if !a.flat {
-		a.replayLocked(a.waitTree, tid, false)
-	}
-	a.refreshMinWaiterLocked()
-	// Drain a stale token so a future wait does not wake spuriously.
-	//lazydet:nondeterministic non-blocking drain; waking with or without a stale token pending is behaviorally identical
-	select {
-	case <-a.wake[tid]:
-	default:
+		return
 	}
 	a.mu.Unlock()
+	// Every later state change that could make tid the minimum runs the
+	// check on its behalf (handOffLocked); the token is the grant.
+	<-a.wake[tid]
 }
 
-// ReleaseTurn ends the turn, charging cost to the thread's clock, and wakes
-// the minimum waiter. The thread returns to StatusRunning.
+// ReleaseTurn ends the turn, charging cost to the thread's clock, and hands
+// the turn to the minimum waiter if it is next. The thread returns to
+// StatusRunning.
 func (a *Arbiter) ReleaseTurn(tid int, cost int64) {
 	if a.nondet {
 		a.turnMu.Unlock()
@@ -590,12 +588,12 @@ func (a *Arbiter) ReleaseTurn(tid int, cost int64) {
 	if !a.flat {
 		a.publishLocked(tid)
 	}
-	a.notifyMinWaiterLocked()
+	a.handOffLocked()
 	a.mu.Unlock()
 }
 
 // Park transitions the thread from StatusTurn to StatusParked, excluding it
-// from turn arbitration, and wakes the minimum waiter. It must be called
+// from turn arbitration, and hands the turn off. It must be called
 // while holding the turn, which makes the park point deterministic. The
 // caller is responsible for actually blocking the thread (e.g. on a
 // channel).
@@ -614,7 +612,7 @@ func (a *Arbiter) Park(tid int) {
 	if !a.flat {
 		a.replayLocked(a.minTree, tid, false)
 	}
-	a.notifyMinWaiterLocked()
+	a.handOffLocked()
 	a.checkDeadlockLocked()
 	a.mu.Unlock()
 }
@@ -630,7 +628,7 @@ func (a *Arbiter) Unpark(tid int, newDLC int64) {
 		a.pub[tid] = newDLC
 		a.replayLocked(a.minTree, tid, true)
 	}
-	a.notifyMinWaiterLocked()
+	a.handOffLocked()
 	a.mu.Unlock()
 }
 
@@ -645,7 +643,7 @@ func (a *Arbiter) Exit(tid int) {
 		a.replayLocked(a.minTree, tid, false)
 		a.replayLocked(a.waitTree, tid, false)
 	}
-	a.notifyMinWaiterLocked()
+	a.handOffLocked()
 	a.checkDeadlockLocked()
 	a.mu.Unlock()
 }
@@ -662,7 +660,7 @@ func (a *Arbiter) SetParked(tid int) {
 	if !a.flat && !a.nondet {
 		a.replayLocked(a.minTree, tid, false)
 	}
-	a.notifyMinWaiterLocked()
+	a.handOffLocked()
 	a.checkDeadlockLocked()
 	a.mu.Unlock()
 }
@@ -673,12 +671,13 @@ func (a *Arbiter) Status(tid int) Status {
 }
 
 // Stats is a snapshot of the arbiter's cumulative cost counters. Wakes and
-// GrantWork depend on wall-clock interleaving (how often runners catch
-// waiters mid-registration, how stale snapshots get) and are therefore
-// reporting-only: deterministic metric gates must not include them.
+// GrantWork depend on wall-clock interleaving (whether a thread arrives
+// before or after its predecessors moved on, how stale snapshots get) and are
+// therefore reporting-only: deterministic metric gates must not include them.
 type Stats struct {
-	// Wakes counts wakeup tokens actually delivered to waiters (sends
-	// that found the buffer empty).
+	// Wakes counts cross-thread grants: turns handed to a registered waiter
+	// by another thread, one token each. A thread that is already the
+	// minimum on arrival grants itself without one, so Wakes <= grants.
 	Wakes int64
 	// GrantWork counts per-thread key inspections performed by the
 	// arbiter: full scan lengths in flat mode, tournament match replays

@@ -592,6 +592,19 @@ func (t *Thread) runInterp() {
 	}
 }
 
+// lineWords is one 64-byte cache line in heap words.
+const lineWords = 8
+
+// newFile allocates a register file or scratch array of n words whose backing
+// store is a whole number of cache lines. The allocator hands out blocks of
+// such sizes line-aligned, so the file shares no line with anything else —
+// above all not with another thread's file: allocated at their exact sizes,
+// small files land side by side in one size class, and a two-register program
+// put all four threads' hottest words on a single line.
+func newFile(n int) []int64 {
+	return make([]int64, n, (n+lineWords-1)/lineWords*lineWords)
+}
+
 // RunOption configures Run.
 type RunOption func(*runConfig)
 
@@ -651,8 +664,8 @@ func Run(eng Engine, progs []*Program, opts ...RunOption) {
 		grp.done[i] = make(chan struct{})
 		threads[i] = &Thread{
 			ID:      i,
-			Regs:    make([]int64, p.NumRegs),
-			Scratch: make([]int64, p.Scratch),
+			Regs:    newFile(p.NumRegs),
+			Scratch: newFile(p.Scratch),
 			rng:     uint64(i)*0x9E3779B97F4A7C15 + 0x853C49E6748FEA9B,
 			prog:    p,
 			eng:     eng,

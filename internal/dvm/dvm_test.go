@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // nullEngine executes programs over a plain shared array with a global
@@ -268,4 +269,58 @@ func TestBuildTwicePanics(t *testing.T) {
 	b := NewBuilder("x")
 	b.Build()
 	b.Build()
+}
+
+// TestThreadFilesDoNotShareCacheLines is the regression test for the
+// register-file false sharing the benchmark found: two-register programs put
+// every thread's registers on one 64-byte line. Each thread's Regs and
+// Scratch must start on a line boundary and own every line they touch, with
+// the lengths Snapshot/Restore copy left exactly as the program declared.
+func TestThreadFilesDoNotShareCacheLines(t *testing.T) {
+	type file struct {
+		tid, words int
+		base       uintptr
+	}
+	var mu sync.Mutex
+	var files []file
+	record := func(th *Thread, s []int64) {
+		mu.Lock()
+		files = append(files, file{th.ID, len(s), uintptr(unsafe.Pointer(unsafe.SliceData(s)))})
+		mu.Unlock()
+	}
+	progs := make([]*Program, 4)
+	for i := range progs {
+		b := NewBuilder("files")
+		b.Reg()
+		b.Reg()
+		b.Scratch(3 + 8*i) // sizes straddling one and several lines
+		b.Do(func(th *Thread) {
+			record(th, th.Regs)
+			record(th, th.Scratch)
+			if s := th.Snapshot(); len(s.Regs) != len(th.Regs) || len(s.Scratch) != len(th.Scratch) {
+				t.Errorf("thread %d: snapshot lengths %d/%d, files %d/%d", th.ID, len(s.Regs), len(s.Scratch), len(th.Regs), len(th.Scratch))
+			}
+		})
+		progs[i] = b.Build()
+		if progs[i].NumRegs != 2 || progs[i].Scratch != 3+8*i {
+			t.Fatalf("program %d declares %d regs, %d scratch words", i, progs[i].NumRegs, progs[i].Scratch)
+		}
+	}
+	Run(newNullEngine(1, 1), progs)
+
+	owner := map[uintptr]int{} // cache line -> the one file on it
+	for k, f := range files {
+		if want := []int{2, 3 + 8*f.tid}[k%2]; f.words != want {
+			t.Errorf("thread %d file %d has %d words, want %d", f.tid, k%2, f.words, want)
+		}
+		if f.base%64 != 0 {
+			t.Errorf("thread %d file %d starts at %#x, not on a cache line", f.tid, k%2, f.base)
+		}
+		for line := f.base / 64; line <= (f.base+uintptr(f.words)*8-1)/64; line++ {
+			if prev, taken := owner[line]; taken {
+				t.Errorf("cache line %#x holds file %d and file %d", line*64, prev, k)
+			}
+			owner[line] = k
+		}
+	}
 }

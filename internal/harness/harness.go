@@ -215,9 +215,10 @@ type Result struct {
 	// (strong engines only).
 	LiveVersions int
 	// ArbiterWakes/ArbiterGrantWork are the turn arbiter's cost counters
-	// (deterministic engines only): targeted waiter wakeups sent, and
-	// key-comparison work done electing minimum turns. Scheduling-
-	// dependent — informational, not deterministic machine state.
+	// (deterministic engines only): cross-thread grants (turns handed to a
+	// sleeping waiter, one wakeup each), and key-comparison work done
+	// electing minimum turns. Scheduling-dependent — informational, not
+	// deterministic machine state.
 	ArbiterWakes, ArbiterGrantWork int64
 	// ArbiterChainHits counts consecutive same-thread turn grants — the
 	// grant-chaining opportunity the tournament tree's fast path exploits.
@@ -542,9 +543,9 @@ func arbOpts(opt Options) []dlc.Option {
 }
 
 // publishArbStats records the arbiter's cost counters after a run. Wakes,
-// grant work and fast-path chain grants depend on which threads happened to
-// be blocked when clocks advanced — real goroutine scheduling — so they are
-// routed into the never-gated Timing section (see timingCounters); the
+// grant work and fast-path chain grants depend on which threads were already
+// asleep as waiters when their turn came — real goroutine scheduling — so
+// they are routed into the never-gated Timing section (see timingCounters); the
 // tournament depth is a pure function of the thread count, and chain hits a
 // function of the deterministic grant sequence, so both stay gated metrics.
 func publishArbStats(tel *telemetry.Recorder, arb *dlc.Arbiter, res *Result) {

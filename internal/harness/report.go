@@ -64,9 +64,10 @@ var timingCounters = map[string]bool{
 	"vheap.frame_pool_misses": true,
 	"vheap.page_pool_hits":    true,
 	"vheap.page_pool_misses":  true,
-	// Arbiter wakes and grant work count how often clock advances found a
-	// blocked waiter and how many key comparisons elections cost — both a
-	// function of which threads the runtime scheduler had blocked at each
+	// Arbiter wakes count cross-thread grants (the grantee was already
+	// asleep when its turn came; a thread that arrives as the minimum grants
+	// itself) and grant work how many key comparisons elections cost — both
+	// a function of which threads the runtime scheduler had blocked at each
 	// instant, not of the deterministic schedule.
 	"dlc.wakes":      true,
 	"dlc.grant_work": true,
