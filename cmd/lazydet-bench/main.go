@@ -58,7 +58,7 @@ func main() {
 	table := flag.Int("table", 0, "regenerate table N (1, 2)")
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	versions := flag.Bool("versions", false, "run the §4.2 version-count experiment")
-	arbsweep := flag.Bool("arbsweep", false, "run the arbiter-cost-vs-threads sweep (tournament tree vs flat scan)")
+	arbsweep := flag.Bool("arbsweep", false, "run the arbiter-cost-vs-threads sweep (the tournament tree's scaling curve)")
 	dispatchsweep := flag.Bool("dispatchsweep", false, "run the dispatch-cost sweep (interpreter vs threaded code vs direct, per program shape)")
 	compiled := flag.Bool("compiled", false, "run the deterministic engines on the threaded-code backend; with -report and -baseline, the interpreter baseline's gated metrics act as the differential oracle")
 	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly; with -report and -baseline, the elided baseline's gated metrics outside the elision-variant set act as the differential oracle")

@@ -34,19 +34,13 @@
 // -nohints drops the hinted runs, making the unhinted policy the
 // differential baseline.
 //
-// With -legacydiff, the strong engines commit via the legacy full-page twin
-// scan instead of the dirty-word bitmaps — running the suite both ways
-// differentially checks the two commit paths against each other. With
-// -mapviews, thread views track pages in Go maps instead of the flat
-// page-number-indexed tables, differentially checking the flat-table fast
-// path the same way. -flatarb arbitrates turns with the flat O(threads)
-// scans instead of the tournament tree, and -shards overrides the heap's
-// shard count — and independently of those flags, every seed cross-checks
-// the strong engines against the opposite arbiter and the single-shard
-// heap: traces and final memory must be bit-identical, because grant and
-// publication order are specified by (DLC, tid) alone. -compiled runs every
-// engine on the threaded-code backend (fused superinstructions) instead of
-// the interpreter — and independently of the flag, every seed cross-checks
+// -shards overrides the heap's shard count — and independently of the flag,
+// every seed cross-checks the strong engines against the opposite shard
+// layout (default vs single-shard): traces and final memory must be
+// bit-identical, because publication order is specified by (DLC, tid) alone
+// and shards only partition locks. -compiled runs every engine on the
+// threaded-code backend (fused superinstructions) instead of the
+// interpreter — and independently of the flag, every seed cross-checks
 // the strong engines against the opposite backend, the interpreter serving
 // as the differential oracle for the lowering pass. -eagerpublish disables
 // same-owner publication elision — and independently of the flag, every
@@ -58,8 +52,6 @@
 //
 //	lazydet-fuzz -seeds 100 -threads 4
 //	lazydet-fuzz -seeds 1000 -ops 120 -start 42
-//	lazydet-fuzz -seeds 50 -invariants -legacydiff
-//	lazydet-fuzz -seeds 50 -invariants -mapviews
 //	lazydet-fuzz -seeds 5 -threads 256 -ops 8 -invariants
 package main
 
@@ -123,9 +115,6 @@ func main() {
 	ops := flag.Int("ops", 60, "operations per thread")
 	invariants := flag.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
 	vet := flag.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
-	legacyDiff := flag.Bool("legacydiff", false, "commit via legacy full-page twin scans instead of dirty-word bitmaps")
-	mapViews := flag.Bool("mapviews", false, "track view pages in maps instead of flat page tables")
-	flatArb := flag.Bool("flatarb", false, "arbitrate turns with flat O(threads) scans instead of the tournament tree")
 	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
 	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
 	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly instead of eliding same-owner publications")
@@ -149,8 +138,7 @@ func main() {
 		ok := true
 		var violations []*invariant.Violation
 		baseOpt := harness.Options{
-			Threads: *threads, LegacyDiffCommit: *legacyDiff, MapViews: *mapViews,
-			FlatArbiter: *flatArb, HeapShards: *shards, Compiled: *compiled,
+			Threads: *threads, HeapShards: *shards, Compiled: *compiled,
 			EagerPublish: *eagerPublish,
 		}
 		if *invariants {
@@ -273,18 +261,16 @@ func main() {
 				}
 			}
 		}
-		// Property 7: arbitration and sharding oracles. The tournament
-		// tree vs the flat scan, and the sharded heap vs the single-lock
-		// layout, must be unobservable: grant order and publication order
-		// are specified by (DLC, tid) alone, so the strong engines must
-		// produce bit-identical traces and final memory either way.
+		// Property 7: sharding oracle. The sharded heap vs the single-lock
+		// layout must be unobservable: publication order is specified by
+		// (DLC, tid) alone, so the strong engines must produce bit-identical
+		// traces and final memory either way.
 		for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
 			opt := baseOpt
 			opt.Engine = eng
 			opt.Trace = true
 			ref, err := harness.Run(w, opt)
 			alt := opt
-			alt.FlatArbiter = !opt.FlatArbiter
 			if opt.HeapShards == 1 {
 				alt.HeapShards = 0 // oracle run was requested; compare against default sharding
 			} else {
@@ -292,12 +278,12 @@ func main() {
 			}
 			res, err2 := harness.Run(w, alt)
 			if err != nil || err2 != nil {
-				fmt.Printf("seed %d: %s arbiter/shard oracle: %v %v\n", seed, eng, err, err2)
+				fmt.Printf("seed %d: %s shard oracle: %v %v\n", seed, eng, err, err2)
 				ok = false
 				continue
 			}
 			if ref.TraceSig != res.TraceSig || ref.HeapHash != res.HeapHash {
-				fmt.Printf("seed %d: %s DIVERGES from arbiter/shard oracle (trace %x/%x heap %x/%x)\n",
+				fmt.Printf("seed %d: %s DIVERGES from shard oracle (trace %x/%x heap %x/%x)\n",
 					seed, eng, ref.TraceSig, res.TraceSig, ref.HeapHash, res.HeapHash)
 				ok = false
 			}

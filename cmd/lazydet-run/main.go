@@ -83,9 +83,6 @@ func main() {
 	threads := flag.Int("threads", 8, "simulated thread count")
 	scale := flag.Int("scale", 1, "problem-size multiplier")
 	trace := flag.Bool("trace", false, "record and print determinism fingerprints")
-	legacyDiff := flag.Bool("legacydiff", false, "commit via legacy full-page twin scans instead of dirty-word bitmaps")
-	mapViews := flag.Bool("mapviews", false, "track view pages in maps instead of flat page tables")
-	flatArb := flag.Bool("flatarb", false, "arbitrate turns with flat O(threads) scans instead of the tournament tree")
 	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
 	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
 	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly instead of eliding same-owner publications")
@@ -117,14 +114,11 @@ func main() {
 	opt := harness.Options{
 		Engine: ek, Threads: *threads, Trace: *trace,
 		MeasureTimes: true, CollectSpec: ek == harness.LazyDet,
-		CountLocks:       ek == harness.Pthreads,
-		LegacyDiffCommit: *legacyDiff,
-		MapViews:         *mapViews,
-		FlatArbiter:      *flatArb,
-		HeapShards:       *shards,
-		Compiled:         *compiled,
-		EagerPublish:     *eagerPublish,
-		Telemetry:        *reportPath != "",
+		CountLocks:   ek == harness.Pthreads,
+		HeapShards:   *shards,
+		Compiled:     *compiled,
+		EagerPublish: *eagerPublish,
+		Telemetry:    *reportPath != "",
 	}
 	if *cpuprofile != "" {
 		core.EnableProfileLabels()

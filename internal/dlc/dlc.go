@@ -20,7 +20,7 @@
 //
 // # Tournament arbitration
 //
-// The default arbiter resolves turns with a pair of tournament trees —
+// The arbiter resolves turns with a pair of tournament trees —
 // complete binary trees whose leaves are threads and whose internal nodes
 // each hold the winner (minimum (DLC, tid) key) of their two children. A
 // state change updates one leaf and replays the O(log n) matches on its
@@ -38,12 +38,6 @@
 // checker re-publishes that runner's clock and replays its path, repeating
 // until the root is either fresh (no grant; a later tick crossing the
 // min-waiter clock re-runs the check) or the waiter itself (grant).
-//
-// The previous flat implementation — O(n) scans over the live atomics for
-// every grant, notify and deadlock check — is preserved behind
-// WithFlatArbiter as a differential oracle: both arbiters grant identical
-// bit-deterministic schedules, and the test suite and fuzzer cross-check
-// them against each other.
 //
 // The arbiter also supports a nondeterministic mode, used to implement the
 // TotalOrder-Weak-Nondet engine from the paper's evaluation: the turn becomes
@@ -137,18 +131,6 @@ func eligible(st Status) bool {
 	return st != StatusParked && st != StatusExited
 }
 
-// Option configures an Arbiter at construction.
-type Option func(*Arbiter)
-
-// WithFlatArbiter selects the original flat implementation: O(n) scans over
-// the live clock atomics for every grant check, waiter notification and
-// deadlock check. It grants the same bit-deterministic schedule as the
-// tournament arbiter and exists as its differential oracle, mirroring the
-// -mapviews/-legacydiff pattern elsewhere in the repository.
-func WithFlatArbiter() Option {
-	return func(a *Arbiter) { a.flat = true }
-}
-
 // Arbiter arbitrates the deterministic turn between a fixed set of threads.
 //
 // Grants are targeted: only the minimum waiter can ever be granted the
@@ -160,10 +142,6 @@ type Arbiter struct {
 	slots     []slot
 	wake      []chan struct{} // per-thread grant tokens, buffered 1 (see handOffLocked)
 	minWaiter atomic.Int64    // min DLC among StatusWaiting threads, noWaiter if none
-
-	// flat selects the O(n)-scan oracle implementation; the tournament
-	// state below is then left nil.
-	flat bool
 
 	// Tournament state, all guarded by mu. size is the leaf span (next
 	// power of two >= len(slots)); both trees are laid out as implicit
@@ -183,17 +161,16 @@ type Arbiter struct {
 	parked int
 
 	// Cumulative cost counters, guarded by mu. wakes counts grant tokens
-	// sent; grantWork counts per-thread key inspections (scan length
-	// in flat mode, match replays and lazy refreshes in tree mode).
+	// sent; grantWork counts per-thread key inspections (match replays and
+	// lazy refreshes).
 	wakes     int64
 	grantWork int64
 
 	// Grant chaining, guarded by mu. lastGrant is the thread most recently
 	// granted the turn (-1 before the first grant); chainHits counts grants
 	// to the thread that also received the previous grant — a pure function
-	// of the deterministic grant sequence, identical across arbiter
-	// implementations; chainFast counts the subset of those the tournament
-	// arbiter served through the cached-election fast path, which depends on
+	// of the deterministic grant sequence; chainFast counts the subset of
+	// those served through the cached-election fast path, which depends on
 	// how stale runners' published clocks happened to be (wall-clock).
 	lastGrant int
 	chainHits int64
@@ -212,36 +189,31 @@ type Arbiter struct {
 
 // New returns an arbiter for n threads, all starting at DLC 0 in
 // StatusRunning. Thread IDs are 0..n-1.
-func New(n int, opts ...Option) *Arbiter {
+func New(n int) *Arbiter {
 	a := &Arbiter{slots: make([]slot, n), wake: make([]chan struct{}, n), lastGrant: -1}
 	for i := range a.wake {
 		a.wake[i] = make(chan struct{}, 1)
 	}
 	a.minWaiter.Store(noWaiter)
-	for _, o := range opts {
-		o(a)
-	}
 	a.live = n
-	if !a.flat {
-		size := 1
-		for size < n {
-			size <<= 1
-		}
-		a.size = size
-		a.depth = bits.Len(uint(size)) - 1
-		a.pub = make([]int64, n)
-		a.minTree = make([]int32, 2*size)
-		a.waitTree = make([]int32, 2*size)
-		for i := range a.minTree {
-			a.minTree[i] = -1
-			a.waitTree[i] = -1
-		}
-		for i := 0; i < n; i++ {
-			a.minTree[size+i] = int32(i)
-		}
-		for i := size - 1; i >= 1; i-- {
-			a.minTree[i] = a.match(a.minTree[2*i], a.minTree[2*i+1])
-		}
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	a.size = size
+	a.depth = bits.Len(uint(size)) - 1
+	a.pub = make([]int64, n)
+	a.minTree = make([]int32, 2*size)
+	a.waitTree = make([]int32, 2*size)
+	for i := range a.minTree {
+		a.minTree[i] = -1
+		a.waitTree[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		a.minTree[size+i] = int32(i)
+	}
+	for i := size - 1; i >= 1; i-- {
+		a.minTree[i] = a.match(a.minTree[2*i], a.minTree[2*i+1])
 	}
 	return a
 }
@@ -257,9 +229,6 @@ func NewNondet(n int) *Arbiter {
 
 // Nondet reports whether the arbiter orders turns nondeterministically.
 func (a *Arbiter) Nondet() bool { return a.nondet }
-
-// Flat reports whether the arbiter uses the flat O(n)-scan implementation.
-func (a *Arbiter) Flat() bool { return a.flat }
 
 // SetDeadlockHandler installs a callback invoked (once, on the parking or
 // exiting thread) when every non-exited thread has parked — a state nothing
@@ -341,9 +310,9 @@ func (a *Arbiter) replayLocked(tree []int32, tid int, active bool) {
 }
 
 // publishLocked snapshots thread tid's live clock into pub and replays its
-// arbitration leaf if the snapshot changed. Caller holds a.mu; tree mode
-// only. The wait tree never needs a replay here: a Waiting thread's clock is
-// frozen, so publication only ever changes runners' keys.
+// arbitration leaf if the snapshot changed. Caller holds a.mu. The wait tree
+// never needs a replay here: a Waiting thread's clock is frozen, so
+// publication only ever changes runners' keys.
 func (a *Arbiter) publishLocked(tid int) {
 	if cur := a.slots[tid].dlc.Load(); cur != a.pub[tid] {
 		a.pub[tid] = cur
@@ -380,9 +349,7 @@ func (a *Arbiter) Tick(tid int, cost int64) {
 		// is unblocked at clock equality (tie-break), one with a higher
 		// ID once we strictly exceed it.
 		a.mu.Lock()
-		if !a.flat {
-			a.publishLocked(tid)
-		}
+		a.publishLocked(tid)
 		a.handOffLocked()
 		a.mu.Unlock()
 	}
@@ -394,7 +361,7 @@ func (a *Arbiter) Tick(tid int, cost int64) {
 // thread itself before it starts running.
 func (a *Arbiter) SetDLC(tid int, v int64) {
 	a.slots[tid].dlc.Store(v)
-	if a.nondet || a.flat {
+	if a.nondet {
 		return
 	}
 	a.mu.Lock()
@@ -406,7 +373,7 @@ func (a *Arbiter) SetDLC(tid int, v int64) {
 // pair is the global minimum among threads that are not parked or exited.
 // Caller holds a.mu; tid must be Waiting (its published clock exact).
 //
-// Tree mode resolves this at the root, refreshing lazily: if the root is
+// The root resolves this, refreshing lazily: if the root is
 // another thread, that thread either genuinely precedes tid (its published
 // key is fresh — since published clocks never lead true clocks and clocks
 // only advance, a fresh smaller key proves the true key is smaller too, so
@@ -416,24 +383,6 @@ func (a *Arbiter) SetDLC(tid int, v int64) {
 // exactly the publication debt runners skipped by ticking lock-free, paid by
 // the thread that is blocked anyway.
 func (a *Arbiter) isMinLocked(tid int) bool {
-	if a.flat {
-		a.grantWork += int64(len(a.slots) - 1)
-		my := a.slots[tid].dlc.Load()
-		for i := range a.slots {
-			if i == tid {
-				continue
-			}
-			st := Status(a.slots[i].status.Load())
-			if st == StatusParked || st == StatusExited {
-				continue
-			}
-			d := a.slots[i].dlc.Load()
-			if d < my || (d == my && i < tid) {
-				return false
-			}
-		}
-		return true
-	}
 	for {
 		a.grantWork++
 		w := int(a.minTree[1])
@@ -456,24 +405,10 @@ func (a *Arbiter) isMinLocked(tid int) bool {
 
 // minWaiterLocked returns the waiter with the minimum (DLC, tid) key — the
 // only waiter whose turn predicate can hold — or -1 when nobody waits. Caller
-// holds a.mu. The flat scan keeps the first thread at the minimum clock: the
-// lowest tid among equal-DLC waiters, as the wait tree's tie-break elects.
+// holds a.mu.
 func (a *Arbiter) minWaiterLocked() int {
-	if !a.flat {
-		a.grantWork++
-		return int(a.waitTree[1])
-	}
-	a.grantWork += int64(len(a.slots))
-	best, bestDLC := -1, int64(0)
-	for i := range a.slots {
-		if Status(a.slots[i].status.Load()) != StatusWaiting {
-			continue
-		}
-		if d := a.slots[i].dlc.Load(); best == -1 || d < bestDLC {
-			best, bestDLC = i, d
-		}
-	}
-	return best
+	a.grantWork++
+	return int(a.waitTree[1])
 }
 
 // refreshMinWaiterLocked recomputes the cached minimum-waiter clock that
@@ -500,9 +435,7 @@ func (a *Arbiter) grantLocked(tid int) {
 		a.chainHits++
 	}
 	a.lastGrant = tid
-	if !a.flat {
-		a.replayLocked(a.waitTree, tid, false)
-	}
+	a.replayLocked(a.waitTree, tid, false)
 	a.refreshMinWaiterLocked()
 }
 
@@ -540,7 +473,7 @@ func (a *Arbiter) WaitTurn(tid int) {
 	// wait-tree replays, no min-waiter refreshes. The grant sequence is
 	// unchanged — the slow path would grant the same turn on its first
 	// root inspection.
-	if !a.flat && tid == a.lastGrant {
+	if tid == a.lastGrant {
 		a.publishLocked(tid)
 		a.grantWork++
 		if int(a.minTree[1]) == tid {
@@ -552,13 +485,11 @@ func (a *Arbiter) WaitTurn(tid int) {
 		}
 	}
 	a.setStatusLocked(tid, StatusWaiting)
-	if !a.flat {
-		// Publish the exact clock before registering as a waiter: grants
-		// compare waiters by published key, which must be exact for the
-		// schedule to match the flat oracle bit for bit.
-		a.publishLocked(tid)
-		a.replayLocked(a.waitTree, tid, true)
-	}
+	// Publish the exact clock before registering as a waiter: grants compare
+	// waiters by published key, which must be exact for the schedule to be
+	// the (DLC, tid) order.
+	a.publishLocked(tid)
+	a.replayLocked(a.waitTree, tid, true)
 	// The min-waiter cache is stored before the check below reads other
 	// threads' clocks — the order Tick's lock-free crossing test relies on.
 	a.refreshMinWaiterLocked()
@@ -585,9 +516,7 @@ func (a *Arbiter) ReleaseTurn(tid int, cost int64) {
 	a.mu.Lock()
 	s.dlc.Add(cost)
 	a.setStatusLocked(tid, StatusRunning)
-	if !a.flat {
-		a.publishLocked(tid)
-	}
+	a.publishLocked(tid)
 	a.handOffLocked()
 	a.mu.Unlock()
 }
@@ -609,9 +538,7 @@ func (a *Arbiter) Park(tid int) {
 	}
 	a.mu.Lock()
 	a.setStatusLocked(tid, StatusParked)
-	if !a.flat {
-		a.replayLocked(a.minTree, tid, false)
-	}
+	a.replayLocked(a.minTree, tid, false)
 	a.handOffLocked()
 	a.checkDeadlockLocked()
 	a.mu.Unlock()
@@ -624,7 +551,7 @@ func (a *Arbiter) Unpark(tid int, newDLC int64) {
 	a.mu.Lock()
 	a.slots[tid].dlc.Store(newDLC)
 	a.setStatusLocked(tid, StatusRunning)
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		a.pub[tid] = newDLC
 		a.replayLocked(a.minTree, tid, true)
 	}
@@ -639,7 +566,7 @@ func (a *Arbiter) Unpark(tid int, newDLC int64) {
 func (a *Arbiter) Exit(tid int) {
 	a.mu.Lock()
 	a.setStatusLocked(tid, StatusExited)
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		a.replayLocked(a.minTree, tid, false)
 		a.replayLocked(a.waitTree, tid, false)
 	}
@@ -657,7 +584,7 @@ func (a *Arbiter) Exit(tid int) {
 func (a *Arbiter) SetParked(tid int) {
 	a.mu.Lock()
 	a.setStatusLocked(tid, StatusParked)
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		a.replayLocked(a.minTree, tid, false)
 	}
 	a.handOffLocked()
@@ -680,19 +607,18 @@ type Stats struct {
 	// minimum on arrival grants itself without one, so Wakes <= grants.
 	Wakes int64
 	// GrantWork counts per-thread key inspections performed by the
-	// arbiter: full scan lengths in flat mode, tournament match replays
-	// and lazy snapshot refreshes in tree mode. The tentpole scaling
-	// claim is this quantity growing sub-linearly in thread count.
+	// arbiter: tournament match replays and lazy snapshot refreshes. The
+	// scaling claim is this quantity growing sub-linearly in thread count.
 	GrantWork int64
-	// Depth is the tournament tree's match depth (0 for the flat oracle
-	// and nondeterministic mode).
+	// Depth is the tournament tree's match depth (0 in nondeterministic
+	// mode).
 	Depth int
 	// ChainHits counts turn grants to the thread that also received the
 	// previous grant. It is a pure function of the deterministic grant
-	// sequence — identical across arbiter implementations — so, unlike
-	// Wakes and GrantWork, it belongs with the gated metrics.
+	// sequence, so, unlike Wakes and GrantWork, it belongs with the gated
+	// metrics.
 	ChainHits int64
-	// ChainFast counts the ChainHits the tournament arbiter served through
+	// ChainFast counts the ChainHits served through
 	// the cached-election fast path (no waiter registration, no wait-tree
 	// replays). It depends on how stale runners' published snapshots were
 	// at the moment of re-arrival, so it is reporting-only.
@@ -704,7 +630,7 @@ func (a *Arbiter) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	d := 0
-	if !a.flat && !a.nondet {
+	if !a.nondet {
 		d = a.depth
 	}
 	return Stats{Wakes: a.wakes, GrantWork: a.grantWork, Depth: d,
@@ -766,15 +692,15 @@ func (a *Arbiter) AuditTurn(tid int) error {
 // Waiting/Turn threads), leaf occupancy matches thread statuses, every
 // internal node holds the match of its children, and both roots agree with
 // direct scans over the published keys — the tree-vs-scan minimum agreement
-// the invariant checker audits at every granted turn. Returns nil in flat
-// and nondeterministic modes, where there is no tree.
+// the invariant checker audits at every granted turn. Returns nil in
+// nondeterministic mode, where the trees are unused.
 //
 // Like AuditTurn it must be called by a thread holding the turn, so that
 // park/exit transitions and waiter registrations are quiescent; concurrent
 // runners only advance their clocks, which cannot invalidate the trailing
 // checks below.
 func (a *Arbiter) AuditTree() error {
-	if a.nondet || a.flat {
+	if a.nondet {
 		return nil
 	}
 	a.mu.Lock()

@@ -24,31 +24,27 @@ func BenchmarkTurnSoloThread(b *testing.B) {
 }
 
 // BenchmarkTurnHandoff measures the full deterministic turn protocol under
-// contention: n threads round-robin through turns, under the tournament
-// tree and under the flat-scan oracle. The spread between the two at high
-// thread counts is the tentpole scaling win.
+// contention: n threads round-robin through turns.
 func BenchmarkTurnHandoff(b *testing.B) {
-	for _, v := range arbVariants {
-		for _, n := range []int{2, 8, 32, 256} {
-			b.Run(fmt.Sprintf("%s/%d-threads", v.name, n), func(b *testing.B) {
-				a := New(n, v.opts...)
-				per := b.N/n + 1
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for tid := 0; tid < n; tid++ {
-					wg.Add(1)
-					go func(tid int) {
-						defer wg.Done()
-						for i := 0; i < per; i++ {
-							a.Tick(tid, 3)
-							a.WaitTurn(tid)
-							a.ReleaseTurn(tid, 2)
-						}
-						a.Exit(tid)
-					}(tid)
-				}
-				wg.Wait()
-			})
-		}
+	for _, n := range []int{2, 8, 32, 256} {
+		b.Run(fmt.Sprintf("%d-threads", n), func(b *testing.B) {
+			a := New(n)
+			per := b.N/n + 1
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for tid := 0; tid < n; tid++ {
+				wg.Add(1)
+				go func(tid int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						a.Tick(tid, 3)
+						a.WaitTurn(tid)
+						a.ReleaseTurn(tid, 2)
+					}
+					a.Exit(tid)
+				}(tid)
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -29,21 +29,17 @@ func waitStatus(t *testing.T, a *Arbiter, tid int, st Status) {
 // last live thread's exit — if the exit lands first, the final SetParked is
 // the transition into deadlock, and before the fix nothing ever checked it.
 func TestSetParkedDeadlockDetection(t *testing.T) {
-	for _, v := range arbVariants {
-		t.Run(v.name, func(t *testing.T) {
-			a := New(3, v.opts...)
-			fired := 0
-			a.SetDeadlockHandler(func() { fired++ })
-			a.Exit(0) // the last live thread leaves first...
-			a.SetParked(1)
-			if fired != 0 {
-				t.Fatal("deadlock reported while thread 2 was still runnable")
-			}
-			a.SetParked(2) // ...then its peers suspend: all-parked, no waker
-			if fired != 1 {
-				t.Fatalf("deadlock handler fired %d times after the last SetParked, want 1", fired)
-			}
-		})
+	a := New(3)
+	fired := 0
+	a.SetDeadlockHandler(func() { fired++ })
+	a.Exit(0) // the last live thread leaves first...
+	a.SetParked(1)
+	if fired != 0 {
+		t.Fatal("deadlock reported while thread 2 was still runnable")
+	}
+	a.SetParked(2) // ...then its peers suspend: all-parked, no waker
+	if fired != 1 {
+		t.Fatalf("deadlock handler fired %d times after the last SetParked, want 1", fired)
 	}
 }
 
@@ -53,26 +49,22 @@ func TestSetParkedDeadlockDetection(t *testing.T) {
 // exactly once — before the fix, interleavings where Exit preceded the
 // final SetParked hung forever.
 func TestSetParkedDeadlockDetectionConcurrent(t *testing.T) {
-	for _, v := range arbVariants {
-		t.Run(v.name, func(t *testing.T) {
-			for round := 0; round < 100; round++ {
-				a := New(4, v.opts...)
-				fired := make(chan struct{}, 1)
-				a.SetDeadlockHandler(func() { fired <- struct{}{} })
-				var wg sync.WaitGroup
-				wg.Add(3)
-				go func() { defer wg.Done(); a.SetParked(1) }()
-				go func() { defer wg.Done(); a.SetParked(2) }()
-				go func() { defer wg.Done(); a.Exit(0) }()
-				wg.Wait()
-				a.SetParked(3)
-				select {
-				case <-fired:
-				default:
-					t.Fatalf("round %d: all threads parked or exited but the deadlock handler never fired", round)
-				}
-			}
-		})
+	for round := 0; round < 100; round++ {
+		a := New(4)
+		fired := make(chan struct{}, 1)
+		a.SetDeadlockHandler(func() { fired <- struct{}{} })
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() { defer wg.Done(); a.SetParked(1) }()
+		go func() { defer wg.Done(); a.SetParked(2) }()
+		go func() { defer wg.Done(); a.Exit(0) }()
+		wg.Wait()
+		a.SetParked(3)
+		select {
+		case <-fired:
+		default:
+			t.Fatalf("round %d: all threads parked or exited but the deadlock handler never fired", round)
+		}
 	}
 }
 
@@ -86,38 +78,34 @@ func TestSetParkedDeadlockDetectionConcurrent(t *testing.T) {
 // equality tick (admitting a lower-tid waiter) and the strict crossing
 // (admitting a higher-tid one).
 func TestEqualDLCWaitersWakeInTidOrder(t *testing.T) {
-	for _, v := range arbVariants {
-		t.Run(v.name, func(t *testing.T) {
-			a := New(3, v.opts...)
-			a.SetDLC(0, 50)
-			a.SetDLC(1, 50) // two waiters at the same clock; thread 2 runs at 0
-			grants := make(chan int, 2)
-			for _, tid := range []int{0, 1} {
-				go func(tid int) {
-					a.WaitTurn(tid)
-					grants <- tid
-					a.ReleaseTurn(tid, 10)
-				}(tid)
-			}
-			waitStatus(t, a, 0, StatusWaiting)
-			waitStatus(t, a, 1, StatusWaiting)
-			// The runner reaches the waiters' clock exactly: key (50, 2)
-			// still trails waiter 0's (50, 0) and waiter 1's (50, 1), so
-			// both must eventually be admitted, lowest tid first.
-			a.Tick(2, 50)
-			var order []int
-			for len(order) < 2 {
-				select {
-				case tid := <-grants:
-					order = append(order, tid)
-				case <-time.After(5 * time.Second):
-					t.Fatalf("granted %v, then no wakeup: missed equal-DLC wake", order)
-				}
-			}
-			if order[0] != 0 || order[1] != 1 {
-				t.Fatalf("equal-DLC waiters granted in order %v, want [0 1]", order)
-			}
-		})
+	a := New(3)
+	a.SetDLC(0, 50)
+	a.SetDLC(1, 50) // two waiters at the same clock; thread 2 runs at 0
+	grants := make(chan int, 2)
+	for _, tid := range []int{0, 1} {
+		go func(tid int) {
+			a.WaitTurn(tid)
+			grants <- tid
+			a.ReleaseTurn(tid, 10)
+		}(tid)
+	}
+	waitStatus(t, a, 0, StatusWaiting)
+	waitStatus(t, a, 1, StatusWaiting)
+	// The runner reaches the waiters' clock exactly: key (50, 2)
+	// still trails waiter 0's (50, 0) and waiter 1's (50, 1), so
+	// both must eventually be admitted, lowest tid first.
+	a.Tick(2, 50)
+	var order []int
+	for len(order) < 2 {
+		select {
+		case tid := <-grants:
+			order = append(order, tid)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("granted %v, then no wakeup: missed equal-DLC wake", order)
+		}
+	}
+	if order[0] != 0 || order[1] != 1 {
+		t.Fatalf("equal-DLC waiters granted in order %v, want [0 1]", order)
 	}
 }
 
@@ -131,64 +119,54 @@ func TestEqualDLCWaitersWakeInTidOrder(t *testing.T) {
 // clock and never blocks behind it. A missed wakeup here would hang the
 // grant forever; the loop hunts for one across many live interleavings.
 func TestTickWaiterRegistrationRace(t *testing.T) {
-	for _, v := range arbVariants {
-		t.Run(v.name, func(t *testing.T) {
-			for round := 0; round < 300; round++ {
-				a := New(2, v.opts...)
-				a.SetDLC(1, 10)
-				granted := make(chan struct{})
-				go func() {
-					a.WaitTurn(1) // registers at clock 10
-					close(granted)
-				}()
-				// Concurrently jump from 0 past the waiter in one batch:
-				// only this crossing tick's bracket test can notify, so a
-				// lost notification cannot be papered over by later ticks.
-				a.Tick(0, 25)
-				select {
-				case <-granted:
-				case <-time.After(5 * time.Second):
-					t.Fatalf("round %d: waiter never admitted after the runner ticked past it (missed wakeup)", round)
-				}
-				a.ReleaseTurn(1, 1)
-			}
-		})
+	for round := 0; round < 300; round++ {
+		a := New(2)
+		a.SetDLC(1, 10)
+		granted := make(chan struct{})
+		go func() {
+			a.WaitTurn(1) // registers at clock 10
+			close(granted)
+		}()
+		// Concurrently jump from 0 past the waiter in one batch:
+		// only this crossing tick's bracket test can notify, so a
+		// lost notification cannot be papered over by later ticks.
+		a.Tick(0, 25)
+		select {
+		case <-granted:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: waiter never admitted after the runner ticked past it (missed wakeup)", round)
+		}
+		a.ReleaseTurn(1, 1)
 	}
 }
 
-// TestStatsShape checks the cost counters: the tree arbiter reports its
-// match depth and both implementations count wakes and grant work.
+// TestStatsShape checks the cost counters: the arbiter reports its match
+// depth and counts wakes and grant work.
 func TestStatsShape(t *testing.T) {
-	a := New(5)
-	if got := a.Stats().Depth; got != 3 { // 5 threads -> 8 leaves -> depth 3
+	if got := New(5).Stats().Depth; got != 3 { // 5 threads -> 8 leaves -> depth 3
 		t.Fatalf("tree depth = %d, want 3", got)
 	}
 	if got := New(1).Stats().Depth; got != 0 {
 		t.Fatalf("single-thread tree depth = %d, want 0", got)
 	}
-	if got := New(5, WithFlatArbiter()).Stats().Depth; got != 0 {
-		t.Fatalf("flat arbiter depth = %d, want 0", got)
+	a := New(2)
+	done := make(chan struct{})
+	go func() {
+		a.WaitTurn(1)
+		a.ReleaseTurn(1, 1)
+		close(done)
+	}()
+	waitStatus(t, a, 1, StatusWaiting)
+	for i := 0; i < 5; i++ {
+		a.Tick(0, 1)
 	}
-	for _, v := range arbVariants {
-		a := New(2, v.opts...)
-		done := make(chan struct{})
-		go func() {
-			a.WaitTurn(1)
-			a.ReleaseTurn(1, 1)
-			close(done)
-		}()
-		waitStatus(t, a, 1, StatusWaiting)
-		for i := 0; i < 5; i++ {
-			a.Tick(0, 1)
-		}
-		<-done
-		st := a.Stats()
-		if st.Wakes == 0 {
-			t.Fatalf("%s: no wakes counted across a blocked grant", v.name)
-		}
-		if st.GrantWork == 0 {
-			t.Fatalf("%s: no grant work counted across a blocked grant", v.name)
-		}
+	<-done
+	st := a.Stats()
+	if st.Wakes == 0 {
+		t.Fatal("no wakes counted across a blocked grant")
+	}
+	if st.GrantWork == 0 {
+		t.Fatal("no grant work counted across a blocked grant")
 	}
 }
 
@@ -262,73 +240,25 @@ func TestAuditTreeDetectsCorruption(t *testing.T) {
 	if err := a.AuditTree(); err == nil {
 		t.Fatal("AuditTree accepted a missing leaf for an eligible thread")
 	}
-
-	if err := New(4, WithFlatArbiter()).AuditTree(); err != nil {
-		t.Fatalf("AuditTree on the flat oracle: %v", err)
-	}
 }
 
 // TestIncrementalCountsMatchScan cross-checks the O(1) deadlock counts
 // against AuditTurn's scan across a mix of transitions.
 func TestIncrementalCountsMatchScan(t *testing.T) {
-	for _, v := range arbVariants {
-		t.Run(v.name, func(t *testing.T) {
-			a := New(6, v.opts...)
-			a.SetParked(4)
-			a.SetParked(5)
-			a.Exit(3)
-			a.Unpark(4, 9)
-			a.WaitTurn(0)
-			if err := a.AuditTurn(0); err != nil {
-				t.Fatal(err)
-			}
-			a.mu.Lock()
-			live, parked := a.live, a.parked
-			a.mu.Unlock()
-			if live != 4 || parked != 1 { // threads 0,1,2,4 live; 5 parked; 3 exited
-				t.Fatalf("counts (live %d, parked %d), want (4, 1)", live, parked)
-			}
-			a.ReleaseTurn(0, 1)
-		})
+	a := New(6)
+	a.SetParked(4)
+	a.SetParked(5)
+	a.Exit(3)
+	a.Unpark(4, 9)
+	a.WaitTurn(0)
+	if err := a.AuditTurn(0); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestTournamentManyThreads exercises deep trees: a 256-thread turn storm
-// with mutual exclusion checked by the arbiter's own audits, and the grant
-// sequence cross-checked tree-vs-flat.
-func TestTournamentManyThreads(t *testing.T) {
-	const n = 256
-	const rounds = 4
-	run := func(opts ...Option) []int {
-		a := New(n, opts...)
-		var mu sync.Mutex
-		var order []int
-		var wg sync.WaitGroup
-		for tid := 0; tid < n; tid++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					a.Tick(tid, int64(1+(tid+r)%7))
-					a.WaitTurn(tid)
-					mu.Lock()
-					order = append(order, tid)
-					mu.Unlock()
-					a.ReleaseTurn(tid, int64(1+tid%3))
-				}
-				a.Exit(tid)
-			}(tid)
-		}
-		wg.Wait()
-		return order
+	a.mu.Lock()
+	live, parked := a.live, a.parked
+	a.mu.Unlock()
+	if live != 4 || parked != 1 { // threads 0,1,2,4 live; 5 parked; 3 exited
+		t.Fatalf("counts (live %d, parked %d), want (4, 1)", live, parked)
 	}
-	tree, flat := run(), run(WithFlatArbiter())
-	if len(tree) != len(flat) {
-		t.Fatalf("grant counts differ: tree %d, flat %d", len(tree), len(flat))
-	}
-	for i := range tree {
-		if tree[i] != flat[i] {
-			t.Fatalf("grant %d: tree admitted %d, flat admitted %d", i, tree[i], flat[i])
-		}
-	}
+	a.ReleaseTurn(0, 1)
 }

@@ -27,7 +27,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		{"table2", Table2, []string{"Table 2", "% success", "dedup"}},
 		{"fig12", Fig12, []string{"Figure 12", "least-squares"}},
 		{"versions", Versions, []string{"§4.2", "DDRF", "DLRC"}},
-		{"arbsweep", ArbiterSweep, []string{"arbiter cost", "tree", "flat", "bit-identical"}},
+		{"arbsweep", ArbiterSweep, []string{"arbiter cost", "tree", "work/grant"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

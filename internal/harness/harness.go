@@ -109,26 +109,12 @@ type Options struct {
 	// Spec overrides LazyDet's speculation parameters; zero value means
 	// the paper's defaults.
 	Spec core.SpecConfig
-	// PageWords overrides the versioned heap's page size.
+	// PageWords overrides the versioned heap's page size; it must be a
+	// power of two.
 	PageWords int
 	// FullVersionChains retains every page version (DLRC-style
 	// accounting) instead of trimming to live bases (§4.2 experiment).
 	FullVersionChains bool
-	// LegacyDiffCommit makes the versioned heap find modified words by a
-	// full twin scan of every dirty page, instead of walking the
-	// dirty-word bitmaps. The differential oracle for the bitmap commit
-	// path: both must publish byte-identical heaps and traces.
-	LegacyDiffCommit bool
-	// MapViews makes the versioned heap's views track dirty and clean
-	// pages in Go maps instead of the flat page-number-indexed tables.
-	// The differential oracle for the flat-table fast path: both must
-	// publish byte-identical heaps, traces, and commit statistics.
-	MapViews bool
-	// FlatArbiter makes the deterministic engines arbitrate turns with the
-	// original flat O(threads) scans instead of the tournament tree. The
-	// differential oracle for the tree arbiter: both must produce
-	// bit-identical grant orders, traces, and final heaps.
-	FlatArbiter bool
 	// HeapShards overrides the versioned heap's shard count (page-range
 	// partitions of the commit lock, page pool and trim floor). Zero means
 	// the heap's default; 1 collapses to the single-lock layout, the
@@ -208,8 +194,7 @@ type Result struct {
 	// (strong engines only).
 	Commits, PagesCommitted, WordsCommitted int64
 	// WordsScanned counts the words commits examined to find the committed
-	// ones (strong engines only): page size × dirty pages under the legacy
-	// full diff, dirty-bitmap population under dirty tracking.
+	// ones (strong engines only): the dirty bitmaps' population.
 	WordsScanned int64
 	// LiveVersions counts page versions still reachable after the run
 	// (strong engines only).
@@ -263,6 +248,9 @@ type Result struct {
 func Run(w *Workload, opt Options) (*Result, error) {
 	if opt.Threads <= 0 {
 		return nil, fmt.Errorf("harness: thread count %d", opt.Threads)
+	}
+	if opt.PageWords < 0 || opt.PageWords&(opt.PageWords-1) != 0 {
+		return nil, fmt.Errorf("harness: page size %d words is not a power of two", opt.PageWords)
 	}
 	progs := w.Programs(opt.Threads)
 	if len(progs) != opt.Threads {
@@ -380,12 +368,6 @@ func Run(w *Workload, opt Options) (*Result, error) {
 		if opt.FullVersionChains {
 			hopts = append(hopts, vheap.WithFullVersionChains())
 		}
-		if opt.LegacyDiffCommit {
-			hopts = append(hopts, vheap.WithLegacyDiffCommit())
-		}
-		if opt.MapViews {
-			hopts = append(hopts, vheap.WithMapViews())
-		}
 		if opt.HeapShards > 0 {
 			hopts = append(hopts, vheap.WithShards(opt.HeapShards))
 		}
@@ -404,7 +386,7 @@ func Run(w *Workload, opt Options) (*Result, error) {
 			Hints:           hints,
 			EagerPublish:    opt.EagerPublish,
 		}
-		arb := dlc.New(opt.Threads, arbOpts(opt)...)
+		arb := dlc.New(opt.Threads)
 		defer publishArbStats(tel, arb, res)
 		tbl = detsync.NewTable(opt.Threads, w.Locks, w.Conds, w.Barriers, opt.Engine == LazyDet)
 		eng = core.New(cfg, core.Deps{
@@ -432,7 +414,7 @@ func Run(w *Workload, opt Options) (*Result, error) {
 			w.Init(mem.SetInitial, opt.Threads)
 		}
 		mode := core.ModeWeak
-		arb := dlc.New(opt.Threads, arbOpts(opt)...)
+		arb := dlc.New(opt.Threads)
 		if opt.Engine == TotalOrderWeakNondet {
 			mode = core.ModeWeakNondet
 			arb = dlc.NewNondet(opt.Threads)
@@ -532,14 +514,6 @@ func lowerHints(h *progcheck.SpecHints, nlocks int) []core.SpecHint {
 		}
 	}
 	return out
-}
-
-// arbOpts maps run options onto deterministic-arbiter construction options.
-func arbOpts(opt Options) []dlc.Option {
-	if opt.FlatArbiter {
-		return []dlc.Option{dlc.WithFlatArbiter()}
-	}
-	return nil
 }
 
 // publishArbStats records the arbiter's cost counters after a run. Wakes,

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lazydet/internal/core"
@@ -299,5 +300,35 @@ func TestLockCounting(t *testing.T) {
 	}
 	if s.Variables == 0 || s.Max == 0 {
 		t.Fatalf("bad summary %+v", s)
+	}
+}
+
+// TestRunRejectsBadOptions: option values the substrate cannot honour are
+// reported as errors by Run, for every engine, instead of panicking further
+// down (vheap.New panics on a page size that is not a power of two).
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  Options
+		want string
+	}{
+		{"no threads", Options{Threads: 0}, "thread count 0"},
+		{"negative threads", Options{Threads: -2}, "thread count -2"},
+		{"page size not a power of two", Options{Threads: 2, PageWords: 48}, "page size 48"},
+		{"negative page size", Options{Threads: 2, PageWords: -8}, "page size -8"},
+	} {
+		for _, eng := range AllEngines {
+			c.opt.Engine = eng
+			res, err := Run(counterWorkload(4), c.opt)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s under %s: error %v, want one naming %q", c.name, eng, err, c.want)
+			}
+			if res != nil {
+				t.Errorf("%s under %s: a result came back with the error", c.name, eng)
+			}
+		}
+	}
+	if _, err := Run(counterWorkload(4), Options{Engine: LazyDet, Threads: 2, PageWords: 64}); err != nil {
+		t.Errorf("page size 64: %v", err)
 	}
 }

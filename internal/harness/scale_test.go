@@ -7,11 +7,11 @@ import (
 	"lazydet/internal/workloads"
 )
 
-// scaleWorkload builds the hash-table microbenchmark sized so the total
-// operation count stays constant as threads grow — the Threads-scaling
-// shape of the arbiter experiments.
-func scaleWorkload(threads int) *harness.Workload {
-	cfg := workloads.DefaultHTConfig(workloads.HT)
+// scaleHT builds a hash-table microbenchmark sized so the total operation
+// count stays constant as threads grow — the Threads-scaling shape of the
+// arbiter experiments.
+func scaleHT(variant workloads.HTVariant, threads int) *harness.Workload {
+	cfg := workloads.DefaultHTConfig(variant)
 	cfg.OpsPerThread = 2048 / threads
 	if cfg.OpsPerThread < 4 {
 		cfg.OpsPerThread = 4
@@ -19,42 +19,8 @@ func scaleWorkload(threads int) *harness.Workload {
 	return workloads.NewHashTable(cfg)
 }
 
-// TestScheduleEquivalenceAcrossArbiters is the schedule-equivalence oracle
-// for the tournament arbiter: at t=4, 64 and 256, the tournament tree and
-// the flat O(n)-scan oracle must produce bit-identical synchronization
-// traces, sync-event counts and final heaps on both strong engines. The
-// grant order is specified by (DLC, tid) alone; which data structure elects
-// the minimum must be unobservable.
-func TestScheduleEquivalenceAcrossArbiters(t *testing.T) {
-	for _, threads := range []int{4, 64, 256} {
-		for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
-			w := scaleWorkload(threads)
-			base := harness.Options{Engine: eng, Threads: threads, Trace: true}
-			tree, err := harness.Run(w, base)
-			if err != nil {
-				t.Fatalf("t=%d %v tree arbiter: %v", threads, eng, err)
-			}
-			flatOpt := base
-			flatOpt.FlatArbiter = true
-			flat, err := harness.Run(scaleWorkload(threads), flatOpt)
-			if err != nil {
-				t.Fatalf("t=%d %v flat arbiter: %v", threads, eng, err)
-			}
-			if tree.TraceSig != flat.TraceSig {
-				t.Errorf("t=%d %v: trace signature diverges: tree %x, flat %x",
-					threads, eng, tree.TraceSig, flat.TraceSig)
-			}
-			if tree.SyncEvents != flat.SyncEvents {
-				t.Errorf("t=%d %v: sync event counts diverge: tree %d, flat %d",
-					threads, eng, tree.SyncEvents, flat.SyncEvents)
-			}
-			if tree.HeapHash != flat.HeapHash {
-				t.Errorf("t=%d %v: final heap diverges: tree %x, flat %x",
-					threads, eng, tree.HeapHash, flat.HeapHash)
-			}
-		}
-	}
-}
+// scaleWorkload is scaleHT for the hand-over-hand variant.
+func scaleWorkload(threads int) *harness.Workload { return scaleHT(workloads.HT, threads) }
 
 // TestScheduleEquivalenceAcrossHeapShards is the schedule-equivalence
 // oracle for heap sharding: the default sharded heap and the HeapShards=1
@@ -99,18 +65,14 @@ func TestScheduleEquivalenceAcrossHeapShards(t *testing.T) {
 
 // TestScaleRunWithInvariants runs the t=64 point with the full audit layer
 // on: tournament-tree audits at every turn grant and per-shard trim-floor
-// audits at every commit, against both arbiters.
+// audits at every commit.
 func TestScaleRunWithInvariants(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		w := scaleWorkload(64)
-		_, err := harness.Run(w, harness.Options{
-			Engine:          harness.LazyDet,
-			Threads:         64,
-			FlatArbiter:     flat,
-			CheckInvariants: true,
-		})
-		if err != nil {
-			t.Fatalf("flat=%v: %v", flat, err)
-		}
+	_, err := harness.Run(scaleWorkload(64), harness.Options{
+		Engine:          harness.LazyDet,
+		Threads:         64,
+		CheckInvariants: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

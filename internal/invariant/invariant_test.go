@@ -278,38 +278,3 @@ func TestCheckerShardTrimFloor(t *testing.T) {
 	}
 	v.Close()
 }
-
-// TestCleanRunNoViolationsFlatArbiter: the audit layer (including the
-// tree-audit hook, which is a no-op on the flat oracle) stays clean when the
-// engine runs on the flat-scan arbiter.
-func TestCleanRunNoViolationsFlatArbiter(t *testing.T) {
-	const threads = 4
-	arb := dlc.New(threads, dlc.WithFlatArbiter())
-	tbl := detsync.NewTable(threads, 2, 0, 0, true)
-	heap := vheap.New(256)
-	var violations []*invariant.Violation
-	eng := core.New(
-		core.Config{Mode: core.ModeStrong, Speculation: true, CheckInvariants: true},
-		core.Deps{Arb: arb, Tbl: tbl, Heap: heap,
-			OnViolation: func(v *invariant.Violation) { violations = append(violations, v) }},
-	)
-	progs := make([]*dvm.Program, threads)
-	for tid := range progs {
-		b := dvm.NewBuilder("flat-arb-audit")
-		i, v := b.Reg(), b.Reg()
-		b.ForN(i, 30, func() {
-			b.Lock(dvm.Const(0))
-			b.Load(v, dvm.Const(0))
-			b.Store(dvm.Const(0), dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(v) + 1 }))
-			b.Unlock(dvm.Const(0))
-		})
-		progs[tid] = b.Build()
-	}
-	dvm.Run(eng, progs)
-	if len(violations) != 0 {
-		t.Fatalf("clean flat-arbiter run reported %d violations, first: %v", len(violations), violations[0])
-	}
-	if got := heap.ReadCommitted(0); got != threads*30 {
-		t.Fatalf("cell 0 = %d, want %d", got, threads*30)
-	}
-}

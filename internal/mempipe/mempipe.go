@@ -14,8 +14,8 @@
 //
 // The flat pipeline answers the same questions degenerately: it is never
 // dirty, Publish commits nothing, Refresh has nothing to re-base, and its
-// sequence number is always 0. The speculation operations (SnapshotDirty,
-// RevertTo) panic — speculation without write isolation cannot be rolled
+// sequence number is always 0. The speculation operations
+// (SnapshotDirtyInto, RevertTo) panic — speculation without write isolation cannot be rolled
 // back, and the engines never speculate in weak modes.
 package mempipe
 
@@ -92,10 +92,6 @@ type Thread interface {
 	// keeping the dirty set — Refresh for a window with deferred state.
 	// No-op on flat memory.
 	RefreshDirty()
-	// RefreshToDirty re-bases the window on a specific commit sequence while
-	// keeping the dirty set (barrier releases under elision), flushing every
-	// outstanding deferred publication first. No-op on flat memory.
-	RefreshToDirty(seq int64)
 	// StageFlushed reports whether the window's most recent deferred
 	// publication was applied by another thread — the elision miss signal
 	// the adaptive policy feeds on. Always false on flat memory.
@@ -103,9 +99,6 @@ type Thread interface {
 	// Unpublished reports whether the window holds writes not yet covered by
 	// any publication, eager or deferred. Always false on flat memory.
 	Unpublished() bool
-	// SyncDeferred applies other windows' outstanding deferred publications
-	// without moving this window's base. No-op on flat memory.
-	SyncDeferred()
 	// SettleDeferred applies every outstanding deferred publication, the
 	// window's own included — the engine's move at the turn before a thread
 	// parks, spawns, or exits. No-op on flat memory.
@@ -119,13 +112,10 @@ type Thread interface {
 	// flat memory.
 	AuditDeferred() error
 
-	// SnapshotDirty deep-copies the unpublished write set at a speculation
-	// run's begin. Panics on flat memory.
-	SnapshotDirty() *vheap.DirtySnapshot
-	// SnapshotDirtyInto deep-copies the unpublished write set into s,
-	// recycling its buffers (nil s allocates a fresh snapshot) — the
-	// allocation-free path the speculation engine uses across runs. Panics
-	// on flat memory.
+	// SnapshotDirtyInto deep-copies the unpublished write set into s at a
+	// speculation run's begin, recycling its buffers (nil s allocates a
+	// fresh snapshot) so steady-state runs allocate nothing. Panics on flat
+	// memory.
 	SnapshotDirtyInto(s *vheap.DirtySnapshot) *vheap.DirtySnapshot
 	// RevertTo discards the run's writes and reinstates the snapshot,
 	// returning the number of discarded speculative words. Panics on flat
@@ -172,20 +162,17 @@ func (t *versionedThread) DirtyWords() int                     { return t.v.Dirt
 func (t *versionedThread) Refresh()                            { t.v.Update() }
 func (t *versionedThread) RefreshTo(seq int64)                 { t.v.UpdateTo(seq) }
 func (t *versionedThread) BaseSeq() int64                      { return t.v.BaseSeq() }
-func (t *versionedThread) SnapshotDirty() *vheap.DirtySnapshot { return t.v.SnapshotDirty() }
 func (t *versionedThread) RevertTo(s *vheap.DirtySnapshot) int { return t.v.RevertTo(s) }
 func (t *versionedThread) AuditDirty() error                   { return t.v.AuditDirty() }
 func (t *versionedThread) AuditTables() error                  { return t.v.AuditTables() }
 func (t *versionedThread) Close()                              { t.v.Close() }
 
-func (t *versionedThread) RefreshDirty()          { t.v.RefreshDirty() }
-func (t *versionedThread) RefreshToDirty(s int64) { t.v.RefreshToDirty(s) }
-func (t *versionedThread) StageFlushed() bool     { return t.v.StageFlushed() }
-func (t *versionedThread) Unpublished() bool      { return t.v.Unpublished() }
-func (t *versionedThread) SyncDeferred()          { t.v.SyncDeferred() }
-func (t *versionedThread) SettleDeferred()        { t.v.SettleDeferred() }
-func (t *versionedThread) DropClean()             { t.v.DropClean() }
-func (t *versionedThread) AuditDeferred() error   { return t.v.AuditDeferred() }
+func (t *versionedThread) RefreshDirty()        { t.v.RefreshDirty() }
+func (t *versionedThread) StageFlushed() bool   { return t.v.StageFlushed() }
+func (t *versionedThread) Unpublished() bool    { return t.v.Unpublished() }
+func (t *versionedThread) SettleDeferred()      { t.v.SettleDeferred() }
+func (t *versionedThread) DropClean()           { t.v.DropClean() }
+func (t *versionedThread) AuditDeferred() error { return t.v.AuditDeferred() }
 
 func (t *versionedThread) SnapshotDirtyInto(s *vheap.DirtySnapshot) *vheap.DirtySnapshot {
 	return t.v.SnapshotDirtyInto(s)
@@ -241,20 +228,14 @@ func (t flatThread) StagePublish() (int64, bool) { return 0, false }
 func (t flatThread) Refresh()                    {}
 func (t flatThread) RefreshTo(seq int64)         {}
 func (t flatThread) RefreshDirty()               {}
-func (t flatThread) RefreshToDirty(seq int64)    {}
 func (t flatThread) StageFlushed() bool          { return false }
 func (t flatThread) Unpublished() bool           { return false }
-func (t flatThread) SyncDeferred()               {}
 func (t flatThread) SettleDeferred()             {}
 func (t flatThread) DropClean()                  {}
 func (t flatThread) AuditDeferred() error        { return nil }
 func (t flatThread) BaseSeq() int64              { return 0 }
 func (t flatThread) AuditDirty() error           { return nil }
 func (t flatThread) Close()                      {}
-
-func (t flatThread) SnapshotDirty() *vheap.DirtySnapshot {
-	panic("mempipe: speculation snapshot on flat memory — speculation requires versioned isolation")
-}
 
 func (t flatThread) SnapshotDirtyInto(*vheap.DirtySnapshot) *vheap.DirtySnapshot {
 	panic("mempipe: speculation snapshot on flat memory — speculation requires versioned isolation")

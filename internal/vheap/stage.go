@@ -61,25 +61,12 @@ type stage struct {
 	flushed bool // another thread applied this stage's contents
 }
 
-// frame takes a frame for stage contents from the owning view's pool — the
-// stage only ever grows and shrinks at the owner's turns, so sharing the pool
-// with the view's dirty frames is race-free and keeps staging allocation-free
-// once the pool warms up. The map-view oracle keeps its non-pooling behavior.
-func (s *stage) frame(h *Heap) *dirtyPage {
-	if s.view.mt != nil {
-		return h.newFrame()
-	}
-	return s.view.frame()
-}
-
 // reset empties the stage contents, recycling the page frames into the
 // owning view's pool. Only the owner calls this (at its next staging after a
 // flush), so the flusher never touches the pool.
 func (s *stage) reset() {
 	for i, d := range s.pages {
-		if s.view.mt == nil {
-			s.view.releaseFrame(d)
-		}
+		s.view.releaseFrame(d)
 		s.pages[i] = nil
 	}
 	s.pages = s.pages[:0]
@@ -138,16 +125,10 @@ func (v *View) stageDirty(seq int64) {
 		s.reset()
 	}
 	s.seq = seq
-	mergeOne := func(pi int, d *dirtyPage) {
-		delta := false
-		for _, m := range d.dirty {
-			if m != 0 {
-				delta = true
-				break
-			}
-		}
-		if !delta {
-			return
+	for _, pi := range v.dirtyIdx {
+		d := v.dirtyTab[pi]
+		if !hasMarks(d) {
+			continue
 		}
 		if k, ok := s.idx[pi]; ok {
 			dst := s.pages[k]
@@ -167,7 +148,10 @@ func (v *View) stageDirty(seq int64) {
 				}
 			}
 		} else {
-			dst := s.frame(v.h)
+			// Stage frames come from the owner view's pool: the stage only
+			// grows and shrinks at the owner's turns, so sharing the pool is
+			// race-free and staging allocates nothing once it warms up.
+			dst := v.frame()
 			copyInto(dst, d)
 			s.idx[pi] = len(s.pis)
 			s.pis = append(s.pis, pi)
@@ -175,16 +159,6 @@ func (v *View) stageDirty(seq int64) {
 		}
 		copy(d.twin, d.words)
 		clear(d.dirty)
-	}
-	if v.mt != nil {
-		//lazydet:nondeterministic order-independent merge; flushes apply staged pages into disjoint slots at one sequence
-		for pi, d := range v.mt.dirty {
-			mergeOne(pi, d)
-		}
-	} else {
-		for _, pi := range v.dirtyIdx {
-			mergeOne(pi, v.dirtyTab[pi])
-		}
 	}
 	h := v.h
 	if !s.queued {
@@ -201,12 +175,6 @@ func (v *View) stageDirty(seq int64) {
 // dirty set, which staging retains — is the "anything to publish?" test, and
 // in eager operation the two are identical (Commit clears both).
 func (v *View) Unpublished() bool { return v.unstaged }
-
-// SyncDeferred applies other views' outstanding deferred publications
-// without moving this view's base: the flush half of a publication point at
-// which this view itself has nothing to publish. Caller must hold the
-// deterministic turn.
-func (v *View) SyncDeferred() { v.h.flushStages(v, flushAll) }
 
 // SettleDeferred applies every outstanding deferred publication, the view's
 // own included. Engines call it at the turn before a thread parks, spawns a
@@ -240,11 +208,6 @@ func (v *View) DropClean() {
 	}
 	if s := v.stg; s != nil && s.queued {
 		panic("vheap: DropClean with an outstanding deferred publication")
-	}
-	if v.mt != nil {
-		clear(v.mt.dirty)
-		clear(v.mt.clean)
-		return
 	}
 	v.clearDirty()
 	v.invalidateClean()
@@ -362,17 +325,6 @@ func (v *View) RefreshDirty() {
 	v.rebaseDirty(v.h.seq.Load())
 }
 
-// RefreshToDirty re-bases the view on exactly seq while keeping the dirty
-// set, used at barrier releases under elision. It executes concurrently with
-// other threads' turns (the wake moment is wall-clock), so the flush is
-// bounded by the pinned sequence: every stage at or below it was settled at
-// its owner's arrival turn (SettleDeferred), making this flush a
-// deterministic no-op, and stages reserved at later turns are left alone.
-func (v *View) RefreshToDirty(seq int64) {
-	v.h.flushStages(nil, seq)
-	v.rebaseDirty(seq)
-}
-
 // rebaseDirty re-bases the view on newBase while keeping the retained
 // frames: the re-base an elided publication performs in place of the eager
 // path's commit-then-Update. Frames whose base page advanced (a foreign
@@ -406,16 +358,6 @@ func (v *View) rebaseDirty(newBase int64) {
 			return s.pages[k]
 		}
 		return nil
-	}
-	if v.mt != nil {
-		clear(v.mt.clean)
-		//lazydet:nondeterministic order-independent rebuild over the dirty-page set
-		for pi, d := range v.mt.dirty {
-			if p := v.h.pageAt(pi, newBase); p.seq != d.baseSeq {
-				rebuildFrame(d, p, overlay(pi))
-			}
-		}
-		return
 	}
 	v.invalidateClean()
 	for _, pi := range v.dirtyIdx {
@@ -467,12 +409,7 @@ func (v *View) AuditDeferred() error {
 		return nil
 	}
 	for k, pi := range s.pis {
-		var d *dirtyPage
-		if v.mt != nil {
-			d = v.mt.dirty[pi]
-		} else {
-			d = v.dirtyTab[pi]
-		}
+		d := v.dirtyTab[pi]
 		if d == nil {
 			return fmt.Errorf("vheap: page %d is staged for deferred publication but holds no frame in the view — a revert or commit dropped deferred state",
 				pi)

@@ -16,10 +16,9 @@
 //   - Commit publishes, for every dirty page, the marked words that differ
 //     from the twin, merged word-by-word onto the current head version.
 //     Commit work is therefore proportional to the number of words written,
-//     not the page size. WithLegacyDiffCommit restores the original
-//     full-page twin scan as a differential-test oracle. Commits are
-//     serialized (in this repository, by the deterministic turn), so the
-//     merge order — and therefore the heap contents — is deterministic.
+//     not the page size. Commits are serialized (in this repository, by the
+//     deterministic turn), so the merge order — and therefore the heap
+//     contents — is deterministic.
 //   - Update re-bases a view on the newest committed state; Revert discards
 //     all private modifications. Both are O(dirty set).
 //
@@ -36,10 +35,6 @@
 //     free list, recycled at every Commit/Revert, and published page
 //     versions come from a per-heap free list refilled by chain trimming —
 //     steady-state sync epochs allocate nothing.
-//
-// WithMapViews restores the original map-backed views (unpooled, allocating)
-// as a differential oracle for the flat tables, exactly as
-// WithLegacyDiffCommit preserves the full twin scan for the bitmap commit.
 //
 // The heap is sharded by contiguous page range: each shard owns its pages'
 // commit lock, published-page pool and trim-floor cache, so commits touching
@@ -62,8 +57,8 @@
 // paper's system, including its documented limitation: a "silent store" (a
 // store that writes the value already present) produces no diff and is lost
 // if another thread commits a different value for the same word. The bitmap
-// commit path preserves this exactly — a marked word still merges only when
-// it differs from the twin — so both commit paths are byte-identical.
+// commit preserves this exactly: a marked word merges only when it differs
+// from the twin.
 package vheap
 
 import (
@@ -166,9 +161,7 @@ type Heap struct {
 	pageHits    atomic.Int64 // published page frames served from the heap pool
 	pageMisses  atomic.Int64 // published page frames freshly allocated
 
-	trim       bool // trim chains below the oldest live base (DDRF coalescing)
-	legacyDiff bool // commit by full twin scan instead of the dirty bitmap
-	mapViews   bool // map-backed views (the flat-table differential oracle)
+	trim bool // trim chains below the oldest live base (DDRF coalescing)
 
 	// tel, if non-nil, receives commit metrics ("vheap.*" counters and the
 	// commit-size histogram). Nil costs one pointer compare per commit.
@@ -182,8 +175,6 @@ type heapConfig struct {
 	pageWords  int
 	shards     int
 	keepChains bool
-	legacyDiff bool
-	mapViews   bool
 	tel        *telemetry.Recorder
 }
 
@@ -203,22 +194,6 @@ func WithShards(n int) Option { return func(c *heapConfig) { c.shards = n } }
 // chains to the versions still reachable by a live view. Used by the
 // DLRC-vs-DDRF version accounting experiment.
 func WithFullVersionChains() Option { return func(c *heapConfig) { c.keepChains = true } }
-
-// WithLegacyDiffCommit makes Commit find modified words by scanning every
-// word of every dirty page against its twin, as the original CONVERSION
-// reimplementation did, instead of walking the dirty-word bitmap. The two
-// paths publish byte-identical heaps; this one exists as the differential
-// oracle the bitmap path is tested against, and to measure what the bitmap
-// saves (see Stats().WordsScanned).
-func WithLegacyDiffCommit() Option { return func(c *heapConfig) { c.legacyDiff = true } }
-
-// WithMapViews makes every view resolve its dirty and clean pages through
-// Go maps, as the original implementation did, instead of the flat
-// generation-stamped page tables — and disables frame and page pooling, so
-// allocation behavior matches the original too. The two view layouts
-// publish byte-identical heaps, commit sequences and dirty counts; this one
-// exists as the differential oracle the flat tables are tested against.
-func WithMapViews() Option { return func(c *heapConfig) { c.mapViews = true } }
 
 // WithTelemetry publishes the heap's commit-path measurements into rec:
 // cumulative "vheap.commits", "vheap.pages_committed", "vheap.words_committed",
@@ -267,18 +242,16 @@ func New(words int64, opts ...Option) *Heap {
 		pps <<= 1
 	}
 	h := &Heap{
-		pageWords:  cfg.pageWords,
-		pageShift:  shift,
-		pageMask:   int64(cfg.pageWords - 1),
-		npages:     np,
-		slots:      make([]atomic.Pointer[page], np),
-		ppsShift:   uint(bits.TrailingZeros(uint(pps))),
-		shards:     make([]heapShard, (np+pps-1)/pps),
-		views:      make(map[*View]struct{}),
-		trim:       !cfg.keepChains,
-		legacyDiff: cfg.legacyDiff,
-		mapViews:   cfg.mapViews,
-		tel:        cfg.tel,
+		pageWords: cfg.pageWords,
+		pageShift: shift,
+		pageMask:  int64(cfg.pageWords - 1),
+		npages:    np,
+		slots:     make([]atomic.Pointer[page], np),
+		ppsShift:  uint(bits.TrailingZeros(uint(pps))),
+		shards:    make([]heapShard, (np+pps-1)/pps),
+		views:     make(map[*View]struct{}),
+		trim:      !cfg.keepChains,
+		tel:       cfg.tel,
 	}
 	for i := range h.shards {
 		h.shards[i].lastFloor = -1
@@ -465,13 +438,12 @@ type CommitStats struct {
 	// set size the paper's Figure 12 plots.
 	Words int64
 	// WordsScanned is the number of words commits examined to find the
-	// merged ones: per dirty page, the page size under the legacy full
-	// twin diff, or the bitmap's population count under dirty tracking.
-	// The ratio WordsScanned/Words is the overhead of locating a change.
+	// merged ones: per dirty page, the bitmap's population count. The ratio
+	// WordsScanned/Words is the overhead of locating a change.
 	WordsScanned int64
 	// FrameHits/FrameMisses count dirty-page frames served from a view's
-	// free list vs freshly allocated (flat-table views only; flushed into
-	// the heap totals at each commit).
+	// free list vs freshly allocated (flushed into the heap totals at each
+	// commit).
 	FrameHits, FrameMisses int64
 	// PageHits/PageMisses count published page frames served from the
 	// heap's trim-refilled pool vs freshly allocated.
@@ -635,13 +607,6 @@ func (h *Heap) newFrame() *dirtyPage {
 	}
 }
 
-// mapTables is the original map-backed view layout, kept behind
-// WithMapViews as the differential oracle for the flat page tables.
-type mapTables struct {
-	dirty map[int]*dirtyPage
-	clean map[int]*page
-}
-
 // View is one thread's isolated window onto the heap. Its page tables are
 // dense slices indexed by page number — the software analogue of the flat
 // per-thread page tables the paper's threads read and write through — with
@@ -675,10 +640,6 @@ type View struct {
 	frameMiss int64
 	closed    bool // Close happened; further Closes are no-ops
 
-	// mt, when non-nil, holds the original map-backed tables and the view
-	// ignores the flat tables entirely (WithMapViews oracle).
-	mt *mapTables
-
 	// stg is the view's deferred publication (stage.go), nil until the first
 	// elided publish. unstaged records whether any store happened since the
 	// last publication event (Commit or StagePublish) — the elided analogue
@@ -697,14 +658,12 @@ type View struct {
 // race), and the engine re-bases the view, flushing at its own turn, before
 // any cross-thread state is read.
 func (h *Heap) NewView() *View {
-	v := &View{h: h}
-	if h.mapViews {
-		v.mt = &mapTables{dirty: make(map[int]*dirtyPage), clean: make(map[int]*page)}
-	} else {
-		v.dirtyTab = make([]*dirtyPage, h.npages)
-		v.cleanTab = make([]*page, h.npages)
-		v.cleanGen = make([]uint64, h.npages)
-		v.gen = 1 // so zero-valued cleanGen entries are invalid
+	v := &View{
+		h:        h,
+		dirtyTab: make([]*dirtyPage, h.npages),
+		cleanTab: make([]*page, h.npages),
+		cleanGen: make([]uint64, h.npages),
+		gen:      1, // so zero-valued cleanGen entries are invalid
 	}
 	h.viewMu.Lock()
 	v.base.Store(h.seq.Load())
@@ -746,25 +705,13 @@ func (v *View) Close() {
 func (v *View) BaseSeq() int64 { return v.base.Load() }
 
 // DirtyPages returns the number of privately modified pages.
-func (v *View) DirtyPages() int {
-	if v.mt != nil {
-		return len(v.mt.dirty)
-	}
-	return len(v.dirtyIdx)
-}
+func (v *View) DirtyPages() int { return len(v.dirtyIdx) }
 
 // DirtyWords returns the number of words that differ from the twins — the
 // "change set size" reported in the paper's Figure 12. Silent stores (marked
-// but equal to the twin) do not count, under either commit path.
+// but equal to the twin) do not count.
 func (v *View) DirtyWords() int {
 	n := 0
-	if v.mt != nil {
-		//lazydet:nondeterministic order-independent sum over the dirty-page set
-		for _, d := range v.mt.dirty {
-			n += diffWords(d)
-		}
-		return n
-	}
 	for _, pi := range v.dirtyIdx {
 		n += diffWords(v.dirtyTab[pi])
 	}
@@ -794,15 +741,6 @@ func diffWords(d *dirtyPage) int {
 // view's owning thread, before Commit clears the dirty set. Used by the
 // invariant checker.
 func (v *View) AuditDirty() error {
-	if v.mt != nil {
-		//lazydet:nondeterministic order-independent audit: every page is checked, the first offender differs only in the error text
-		for pi, d := range v.mt.dirty {
-			if err := auditDirtyPage(pi, d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, pi := range v.dirtyIdx {
 		if err := auditDirtyPage(pi, v.dirtyTab[pi]); err != nil {
 			return err
@@ -827,12 +765,8 @@ func auditDirtyPage(pi int, d *dirtyPage) error {
 // listed once), clean-cache entries stamped with the current generation must
 // equal a fresh version-chain resolution at the view's base, and pooled
 // frames must be page-sized with cleared bitmaps and must not alias a live
-// dirty frame. Returns nil for map-backed views, which have no tables or
-// pools to audit. Used by the invariant checker at every publication.
+// dirty frame. Used by the invariant checker at every publication.
 func (v *View) AuditTables() error {
-	if v.mt != nil {
-		return nil
-	}
 	if len(v.dirtyTab) != v.h.npages || len(v.cleanTab) != v.h.npages || len(v.cleanGen) != v.h.npages {
 		return fmt.Errorf("vheap: page tables sized %d/%d/%d, want the heap's %d pages",
 			len(v.dirtyTab), len(v.cleanTab), len(v.cleanGen), v.h.npages)
@@ -949,27 +883,11 @@ func (v *View) resolve(pi int) *page {
 	return p
 }
 
-// resolveMap is resolve for the map-backed oracle.
-func (v *View) resolveMap(pi int) *page {
-	if p, ok := v.mt.clean[pi]; ok {
-		return p
-	}
-	p := v.h.pageAt(pi, v.base.Load())
-	v.mt.clean[pi] = p
-	return p
-}
-
 // Load reads addr through the view: private copy if the page is dirty,
 // otherwise the newest committed version no newer than the base.
 func (v *View) Load(addr int64) int64 {
 	pi := int(addr >> v.h.pageShift)
 	off := addr & v.h.pageMask
-	if v.mt != nil {
-		if d, ok := v.mt.dirty[pi]; ok {
-			return d.words[off]
-		}
-		return v.resolveMap(pi).words[off]
-	}
 	if d := v.dirtyTab[pi]; d != nil {
 		return d.words[off]
 	}
@@ -977,26 +895,12 @@ func (v *View) Load(addr int64) int64 {
 }
 
 // Store writes addr privately, creating a working copy, twin and dirty
-// bitmap on the first write to a page, and marking the written word. Flat
-// views draw the frame from the view's free list.
+// bitmap on the first write to a page, and marking the written word. The
+// frame comes from the view's free list.
 func (v *View) Store(addr, val int64) {
 	pi := int(addr >> v.h.pageShift)
 	off := addr & v.h.pageMask
 	v.unstaged = true
-	if v.mt != nil {
-		d, ok := v.mt.dirty[pi]
-		if !ok {
-			base := v.resolveMap(pi)
-			d = v.h.newFrame()
-			copy(d.words, base.words)
-			copy(d.twin, base.words)
-			d.baseSeq = base.seq
-			v.mt.dirty[pi] = d
-		}
-		d.words[off] = val
-		d.mark(off)
-		return
-	}
 	d := v.dirtyTab[pi]
 	if d == nil {
 		base := v.resolve(pi)
@@ -1018,14 +922,8 @@ func (v *View) Store(addr, val int64) {
 // the merge.
 func (v *View) StoreDirty(addr, val int64) {
 	v.Store(addr, val)
-	pi := int(addr >> v.h.pageShift)
+	d := v.dirtyTab[addr>>v.h.pageShift]
 	off := addr & v.h.pageMask
-	var d *dirtyPage
-	if v.mt != nil {
-		d = v.mt.dirty[pi]
-	} else {
-		d = v.dirtyTab[pi]
-	}
 	if d.twin[off] == val {
 		d.twin[off] = ^val
 	}
@@ -1057,32 +955,18 @@ func (h *Heap) commitPage(s *heapShard, pi int, d *dirtyPage, newSeq int64, scan
 	head := h.slots[pi].Load()
 	var merged *page
 	n := 0
-	if h.legacyDiff {
-		*scanned += int64(len(d.words))
-		for i, w := range d.words {
-			if w != d.twin[i] {
+	for bi, mask := range d.dirty {
+		for mask != 0 {
+			i := bi<<6 + bits.TrailingZeros64(mask)
+			mask &= mask - 1
+			*scanned++
+			if d.words[i] != d.twin[i] {
 				if merged == nil {
 					merged = h.newPageLocked(s, newSeq, pageHits, pageMisses)
 					copy(merged.words, head.words)
 				}
-				merged.words[i] = w
+				merged.words[i] = d.words[i]
 				n++
-			}
-		}
-	} else {
-		for bi, mask := range d.dirty {
-			for mask != 0 {
-				i := bi<<6 + bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				*scanned++
-				if d.words[i] != d.twin[i] {
-					if merged == nil {
-						merged = h.newPageLocked(s, newSeq, pageHits, pageMisses)
-						copy(merged.words, head.words)
-					}
-					merged.words[i] = d.words[i]
-					n++
-				}
 			}
 		}
 	}
@@ -1096,12 +980,11 @@ func (h *Heap) commitPage(s *heapShard, pi int, d *dirtyPage, newSeq int64, scan
 
 // Commit publishes the view's modifications: for every dirty page, the words
 // that differ from the twin are merged onto the current head version, and a
-// new page version is linked in. Under dirty tracking (the default) only the
-// bitmap's marked words are examined; under WithLegacyDiffCommit every word
-// of the page is. The view is re-based on the new committed state and its
-// dirty set cleared — flat views recycle their frames, and trimmed-off page
-// versions refill their shards' published-page pools. Returns the new
-// sequence number and the number of words merged.
+// new page version is linked in. Only the bitmap's marked words are
+// examined. The view is re-based on the new committed state and its dirty
+// set cleared — the frames are recycled, and trimmed-off page versions
+// refill their shards' published-page pools. Returns the new sequence number
+// and the number of words merged.
 //
 // Publication locks one shard at a time: each dirty page is merged and
 // trimmed under the mutex of the shard owning it, with consecutive dirty
@@ -1126,47 +1009,29 @@ func (v *View) Commit() (seq int64, changed int) {
 	pages := int64(0)
 	batches := int64(0)
 	var pageHits, pageMisses int64
-	if v.mt != nil {
-		//lazydet:nondeterministic pages publish independently into per-page slots; commit order within one commit is unobservable
-		for pi, d := range v.mt.dirty {
-			s := h.shardOf(pi)
-			s.mu.Lock()
+	cur := -1
+	for _, pi := range v.dirtyIdx {
+		if si := pi >> h.ppsShift; si != cur {
+			if cur >= 0 {
+				h.shards[cur].mu.Unlock()
+			}
+			h.shards[si].mu.Lock()
+			cur = si
 			batches++
-			n := h.commitPage(s, pi, d, newSeq, &scanned, &pageHits, &pageMisses)
-			if n != 0 {
-				pages++
-				changed += n
-				if h.trim {
-					h.trimChainLocked(s, h.slots[pi].Load(), h.shardFloor(s))
-				}
-			}
-			s.mu.Unlock()
 		}
-	} else {
-		cur := -1
-		for _, pi := range v.dirtyIdx {
-			if si := pi >> h.ppsShift; si != cur {
-				if cur >= 0 {
-					h.shards[cur].mu.Unlock()
-				}
-				h.shards[si].mu.Lock()
-				cur = si
-				batches++
-			}
-			s := &h.shards[cur]
-			n := h.commitPage(s, pi, v.dirtyTab[pi], newSeq, &scanned, &pageHits, &pageMisses)
-			if n == 0 {
-				continue
-			}
-			pages++
-			changed += n
-			if h.trim {
-				h.trimChainLocked(s, h.slots[pi].Load(), h.shardFloor(s))
-			}
+		s := &h.shards[cur]
+		n := h.commitPage(s, pi, v.dirtyTab[pi], newSeq, &scanned, &pageHits, &pageMisses)
+		if n == 0 {
+			continue
 		}
-		if cur >= 0 {
-			h.shards[cur].mu.Unlock()
+		pages++
+		changed += n
+		if h.trim {
+			h.trimChainLocked(s, h.slots[pi].Load(), h.shardFloor(s))
 		}
+	}
+	if cur >= 0 {
+		h.shards[cur].mu.Unlock()
 	}
 	h.seq.Store(newSeq)
 	h.commits.Add(1)
@@ -1206,13 +1071,8 @@ func (v *View) Commit() (seq int64, changed int) {
 	v.base.Store(newSeq)
 	h.noteRebase(oldBase)
 	v.unstaged = false
-	if v.mt != nil {
-		clear(v.mt.dirty)
-		clear(v.mt.clean)
-	} else {
-		v.clearDirty()
-		v.invalidateClean()
-	}
+	v.clearDirty()
+	v.invalidateClean()
 	return newSeq, changed
 }
 
@@ -1238,9 +1098,6 @@ func (h *Heap) trimChainLocked(s *heapShard, head *page, floor int64) {
 	// everything below it is unreachable from this chain.
 	tail := p.prev.Load()
 	p.prev.Store(nil)
-	if h.mapViews {
-		return // the oracle keeps the original non-pooling behavior
-	}
 	for q := tail; q != nil; {
 		next := q.prev.Load()
 		q.prev.Store(nil)
@@ -1261,11 +1118,7 @@ func (v *View) Update() {
 	oldBase := v.base.Load()
 	v.base.Store(v.h.seq.Load())
 	v.h.noteRebase(oldBase)
-	if v.mt != nil {
-		clear(v.mt.clean)
-	} else {
-		v.invalidateClean()
-	}
+	v.invalidateClean()
 }
 
 // UpdateTo re-bases the view on a specific committed sequence, used when a
@@ -1286,11 +1139,7 @@ func (v *View) UpdateTo(seq int64) {
 	}
 	v.base.Store(seq)
 	v.h.noteRebase(cur)
-	if v.mt != nil {
-		clear(v.mt.clean)
-	} else {
-		v.invalidateClean()
-	}
+	v.invalidateClean()
 }
 
 // Revert discards all private modifications and re-bases the view on the
@@ -1307,13 +1156,8 @@ func (v *View) Revert() (discarded int) {
 	oldBase := v.base.Load()
 	v.base.Store(v.h.seq.Load())
 	v.h.noteRebase(oldBase)
-	if v.mt != nil {
-		clear(v.mt.dirty)
-		clear(v.mt.clean)
-	} else {
-		v.clearDirty()
-		v.invalidateClean()
-	}
+	v.clearDirty()
+	v.invalidateClean()
 	return discarded
 }
 
@@ -1393,21 +1237,6 @@ func (v *View) SnapshotDirtyInto(s *DirtySnapshot) *DirtySnapshot {
 	// snapshot's lifetime (stores touch words and marks; twins change only at
 	// publication events, which cannot happen inside a speculative run), so
 	// RevertTo restores the frame from its own twin without a deep copy here.
-	if v.mt != nil {
-		//lazydet:nondeterministic order-independent deep copy; the snapshot order only decides which recycled frame holds which page, and RevertTo reinstates by page number
-		for pi, d := range v.mt.dirty {
-			if !hasMarks(d) {
-				s.cleanPis = append(s.cleanPis, pi)
-				continue
-			}
-			dst := s.frame(v.h)
-			copyInto(dst, d)
-			s.pis = append(s.pis, pi)
-			s.pages = append(s.pages, dst)
-			s.words += diffWords(d)
-		}
-		return s
-	}
 	for _, pi := range v.dirtyIdx {
 		d := v.dirtyTab[pi]
 		if !hasMarks(d) {
@@ -1450,32 +1279,6 @@ func (v *View) RevertTo(s *DirtySnapshot) (discarded int) {
 	// page (no publication happened during the run, so a snapshotted page's
 	// frame is still live); frames for pages the run dirtied after the
 	// snapshot are released. The snapKeep mark makes the sweep linear.
-	if v.mt != nil {
-		for _, pi := range s.cleanPis {
-			d := v.mt.dirty[pi]
-			copy(d.words, d.twin)
-			clear(d.dirty)
-			d.snapKeep = true
-		}
-		for i, pi := range s.pis {
-			d := v.mt.dirty[pi]
-			if d == nil {
-				d = v.h.newFrame()
-				v.mt.dirty[pi] = d
-			}
-			copyInto(d, s.pages[i])
-			d.snapKeep = true
-		}
-		//lazydet:nondeterministic order-independent sweep; each entry is kept or deleted on its own mark
-		for pi, d := range v.mt.dirty {
-			if d.snapKeep {
-				d.snapKeep = false
-				continue
-			}
-			delete(v.mt.dirty, pi)
-		}
-		return discarded
-	}
 	for _, pi := range s.cleanPis {
 		d := v.dirtyTab[pi]
 		copy(d.words, d.twin)

@@ -61,9 +61,8 @@ func BenchmarkCommitWide(b *testing.B) {
 }
 
 // BenchmarkCommitDirtyFraction sweeps the fraction of a page modified
-// between commits, for the dirty-bitmap walk and the legacy full-page scan.
-// The words-scanned/commit metric is the structural difference the tentpole
-// claims: constant-in-page-size for the bitmap, pageWords for the scan.
+// between commits. The words-scanned/commit metric is the structural claim
+// of the dirty bitmap: the dirty word count, constant in the page size.
 func BenchmarkCommitDirtyFraction(b *testing.B) {
 	for _, pageWords := range []int{256, 1024} {
 		for _, frac := range []struct {
@@ -75,38 +74,26 @@ func BenchmarkCommitDirtyFraction(b *testing.B) {
 			{"50pct", func(pw int) int { return pw / 2 }},
 			{"100pct", func(pw int) int { return pw }},
 		} {
-			for _, path := range []struct {
-				name string
-				opts []Option
-			}{
-				{"bitmap", nil},
-				{"legacy", []Option{WithLegacyDiffCommit()}},
-				// The map-backed oracle also shows what the flat tables and
-				// pools save: compare its allocs/op against bitmap's.
-				{"mapviews", []Option{WithMapViews()}},
-			} {
-				name := fmt.Sprintf("page%d/%s/%s", pageWords, frac.name, path.name)
-				b.Run(name, func(b *testing.B) {
-					h := New(int64(pageWords), append([]Option{WithPageWords(pageWords)}, path.opts...)...)
-					v := h.NewView()
-					nd := frac.dirty(pageWords)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for w := 0; w < nd; w++ {
-							// Spread writes across the page; fresh value each
-							// iteration keeps every store non-silent.
-							v.Store(int64(w*(pageWords/nd)), int64(i*nd+w)|1)
-						}
-						v.Commit()
+			b.Run(fmt.Sprintf("page%d/%s", pageWords, frac.name), func(b *testing.B) {
+				h := New(int64(pageWords), WithPageWords(pageWords))
+				v := h.NewView()
+				nd := frac.dirty(pageWords)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for w := 0; w < nd; w++ {
+						// Spread writes across the page; fresh value each
+						// iteration keeps every store non-silent.
+						v.Store(int64(w*(pageWords/nd)), int64(i*nd+w)|1)
 					}
-					b.StopTimer()
-					st := h.Stats()
-					if st.Commits > 0 {
-						b.ReportMetric(float64(st.WordsScanned)/float64(st.Commits), "words-scanned/commit")
-					}
-				})
-			}
+					v.Commit()
+				}
+				b.StopTimer()
+				st := h.Stats()
+				if st.Commits > 0 {
+					b.ReportMetric(float64(st.WordsScanned)/float64(st.Commits), "words-scanned/commit")
+				}
+			})
 		}
 	}
 }

@@ -1,106 +1,30 @@
 package vheap
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
-// This file tests the dirty-word bitmap commit path against the legacy
-// full-scan diff it replaced: the two must publish byte-identical heaps and
-// identical commit statistics (other than words scanned), the bitmap must
-// never miss a modified word (AuditDirty), and the whole point — commit
-// work proportional to dirty words, not page size — must hold by a wide,
-// measured margin.
-
-// mirrorOp applies one deterministic pseudo-random operation to both views.
-func mirrorOp(r *uint64, h1, h2 *Heap, v1, v2 *View, words int64) {
-	*r = *r*6364136223846793005 + 1442695040888963407
-	op := *r >> 60
-	*r = *r*6364136223846793005 + 1442695040888963407
-	addr := int64(*r>>32) % words
-	*r = *r*6364136223846793005 + 1442695040888963407
-	val := int64(*r >> 40)
-	switch {
-	case op < 9: // store, sometimes silent (val repeats across draws rarely)
-		v1.Store(addr, val)
-		v2.Store(addr, val)
-	case op < 11:
-		v1.StoreDirty(addr, val)
-		v2.StoreDirty(addr, val)
-	case op < 13:
-		v1.Commit()
-		v2.Commit()
-	case op < 14:
-		v1.Revert()
-		v2.Revert()
-	default:
-		s1 := v1.SnapshotDirty()
-		s2 := v2.SnapshotDirty()
-		v1.Store((addr+1)%words, val+1)
-		v2.Store((addr+1)%words, val+1)
-		v1.RevertTo(s1)
-		v2.RevertTo(s2)
-	}
-}
-
-// TestQuickBitmapMatchesLegacyDiff drives a bitmap-committing heap and a
-// legacy full-scan heap through identical operation sequences: final
-// contents, committed words and published pages must be identical — the
-// bitmap path may only change how modified words are found, never which.
-func TestQuickBitmapMatchesLegacyDiff(t *testing.T) {
-	f := func(seed uint64) bool {
-		const words = 256
-		h1 := New(words, WithPageWords(32))
-		h2 := New(words, WithPageWords(32), WithLegacyDiffCommit())
-		v1 := h1.NewView()
-		v2 := h2.NewView()
-		r := seed
-		for i := 0; i < 200; i++ {
-			mirrorOp(&r, h1, h2, v1, v2, words)
-		}
-		v1.Commit()
-		v2.Commit()
-		if h1.Hash() != h2.Hash() {
-			t.Logf("seed %d: bitmap heap hash %x != legacy heap hash %x", seed, h1.Hash(), h2.Hash())
-			return false
-		}
-		s1, s2 := h1.Stats(), h2.Stats()
-		if s1.Commits != s2.Commits || s1.Pages != s2.Pages || s1.Words != s2.Words {
-			t.Logf("seed %d: stats diverge: bitmap (%d,%d,%d) vs legacy (%d,%d,%d)",
-				seed, s1.Commits, s1.Pages, s1.Words, s2.Commits, s2.Pages, s2.Words)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
+// This file tests the dirty-word bitmap commit: the bitmap must never miss a
+// modified word (AuditDirty), a marked-but-silent word must not merge, and
+// commit work must be the number of dirty words, not the page size. (Which
+// words a commit publishes is checked against the word-level model in
+// model_test.go.)
 
 // TestBitmapPreservesSilentStoreSemantics: a marked word equal to its twin
-// must still merge as silent (lost to a concurrent commit), identically
-// under both paths.
+// must still merge as silent (lost to a concurrent commit).
 func TestBitmapPreservesSilentStoreSemantics(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		opts := []Option{WithPageWords(16)}
-		if legacy {
-			opts = append(opts, WithLegacyDiffCommit())
-		}
-		h := New(64, opts...)
-		h.SetInitial(3, 7)
-		a := h.NewView()
-		b := h.NewView()
-		a.Store(3, 7) // silent: marked in the bitmap, equal to the twin
-		b.Store(3, 9)
-		b.Commit()
-		a.Commit()
-		if got := h.ReadCommitted(3); got != 9 {
-			t.Fatalf("legacy=%v: word 3 = %d, want 9 (silent store must lose under both paths)", legacy, got)
-		}
-		// The all-silent page must publish no version under either path.
-		if st := h.Stats(); st.Pages != 1 {
-			t.Fatalf("legacy=%v: %d pages published, want 1 (a's silent page must publish nothing)", legacy, st.Pages)
-		}
+	h := New(64, WithPageWords(16))
+	h.SetInitial(3, 7)
+	a := h.NewView()
+	b := h.NewView()
+	a.Store(3, 7) // silent: marked in the bitmap, equal to the twin
+	b.Store(3, 9)
+	b.Commit()
+	a.Commit()
+	if got := h.ReadCommitted(3); got != 9 {
+		t.Fatalf("word 3 = %d, want 9 (silent store must lose)", got)
+	}
+	// The all-silent page must publish no version.
+	if st := h.Stats(); st.Pages != 1 {
+		t.Fatalf("%d pages published, want 1 (a's silent page must publish nothing)", st.Pages)
 	}
 }
 
@@ -125,34 +49,21 @@ func TestAuditDirtyCatchesUnmarkedWord(t *testing.T) {
 	}
 }
 
-// TestCommitScanProportionalToDirtyWords is the tentpole's acceptance
-// criterion as a test: at 1%-dirty pages, the bitmap path must examine at
-// least 10× fewer words than the legacy full scan (it examines exactly the
-// dirty words, so the real ratio here is 100×).
+// TestCommitScanProportionalToDirtyWords: at 1%-dirty pages a commit must
+// examine exactly the dirty words, never the page.
 func TestCommitScanProportionalToDirtyWords(t *testing.T) {
 	const pageWords = 1024
 	const dirtyPerPage = 10 // ~1% of a page
-	scanned := func(opts ...Option) int64 {
-		h := New(pageWords, append([]Option{WithPageWords(pageWords)}, opts...)...)
-		v := h.NewView()
-		for c := 0; c < 20; c++ {
-			for i := int64(0); i < dirtyPerPage; i++ {
-				v.Store(i*97%pageWords, int64(c*100)+i+1)
-			}
-			v.Commit()
+	h := New(pageWords, WithPageWords(pageWords))
+	v := h.NewView()
+	for c := 0; c < 20; c++ {
+		for i := int64(0); i < dirtyPerPage; i++ {
+			v.Store(i*97%pageWords, int64(c*100)+i+1)
 		}
-		return h.Stats().WordsScanned
+		v.Commit()
 	}
-	bitmap := scanned()
-	legacy := scanned(WithLegacyDiffCommit())
-	if bitmap*10 > legacy {
-		t.Fatalf("bitmap commit scanned %d words vs legacy %d — want >=10x reduction at 1%%-dirty pages", bitmap, legacy)
-	}
-	if want := int64(20 * dirtyPerPage); bitmap != want {
-		t.Fatalf("bitmap commit scanned %d words, want exactly %d (the dirty words)", bitmap, want)
-	}
-	if want := int64(20 * pageWords); legacy != want {
-		t.Fatalf("legacy commit scanned %d words, want exactly %d (full pages)", legacy, want)
+	if got, want := h.Stats().WordsScanned, int64(20*dirtyPerPage); got != want {
+		t.Fatalf("commits scanned %d words, want exactly %d (the dirty words)", got, want)
 	}
 }
 

@@ -186,44 +186,6 @@ func TestUpdatePanicsWithDirtyPages(t *testing.T) {
 	v.Update()
 }
 
-// TestQuickViewMatchesFlatMemory is a property test: a single view's
-// load/store/commit/update behaviour must match a flat array, for random
-// operation sequences.
-func TestQuickViewMatchesFlatMemory(t *testing.T) {
-	f := func(ops []uint16, seed uint8) bool {
-		const words = 128
-		h := New(words, WithPageWords(16))
-		v := h.NewView()
-		ref := make([]int64, words)
-		val := int64(seed) + 1
-		for _, op := range ops {
-			addr := int64(op % words)
-			switch (op / words) % 3 {
-			case 0:
-				v.Store(addr, val)
-				ref[addr] = val
-				val++
-			case 1:
-				if v.Load(addr) != ref[addr] {
-					return false
-				}
-			case 2:
-				v.Commit()
-				v.Update()
-			}
-		}
-		for a := int64(0); a < words; a++ {
-			if v.Load(a) != ref[a] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickMergeDisjointWriters is a property test: concurrent committers
 // writing disjoint word sets must all survive the merge.
 func TestQuickMergeDisjointWriters(t *testing.T) {
