@@ -120,36 +120,25 @@ func burstWorkload(bursts, burstLen int64) *lazydet.Workload {
 	}
 }
 
-// BenchmarkElision_PublicationDiscipline measures same-owner publication
-// elision against its -eagerpublish differential oracle on the strong
-// engines: the hash-table microbenchmarks (dynamically addressed locks,
-// where the adaptive policy should learn elision off and cost ~nothing)
-// and the burst shape (reacquire runs, where stages chain and physical
-// commits collapse).
+// BenchmarkElision_PublicationDiscipline measures the strong engines on the
+// two shapes same-owner publication elision distinguishes: the hash-table
+// microbenchmarks (dynamically addressed locks, where the adaptive policy
+// never engages and should cost ~nothing) and the burst shape (reacquire
+// runs, where stages chain and physical commits collapse).
 func BenchmarkElision_PublicationDiscipline(b *testing.B) {
-	type point struct {
+	for _, p := range []struct {
 		name string
 		w    *lazydet.Workload
 		eng  lazydet.EngineKind
-	}
-	points := []point{
+	}{
 		{"ht/LazyDet", workloads.NewHashTable(htCfg(workloads.HT)), lazydet.LazyDet},
 		{"htlazy/LazyDet", workloads.NewHashTable(htCfg(workloads.HTLazy)), lazydet.LazyDet},
 		{"burst/Consequence", burstWorkload(10, 20), lazydet.Consequence},
 		{"burst/LazyDet", burstWorkload(10, 20), lazydet.LazyDet},
-	}
-	for _, p := range points {
-		for _, eager := range []bool{false, true} {
-			name := p.name + "/elided"
-			if eager {
-				name = p.name + "/eager"
-			}
-			b.Run(name, func(b *testing.B) {
-				runOnce(b, p.w, lazydet.Options{
-					Engine: p.eng, Threads: benchThreads, EagerPublish: eager,
-				})
-			})
-		}
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			runOnce(b, p.w, lazydet.Options{Engine: p.eng, Threads: benchThreads})
+		})
 	}
 }
 

@@ -61,7 +61,6 @@ func main() {
 	arbsweep := flag.Bool("arbsweep", false, "run the arbiter-cost-vs-threads sweep (the tournament tree's scaling curve)")
 	dispatchsweep := flag.Bool("dispatchsweep", false, "run the dispatch-cost sweep (interpreter vs threaded code vs direct, per program shape)")
 	compiled := flag.Bool("compiled", false, "run the deterministic engines on the threaded-code backend; with -report and -baseline, the interpreter baseline's gated metrics act as the differential oracle")
-	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly; with -report and -baseline, the elided baseline's gated metrics outside the elision-variant set act as the differential oracle")
 	reps := flag.Int("reps", 3, "repetitions per data point (paper: 5)")
 	threads := flag.Int("threads", 0, "override the experiment's thread count")
 	scale := flag.Int("scale", 1, "workload problem-size multiplier")
@@ -107,14 +106,13 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Out:          os.Stdout,
-		Reps:         *reps,
-		Threads:      *threads,
-		Scale:        *scale,
-		Quick:        *quick,
-		CSVDir:       *csvDir,
-		Compiled:     *compiled,
-		EagerPublish: *eagerPublish,
+		Out:      os.Stdout,
+		Reps:     *reps,
+		Threads:  *threads,
+		Scale:    *scale,
+		Quick:    *quick,
+		CSVDir:   *csvDir,
+		Compiled: *compiled,
 	}
 
 	if *compare != "" {

@@ -42,13 +42,7 @@
 // threaded-code backend (fused superinstructions) instead of the
 // interpreter — and independently of the flag, every seed cross-checks
 // the strong engines against the opposite backend, the interpreter serving
-// as the differential oracle for the lowering pass. -eagerpublish disables
-// same-owner publication elision — and independently of the flag, every
-// seed cross-checks the strong engines against the opposite publication
-// discipline: a staged release reserves exactly the sequence an eager
-// commit would use and records the same trace event, so schedules,
-// TraceSig, HeapHash and every gated metric outside the publication
-// machinery (commit/stage volume) must be bit-identical either way.
+// as the differential oracle for the lowering pass.
 //
 //	lazydet-fuzz -seeds 100 -threads 4
 //	lazydet-fuzz -seeds 1000 -ops 120 -start 42
@@ -92,13 +86,6 @@ func seedHeldLockBug(p *dvm.Program) *dvm.Program {
 	return &mut
 }
 
-// gatedMismatches diffs the gated metrics of two telemetry-collected runs,
-// skipping the elision-variant set (commit/stage volume counters, which the
-// publication discipline legitimately changes).
-func gatedMismatches(a, b *harness.Result) []string {
-	return harness.GatedMetricDiffs(a, b)
-}
-
 func hasClass(rep *progcheck.Report, class progcheck.Class) bool {
 	for _, f := range rep.Findings {
 		if f.Class == class {
@@ -117,7 +104,6 @@ func main() {
 	vet := flag.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
 	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
 	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
-	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly instead of eliding same-owner publications")
 	noHints := flag.Bool("nohints", false, "skip the statically hinted LazyDet runs (unhinted differential baseline only)")
 	verbose := flag.Bool("v", false, "print every seed")
 	flag.Parse()
@@ -139,7 +125,6 @@ func main() {
 		var violations []*invariant.Violation
 		baseOpt := harness.Options{
 			Threads: *threads, HeapShards: *shards, Compiled: *compiled,
-			EagerPublish: *eagerPublish,
 		}
 		if *invariants {
 			baseOpt.CheckInvariants = true
@@ -302,33 +287,6 @@ func main() {
 			if ref.TraceSig != bres.TraceSig || ref.HeapHash != bres.HeapHash {
 				fmt.Printf("seed %d: %s DIVERGES from backend oracle (trace %x/%x heap %x/%x)\n",
 					seed, eng, ref.TraceSig, bres.TraceSig, ref.HeapHash, bres.HeapHash)
-				ok = false
-			}
-			// Property 10: publication-discipline oracle. A staged release
-			// reserves exactly the sequence an eager commit would use and
-			// records the same trace event, so the schedule, the trace, the
-			// final memory and every gated metric outside the publication
-			// machinery itself must be bit-identical with elision flipped.
-			// Telemetry is enabled on both runs so the gated metrics can be
-			// diffed, not just the fingerprints.
-			popt := opt
-			popt.Telemetry = true
-			pref, err5 := harness.Run(w, popt)
-			palt := popt
-			palt.EagerPublish = !popt.EagerPublish
-			pres, err6 := harness.Run(w, palt)
-			if err5 != nil || err6 != nil {
-				fmt.Printf("seed %d: %s publication oracle: %v %v\n", seed, eng, err5, err6)
-				ok = false
-				continue
-			}
-			if pref.TraceSig != pres.TraceSig || pref.HeapHash != pres.HeapHash {
-				fmt.Printf("seed %d: %s DIVERGES from publication oracle (trace %x/%x heap %x/%x)\n",
-					seed, eng, pref.TraceSig, pres.TraceSig, pref.HeapHash, pres.HeapHash)
-				ok = false
-			}
-			for _, m := range gatedMismatches(pref, pres) {
-				fmt.Printf("seed %d: %s gated metric differs across publication oracle: %s\n", seed, eng, m)
 				ok = false
 			}
 		}

@@ -85,7 +85,6 @@ func main() {
 	trace := flag.Bool("trace", false, "record and print determinism fingerprints")
 	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
 	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
-	eagerPublish := flag.Bool("eagerpublish", false, "publish every release eagerly instead of eliding same-owner publications")
 	reportPath := flag.String("report", "", "write a single-run structured JSON run report to this file")
 	list := flag.Bool("list", false, "list workloads and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file; samples carry engine-phase pprof labels (grant/commit/validate)")
@@ -114,11 +113,10 @@ func main() {
 	opt := harness.Options{
 		Engine: ek, Threads: *threads, Trace: *trace,
 		MeasureTimes: true, CollectSpec: ek == harness.LazyDet,
-		CountLocks:   ek == harness.Pthreads,
-		HeapShards:   *shards,
-		Compiled:     *compiled,
-		EagerPublish: *eagerPublish,
-		Telemetry:    *reportPath != "",
+		CountLocks: ek == harness.Pthreads,
+		HeapShards: *shards,
+		Compiled:   *compiled,
+		Telemetry:  *reportPath != "",
 	}
 	if *cpuprofile != "" {
 		core.EnableProfileLabels()

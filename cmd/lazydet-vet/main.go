@@ -2,9 +2,8 @@
 // program sets: per-thread control-flow graphs, a forward abstract
 // interpretation of lock/barrier state, cross-program deadlock cycles,
 // static data-race candidates, and per-lock critical-section footprints —
-// the speculation-hint verdicts (disjoint / conflicting / commutative /
-// unknown) that harness.Options.SpecHints feeds back into the LazyDet
-// engine. The open-loop service simulation's program set is vetted too
+// the speculation-hint verdicts (disjoint / conflicting / unknown) that
+// harness.Options.SpecHints feeds back into the LazyDet engine. The open-loop service simulation's program set is vetted too
 // (target "opensim"), so its hint verdicts are visible and pinned the same
 // way as the benchmark workloads'.
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"lazydet/internal/dvm"
+	"lazydet/internal/mempipe"
 	"lazydet/internal/trace"
 )
 
@@ -87,18 +88,20 @@ func (e *Engine) eagerAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	addr := a.Addr(t)
 	// The read half needs fresh state but keeps deferred publications
 	// outstanding; the store below makes the window unpublished again, so the
-	// second publication commits (applying any outstanding stage first) —
-	// the atomic's update is immediately cross-thread visible.
-	e.publishRefreshLazy(t, ts)
+	// second Acquire always commits (applying any outstanding stage first) —
+	// the atomic's update is immediately cross-thread visible. Both halves
+	// are one synchronization operation to the elision policy: pending
+	// outcomes resolve at the thread's next point, not between the halves.
+	e.sync(t, ts, mempipe.Acquire, noLock)
 	cur := ts.mem.Load(addr)
 	store, result := a.Apply(t, cur)
 	ts.mem.Store(addr, store)
-	e.publishAndRefresh(t, ts)
+	e.sync(t, ts, mempipe.Acquire, noLock)
 	if e.strong() {
 		e.tbl.Atomics[addr] = e.pipe.Seq()
 	}
 	e.rec.Sync(t.ID, trace.OpAtomic, addr, e.arb.DLC(t.ID))
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 	return result
 }
 

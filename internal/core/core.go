@@ -137,12 +137,6 @@ type Config struct {
 	Speculation bool
 	// Spec tunes speculation; zero value means DefaultSpecConfig.
 	Spec SpecConfig
-	// Quantum is the DLC increment charged when a deterministic
-	// acquisition attempt fails and the thread re-queues for the turn.
-	Quantum int64
-	// SyncCost is the DLC increment charged for a completed
-	// synchronization operation.
-	SyncCost int64
 	// CheckInvariants enables the runtime audit layer
 	// (internal/invariant): at every turn grant and every commit/revert
 	// the engine asserts turn-holder uniqueness, heap commit monotonicity
@@ -150,21 +144,6 @@ type Config struct {
 	// round-trip exactness. Off by default; when off the only cost is a
 	// nil pointer compare at each audit point.
 	CheckInvariants bool
-	// EagerPublish disables same-owner publication elision: every
-	// synchronization operation publishes immediately at its turn, exactly as
-	// the pre-elision engines did. The always-publish path is kept as a
-	// differential oracle (-eagerpublish on lazydet-run/-bench/-fuzz):
-	// schedules, trace signatures, heap hashes and the gated metrics outside
-	// the publication machinery must be bit-identical with elision on.
-	EagerPublish bool
-	// ElideChainLimit bounds how many consecutive publications one thread
-	// may defer before the next release publishes eagerly. The retained
-	// dirty set (and with it the stage-merge and speculation-snapshot cost)
-	// grows with the chain, so an unbounded chain would turn elision's
-	// per-release win into quadratic accumulated work on lock-hot loops.
-	// Zero means the default (64); the limit only changes which releases
-	// elide — a deterministic function of the schedule either way.
-	ElideChainLimit int
 	// Hints carries per-lock speculation priors indexed by lock ID — the
 	// progcheck footprint analysis verdicts, lowered by the harness. Nil,
 	// or any lock beyond the slice, means HintNone. Only meaningful with
@@ -172,14 +151,6 @@ type Config struct {
 	// unhinted one (identical final memory and Validate outcomes), which
 	// lazydet-fuzz checks differentially.
 	Hints []SpecHint
-}
-
-// WithEagerPublish returns a copy of the config with same-owner publication
-// elision disabled — the always-publish differential oracle. Exposed as
-// -eagerpublish on lazydet-run/-bench/-fuzz.
-func (c Config) WithEagerPublish() Config {
-	c.EagerPublish = true
-	return c
 }
 
 // SpecHint is a static prior for the per-lock speculation policy, computed
@@ -202,22 +173,10 @@ const (
 	// probing earns speculation back) instead of the optimistic
 	// all-success default.
 	HintConflicting
-	// HintCommutative: sections overlap only through commuting operations
-	// (atomic adds, identical constant stores) — candidates for future
-	// phase reconciliation (ROADMAP's ddtxn item). The runtime currently
-	// treats it exactly like HintNone, since the engine has no
-	// deterministic merge path yet.
-	HintCommutative
 )
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Quantum == 0 {
-		c.Quantum = 4
-	}
-	if c.SyncCost == 0 {
-		c.SyncCost = 2
-	}
 	if c.Spec == (SpecConfig{}) {
 		c.Spec = DefaultSpecConfig()
 	}
@@ -233,9 +192,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Spec.RetryEvery == 0 {
 		c.Spec.RetryEvery = 20
-	}
-	if c.ElideChainLimit == 0 {
-		c.ElideChainLimit = 64
 	}
 	return c
 }
@@ -435,7 +391,7 @@ type tstate struct {
 	// release and its hit/miss outcome resolves at the thread's next
 	// publication point. elideChain counts consecutive deferred
 	// publications since the last physical commit, bounded by
-	// Config.ElideChainLimit.
+	// maxElideChain.
 	elidePending bool
 	elideLock    int64
 	elideChain   int
@@ -502,7 +458,7 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 	// visibility point (joiners adopt this state), so deferred publications
 	// settle here.
 	e.waitCommitTurn(t)
-	e.forcePublish(t, ts)
+	e.sync(t, ts, mempipe.Park, noLock)
 	if e.tel != nil {
 		// The thread's final clock: summed over threads this is the run's
 		// total deterministic logical work, the report's "dlc.total".
@@ -582,11 +538,21 @@ func (e *Engine) waitTurn(t *dvm.Thread) {
 	e.times.AddBlocked(t.ID, time.Since(start).Nanoseconds())
 }
 
-// maxBackoff caps the exponential retry quantum. Retry bumps stay
-// deterministic — they depend only on the retry count — while convoys of
-// many threads spinning on one contended resource advance their clocks
-// quickly instead of re-queuing at every quantum.
-const maxBackoff = 512
+// The engine's logical-time costs. No caller has ever needed other values,
+// so they are constants, not configuration.
+const (
+	// quantum is the DLC increment charged when a deterministic acquisition
+	// attempt fails and the thread re-queues for the turn.
+	quantum int64 = 4
+	// syncCost is the DLC increment charged for a completed synchronization
+	// operation.
+	syncCost int64 = 2
+	// maxBackoff caps the exponential retry quantum. Retry bumps stay
+	// deterministic — they depend only on the retry count — while convoys of
+	// many threads spinning on one contended resource advance their clocks
+	// quickly instead of re-queuing at every quantum.
+	maxBackoff = 512
+)
 
 // waitCommitTurn blocks for a turn at which the thread is allowed to commit:
 // while another thread holds irrevocable status, everyone else's commits are
@@ -603,7 +569,7 @@ func (e *Engine) waitCommitTurn(t *dvm.Thread) {
 	if e.tel != nil {
 		d0 = e.arb.DLC(t.ID)
 	}
-	backoff := e.cfg.Quantum
+	backoff := quantum
 	for {
 		e.waitTurn(t)
 		if e.audit != nil {
@@ -625,44 +591,6 @@ func (e *Engine) waitCommitTurn(t *dvm.Thread) {
 			backoff *= 2
 		}
 	}
-}
-
-// publish makes the thread's unpublished writes globally visible through the
-// memory pipeline, recording the commit in the trace and auditing commit
-// integrity. On flat (weak-mode) memory the window is never dirty and this
-// is a no-op — which is what lets the synchronization paths drive one
-// publication choreography for every engine. Reports whether a physical
-// commit happened. Caller holds the turn.
-func (e *Engine) publish(t *dvm.Thread, ts *tstate) bool {
-	if !ts.mem.Dirty() {
-		return false
-	}
-	defer phaseBegin("commit")()
-	if e.audit != nil {
-		e.audit.AtPublish(t.ID, ts.mem)
-	}
-	seq, committed := ts.mem.Publish()
-	if !committed {
-		return false
-	}
-	my := e.arb.DLC(t.ID)
-	e.rec.Commit(t.ID, my, seq)
-	if e.tel != nil {
-		e.tel.Span(t.ID, telemetry.SpanCommit, my, my, seq)
-	}
-	if e.audit != nil {
-		e.audit.AtCommit(t.ID, seq)
-	}
-	return true
-}
-
-// publishAndRefresh publishes the thread's writes and re-bases its window on
-// the newest published state — the memory half of every eager
-// synchronization operation (paper §2: writes become visible "only as a
-// result of synchronization operations").
-func (e *Engine) publishAndRefresh(t *dvm.Thread, ts *tstate) {
-	e.publish(t, ts)
-	ts.mem.Refresh()
 }
 
 // blockedWake waits for a Wake, charging blocked time.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"lazydet/internal/detsync"
@@ -416,26 +417,34 @@ func TestWeakNondetMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: inconsistent configurations must panic loudly.
+// TestConfigValidation: New is the one place an inconsistent configuration
+// is rejected — each with its own message — so nothing downstream has to
+// defend against it (the flat memory window, for one, has no way to roll a
+// speculation run back and relies on the first rule).
 func TestConfigValidation(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
+	for _, c := range []struct {
+		name, want string
+		cfg        Config
+		deps       Deps
+	}{
+		{"weak + speculation", "speculation requires ModeStrong",
+			Config{Mode: ModeWeak, Speculation: true}, Deps{Arb: dlc.New(1), Mem: shmem.New(8)}},
+		{"strong without heap", "ModeStrong requires a versioned heap",
+			Config{Mode: ModeStrong}, Deps{Arb: dlc.New(1)}},
+		{"weak without mem", "weak modes require direct shared memory",
+			Config{Mode: ModeWeak}, Deps{Arb: dlc.New(1)}},
+		{"arbiter/mode mismatch", "arbiter determinism does not match mode",
+			Config{Mode: ModeWeakNondet}, Deps{Arb: dlc.New(1), Mem: shmem.New(8)}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.want)
+				}
+			}()
+			New(c.cfg, c.deps)
 		}()
-		f()
 	}
-	mustPanic("spec-without-strong", func() {
-		New(Config{Mode: ModeWeak, Speculation: true}, Deps{Arb: dlc.New(1), Mem: shmem.New(8)})
-	})
-	mustPanic("strong-without-heap", func() {
-		New(Config{Mode: ModeStrong}, Deps{Arb: dlc.New(1)})
-	})
-	mustPanic("nondet-mode-det-arbiter", func() {
-		New(Config{Mode: ModeWeakNondet}, Deps{Arb: dlc.New(1), Mem: shmem.New(8)})
-	})
 }
 
 // TestNoCoarseningOneCSRuns: with coarsening disabled every run is exactly

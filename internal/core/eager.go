@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"lazydet/internal/dvm"
+	"lazydet/internal/mempipe"
 	"lazydet/internal/trace"
 )
 
@@ -48,13 +49,13 @@ func (e *Engine) Unlock(t *dvm.Thread, l int64) {
 // only changes at turns and release times are recorded in logical time.
 func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 	st := &e.tbl.Locks[l]
-	backoff := e.cfg.Quantum
+	backoff := quantum
 	for {
 		e.waitCommitTurn(t)
-		// Lazy refresh: a reacquisition is not a cross-thread visibility
-		// point, so the thread's own deferred publication (if any) stays
-		// outstanding — the same-owner elision win.
-		e.publishRefreshLazy(t, ts)
+		// A reacquisition is not a cross-thread visibility point, so the
+		// thread's own deferred publication (if any) stays outstanding — the
+		// same-owner elision win.
+		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && st.Readers == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
 			st.Owner = int32(t.ID) + 1
@@ -73,7 +74,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 				e.spec.TotalAcquires.Add(1)
 			}
 			e.rec.Sync(t.ID, trace.OpAcquire, l, my)
-			e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+			e.arb.ReleaseTurn(t.ID, syncCost)
 			return
 		}
 		e.arb.ReleaseTurn(t.ID, backoff)
@@ -95,7 +96,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 // at a reserved sequence instead of performed (elide.go).
 func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	e.waitCommitTurn(t)
-	e.releasePublish(t, ts, l)
+	e.sync(t, ts, mempipe.Release, l)
 	st := &e.tbl.Locks[l]
 	if st.Owner != int32(t.ID)+1 {
 		panic(fmt.Sprintf("core: thread %d unlocks lock %d owned by %d", t.ID, l, st.Owner-1))
@@ -109,7 +110,7 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 		st.LastCommitSeq = e.pipe.Seq()
 	}
 	e.rec.Sync(t.ID, trace.OpRelease, l, st.ReleaseDLC)
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
 // dropHeldConv removes the most recent occurrence of l and reports whether a
@@ -136,12 +137,12 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	// Publish without refreshing: the view is re-based by the deterministic
+	// Park, not Signal: the view is re-based by the deterministic
 	// re-acquisition after the wake, never at the wall-clock wake moment.
 	// Parking is a cross-thread visibility point, so deferred publications
 	// settle here — which also keeps any flush pinned to a later wake
 	// sequence a deterministic no-op.
-	e.forcePublish(t, ts)
+	e.sync(t, ts, mempipe.Park, noLock)
 	my := e.arb.DLC(t.ID)
 	st := &e.tbl.Locks[l]
 	st.Owner = 0
@@ -173,7 +174,7 @@ func (e *Engine) CondSignal(t *dvm.Thread, cv int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	e.forcePublishRefresh(t, ts)
+	e.sync(t, ts, mempipe.Signal, noLock)
 	my := e.arb.DLC(t.ID)
 	c := &e.tbl.Conds[cv]
 	if len(c.Waiters) > 0 {
@@ -183,7 +184,7 @@ func (e *Engine) CondSignal(t *dvm.Thread, cv int64) {
 		e.tbl.Wake(w)
 	}
 	e.rec.Sync(t.ID, trace.OpCondSignal, cv, my)
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
 // CondBroadcast implements dvm.Engine.
@@ -195,7 +196,7 @@ func (e *Engine) CondBroadcast(t *dvm.Thread, cv int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	e.forcePublishRefresh(t, ts)
+	e.sync(t, ts, mempipe.Signal, noLock)
 	my := e.arb.DLC(t.ID)
 	c := &e.tbl.Conds[cv]
 	for k, w := range c.Waiters {
@@ -204,7 +205,7 @@ func (e *Engine) CondBroadcast(t *dvm.Thread, cv int64) {
 	}
 	c.Waiters = c.Waiters[:0]
 	e.rec.Sync(t.ID, trace.OpCondBroadcast, cv, my)
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
 // BarrierWait implements dvm.Engine: all threads of the run participate.
@@ -217,15 +218,21 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 		}
 	}
 	e.waitCommitTurn(t)
+	b := &e.tbl.Barriers[bid]
+	last := len(b.Waiting)+1 == e.tbl.NThreads
 	// A barrier arrival is a cross-thread visibility point: every released
 	// thread re-bases on the arrivals' combined state, so deferred
 	// publications settle here — and the woken threads' RefreshTo flushes,
-	// bounded by ReleaseSeq, stay deterministic no-ops.
-	e.forcePublish(t, ts)
+	// bounded by ReleaseSeq, stay deterministic no-ops. The last arriver does
+	// not park, so it re-bases at its own turn.
+	p := mempipe.Park
+	if last {
+		p = mempipe.Signal
+	}
+	e.sync(t, ts, p, noLock)
 	my := e.arb.DLC(t.ID)
-	b := &e.tbl.Barriers[bid]
 	e.rec.Sync(t.ID, trace.OpBarrier, bid, my)
-	if len(b.Waiting)+1 == e.tbl.NThreads {
+	if last {
 		// Record the state every released thread adopts: the commits of
 		// all arrivals, published by their turns.
 		b.ReleaseSeq = e.pipe.Seq()
@@ -234,8 +241,7 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 			e.tbl.Wake(w)
 		}
 		b.Waiting = b.Waiting[:0]
-		ts.mem.Refresh()
-		e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+		e.arb.ReleaseTurn(t.ID, syncCost)
 		return
 	}
 	b.Waiting = append(b.Waiting, t.ID)

@@ -3,6 +3,7 @@ package core
 import (
 	"lazydet/internal/detsync"
 	"lazydet/internal/dvm"
+	"lazydet/internal/mempipe"
 	"lazydet/internal/telemetry"
 )
 
@@ -19,14 +20,15 @@ import (
 // foreign thread's own publication point (which flushes outstanding stages),
 // or one of this thread's cross-thread visibility points — barrier, condition
 // variable, join, spawn, atomic, irrevocable upgrade, thread exit — where the
-// engine force-publishes.
+// window settles (mempipe.Point; DESIGN.md's "Visibility points" table).
 //
-// The trace is publication-for-publication identical to the eager path: a
+// The trace is publication-for-publication identical to never deferring: a
 // staged release reserves exactly the sequence an eager commit would have
 // used and records the same trace Commit event, so schedules, TraceSig and
-// HeapHash are bit-identical between elision and -eagerpublish (the
-// differential oracle lazydet-fuzz cross-checks). Soundness argument:
-// DESIGN.md's elision section.
+// HeapHash do not depend on which releases elide (mempipe's
+// TestVisibilityPoints states this per point; the harness pins it across
+// commits in testdata/fingerprints.json). Soundness argument: DESIGN.md's
+// elision section.
 //
 // The elide/force decision is adaptive per lock (ElideHist, shared across
 // threads: a miss means the lock's state was demanded cross-thread, which
@@ -35,7 +37,8 @@ import (
 //
 // Everything else is earned through VIRTUAL PROBES, which cost nothing. A
 // stage survives exactly until any other publication advances the heap
-// sequence (every Commit and StagePublish flushes all foreign stages first),
+// sequence (every publication, performed or deferred, flushes all foreign
+// stages first),
 // so whether a deferred publication *would have* survived from one release
 // to the owner's next is observable without deferring anything: publish
 // eagerly, snapshot the heap sequence, and compare at the next publication
@@ -47,28 +50,20 @@ import (
 // sets under dense cross-thread commit traffic, speculation phases whose run
 // commits flush everything) pay literally zero elision overhead.
 
-// elisionOn reports whether the engine may defer publications at all:
-// elision is a versioned-memory optimization (weak engines publish nothing),
-// disabled by the -eagerpublish differential oracle.
-func (e *Engine) elisionOn() bool { return !e.cfg.EagerPublish && e.strong() }
-
 // shouldElide decides at a release turn whether lock l's publication may be
 // deferred: only when the static hint or the recent survival history —
 // per-lock, or workload-wide for locks too cold to predict anything —
 // says a stage would survive to this thread's next release. There is no
-// probing arm: virtual probes (releasePublish) feed the histories for free
-// on every eager release, so a false here costs nothing and a true is backed
-// by evidence. All state read and written here mutates only at turns, so the
+// probing arm: virtual probes (sync) feed the histories for free on every
+// eager release, so a false here costs nothing and a true is backed by
+// evidence. All state read and written here mutates only at turns, so the
 // decision — and with it the gated commit.elided counter — is a
 // deterministic function of the schedule.
 func (e *Engine) shouldElide(ts *tstate, l int64) bool {
-	if !e.elisionOn() {
-		return false
-	}
 	// The retained dirty set — and with it the per-release stage merge and
 	// the speculation-snapshot cost — grows with the elision chain, so past
 	// the limit the release publishes eagerly and resets the accumulation.
-	if ts.elideChain >= e.cfg.ElideChainLimit {
+	if ts.elideChain >= maxElideChain {
 		return false
 	}
 	// A statically Disjoint lock always elides: no other section guarded by
@@ -83,18 +78,13 @@ func (e *Engine) shouldElide(ts *tstate, l int64) bool {
 	return detsync.RecentRatePermille(e.elideGlobal, elideRecentWindow) >= elideEngagePermille
 }
 
-// Resolution points for a pending elided publication (real or virtual). A
-// deferral pays exactly when its stage survives to the owner's next release:
-// the sections merge there into one physical commit. Surviving only to an
-// intermediate refresh point (a lock acquisition between the two sections of
-// a would-be chain) proves nothing yet, and surviving to a settling
-// publication proves the deferral bought nothing — the stage flushes as its
-// own commit, exactly what eager publication would have done.
-const (
-	elideAtRefresh = iota // ordinary refresh: no outcome unless already flushed
-	elideAtSettle         // settling/eager publication: unflushed is still a miss
-	elideAtChain          // next release: unflushed means a merge happens here — a hit
-)
+// maxElideChain bounds how many consecutive publications one thread may
+// defer before the next release publishes eagerly. The retained dirty set (and
+// with it the stage-merge and speculation-snapshot cost) grows with the chain,
+// so an unbounded chain would turn elision's per-release win into quadratic
+// accumulated work on lock-hot loops. The limit only changes which releases
+// elide — a deterministic function of the schedule either way.
+const maxElideChain = 64
 
 // elideRecentWindow is how many of the newest survival outcomes the
 // engagement decision looks at. Over the full 64-bit history a zero-seeded
@@ -116,161 +106,118 @@ const elideRecentWindow = 16
 // commits.
 const elideEngagePermille = 500
 
+// A pending deferred publication (real or virtual) resolves at the thread's
+// next visibility point, and pays exactly when it survives to the owner's
+// next Release: the sections merge there into one physical commit. Surviving
+// only to an Acquire (a lock acquisition between the two sections of a
+// would-be chain) proves nothing yet, and surviving to a settling point
+// (Signal, Park, Upgrade) proves the deferral bought nothing — the stage
+// flushes as its own commit, exactly what eager publication would have done.
+
 // resolveElide folds the outcome of the thread's pending elided publication
-// into its lock's shared history. A flushed stage is always a miss: the
-// state was either demanded cross-thread or committed by the owner's own
-// eager publication before any chain formed. An unflushed stage is a hit
-// only at a staging release (the merge that saves a physical commit is
-// happening right now); at a settling publication it is a miss (no commit
-// was saved), and at an ordinary refresh it stays pending — this section's
-// release may yet extend the chain. Every publication-point helper below
-// resolves before it publishes, settles or stages, so the flushed flag
-// still reflects the *prior* flush when read. Caller holds the turn.
-func (e *Engine) resolveElide(ts *tstate, at int) {
+// into its lock's shared history and reports whether the stage is still
+// outstanding. A flushed stage is always a miss: the state was either
+// demanded cross-thread or committed by the owner's own eager publication
+// before any chain formed. An unflushed stage is a hit only at a Release
+// (the merge that saves a physical commit is happening right now); at a
+// settling point it is a miss (no commit was saved), and at an Acquire it
+// stays pending — this section's release may yet extend the chain. Caller
+// holds the turn and has not yet performed point p.
+func (e *Engine) resolveElide(ts *tstate, p mempipe.Point) (survived bool) {
 	if !ts.elidePending {
-		return
+		return false
 	}
-	flushed := ts.mem.StageFlushed()
-	if at == elideAtRefresh && !flushed {
-		return
+	flushed, dropped := ts.mem.Deferred()
+	if p == mempipe.Acquire && !flushed {
+		return true
 	}
 	ts.elidePending = false
-	hit := !flushed && at == elideAtChain
+	hit := !flushed && p == mempipe.Release
 	st := &e.tbl.Locks[ts.elideLock]
 	st.ElideHist = detsync.PushOutcome(st.ElideHist, hit)
 	e.elideGlobal = detsync.PushOutcome(e.elideGlobal, hit)
-	if flushed && !ts.mem.Unpublished() {
-		// A flush already applied the deferred state and nothing was
-		// written since, so the retained dirty set is fully published:
-		// drop it now rather than re-staging or re-committing long-silent
-		// frames on every later publication.
-		ts.mem.DropClean()
+	if dropped {
 		ts.elideChain = 0
 	}
+	return !flushed
 }
 
 // resolveVirtual folds the outcome of the thread's pending virtual probe
 // (started at an eager release) into the histories: a hit when the heap
 // sequence has not moved since — no publication by anyone, so a real stage
-// would have survived intact to merge at this release — and a miss when the
+// would have survived intact to merge at this Release — and a miss when the
 // sequence advanced (any foreign commit or staging would have flushed it;
 // the thread's own intermediate publication would have settled it) or when
 // the probe reaches a settling point, where even a surviving stage buys
-// nothing. Refresh points leave the probe pending: the thread's own publish
+// nothing. An Acquire leaves the probe pending: the thread's own publish
 // there advances the sequence, turning the eventual outcome into a miss by
 // itself. Caller holds the turn.
-func (e *Engine) resolveVirtual(ts *tstate, at int) {
-	if !ts.virtPending {
-		return
-	}
-	if at == elideAtRefresh {
+func (e *Engine) resolveVirtual(ts *tstate, p mempipe.Point) {
+	if !ts.virtPending || p == mempipe.Acquire {
 		return
 	}
 	ts.virtPending = false
-	hit := at == elideAtChain && e.pipe.Seq() == ts.virtSeq
+	hit := p == mempipe.Release && e.pipe.Seq() == ts.virtSeq
 	st := &e.tbl.Locks[ts.virtLock]
 	st.ElideHist = detsync.PushOutcome(st.ElideHist, hit)
 	e.elideGlobal = detsync.PushOutcome(e.elideGlobal, hit)
 }
 
-// elidePublish defers the publication at lock l's release: the dirty words
-// are staged at a reserved commit sequence and the view is re-based with the
-// dirty set retained. The trace records the same Commit event, at the same
-// sequence and clock, that the eager path would have recorded. Caller holds
+// noLock is sync's lock argument at every point but Release.
+const noLock = -1
+
+// sync performs visibility point p on the thread's memory window — the
+// memory half of every synchronization operation (paper §2: writes become
+// visible "only as a result of synchronization operations"). What each point
+// publishes, settles and re-bases is mempipe's business (DESIGN.md,
+// "Visibility points"); this helper owns the elision policy and the
+// recording. The thread's pending outcomes — real stage or virtual probe —
+// resolve first, so the histories a Release decision reads are current
+// through this very release; l is the lock a Release publishes under (a
+// validated run's first logged lock). An unflushed pending stage extends its
+// chain directly (the merge happening right now is the payoff the histories
+// only predict); an eager release starts a cost-free virtual probe in its
+// place. A deferred publication records the same trace Commit event, at the
+// same sequence and clock, that the commit would have recorded. Caller holds
 // the turn.
-func (e *Engine) elidePublish(t *dvm.Thread, ts *tstate, l int64) {
+func (e *Engine) sync(t *dvm.Thread, ts *tstate, p mempipe.Point, l int64) {
+	if !e.strong() {
+		return // flat memory: every store is already global
+	}
 	defer phaseBegin("commit")()
-	if e.audit != nil && ts.mem.Dirty() {
-		e.audit.AtPublish(t.ID, ts.mem)
-	}
-	seq, staged := ts.mem.StagePublish()
-	if !staged {
-		return
-	}
-	my := e.arb.DLC(t.ID)
-	e.rec.Commit(t.ID, my, seq)
-	if e.tel != nil {
-		e.tel.Count("commit.elided", 1)
-		e.tel.Span(t.ID, telemetry.SpanCommit, my, my, seq)
-	}
+	survived := e.resolveElide(ts, p)
+	e.resolveVirtual(ts, p)
+	release := p == mempipe.Release
+	mayDefer := release &&
+		(survived && ts.elideChain < maxElideChain || e.shouldElide(ts, l))
 	if e.audit != nil {
-		e.audit.AtCommit(t.ID, seq)
-		e.audit.AtDeferred(t.ID, ts.mem)
+		e.audit.AtWindow(t.ID, ts.mem)
 	}
-	ts.elidePending = true
-	ts.elideLock = l
-	ts.elideChain++
-}
-
-// releasePublish is the publication at a critical-section release: elided
-// when the policy allows, eager otherwise. The thread's pending outcomes —
-// real stage or virtual probe — resolve first, at their hit point, so the
-// histories the decision reads are current through this very release. An
-// unflushed pending stage extends its chain directly (the merge happening
-// right now is the payoff the histories only predict); an eager release
-// starts a cost-free virtual probe in its place. Either way the view ends
-// re-based on the state the release must observe. Caller holds the turn.
-func (e *Engine) releasePublish(t *dvm.Thread, ts *tstate, l int64) {
-	chained := ts.elidePending && !ts.mem.StageFlushed() &&
-		ts.elideChain < e.cfg.ElideChainLimit
-	e.resolveElide(ts, elideAtChain)
-	e.resolveVirtual(ts, elideAtChain)
-	if chained || e.shouldElide(ts, l) {
-		e.elidePublish(t, ts, l)
-		return
+	out := ts.mem.Sync(p, mayDefer)
+	if out.Committed || out.Staged {
+		my := e.arb.DLC(t.ID)
+		e.rec.Commit(t.ID, my, out.Seq)
+		if e.tel != nil {
+			if out.Staged {
+				e.tel.Count("commit.elided", 1)
+			}
+			e.tel.Span(t.ID, telemetry.SpanCommit, my, my, out.Seq)
+		}
+		if e.audit != nil {
+			e.audit.AtCommit(t.ID, out.Seq)
+			if out.Staged {
+				e.audit.AtWindow(t.ID, ts.mem)
+			}
+		}
 	}
-	e.publishRefreshLazy(t, ts)
-	if e.elisionOn() {
-		ts.virtPending = true
-		ts.virtLock = l
-		ts.virtSeq = e.pipe.Seq()
-	}
-}
-
-// publishRefreshLazy publishes unpublished writes eagerly and re-bases the
-// window while keeping any deferred state outstanding — the elision-aware
-// analogue of publishAndRefresh for synchronization points that need fresh
-// state but are not cross-thread visibility points (lock acquisitions, the
-// read half of an eager atomic). Under -eagerpublish (and on flat memory) it
-// is publishAndRefresh exactly. Caller holds the turn.
-func (e *Engine) publishRefreshLazy(t *dvm.Thread, ts *tstate) {
-	if !e.elisionOn() {
-		e.publishAndRefresh(t, ts)
-		return
-	}
-	e.resolveElide(ts, elideAtRefresh)
-	if e.publish(t, ts) {
+	switch {
+	case out.Staged:
+		ts.elidePending, ts.elideLock = true, l
+		ts.elideChain++
+	case out.Committed, p == mempipe.Signal, p == mempipe.Park:
 		ts.elideChain = 0
 	}
-	ts.mem.RefreshDirty()
-}
-
-// forcePublish makes every deferred publication real at a cross-thread
-// visibility point: resolve the pending elision outcome, commit unpublished
-// writes eagerly (which first applies the thread's own stage at its reserved
-// sequence, then commits the delta), settle every remaining outstanding
-// stage, and release the now fully published dirty set. The window's base is
-// not moved; callers that need fresh state refresh afterwards, and callers
-// that park (condition variables, barriers) are re-based by their
-// deterministic wake path — the same contract the eager protocol imposes.
-// Caller holds the turn.
-func (e *Engine) forcePublish(t *dvm.Thread, ts *tstate) {
-	if !e.elisionOn() {
-		e.publish(t, ts)
-		return
+	if release && !mayDefer {
+		ts.virtPending, ts.virtLock, ts.virtSeq = true, l, e.pipe.Seq()
 	}
-	e.resolveElide(ts, elideAtSettle)
-	e.resolveVirtual(ts, elideAtSettle)
-	e.publish(t, ts)
-	ts.mem.SettleDeferred()
-	ts.mem.DropClean()
-	ts.elideChain = 0
-}
-
-// forcePublishRefresh is forcePublish plus a re-base on the newest published
-// state — the cross-thread-visibility analogue of publishAndRefresh
-// (condvar signals, spawns, joins, eager atomics). Caller holds the turn.
-func (e *Engine) forcePublishRefresh(t *dvm.Thread, ts *tstate) {
-	e.forcePublish(t, ts)
-	ts.mem.Refresh()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lazydet/internal/dvm"
+	"lazydet/internal/mempipe"
 	"lazydet/internal/trace"
 )
 
@@ -77,10 +78,10 @@ func (e *Engine) lazyRLock(t *dvm.Thread, ts *tstate, l int64) {
 // is deterministic.
 func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 	st := &e.tbl.Locks[l]
-	backoff := e.cfg.Quantum
+	backoff := quantum
 	for {
 		e.waitCommitTurn(t)
-		e.publishRefreshLazy(t, ts)
+		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
 			st.Readers++
@@ -91,7 +92,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 				e.spec.TotalAcquires.Add(1)
 			}
 			e.rec.Sync(t.ID, trace.OpRAcquire, l, my)
-			e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+			e.arb.ReleaseTurn(t.ID, syncCost)
 			return
 		}
 		e.arb.ReleaseTurn(t.ID, backoff)
@@ -106,7 +107,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 // invalidates no speculation.
 func (e *Engine) convRUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	e.waitCommitTurn(t)
-	e.releasePublish(t, ts, l)
+	e.sync(t, ts, mempipe.Release, l)
 	st := &e.tbl.Locks[l]
 	if st.Readers <= 0 {
 		panic(fmt.Sprintf("core: thread %d runlocks lock %d with no readers", t.ID, l))
@@ -115,7 +116,7 @@ func (e *Engine) convRUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	ts.depth--
 	dropLast(&ts.heldConvRead, l)
 	e.rec.Sync(t.ID, trace.OpRRelease, l, e.arb.DLC(t.ID))
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
 // specRRelease records a speculative shared release.

@@ -3,6 +3,7 @@ package core
 import (
 	"lazydet/internal/dlc"
 	"lazydet/internal/dvm"
+	"lazydet/internal/mempipe"
 	"lazydet/internal/trace"
 )
 
@@ -43,13 +44,13 @@ func (e *Engine) Spawn(t *dvm.Thread, target int) {
 	// Release semantics: the child re-bases on exactly this state, so
 	// deferred publications settle here (the child's pinned RefreshTo flush
 	// is then a deterministic no-op).
-	e.forcePublishRefresh(t, ts)
+	e.sync(t, ts, mempipe.Signal, noLock)
 	e.tbl.SpawnSeq[target] = e.pipe.Seq()
 	my := e.arb.DLC(t.ID)
 	e.arb.Unpark(target, my+1)
 	t.Group().StartThread(target)
 	e.rec.Sync(t.ID, trace.OpSpawn, int64(target), my)
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
 // Join implements dvm.Engine.
@@ -60,7 +61,7 @@ func (e *Engine) Join(t *dvm.Thread, target int) {
 			return
 		}
 	}
-	backoff := e.cfg.Quantum
+	backoff := quantum
 	for {
 		e.waitCommitTurn(t)
 		if e.arb.Status(target) == dlc.StatusExited {
@@ -68,9 +69,9 @@ func (e *Engine) Join(t *dvm.Thread, target int) {
 			// published; refresh our window to include it. Join is a
 			// cross-thread visibility point, so our own deferred
 			// publications settle too.
-			e.forcePublishRefresh(t, ts)
+			e.sync(t, ts, mempipe.Signal, noLock)
 			e.rec.Sync(t.ID, trace.OpJoin, int64(target), e.arb.DLC(t.ID))
-			e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+			e.arb.ReleaseTurn(t.ID, syncCost)
 			return
 		}
 		e.arb.ReleaseTurn(t.ID, backoff)

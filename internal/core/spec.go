@@ -5,6 +5,7 @@ import (
 
 	"lazydet/internal/detsync"
 	"lazydet/internal/dvm"
+	"lazydet/internal/mempipe"
 	"lazydet/internal/telemetry"
 	"lazydet/internal/trace"
 )
@@ -220,11 +221,11 @@ func (e *Engine) terminateRun(t *dvm.Thread, ts *tstate) bool {
 	endValidate()
 	if valid {
 		e.commitRunLocked(t, ts)
-		e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+		e.arb.ReleaseTurn(t.ID, syncCost)
 		return true
 	}
 	e.revertLocked(t, ts)
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 	return false
 }
 
@@ -239,9 +240,9 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 	// lock (the lock that began the run). An irrevocable run publishes
 	// eagerly: its deferred state was already settled at the upgrade.
 	if !ts.irrevocable && len(ts.log.locks) > 0 {
-		e.releasePublish(t, ts, ts.log.locks[0].lock)
+		e.sync(t, ts, mempipe.Release, ts.log.locks[0].lock)
 	} else {
-		e.publishRefreshLazy(t, ts)
+		e.sync(t, ts, mempipe.Acquire, noLock)
 	}
 	my := e.arb.DLC(t.ID)
 	seq := e.pipe.Seq()
@@ -295,11 +296,12 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 	cost := time.Since(start).Nanoseconds()
 	if e.audit != nil {
 		// The thread must be exactly its BEGIN snapshot again, and the
-		// dirty set exactly the pre-run dirty set.
-		e.audit.AtRevert(t, ts.snap, ts.mem.DirtyWords(), ts.dirtySnap.Words())
+		// dirty set exactly the pre-run dirty set: snapshotting it afresh
+		// must count the words the BEGIN snapshot did.
+		e.audit.AtRevert(t, ts.snap, ts.mem.SnapshotDirtyInto(nil).Words(), ts.dirtySnap.Words())
 		// The pre-run dirty set includes any deferred (staged, un-published)
 		// state; the restore must have preserved it word for word.
-		e.audit.AtDeferred(t.ID, ts.mem)
+		e.audit.AtWindow(t.ID, ts.mem)
 	}
 	e.recordOutcome(ts, t.ID, false)
 	if e.spec != nil {
@@ -359,7 +361,7 @@ func (e *Engine) enterIrrevocable(t *dvm.Thread, ts *tstate) bool {
 		}
 		e.waitCommitTurn(t)
 		e.revertLocked(t, ts)
-		e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+		e.arb.ReleaseTurn(t.ID, syncCost)
 		return false
 	}
 	e.waitCommitTurn(t)
@@ -368,22 +370,18 @@ func (e *Engine) enterIrrevocable(t *dvm.Thread, ts *tstate) bool {
 		e.irrevocableOwner = t.ID
 		// Settle deferred publications at the upgrade turn: the irrevocable
 		// phase reads committed state off-turn (ReadCommitted), and settling
-		// now keeps those reads' flushes deterministic no-ops. The pending
-		// elision resolves first, so the settle of the thread's own stage is
-		// not mistaken for a cross-thread miss.
-		e.resolveElide(ts, elideAtSettle)
-		e.resolveVirtual(ts, elideAtSettle)
-		ts.mem.SettleDeferred()
+		// now keeps those reads' flushes deterministic no-ops.
+		e.sync(t, ts, mempipe.Upgrade, noLock)
 		if e.spec != nil {
 			e.spec.Upgrades.Add(1)
 		}
-		e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+		e.arb.ReleaseTurn(t.ID, syncCost)
 		return true
 	}
 	if e.spec != nil {
 		e.spec.Runs.Add(1)
 	}
 	e.revertLocked(t, ts)
-	e.arb.ReleaseTurn(t.ID, e.cfg.SyncCost)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 	return false
 }

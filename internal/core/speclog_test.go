@@ -234,7 +234,7 @@ func TestSpecLogMatchesMapModel(t *testing.T) {
 						pc := th.PC // the revert rewinds to the BEGIN snapshot; stay in this closure
 						e.waitCommitTurn(th)
 						e.revertLocked(th, ts)
-						e.arb.ReleaseTurn(th.ID, e.cfg.SyncCost)
+						e.arb.ReleaseTurn(th.ID, syncCost)
 						th.PC = pc
 						m.endRun(false)
 						stack = stack[:0] // every hold was speculative and is gone

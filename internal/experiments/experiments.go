@@ -36,11 +36,6 @@ type Config struct {
 	// metrics exactly — diffing against bench/baseline.json turns the
 	// perf gate itself into a differential oracle for the lowering pass.
 	Compiled bool
-	// EagerPublish disables same-owner publication elision on the strong
-	// engines — the always-publish differential oracle. A -report run with
-	// EagerPublish set must reproduce the baseline's gated metrics outside
-	// the elision-variant set (harness.ElisionVariantMetrics) exactly.
-	EagerPublish bool
 	// CSVDir, when set, additionally writes each experiment's rows as
 	// <CSVDir>/<experiment>.csv for re-plotting.
 	CSVDir string

@@ -90,6 +90,20 @@ func TestPinnedFingerprints(t *testing.T) {
 		}
 	}
 
+	// Rows where same-owner publication elision is live (commit.elided > 0):
+	// the burst shape elision_test.go targets, and the three Table 1 kernels
+	// whose releases chain.
+	for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
+		for _, threads := range []int{4, 64} {
+			pin(fmt.Sprintf("burst/%v/t%d", eng, threads), burstWorkload(10, 20),
+				harness.Options{Engine: eng, Threads: threads})
+		}
+		for _, name := range []string{"ferret", "reverse_index", "dedup"} {
+			pin(fmt.Sprintf("%s/%v/t8", name, eng), workloads.ByName(name).New(1),
+				harness.Options{Engine: eng, Threads: 8})
+		}
+	}
+
 	out, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)

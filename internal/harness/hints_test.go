@@ -117,11 +117,11 @@ func TestLowerHints(t *testing.T) {
 	h := &progcheck.SpecHints{Verdicts: map[int64]progcheck.SpecVerdict{
 		0: progcheck.VerdictDisjoint,
 		2: progcheck.VerdictConflicting,
-		3: progcheck.VerdictCommutative,
+		3: progcheck.VerdictUnknown,
 		9: progcheck.VerdictDisjoint, // beyond the lock table: dropped
 	}}
 	got := lowerHints(h, 4)
-	want := []core.SpecHint{core.HintDisjoint, core.HintNone, core.HintConflicting, core.HintCommutative}
+	want := []core.SpecHint{core.HintDisjoint, core.HintNone, core.HintConflicting, core.HintNone}
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
 	}

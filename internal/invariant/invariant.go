@@ -204,63 +204,33 @@ func (c *Checker) auditLocks(tid int) {
 	}
 }
 
-// DirtyAuditor is the slice of a thread's memory window the checker needs
-// at a publication: a self-check of the window's dirty-word tracking.
-// vheap.View implements it; flat windows report nil (nothing is tracked).
-type DirtyAuditor interface {
-	// AuditDirty returns a descriptive error if any word differing from
-	// its twin is missing from the dirty bitmap (see vheap.View.AuditDirty).
-	AuditDirty() error
+// WindowAuditor is the slice of a thread's memory window the checker needs:
+// a self-check that names the rule a failure breaks. mempipe windows
+// implement it; flat windows report nil (nothing is tracked).
+type WindowAuditor interface {
+	Audit() (rule string, err error)
 }
 
-// AtPublish audits the publishing thread's dirty tracking immediately
-// before its writes commit: every word the full twin diff would publish
-// must be marked in the dirty bitmap, or the bitmap commit path is about to
-// drop a write. It must run before the commit (which clears the dirty set),
-// on the publishing thread (the dirty set is thread-private and mutated
-// off-turn by stores), while that thread holds the turn.
-func (c *Checker) AtPublish(tid int, m DirtyAuditor) {
+// AtWindow audits a thread's memory window. Rule commit-dirty-tracking:
+// every word the full twin diff would publish must be marked in the dirty
+// bitmap, or the bitmap commit path is about to drop a write. Rule
+// view-page-table: the dense dirty/clean tables, generation stamps and
+// pooled frames must be mutually consistent, or a recycled frame is about to
+// leak stale words into a commit. Rule deferred-publish: every page of the
+// thread's outstanding staged publication must still hold a live frame in
+// its window, and every staged word the thread has not rewritten since must
+// carry the staged value there — otherwise the window has stopped observing
+// (or a speculation revert has corrupted) state the trace already records as
+// committed. The engine calls it before every visibility point (a commit
+// clears the dirty set), after staging a deferred publication and after
+// restoring a revert snapshot — on the owning thread (the dirty set is
+// thread-private and mutated off-turn by stores), while it holds the turn.
+func (c *Checker) AtWindow(tid int, m WindowAuditor) {
 	if c == nil || c.heap == nil {
 		return
 	}
-	if err := m.AuditDirty(); err != nil {
-		c.violate(tid, -1, "commit-dirty-tracking", err.Error())
-	}
-	// Windows backed by the flat per-view page tables additionally expose a
-	// structural self-check: the dense dirty/clean tables, generation stamps
-	// and pooled frames must be mutually consistent, or a recycled frame is
-	// about to leak stale words into a commit.
-	if ta, ok := m.(interface{ AuditTables() error }); ok {
-		if err := ta.AuditTables(); err != nil {
-			c.violate(tid, -1, "view-page-table", err.Error())
-		}
-	}
-}
-
-// DeferredAuditor is the slice of a thread's memory window the checker
-// needs at an elision point: a self-check of the window's deferred
-// publication. mempipe windows implement it; flat windows report nil.
-type DeferredAuditor interface {
-	// AuditDeferred returns a descriptive error if the window's retained
-	// frames no longer serve the values of its staged publication (see
-	// vheap.View.AuditDeferred).
-	AuditDeferred() error
-}
-
-// AtDeferred audits the deferred-publish invariant: every page of a thread's
-// outstanding staged publication must still hold a live frame in its window,
-// and every staged word the thread has not rewritten since must carry the
-// staged value there — otherwise the window has stopped observing (or a
-// speculation revert has corrupted) state the trace already records as
-// committed. The engine calls it after staging an elided publication and
-// after restoring a revert snapshot, on the owning thread, while it holds
-// the turn.
-func (c *Checker) AtDeferred(tid int, m DeferredAuditor) {
-	if c == nil || c.heap == nil {
-		return
-	}
-	if err := m.AuditDeferred(); err != nil {
-		c.violate(tid, -1, "deferred-publish", err.Error())
+	if rule, err := m.Audit(); err != nil {
+		c.violate(tid, -1, rule, err.Error())
 	}
 }
 

@@ -175,25 +175,25 @@ func TestCleanRunNoViolations(t *testing.T) {
 	}
 }
 
-// faultyAuditor is a DirtyAuditor stub reporting a fixed bitmap breach.
+// faultyAuditor is a WindowAuditor stub reporting a fixed bitmap breach.
 type faultyAuditor struct{ err error }
 
-func (f faultyAuditor) AuditDirty() error { return f.err }
+func (f faultyAuditor) Audit() (string, error) { return "commit-dirty-tracking", f.err }
 
-// TestCheckerAtPublish: a dirty-set audit failure surfaces as a structured
-// commit-dirty-tracking violation naming the publishing thread, and a clean
+// TestCheckerAtWindow: a window audit failure surfaces as a structured
+// violation of the rule the window names, on the audited thread, and a clean
 // audit reports nothing.
-func TestCheckerAtPublish(t *testing.T) {
+func TestCheckerAtWindow(t *testing.T) {
 	arb := dlc.New(1)
 	tbl := detsync.NewTable(1, 1, 0, 0, false)
 	heap := vheap.New(64)
 	var got []*invariant.Violation
 	c := invariant.New(arb, tbl, heap, func(v *invariant.Violation) { got = append(got, v) })
-	c.AtPublish(0, faultyAuditor{})
+	c.AtWindow(0, faultyAuditor{})
 	if len(got) != 0 {
 		t.Fatalf("clean dirty audit flagged: %v", got[0])
 	}
-	c.AtPublish(0, faultyAuditor{err: errors.New("page 3 word 7 differs from its twin but is not marked dirty")})
+	c.AtWindow(0, faultyAuditor{err: errors.New("page 3 word 7 differs from its twin but is not marked dirty")})
 	if len(got) != 1 {
 		t.Fatalf("failed dirty audit reported %d violations, want 1", len(got))
 	}
@@ -210,7 +210,7 @@ func TestCheckerAtPublish(t *testing.T) {
 }
 
 // TestEndToEndDirtyAuditClean: with invariants on, a real speculative run
-// exercises AtPublish at every publication and stays clean — the store path
+// exercises AtWindow at every visibility point and stays clean — the store path
 // marks exactly what commits merge.
 func TestEndToEndDirtyAuditClean(t *testing.T) {
 	r := newAuditRig(3, 2, true)

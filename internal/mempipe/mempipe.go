@@ -14,9 +14,8 @@
 //
 // The flat pipeline answers the same questions degenerately: it is never
 // dirty, Publish commits nothing, Refresh has nothing to re-base, and its
-// sequence number is always 0. The speculation operations
-// (SnapshotDirtyInto, RevertTo) panic — speculation without write isolation cannot be rolled
-// back, and the engines never speculate in weak modes.
+// sequence number is always 0; every visibility point answers with the zero
+// Outcome.
 package mempipe
 
 import (
@@ -43,10 +42,55 @@ type Pipeline interface {
 	ReadCommitted(addr int64) int64
 }
 
+// Point is a visibility point: one of the closed list of places where a
+// thread's writes may become visible to other threads and other threads'
+// writes to it (paper §2: "only as a result of synchronization operations").
+// Each point fixes which of publish / settle / drop / re-base a window
+// performs, in that order; DESIGN.md's "Visibility points" table maps the
+// engine's synchronization operations onto them.
+type Point uint8
+
+const (
+	// Acquire (lock and rwlock acquisition, both halves of an eager atomic, an
+	// irrevocable run's commit): publish the window's own unpublished
+	// writes and re-base on the newest state. The window's own deferred
+	// publication, if any, stays outstanding, so the re-base keeps the dirty
+	// set.
+	Acquire Point = iota
+	// Release (unlock, rwlock release, a validated run's commit): Acquire,
+	// except that with mayDefer the publication is deferred — staged at the
+	// exact sequence the commit would have used — instead of performed.
+	Release
+	// Signal (condvar signal/broadcast, spawn, join, the last barrier
+	// arrival): publish, settle every outstanding deferred publication (the
+	// window's own included), drop the now fully published dirty set, and
+	// re-base.
+	Signal
+	// Park (condvar wait, barrier arrival, thread exit): Signal without the
+	// re-base — the wake path re-bases on a pinned sequence (RefreshTo), never
+	// on "newest at the wall-clock wake moment".
+	Park
+	// Upgrade (irrevocable upgrade of a speculation run): settle only. The
+	// run's own writes stay private until it commits.
+	Upgrade
+)
+
+// Outcome is what a visibility point published, for the engine to record.
+type Outcome struct {
+	// Seq is the commit sequence the window's writes were published at —
+	// performed (Committed) or reserved (Staged). Zero when neither.
+	Seq int64
+	// Committed reports a physical commit of the window's writes at Seq.
+	Committed bool
+	// Staged reports a deferred publication at Seq: the sequence is reserved
+	// and traced now, the merge happens at the first point another thread
+	// could observe it.
+	Staged bool
+}
+
 // Thread is one thread's window onto the pipeline's memory. The VM's load
 // and store instructions dispatch straight to it (it satisfies
-// dvm.MemWindow); the engines drive the publication methods at
-// synchronization points.
+// dvm.MemWindow); the engines drive Sync at synchronization points.
 type Thread interface {
 	// Load reads addr: the thread's own unpublished write if there is one,
 	// otherwise the published state the window is based on.
@@ -60,11 +104,19 @@ type Thread interface {
 	// contents (irrevocable atomics). Equivalent to Store on flat memory.
 	StoreDirty(addr, val int64)
 
-	// Dirty reports whether the window holds unpublished writes. Always
-	// false for flat memory.
-	Dirty() bool
-	// DirtyWords counts unpublished words differing from the window's base.
-	DirtyWords() int
+	// Sync performs visibility point p. mayDefer is the engine's elision
+	// policy decision and is read at Release only. The caller holds the
+	// deterministic turn. Flat windows have nothing to publish or re-base
+	// and answer every point with the zero Outcome.
+	Sync(p Point, mayDefer bool) Outcome
+	// Deferred reports the fate of the window's most recent deferred
+	// publication: flushed when another publication has applied it. If it was
+	// flushed and the window holds no writes since, the retained dirty set is
+	// fully published; Deferred releases it and reports dropped. The engine's
+	// elision policy asks before it decides the next Release. Always false on
+	// flat memory.
+	Deferred() (flushed, dropped bool)
+
 	// Publish makes the window's writes globally visible. It reports the
 	// commit sequence it published at, and false if there was nothing to
 	// publish (or the memory is flat and publication is meaningless).
@@ -80,51 +132,22 @@ type Thread interface {
 	// BaseSeq returns the commit sequence the window reads at.
 	BaseSeq() int64
 
-	// StagePublish defers publication (same-owner elision, vheap stage.go):
-	// when the window holds writes not yet covered by a publication it
-	// reserves the next commit sequence and stages them, otherwise it only
-	// re-bases on the newest state; the dirty set is retained either way and
-	// other windows' deferred publications are flushed first. Returns the
-	// reserved sequence and whether a new publication was staged. On flat
-	// memory publication is meaningless, so (0, false).
-	StagePublish() (seq int64, staged bool)
-	// RefreshDirty re-bases the window on the newest published state while
-	// keeping the dirty set — Refresh for a window with deferred state.
-	// No-op on flat memory.
-	RefreshDirty()
-	// StageFlushed reports whether the window's most recent deferred
-	// publication was applied by another thread — the elision miss signal
-	// the adaptive policy feeds on. Always false on flat memory.
-	StageFlushed() bool
-	// Unpublished reports whether the window holds writes not yet covered by
-	// any publication, eager or deferred. Always false on flat memory.
-	Unpublished() bool
-	// SettleDeferred applies every outstanding deferred publication, the
-	// window's own included — the engine's move at the turn before a thread
-	// parks, spawns, or exits. No-op on flat memory.
-	SettleDeferred()
-	// DropClean releases the window's retained dirty set once everything in
-	// it has been published (no writes since the last publication event, no
-	// outstanding deferred publication). No-op on flat memory.
-	DropClean()
-	// AuditDeferred verifies that the window's deferred publication is still
-	// a prefix of its dirty set (the deferred-publish invariant); nil on
-	// flat memory.
-	AuditDeferred() error
-
 	// SnapshotDirtyInto deep-copies the unpublished write set into s at a
 	// speculation run's begin, recycling its buffers (nil s allocates a
-	// fresh snapshot) so steady-state runs allocate nothing. Panics on flat
-	// memory.
+	// fresh snapshot) so steady-state runs allocate nothing. Flat memory has
+	// no write set: it returns s unchanged (core.New rejects speculation
+	// without versioned isolation, so the engines never ask).
 	SnapshotDirtyInto(s *vheap.DirtySnapshot) *vheap.DirtySnapshot
 	// RevertTo discards the run's writes and reinstates the snapshot,
-	// returning the number of discarded speculative words. Panics on flat
-	// memory.
+	// returning the number of discarded speculative words. Zero on flat
+	// memory, under the same core.New rule.
 	RevertTo(s *vheap.DirtySnapshot) (discarded int)
 
-	// AuditDirty verifies the window's dirty tracking (see
-	// vheap.View.AuditDirty); nil on flat memory, which tracks nothing.
-	AuditDirty() error
+	// Audit verifies the window's dirty tracking, page tables and deferred
+	// publication (vheap.View.AuditDirty, AuditTables, AuditDeferred),
+	// naming the invariant rule the first failure breaks. Nil on flat
+	// memory, which tracks nothing.
+	Audit() (rule string, err error)
 	// Close releases the window at thread exit.
 	Close()
 }
@@ -157,50 +180,89 @@ type versionedThread struct {
 func (t *versionedThread) Load(addr int64) int64               { return t.v.Load(addr) }
 func (t *versionedThread) Store(addr, val int64)               { t.v.Store(addr, val) }
 func (t *versionedThread) StoreDirty(addr, val int64)          { t.v.StoreDirty(addr, val) }
-func (t *versionedThread) Dirty() bool                         { return t.v.DirtyPages() != 0 }
-func (t *versionedThread) DirtyWords() int                     { return t.v.DirtyWords() }
 func (t *versionedThread) Refresh()                            { t.v.Update() }
 func (t *versionedThread) RefreshTo(seq int64)                 { t.v.UpdateTo(seq) }
 func (t *versionedThread) BaseSeq() int64                      { return t.v.BaseSeq() }
 func (t *versionedThread) RevertTo(s *vheap.DirtySnapshot) int { return t.v.RevertTo(s) }
-func (t *versionedThread) AuditDirty() error                   { return t.v.AuditDirty() }
-func (t *versionedThread) AuditTables() error                  { return t.v.AuditTables() }
 func (t *versionedThread) Close()                              { t.v.Close() }
-
-func (t *versionedThread) RefreshDirty()        { t.v.RefreshDirty() }
-func (t *versionedThread) StageFlushed() bool   { return t.v.StageFlushed() }
-func (t *versionedThread) Unpublished() bool    { return t.v.Unpublished() }
-func (t *versionedThread) SettleDeferred()      { t.v.SettleDeferred() }
-func (t *versionedThread) DropClean()           { t.v.DropClean() }
-func (t *versionedThread) AuditDeferred() error { return t.v.AuditDeferred() }
 
 func (t *versionedThread) SnapshotDirtyInto(s *vheap.DirtySnapshot) *vheap.DirtySnapshot {
 	return t.v.SnapshotDirtyInto(s)
 }
 
+func (t *versionedThread) Sync(p Point, mayDefer bool) Outcome {
+	v := t.v
+	switch {
+	case p == Upgrade:
+		v.SettleDeferred()
+		return Outcome{}
+	case p == Release && mayDefer:
+		// StagePublish re-bases with the dirty set kept, and reserves a
+		// sequence only when something is unpublished — exactly when a commit
+		// would have used one.
+		seq, staged := v.StagePublish()
+		if staged {
+			t.countPublish()
+		}
+		return Outcome{Seq: seq, Staged: staged}
+	}
+	seq, committed := t.Publish()
+	switch p {
+	case Acquire, Release:
+		v.RefreshDirty()
+	case Signal, Park:
+		v.SettleDeferred()
+		v.DropClean()
+		if p == Signal {
+			v.Update()
+		}
+	}
+	return Outcome{Seq: seq, Committed: committed}
+}
+
+func (t *versionedThread) Deferred() (flushed, dropped bool) {
+	if !t.v.StageFlushed() {
+		return false, false
+	}
+	if t.v.Unpublished() {
+		return true, false
+	}
+	// Dropping now keeps later publications from re-staging or re-committing
+	// long-silent frames.
+	t.v.DropClean()
+	return true, true
+}
+
 func (t *versionedThread) Publish() (int64, bool) {
-	// Unpublished, not DirtyPages: an elided window retains its dirty set
-	// across staged publications, and a force point with no writes since the
-	// last stage must publish nothing — exactly when the eager path's dirty
-	// set would have been empty. The two tests coincide in eager operation.
+	// Unpublished, not DirtyPages: a window retains its dirty set across
+	// deferred publications, and a point with no writes since the last one
+	// must publish nothing — exactly when an eager dirty set would have been
+	// empty.
 	if !t.v.Unpublished() {
 		return 0, false
 	}
-	if t.tel != nil {
-		t.tel.Count("mempipe.publishes", 1)
-		t.tel.Observe("mempipe.publish_dirty_words", int64(t.v.DirtyWords()))
-	}
+	t.countPublish()
 	seq, _ := t.v.Commit()
 	return seq, true
 }
 
-func (t *versionedThread) StagePublish() (int64, bool) {
-	seq, staged := t.v.StagePublish()
-	if staged && t.tel != nil {
+// countPublish records one publication, performed or deferred, and the
+// dirty-set size it found.
+func (t *versionedThread) countPublish() {
+	if t.tel != nil {
 		t.tel.Count("mempipe.publishes", 1)
 		t.tel.Observe("mempipe.publish_dirty_words", int64(t.v.DirtyWords()))
 	}
-	return seq, staged
+}
+
+func (t *versionedThread) Audit() (string, error) {
+	if err := t.v.AuditDirty(); err != nil {
+		return "commit-dirty-tracking", err
+	}
+	if err := t.v.AuditTables(); err != nil {
+		return "view-page-table", err
+	}
+	return "deferred-publish", t.v.AuditDeferred()
 }
 
 // flat is the unversioned pipeline over plain shared memory.
@@ -218,29 +280,17 @@ func (p flat) ReadCommitted(addr int64) int64 { return p.m.ReadCommitted(addr) }
 
 type flatThread struct{ m *shmem.Mem }
 
-func (t flatThread) Load(addr int64) int64       { return t.m.Load(addr) }
-func (t flatThread) Store(addr, val int64)       { t.m.Store(addr, val) }
-func (t flatThread) StoreDirty(addr, val int64)  { t.m.Store(addr, val) }
-func (t flatThread) Dirty() bool                 { return false }
-func (t flatThread) DirtyWords() int             { return 0 }
-func (t flatThread) Publish() (int64, bool)      { return 0, false }
-func (t flatThread) StagePublish() (int64, bool) { return 0, false }
-func (t flatThread) Refresh()                    {}
-func (t flatThread) RefreshTo(seq int64)         {}
-func (t flatThread) RefreshDirty()               {}
-func (t flatThread) StageFlushed() bool          { return false }
-func (t flatThread) Unpublished() bool           { return false }
-func (t flatThread) SettleDeferred()             {}
-func (t flatThread) DropClean()                  {}
-func (t flatThread) AuditDeferred() error        { return nil }
-func (t flatThread) BaseSeq() int64              { return 0 }
-func (t flatThread) AuditDirty() error           { return nil }
-func (t flatThread) Close()                      {}
+func (t flatThread) Load(addr int64) int64      { return t.m.Load(addr) }
+func (t flatThread) Store(addr, val int64)      { t.m.Store(addr, val) }
+func (t flatThread) StoreDirty(addr, val int64) { t.m.Store(addr, val) }
+func (t flatThread) Sync(Point, bool) Outcome   { return Outcome{} }
+func (t flatThread) Deferred() (bool, bool)     { return false, false }
+func (t flatThread) Publish() (int64, bool)     { return 0, false }
+func (t flatThread) Refresh()                   {}
+func (t flatThread) RefreshTo(seq int64)        {}
+func (t flatThread) BaseSeq() int64             { return 0 }
+func (t flatThread) Audit() (string, error)     { return "", nil }
+func (t flatThread) Close()                     {}
 
-func (t flatThread) SnapshotDirtyInto(*vheap.DirtySnapshot) *vheap.DirtySnapshot {
-	panic("mempipe: speculation snapshot on flat memory — speculation requires versioned isolation")
-}
-
-func (t flatThread) RevertTo(*vheap.DirtySnapshot) int {
-	panic("mempipe: speculation revert on flat memory — speculation requires versioned isolation")
-}
+func (t flatThread) SnapshotDirtyInto(s *vheap.DirtySnapshot) *vheap.DirtySnapshot { return s }
+func (t flatThread) RevertTo(*vheap.DirtySnapshot) int                             { return 0 }

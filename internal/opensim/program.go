@@ -109,9 +109,9 @@ type layout struct {
 
 // Stamp record fields.
 const (
-	stampAdmit = 0
-	stampDepth = 1
-	stampStart = 2
+	stampAdmit  = 0
+	stampDepth  = 1
+	stampStart  = 2
 	stampFinish = 3
 )
 

@@ -13,14 +13,14 @@
 //   - Conflicting: two sections provably overlap through a non-commuting
 //     access pair on the same constant address. Speculation is wasted work;
 //     the runtime starts the lock conventional.
-//   - Commutative: sections overlap, but only through commuting operations
-//     (atomic adds, identical constant stores on the same address).
-//     Recorded as candidates for future phase reconciliation (ROADMAP's
-//     ddtxn item); the runtime treats the verdict like Unknown today.
 //   - Unknown: the footprint is unreliable — an unknown operand inside a
 //     critical section, a dynamic lock operand that may alias this lock, a
 //     mid-section commit hazard, class-level may-aliasing, or a truncated
-//     state exploration. The runtime's adaptive policy decides alone.
+//     state exploration — or the sections overlap only through commuting
+//     operations (atomic adds, identical constant stores on the same
+//     address), which is neither a reason to start conventional nor a proof
+//     that validation cannot fail. The runtime's adaptive policy decides
+//     alone.
 //
 // Unlike the race pass, which may drop facts (missed findings are
 // acceptable there), this pass must over-approximate: a missed access could
@@ -47,7 +47,6 @@ const (
 	VerdictUnknown SpecVerdict = iota
 	VerdictDisjoint
 	VerdictConflicting
-	VerdictCommutative
 )
 
 func (v SpecVerdict) String() string {
@@ -56,8 +55,6 @@ func (v SpecVerdict) String() string {
 		return "disjoint"
 	case VerdictConflicting:
 		return "conflicting"
-	case VerdictCommutative:
-		return "commutative"
 	default:
 		return "unknown"
 	}
@@ -73,8 +70,6 @@ func (v *SpecVerdict) UnmarshalText(b []byte) error {
 		*v = VerdictDisjoint
 	case "conflicting":
 		*v = VerdictConflicting
-	case "commutative":
-		*v = VerdictCommutative
 	case "unknown":
 		*v = VerdictUnknown
 	default:
@@ -125,9 +120,8 @@ func (h *SpecHints) Human() string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "speculation hints: %d disjoint, %d conflicting, %d commutative, %d unknown\n",
-		h.Count(VerdictDisjoint), h.Count(VerdictConflicting),
-		h.Count(VerdictCommutative), h.Count(VerdictUnknown))
+	fmt.Fprintf(&b, "speculation hints: %d disjoint, %d conflicting, %d unknown\n",
+		h.Count(VerdictDisjoint), h.Count(VerdictConflicting), h.Count(VerdictUnknown))
 	for _, l := range h.Locks() {
 		fmt.Fprintf(&b, "  lock %d: %s", l, h.Verdicts[l])
 		if r := h.Reasons[l]; r != "" {
@@ -281,10 +275,10 @@ func commutes(a, b *fpRecord) bool {
 type overlapKind uint8
 
 const (
-	overlapNone overlapKind = iota
-	overlapMay                 // class-level may-alias with a write: demote
-	overlapCommute             // provable overlap, but the pair commutes
-	overlapConflict            // provable non-commuting overlap
+	overlapNone     overlapKind = iota
+	overlapMay                  // class-level may-alias with a write: demote
+	overlapCommute              // provable overlap, but the pair commutes
+	overlapConflict             // provable non-commuting overlap
 )
 
 func classifyPair(a, b *fpRecord) overlapKind {
@@ -326,7 +320,7 @@ func lockMayAliasOperand(classes map[string]bool, opClass string) bool {
 // per-lock conflict graph and returns the verdict table. Verdict
 // precedence: Conflicting (a provable non-commuting overlap exists — the
 // runtime should start conventional regardless of other hazards) beats
-// Unknown (any demotion) beats Commutative beats Disjoint.
+// Unknown (any demotion, may-overlap or commuting overlap) beats Disjoint.
 func analyzeFootprints(summaries []*progSummary) *SpecHints {
 	hints := &SpecHints{Verdicts: map[int64]SpecVerdict{}, Reasons: map[int64]string{}}
 
@@ -435,7 +429,7 @@ func analyzeFootprints(summaries []*progSummary) *SpecHints {
 					}
 				case overlapCommute:
 					if commute == "" {
-						commute = fmt.Sprintf("sections overlap only via commuting ops on %s (pc%d/%s × pc%d/%s) — phase-reconciliation candidate",
+						commute = fmt.Sprintf("sections overlap only via commuting ops on %s (pc%d/%s × pc%d/%s)",
 							describeSVal(a.rec.addr), a.pc, a.prog, b.pc, b.prog)
 					}
 				case overlapMay:
@@ -457,7 +451,7 @@ func analyzeFootprints(summaries []*progSummary) *SpecHints {
 			hints.Verdicts[l] = VerdictUnknown
 			hints.Reasons[l] = mayWhy
 		case commute != "":
-			hints.Verdicts[l] = VerdictCommutative
+			hints.Verdicts[l] = VerdictUnknown
 			hints.Reasons[l] = commute
 		default:
 			hints.Verdicts[l] = VerdictDisjoint

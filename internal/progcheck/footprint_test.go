@@ -110,9 +110,10 @@ func TestFootprintProvableConflict(t *testing.T) {
 	}
 }
 
-// TestFootprintCommutative: overlaps only through commuting pairs classify
-// Commutative; mixing in a non-commuting pair degrades to Conflicting.
-func TestFootprintCommutative(t *testing.T) {
+// TestFootprintCommutingOverlap: overlaps only through commuting pairs
+// classify Unknown — neither a proof that speculation fails nor that it
+// cannot; a non-commuting pair is Conflicting.
+func TestFootprintCommutingOverlap(t *testing.T) {
 	t.Run("atomic-add", func(t *testing.T) {
 		b := dvm.NewBuilder("fpt-add")
 		v := b.Reg()
@@ -120,8 +121,8 @@ func TestFootprintCommutative(t *testing.T) {
 		b.AtomicAdd(v, dvm.Const(10), dvm.Const(1))
 		b.Unlock(dvm.Const(0))
 		p := b.Build()
-		if got := hintOf(t, []*dvm.Program{p, p}, 0); got != VerdictCommutative {
-			t.Fatalf("verdict = %s, want commutative", got)
+		if got := hintOf(t, []*dvm.Program{p, p}, 0); got != VerdictUnknown {
+			t.Fatalf("verdict = %s, want unknown (commuting overlap)", got)
 		}
 	})
 	t.Run("const-store", func(t *testing.T) {
@@ -130,8 +131,8 @@ func TestFootprintCommutative(t *testing.T) {
 		b.Store(dvm.Const(10), dvm.Const(7))
 		b.Unlock(dvm.Const(0))
 		p := b.Build()
-		if got := hintOf(t, []*dvm.Program{p, p}, 0); got != VerdictCommutative {
-			t.Fatalf("verdict = %s, want commutative", got)
+		if got := hintOf(t, []*dvm.Program{p, p}, 0); got != VerdictUnknown {
+			t.Fatalf("verdict = %s, want unknown (commuting overlap)", got)
 		}
 	})
 	t.Run("different-const-stores-conflict", func(t *testing.T) {
@@ -292,7 +293,7 @@ func TestFootprintTruncationDemotes(t *testing.T) {
 
 // TestSpecVerdictTextRoundTrip pins the JSON encoding of verdicts.
 func TestSpecVerdictTextRoundTrip(t *testing.T) {
-	for _, v := range []SpecVerdict{VerdictUnknown, VerdictDisjoint, VerdictConflicting, VerdictCommutative} {
+	for _, v := range []SpecVerdict{VerdictUnknown, VerdictDisjoint, VerdictConflicting} {
 		b, err := v.MarshalText()
 		if err != nil {
 			t.Fatal(err)

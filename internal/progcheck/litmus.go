@@ -256,37 +256,6 @@ func Litmus() []LitmusCase {
 			},
 		},
 		{
-			Name: "fp-commutative-counter",
-			// The critical sections collide on cell 0, but only through
-			// atomic adds, which commute: a phase-reconciliation candidate.
-			Want:      nil,
-			WantHints: map[int64]SpecVerdict{1: VerdictCommutative},
-			Build: func() []*dvm.Program {
-				b := dvm.NewBuilder("fp-atomic-add")
-				v := b.Reg()
-				b.Lock(dvm.Const(1))
-				b.AtomicAdd(v, dvm.Const(0), dvm.Const(1))
-				b.Unlock(dvm.Const(1))
-				p := b.Build()
-				return []*dvm.Program{p, p}
-			},
-		},
-		{
-			Name: "fp-commutative-const-store",
-			// Both replicas blind-write the same constant: either commit
-			// order leaves cell 0 holding 7.
-			Want:      nil,
-			WantHints: map[int64]SpecVerdict{1: VerdictCommutative},
-			Build: func() []*dvm.Program {
-				b := dvm.NewBuilder("fp-const-store")
-				b.Lock(dvm.Const(1))
-				b.Store(dvm.Const(0), dvm.Const(7))
-				b.Unlock(dvm.Const(1))
-				p := b.Build()
-				return []*dvm.Program{p, p}
-			},
-		},
-		{
 			Name: "fp-unknown-dyn-addr",
 			// A store through a dynamic, classless address inside the
 			// critical section makes the footprint unbounded: the lock must

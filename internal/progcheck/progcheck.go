@@ -29,9 +29,9 @@
 //     phases can overlap;
 //   - critical-section footprints (footprint.go): per-lock read/write
 //     footprints lifted into a cross-program conflict graph classifying
-//     every statically known lock as Disjoint, Conflicting, Commutative or
-//     Unknown — the Report.Hints table that seeds LazyDet's speculation
-//     policy through harness.Options.SpecHints.
+//     every statically known lock as Disjoint, Conflicting or Unknown —
+//     the Report.Hints table that seeds LazyDet's speculation policy
+//     through harness.Options.SpecHints.
 //
 // cmd/lazydet-vet exposes the analyzer on the command line, and
 // harness.Options.Vet runs it as a pre-run check.

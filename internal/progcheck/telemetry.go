@@ -37,6 +37,5 @@ func (h *SpecHints) Publish(tel *telemetry.Recorder) {
 	tel.Count("progcheck.hints.locks", int64(len(h.Verdicts)))
 	tel.Count("progcheck.hints.disjoint", int64(h.Count(VerdictDisjoint)))
 	tel.Count("progcheck.hints.conflicting", int64(h.Count(VerdictConflicting)))
-	tel.Count("progcheck.hints.commutative", int64(h.Count(VerdictCommutative)))
 	tel.Count("progcheck.hints.unknown", int64(h.Count(VerdictUnknown)))
 }
