@@ -91,9 +91,6 @@ type SpecConfig struct {
 	// ThresholdPermille is the success-rate threshold (out of 1000)
 	// required to begin speculating; the paper uses 85 % = 850.
 	ThresholdPermille int
-	// RetryEvery forces a probe speculation every N suppressed attempts,
-	// to notice program phase changes; the paper uses 20.
-	RetryEvery int
 	// SpeculativeAtomics executes atomic read-modify-writes inside
 	// speculation runs, detecting conflicts on the accessed locations —
 	// the extension the paper's §7 proposes. When disabled, an atomic
@@ -109,12 +106,12 @@ type SpecConfig struct {
 }
 
 // DefaultSpecConfig returns the speculation parameters used by every
-// experiment. Like the paper (§3.4), the success threshold and retry period
-// are 85 % and 20, and the parameter set was tuned once on the hash-table
-// microbenchmark and then applied to all workloads: on this runtime a
-// coarsening limit of 8 critical sections maximizes hash-table throughput
-// (longer runs enlarge the lock set, and with it the conflict probability,
-// faster than they amortize commits).
+// experiment. Like the paper (§3.4), the success threshold is 85 % (virtual
+// probes replace its retry period) and the parameter set was tuned once on
+// the hash-table microbenchmark and then applied to all workloads: on this
+// runtime a coarsening limit of 8 critical sections maximizes hash-table
+// throughput (longer runs enlarge the lock set, and with it the conflict
+// probability, faster than they amortize commits).
 func DefaultSpecConfig() SpecConfig {
 	return SpecConfig{
 		Coarsening:         true,
@@ -122,7 +119,6 @@ func DefaultSpecConfig() SpecConfig {
 		Irrevocable:        true,
 		PerLockStats:       true,
 		ThresholdPermille:  850,
-		RetryEvery:         20,
 		SpeculativeAtomics: true,
 	}
 }
@@ -169,9 +165,8 @@ const (
 	HintDisjoint
 	// HintConflicting: two sections provably write-overlap on a constant
 	// address, so speculation is wasted work. The engine seeds the lock's
-	// success histories at all-failure (conventional until RetryEvery
-	// probing earns speculation back) instead of the optimistic
-	// all-success default.
+	// success histories at all-failure (conventional until virtual probes
+	// earn speculation back) instead of the optimistic all-success default.
 	HintConflicting
 )
 
@@ -189,9 +184,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Spec.ThresholdPermille == 0 {
 		c.Spec.ThresholdPermille = 850
-	}
-	if c.Spec.RetryEvery == 0 {
-		c.Spec.RetryEvery = 20
 	}
 	return c
 }
@@ -227,6 +219,9 @@ type Engine struct {
 	times *stats.Times
 	spec  *stats.Spec
 	tel   *telemetry.Recorder
+
+	// tel's per-turn and per-release counter cells, resolved once.
+	turnWaits, elided *telemetry.Counter
 
 	// mems holds the per-thread memory windows, indexed by thread ID.
 	mems []mempipe.Thread
@@ -273,6 +268,8 @@ func New(cfg Config, d Deps) *Engine {
 		times:            d.Times,
 		spec:             d.Spec,
 		tel:              d.Tel,
+		turnWaits:        d.Tel.Handle("turn.waits"),
+		elided:           d.Tel.Handle("commit.elided"),
 		irrevocableOwner: -1,
 	}
 	if cfg.Mode == ModeStrong {
@@ -301,8 +298,8 @@ func New(cfg Config, d Deps) *Engine {
 	}
 	if d.Tbl != nil {
 		// Conflicting-hinted locks start pessimistic: an all-failure
-		// success history keeps them conventional until RetryEvery probing
-		// earns speculation back, instead of paying the warm-up reverts
+		// success history keeps them conventional until virtual probes earn
+		// speculation back, instead of paying the warm-up reverts
 		// the optimistic all-success seed would. (A no-op without per-lock
 		// statistics: the SpecHist slices are nil then.) Elision histories
 		// need no such zeroing: they start zero for every lock and are
@@ -383,8 +380,8 @@ type tstate struct {
 	noSpecNext   bool    // progress guarantee after a revert (§3.2)
 
 	// Per-thread speculation history, used when PerLockStats is off.
-	threadHist     uint64
-	threadAttempts uint32
+	threadHist uint64
+	probe      specProbe // pending virtual probe; touched only with the turn held
 
 	// Publication-elision state (elide.go): when elidePending is set, the
 	// thread's most recent publication was deferred at lock elideLock's
@@ -405,6 +402,16 @@ type tstate struct {
 	virtPending bool
 	virtLock    int64
 	virtSeq     int64
+}
+
+// specProbe is a run not taken (spec.go's virtualProbe): what a run begun at
+// an outermost conventional acquisition of lock would have validated against,
+// and how many more outermost acquisitions it stays open for (0: no probe).
+type specProbe struct {
+	write       bool
+	lock        int64
+	begin, base int64
+	left        int
 }
 
 func (e *Engine) ts(t *dvm.Thread) *tstate { return t.EngineData.(*tstate) }
@@ -577,7 +584,7 @@ func (e *Engine) waitCommitTurn(t *dvm.Thread) {
 		}
 		if e.irrevocableOwner == -1 || e.irrevocableOwner == t.ID {
 			if e.tel != nil {
-				e.tel.Count("turn.waits", 1)
+				e.turnWaits.Add(1)
 				if retries > 0 {
 					e.tel.Count("turn.retries", retries)
 				}

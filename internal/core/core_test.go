@@ -156,7 +156,8 @@ func TestRevertRestoresRegistersAndHeap(t *testing.T) {
 
 // TestAdaptiveDisablesSpeculation: with an always-conflicting lock, the
 // per-lock history must fall below the threshold and speculative
-// acquisitions must become a small fraction (only periodic probes remain).
+// acquisitions must become a small fraction (only the warm-up remains;
+// TestStandDownIsBounded counts it).
 func TestAdaptiveDisablesSpeculation(t *testing.T) {
 	r := newRig(t, lazyCfg(), 4, 64, 1, 0, 0)
 	b := dvm.NewBuilder("p")

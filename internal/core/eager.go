@@ -26,7 +26,7 @@ import (
 func (e *Engine) Lock(t *dvm.Thread, l int64) {
 	ts := e.ts(t)
 	if e.cfg.Speculation {
-		e.lazyLock(t, ts, l)
+		e.lazyAcquire(t, ts, l, true)
 		return
 	}
 	e.convLock(t, ts, l)
@@ -58,6 +58,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && st.Readers == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
+			e.virtualProbe(ts, t.ID, l, true, my)
 			st.Owner = int32(t.ID) + 1
 			st.LastAcquireDLC = my
 			if !e.cfg.Spec.WriteAware {
@@ -108,6 +109,9 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 		// The critical section's writes became visible with this
 		// commit; speculation runs based on older heap states conflict.
 		st.LastCommitSeq = e.pipe.Seq()
+	}
+	if ts.probe.left > 0 && ts.probe.lock == l {
+		ts.probe.base = st.LastCommitSeq // a virtual run's own release is not a conflict
 	}
 	e.rec.Sync(t.ID, trace.OpRelease, l, st.ReleaseDLC)
 	e.arb.ReleaseTurn(t.ID, syncCost)

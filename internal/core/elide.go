@@ -199,7 +199,7 @@ func (e *Engine) sync(t *dvm.Thread, ts *tstate, p mempipe.Point, l int64) {
 		e.rec.Commit(t.ID, my, out.Seq)
 		if e.tel != nil {
 			if out.Staged {
-				e.tel.Count("commit.elided", 1)
+				e.elided.Add(1)
 			}
 			e.tel.Span(t.ID, telemetry.SpanCommit, my, my, out.Seq)
 		}

@@ -24,7 +24,7 @@ import (
 func (e *Engine) RLock(t *dvm.Thread, l int64) {
 	ts := e.ts(t)
 	if e.cfg.Speculation {
-		e.lazyRLock(t, ts, l)
+		e.lazyAcquire(t, ts, l, false)
 		return
 	}
 	e.convRLock(t, ts, l)
@@ -40,39 +40,6 @@ func (e *Engine) RUnlock(t *dvm.Thread, l int64) {
 	e.convRUnlock(t, ts, l)
 }
 
-// lazyRLock mirrors lazyLock for shared acquisitions: the same decision
-// tree, with the acquisition logged as a read.
-func (e *Engine) lazyRLock(t *dvm.Thread, ts *tstate, l int64) {
-	if ts.spec {
-		if ts.depth > 0 {
-			e.specAcquire(t, ts, l, false)
-			return
-		}
-		want := e.shouldSpeculate(ts, t.ID, l)
-		if want && ts.runCS < e.cfg.Spec.MaxRunCS {
-			e.specAcquire(t, ts, l, false)
-			return
-		}
-		if !e.terminateRun(t, ts) {
-			return
-		}
-		if want && !ts.noSpecNext {
-			e.beginRun(t, ts)
-			e.specAcquire(t, ts, l, false)
-			return
-		}
-		e.convRLock(t, ts, l)
-		return
-	}
-	if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, t.ID, l) {
-		e.beginRun(t, ts)
-		e.specAcquire(t, ts, l, false)
-		return
-	}
-	ts.noSpecNext = false
-	e.convRLock(t, ts, l)
-}
-
 // convRLock takes a shared acquisition at the turn: admitted whenever no
 // writer holds the lock. Reader counts change only at turns, so admission
 // is deterministic.
@@ -84,6 +51,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
+			e.virtualProbe(ts, t.ID, l, false, my)
 			st.Readers++
 			st.Acquires++
 			ts.depth++

@@ -14,45 +14,46 @@ import (
 // elision, lock-level conflict detection, commit and revert, adaptive
 // speculation, and irrevocable upgrade.
 
-// lazyLock is the LazyDet lock-acquisition path. Every acquisition at
-// critical-section depth 0 is a decision point: begin a run, continue the
-// current run, terminate it, or fall back to a conventional acquisition
-// (Figure 3 in the paper).
-func (e *Engine) lazyLock(t *dvm.Thread, ts *tstate, l int64) {
+// lazyAcquire is the LazyDet lock-acquisition path, exclusive (write) or
+// shared (logged as a read). Every acquisition at critical-section depth 0 is
+// a decision point: begin a run, continue the current run, terminate it, or
+// fall back to a conventional acquisition (Figure 3 in the paper).
+func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	if ts.spec {
 		if ts.depth > 0 {
 			// Nested acquisition inside a speculative critical
 			// section: nesting is flattened into the run (§6.2).
-			e.specAcquire(t, ts, l, true)
+			e.specAcquire(t, ts, l, write)
 			return
 		}
 		want := e.shouldSpeculate(ts, t.ID, l)
 		if want && ts.runCS < e.cfg.Spec.MaxRunCS {
-			e.specAcquire(t, ts, l, true)
+			e.specAcquire(t, ts, l, write)
 			return
 		}
 		if !e.terminateRun(t, ts) {
 			return // reverted: execution restarts from the snapshot
 		}
-		if want && !ts.noSpecNext {
+		if want {
 			// The run only ended because it hit the coarsening
 			// limit; chain a fresh run starting at this lock.
 			e.beginRun(t, ts)
-			e.specAcquire(t, ts, l, true)
+			e.specAcquire(t, ts, l, write)
 			return
 		}
-		e.convLock(t, ts, l)
-		return
-	}
-	if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, t.ID, l) {
+	} else if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, t.ID, l) {
 		e.beginRun(t, ts)
-		e.specAcquire(t, ts, l, true)
+		e.specAcquire(t, ts, l, write)
 		return
 	}
 	// Progress guarantee: after a revert the next critical section runs
 	// without speculation (§3.2).
 	ts.noSpecNext = false
-	e.convLock(t, ts, l)
+	if write {
+		e.convLock(t, ts, l)
+	} else {
+		e.convRLock(t, ts, l)
+	}
 }
 
 // beginRun starts a speculation run at the current lock acquisition:
@@ -106,10 +107,10 @@ func (e *Engine) specRelease(t *dvm.Thread, ts *tstate, l int64) {
 }
 
 // shouldSpeculate makes the adaptive speculation decision (§3.4) from the
-// 64-bit success history: speculate when the success rate is at or above
-// the threshold; below it, probe every RetryEvery suppressed attempts to
-// notice program phase changes. All state read here is thread-private, so
-// the decision is deterministic.
+// 64-bit success history: speculate while the success rate is at the
+// threshold. Below it the history fills from virtual probes (virtualProbe),
+// not from the paper's real probe every 20th attempt (DESIGN.md §4d has why).
+// A thread reads only its own histories, so the decision is deterministic.
 func (e *Engine) shouldSpeculate(ts *tstate, tid int, l int64) bool {
 	// A statically Disjoint lock always speculates: its critical sections
 	// have provably non-overlapping footprints, so speculation on it can
@@ -120,21 +121,44 @@ func (e *Engine) shouldSpeculate(ts *tstate, tid int, l int64) bool {
 	if e.hint(l) == HintDisjoint {
 		return true
 	}
-	var hist uint64
-	var attempts *uint32
+	h, thr := *e.specHist(ts, tid, l), e.cfg.Spec.ThresholdPermille
+	return detsync.SuccessRatePermille(h) >= thr
+}
+
+// specHist is thread tid's history for lock l — the thread's one history
+// when per-lock statistics are off (Figure 11's LAZYDET-NoPerLockStats).
+func (e *Engine) specHist(ts *tstate, tid int, l int64) *uint64 {
 	if e.cfg.Spec.PerLockStats {
-		st := &e.tbl.Locks[l]
-		hist = st.SpecHist[tid]
-		attempts = &st.SpecAttempts[tid]
-	} else {
-		hist = ts.threadHist
-		attempts = &ts.threadAttempts
+		return &e.tbl.Locks[l].SpecHist[tid]
 	}
-	if detsync.SuccessRatePermille(hist) >= e.cfg.Spec.ThresholdPermille {
-		return true
+	return &ts.threadHist
+}
+
+// virtualProbe is the policy's evidence source below the threshold, and costs
+// nothing: a conventional acquisition takes the turn anyway, and whether a run
+// begun at it would have validated is the question validate asks of a lock
+// (lockIntact), put to the BEGIN and heap base the acquisition itself defines.
+// Called by the conventional acquire arms with the turn held, l free and not
+// yet taken, my the thread's clock. Like a real run, a virtual one is begun by
+// its first lock's history and stays open for up to MaxRunCS outermost
+// acquisitions, which are inside it and begin nothing; it resolves into its
+// lock's history at the last of them, or sooner if the thread comes back to
+// the lock. Then l arms one, unless its history says speculate: a conventional
+// acquisition there is the post-revert progress guarantee and proves nothing.
+func (e *Engine) virtualProbe(ts *tstate, tid int, l int64, write bool, my int64) {
+	if !e.cfg.Speculation || ts.depth > 0 {
+		return
 	}
-	*attempts++
-	return int(*attempts)%e.cfg.Spec.RetryEvery == 0
+	if p := &ts.probe; p.left > 0 {
+		if p.left--; p.left > 0 && p.lock != l {
+			return
+		}
+		h := e.specHist(ts, tid, p.lock)
+		*h = detsync.PushOutcome(*h, e.lockIntact(&e.tbl.Locks[p.lock], p.write, p.begin, p.base))
+	}
+	if !e.shouldSpeculate(ts, tid, l) {
+		ts.probe = specProbe{write: write, lock: l, begin: my, base: e.tbl.Locks[l].LastCommitSeq, left: e.cfg.Spec.MaxRunCS}
+	}
 }
 
 // recordOutcome shifts the run's outcome into the history of every lock it
@@ -148,6 +172,20 @@ func (e *Engine) recordOutcome(ts *tstate, tid int, success bool) {
 		h := &e.tbl.Locks[r.lock].SpecHist[tid]
 		*h = detsync.PushOutcome(*h, success)
 	}
+}
+
+// lockIntact is conflict detection for one lock (§3.2), shared by validate
+// and the virtual probes so the two cannot drift: a run that logged st
+// (exclusively if write) at clock begin on heap base base is still valid iff
+// st is not held against it and nobody acquired or committed it since.
+func (e *Engine) lockIntact(st *detsync.Lock, write bool, begin, base int64) bool {
+	if st.Owner != 0 || write && st.Readers != 0 {
+		return false // held exclusively, or our write meets live readers
+	}
+	if !e.cfg.Spec.WriteAware && st.LastAcquireDLC > begin {
+		return false
+	}
+	return st.LastCommitSeq <= base
 }
 
 // validate is conflict detection (§3.2): the run fails if any lock it
@@ -177,20 +215,7 @@ func (e *Engine) validate(ts *tstate) bool {
 			// Soundness argument: DESIGN.md §5e.
 			continue
 		}
-		st := &e.tbl.Locks[l]
-		if st.Owner != 0 {
-			st.ConflictReverts++
-			return false // exclusively held by another thread
-		}
-		if r.write && st.Readers != 0 {
-			st.ConflictReverts++
-			return false // our write conflicts with live readers
-		}
-		if !e.cfg.Spec.WriteAware && st.LastAcquireDLC > ts.begin {
-			st.ConflictReverts++
-			return false
-		}
-		if st.LastCommitSeq > ts.baseAtBegin {
+		if st := &e.tbl.Locks[l]; !e.lockIntact(st, r.write, ts.begin, ts.baseAtBegin) {
 			st.ConflictReverts++
 			return false
 		}
@@ -287,13 +312,18 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 // discard the run's private pages, reinstating the pre-run dirty set (the
 // thread's writes from before the run must survive its failure). The DLC is
 // deliberately left unchanged (§3.3). Caller holds the turn.
-//
-//lazydet:nondeterministic the wall clock only measures the revert's cost for stats.Spec; the value never influences control flow
 func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
-	start := time.Now()
+	var start time.Time
+	if e.spec != nil {
+		//lazydet:nondeterministic the wall clock only measures the revert's cost for stats.Spec; the value never influences control flow
+		start = time.Now()
+	}
 	discarded := ts.mem.RevertTo(ts.dirtySnap)
 	t.Restore(ts.snap)
-	cost := time.Since(start).Nanoseconds()
+	if e.spec != nil {
+		e.spec.Reverts.Add(1)
+		e.spec.AddRevertSample(time.Since(start).Nanoseconds(), discarded) //lazydet:nondeterministic as above
+	}
 	if e.audit != nil {
 		// The thread must be exactly its BEGIN snapshot again, and the
 		// dirty set exactly the pre-run dirty set: snapshotting it afresh
@@ -304,10 +334,6 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 		e.audit.AtWindow(t.ID, ts.mem)
 	}
 	e.recordOutcome(ts, t.ID, false)
-	if e.spec != nil {
-		e.spec.Reverts.Add(1)
-		e.spec.AddRevertSample(cost, discarded)
-	}
 	if e.tel != nil {
 		my := e.arb.DLC(t.ID)
 		e.tel.Count("spec.reverted_words", int64(discarded))

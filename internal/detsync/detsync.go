@@ -44,9 +44,6 @@ type Lock struct {
 	// metadata is per-thread so speculation decisions stay deterministic
 	// (paper footnote 3).
 	SpecHist []uint64
-	// SpecAttempts counts, per thread, speculation decisions made while
-	// below the success threshold, to implement retry-every-N probing.
-	SpecAttempts []uint32
 	// ConflictReverts counts speculation reverts attributed to this lock:
 	// validation runs whose first failing check was one of this lock's
 	// conflict checks. Reverts caused by atomic-location validation are
@@ -117,17 +114,15 @@ func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
 		t.wake[i] = make(chan struct{}, 1)
 	}
 	if specMeta {
-		// Two flat backing arrays instead of two slices per lock: workloads
-		// with thousands of locks (hash-table buckets) would otherwise pay
-		// 2·nlocks allocations here on every run.
+		// One flat backing array instead of a slice per lock: workloads with
+		// thousands of locks (hash-table buckets) would otherwise pay nlocks
+		// allocations here on every run.
 		hist := make([]uint64, nlocks*nthreads)
 		for i := range hist {
 			hist[i] = ^uint64(0)
 		}
-		attempts := make([]uint32, nlocks*nthreads)
 		for i := range t.Locks {
 			t.Locks[i].SpecHist = hist[i*nthreads : (i+1)*nthreads : (i+1)*nthreads]
-			t.Locks[i].SpecAttempts = attempts[i*nthreads : (i+1)*nthreads : (i+1)*nthreads]
 		}
 	}
 	return t

@@ -12,7 +12,7 @@ func TestNewTableAllocation(t *testing.T) {
 			len(tbl.Locks), len(tbl.Conds), len(tbl.Barriers))
 	}
 	for i := range tbl.Locks {
-		if len(tbl.Locks[i].SpecHist) != 4 || len(tbl.Locks[i].SpecAttempts) != 4 {
+		if len(tbl.Locks[i].SpecHist) != 4 {
 			t.Fatalf("lock %d speculation metadata not per-thread", i)
 		}
 		for tid := 0; tid < 4; tid++ {

@@ -166,15 +166,16 @@ type versioned struct {
 func NewVersioned(h *vheap.Heap, tel *telemetry.Recorder) Pipeline { return versioned{h, tel} }
 
 func (p versioned) NewThread(tid int) Thread {
-	return &versionedThread{v: p.h.NewView(), tel: p.tel}
+	return &versionedThread{v: p.h.NewView(), tel: p.tel, publishes: p.tel.Handle("mempipe.publishes")}
 }
 func (p versioned) Seq() int64                     { return p.h.Seq() }
 func (p versioned) Shards() int                    { return p.h.Shards() }
 func (p versioned) ReadCommitted(addr int64) int64 { return p.h.ReadCommitted(addr) }
 
 type versionedThread struct {
-	v   *vheap.View
-	tel *telemetry.Recorder
+	v         *vheap.View
+	tel       *telemetry.Recorder
+	publishes *telemetry.Counter // tel's "mempipe.publishes", resolved once
 }
 
 func (t *versionedThread) Load(addr int64) int64               { return t.v.Load(addr) }
@@ -250,7 +251,7 @@ func (t *versionedThread) Publish() (int64, bool) {
 // dirty-set size it found.
 func (t *versionedThread) countPublish() {
 	if t.tel != nil {
-		t.tel.Count("mempipe.publishes", 1)
+		t.publishes.Add(1)
 		t.tel.Observe("mempipe.publish_dirty_words", int64(t.v.DirtyWords()))
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // SpanKind names a span category on a thread's DLC timeline.
@@ -112,7 +113,7 @@ func BucketLow(i int) int64 {
 // without locking — the same discipline internal/trace uses.
 type Recorder struct {
 	mu       sync.Mutex
-	counters map[string]int64
+	counters map[string]*Counter
 	gauges   map[string]float64
 	hists    map[string]*hist
 
@@ -122,7 +123,7 @@ type Recorder struct {
 // New returns an enabled recorder for counters, gauges and histograms.
 func New() *Recorder {
 	return &Recorder{
-		counters: make(map[string]int64),
+		counters: make(map[string]*Counter),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*hist),
 	}
@@ -142,15 +143,45 @@ func (r *Recorder) Enabled() bool { return r != nil }
 // SpansEnabled reports whether span timelines are kept.
 func (r *Recorder) SpansEnabled() bool { return r != nil && r.spans != nil }
 
-// Count adds delta to the named counter.
-func (r *Recorder) Count(name string, delta int64) {
-	if r == nil {
+// Counter is one counter's cell. A publisher on a hot path resolves its cell
+// once (Recorder.Handle) and adds to it without the registry's mutex or a
+// string hash; the nil *Counter is the disabled recorder's handle.
+type Counter struct {
+	v atomic.Int64
+	// used is set by the first Add: a cell that was resolved but never added
+	// to stays out of snapshots, exactly as a name never passed to Count.
+	used atomic.Bool
+}
+
+// Add adds delta to the counter.
+func (c *Counter) Add(delta int64) {
+	if c == nil {
 		return
 	}
-	r.mu.Lock()
-	r.counters[name] += delta
-	r.mu.Unlock()
+	c.v.Add(delta)
+	if !c.used.Load() {
+		c.used.Store(true)
+	}
 }
+
+// Handle returns the named counter's cell, creating it on first use.
+func (r *Recorder) Handle(name string) *Counter {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.counters[name]
+	if c == nil {
+		c = new(Counter)
+		r.counters[name] = c
+	}
+	return c
+}
+
+// Count adds delta to the named counter: Handle(name).Add(delta), for
+// publishers that count a few times per run.
+func (r *Recorder) Count(name string, delta int64) { r.Handle(name).Add(delta) }
 
 // SetGauge sets the named gauge.
 func (r *Recorder) SetGauge(name string, v float64) {
@@ -196,7 +227,10 @@ func (r *Recorder) Counter(name string) int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[name]
+	if c := r.counters[name]; c != nil {
+		return c.v.Load()
+	}
+	return 0
 }
 
 // Gauge returns the named gauge's current value (0 when absent or nil).
@@ -256,8 +290,10 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, v := range r.counters {
-		s.Counters[k] = v
+	for k, c := range r.counters {
+		if c.used.Load() {
+			s.Counters[k] = c.v.Load()
+		}
 	}
 	for k, v := range r.gauges {
 		s.Gauges[k] = v
@@ -282,8 +318,10 @@ func (r *Recorder) CounterNames() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
+	for k, c := range r.counters {
+		if c.used.Load() {
+			names = append(names, k)
+		}
 	}
 	sort.Strings(names)
 	return names

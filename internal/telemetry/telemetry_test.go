@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Count("x", 1)
+	r.Handle("x").Add(1)
 	r.SetGauge("g", 2)
 	r.Observe("h", 3)
 	r.Span(0, SpanCommit, 1, 2, 3)
@@ -72,6 +74,45 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 	if hs := r.Snapshot().Histograms["h"]; hs.N != 8000 {
 		t.Fatalf("histogram n = %d, want 8000", hs.N)
+	}
+}
+
+// TestCounterHandles: a resolved cell and Count on its name are one counter,
+// adds through either sum exactly under concurrency, and resolving a cell
+// does not by itself put the name in a snapshot — a publisher that resolves
+// every cell at construction leaves the same snapshot as one that calls Count
+// when something happens. Count(name, 0) does register the name, as it always
+// has.
+func TestCounterHandles(t *testing.T) {
+	r := New()
+	hot, idle := r.Handle("hot"), r.Handle("idle")
+	if r.Handle("hot") != hot {
+		t.Fatal("Handle resolved one name to two cells")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				hot.Add(1)
+				r.Count("hot", 2)
+			}
+		}()
+	}
+	wg.Wait()
+	r.Count("zero", 0)
+	idle.Add(0)
+	r.Handle("never")
+	if got := r.Counter("hot"); got != 24000 {
+		t.Fatalf("counter hot = %d, want 24000", got)
+	}
+	want := map[string]int64{"hot": 24000, "zero": 0, "idle": 0}
+	if got := r.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot counters = %v, want %v", got, want)
+	}
+	if names := r.CounterNames(); !reflect.DeepEqual(names, []string{"hot", "idle", "zero"}) {
+		t.Fatalf("counter names = %v", names)
 	}
 }
 

@@ -99,9 +99,7 @@ func (v *View) StagePublish() (int64, bool) {
 	h.seq.Store(seq)
 	v.unstaged = false
 	v.rebaseDirty(seq)
-	if h.tel != nil {
-		h.tel.Count("vheap.stage_publishes", 1)
-	}
+	h.ctr.stagePublishes.Add(1)
 	return seq, true
 }
 
@@ -297,21 +295,8 @@ func (h *Heap) applyStage(s *stage) {
 		h.pageHits.Add(pageHits)
 		h.pageMisses.Add(pageMisses)
 	}
-	if h.tel != nil {
-		h.tel.Count("vheap.commits", 1)
-		h.tel.Count("vheap.stage_flushes", 1)
-		h.tel.Count("vheap.pages_committed", pages)
-		h.tel.Count("vheap.words_committed", int64(changed))
-		h.tel.Count("vheap.words_scanned", scanned)
-		h.tel.Count("vheap.shard_batches", batches)
-		h.tel.Observe("vheap.commit_words", int64(changed))
-		if pageHits != 0 {
-			h.tel.Count("vheap.page_pool_hits", pageHits)
-		}
-		if pageMisses != 0 {
-			h.tel.Count("vheap.page_pool_misses", pageMisses)
-		}
-	}
+	h.ctr.stageFlushes.Add(1)
+	h.countCommit(pages, int64(changed), scanned, batches, 0, 0, pageHits, pageMisses)
 }
 
 // RefreshDirty re-bases the view on the newest committed state while

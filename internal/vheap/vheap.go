@@ -104,7 +104,7 @@ type heapShard struct {
 	// frame safe to overwrite in a later commit. Guarded by mu.
 	pagePool []*page
 
-	// Trim-floor cache: recomputing the floor is an O(views) map scan under
+	// Trim-floor cache: recomputing the floor is an O(views) scan under
 	// viewMu, so commits into this shard reuse the last computed value
 	// until it is invalidated — by view registration/unregistration, or by
 	// a re-base of a view that sat at (or below) the cached floor. View
@@ -142,8 +142,8 @@ type Heap struct {
 	ppsShift uint
 	shards   []heapShard
 
-	viewMu sync.Mutex         // guards the live-view registry
-	views  map[*View]struct{} // live views, for trim floor computation
+	viewMu sync.Mutex // guards the live-view registry
+	views  []*View    // live views in no particular order, for trim floor computation
 
 	// Outstanding deferred publications (see stage.go). nstaged mirrors
 	// len(stages) so the no-elision fast path is one atomic load.
@@ -166,6 +166,16 @@ type Heap struct {
 	// tel, if non-nil, receives commit metrics ("vheap.*" counters and the
 	// commit-size histogram). Nil costs one pointer compare per commit.
 	tel *telemetry.Recorder
+	ctr heapCounters
+}
+
+// heapCounters are tel's "vheap.*" counter cells, resolved once in New: every
+// commit adds to them, so the path takes no registry mutex and hashes no
+// name. All nil (and nil-safe) without telemetry.
+type heapCounters struct {
+	commits, pages, words, scanned, batches      *telemetry.Counter
+	stagePublishes, stageFlushes                 *telemetry.Counter
+	frameHits, frameMisses, pageHits, pageMisses *telemetry.Counter
 }
 
 // Option configures a Heap.
@@ -249,9 +259,21 @@ func New(words int64, opts ...Option) *Heap {
 		slots:     make([]atomic.Pointer[page], np),
 		ppsShift:  uint(bits.TrailingZeros(uint(pps))),
 		shards:    make([]heapShard, (np+pps-1)/pps),
-		views:     make(map[*View]struct{}),
 		trim:      !cfg.keepChains,
 		tel:       cfg.tel,
+		ctr: heapCounters{
+			commits:        cfg.tel.Handle("vheap.commits"),
+			pages:          cfg.tel.Handle("vheap.pages_committed"),
+			words:          cfg.tel.Handle("vheap.words_committed"),
+			scanned:        cfg.tel.Handle("vheap.words_scanned"),
+			batches:        cfg.tel.Handle("vheap.shard_batches"),
+			stagePublishes: cfg.tel.Handle("vheap.stage_publishes"),
+			stageFlushes:   cfg.tel.Handle("vheap.stage_flushes"),
+			frameHits:      cfg.tel.Handle("vheap.frame_pool_hits"),
+			frameMisses:    cfg.tel.Handle("vheap.frame_pool_misses"),
+			pageHits:       cfg.tel.Handle("vheap.page_pool_hits"),
+			pageMisses:     cfg.tel.Handle("vheap.page_pool_misses"),
+		},
 	}
 	for i := range h.shards {
 		h.shards[i].lastFloor = -1
@@ -352,8 +374,7 @@ func (h *Heap) pageAt(pi int, base int64) *page {
 // view. Caller holds h.viewMu.
 func (h *Heap) trimFloorLocked() int64 {
 	floor := int64(math.MaxInt64)
-	//lazydet:nondeterministic order-independent min-reduction over the live-view set
-	for v := range h.views {
+	for _, v := range h.views {
 		if b := v.base.Load(); b < floor {
 			floor = b
 		}
@@ -519,8 +540,7 @@ func (h *Heap) Audit() error {
 		}
 	}
 	floor := h.trimFloorLocked()
-	//lazydet:nondeterministic order-independent audit: every view is checked, the first offender differs only in the error text
-	for v := range h.views {
+	for _, v := range h.views {
 		if b := v.base.Load(); b > top {
 			return fmt.Errorf("vheap: live view base %d is ahead of the newest commit %d", b, top)
 		}
@@ -639,6 +659,7 @@ type View struct {
 	frameHits int64 // flushed into heap totals (and telemetry) at Commit
 	frameMiss int64
 	closed    bool // Close happened; further Closes are no-ops
+	slot      int  // index in h.views while registered; guarded by h.viewMu
 
 	// stg is the view's deferred publication (stage.go), nil until the first
 	// elided publish. unstaged records whether any store happened since the
@@ -667,7 +688,8 @@ func (h *Heap) NewView() *View {
 	}
 	h.viewMu.Lock()
 	v.base.Store(h.seq.Load())
-	h.views[v] = struct{}{}
+	v.slot = len(h.views)
+	h.views = append(h.views, v)
 	h.viewMu.Unlock()
 	h.invalidateFloors()
 	return v
@@ -692,7 +714,11 @@ func (v *View) Close() {
 	unregistered := false
 	if !v.closed {
 		v.closed = true
-		delete(v.h.views, v)
+		last := len(v.h.views) - 1
+		v.h.views[v.slot] = v.h.views[last]
+		v.h.views[v.slot].slot = v.slot
+		v.h.views[last] = nil
+		v.h.views = v.h.views[:last]
 		unregistered = true
 	}
 	v.h.viewMu.Unlock()
@@ -1048,32 +1074,39 @@ func (v *View) Commit() (seq int64, changed int) {
 		h.pageHits.Add(pageHits)
 		h.pageMisses.Add(pageMisses)
 	}
-	if h.tel != nil {
-		h.tel.Count("vheap.commits", 1)
-		h.tel.Count("vheap.pages_committed", pages)
-		h.tel.Count("vheap.words_committed", int64(changed))
-		h.tel.Count("vheap.words_scanned", scanned)
-		h.tel.Count("vheap.shard_batches", batches)
-		h.tel.Observe("vheap.commit_words", int64(changed))
-		if frameHits != 0 {
-			h.tel.Count("vheap.frame_pool_hits", frameHits)
-		}
-		if frameMiss != 0 {
-			h.tel.Count("vheap.frame_pool_misses", frameMiss)
-		}
-		if pageHits != 0 {
-			h.tel.Count("vheap.page_pool_hits", pageHits)
-		}
-		if pageMisses != 0 {
-			h.tel.Count("vheap.page_pool_misses", pageMisses)
-		}
-	}
+	h.countCommit(pages, int64(changed), scanned, batches, frameHits, frameMiss, pageHits, pageMisses)
 	v.base.Store(newSeq)
 	h.noteRebase(oldBase)
 	v.unstaged = false
 	v.clearDirty()
 	v.invalidateClean()
 	return newSeq, changed
+}
+
+// countCommit publishes one physical commit (a view's or a flushed stage's)
+// into telemetry. A pool counter that never fired stays out of the snapshot.
+func (h *Heap) countCommit(pages, changed, scanned, batches, frameHits, frameMiss, pageHits, pageMisses int64) {
+	if h.tel == nil {
+		return
+	}
+	h.ctr.commits.Add(1)
+	h.ctr.pages.Add(pages)
+	h.ctr.words.Add(changed)
+	h.ctr.scanned.Add(scanned)
+	h.ctr.batches.Add(batches)
+	h.tel.Observe("vheap.commit_words", changed)
+	if frameHits != 0 {
+		h.ctr.frameHits.Add(frameHits)
+	}
+	if frameMiss != 0 {
+		h.ctr.frameMisses.Add(frameMiss)
+	}
+	if pageHits != 0 {
+		h.ctr.pageHits.Add(pageHits)
+	}
+	if pageMisses != 0 {
+		h.ctr.pageMisses.Add(pageMisses)
+	}
 }
 
 // trimChainLocked cuts the version chain below the newest version whose seq

@@ -118,3 +118,45 @@ func TestTrimFloorCacheRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLiveViewRegistryCloseOrder closes views out of registration order: the
+// registry is a slice with swap-remove, so a Close that moved the wrong entry
+// (or left the moved view's slot stale) would unregister a live view and let
+// a later commit trim below its base — the floor every commit trims at must
+// be the oldest base among exactly the views still open.
+func TestLiveViewRegistryCloseOrder(t *testing.T) {
+	h := New(32, WithPageWords(32))
+	w := h.NewView()
+	var pins []*View // pins[i] is based at sequence i
+	for i := 0; i < 5; i++ {
+		pins = append(pins, h.NewView())
+		w.Store(0, int64(i+1))
+		w.Commit()
+	}
+	floorAfterCommit := func() int64 {
+		w.Store(0, w.Load(0)+1)
+		w.Commit()
+		if err := h.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		return h.ShardTrimFloors()[0]
+	}
+	for _, step := range []struct {
+		close int   // index into pins
+		floor int64 // oldest base still open afterwards
+	}{{1, 0}, {4, 0}, {0, 2}, {2, 3}, {3, -2}} {
+		pins[step.close].Close()
+		want := step.floor
+		if want == -2 {
+			want = h.Seq() // only w is left, and it trims at its own pre-commit base
+		}
+		if got := floorAfterCommit(); got != want {
+			t.Fatalf("after closing the view based at %d: next commit trimmed at floor %d, want %d", step.close, got, want)
+		}
+	}
+	for i, p := range pins {
+		if got := p.BaseSeq(); got != int64(i) {
+			t.Fatalf("pinned view %d moved to base %d", i, got)
+		}
+	}
+}

@@ -120,7 +120,7 @@ func FromReg(r Reg) dvm.Val { return dvm.FromReg(r) }
 func Dyn(f func(*Thread) int64) dvm.Val { return dvm.Dyn(f) }
 
 // DefaultSpecConfig returns the speculation parameters used by the paper's
-// experiments (85 % success threshold, probe every 20 attempts, per-lock
+// experiments (85 % success threshold, virtual probes below it, per-lock
 // statistics, coarsening, irrevocable upgrade).
 func DefaultSpecConfig() SpecConfig { return core.DefaultSpecConfig() }
 

@@ -2,6 +2,7 @@ package lazydet_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -162,8 +163,11 @@ func TestPublicAPISpecConfig(t *testing.T) {
 	if !sc.Coarsening || !sc.Irrevocable || !sc.PerLockStats {
 		t.Fatalf("default speculation config lost the paper's features: %+v", sc)
 	}
-	if sc.ThresholdPermille != 850 || sc.RetryEvery != 20 {
-		t.Fatalf("default thresholds are not the paper's 85%%/20: %+v", sc)
+	if sc.ThresholdPermille != 850 {
+		t.Fatalf("default success threshold is not the paper's 85%%: %+v", sc)
+	}
+	if n := reflect.TypeOf(sc).NumField(); n != 7 {
+		t.Fatalf("SpecConfig has %d fields, want 7: virtual probes replaced the retry period and added no knob", n)
 	}
 	sc.Coarsening = false
 	w := counter(100)
