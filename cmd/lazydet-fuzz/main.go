@@ -44,9 +44,17 @@
 // the strong engines against the opposite backend, the interpreter serving
 // as the differential oracle for the lowering pass.
 //
+// -streak splices a run of critical sections on locks no other thread takes
+// into every thread's program (randprog.Config.OwnStreak). From
+// randprog.MinExtendingStreak sections on, every LazyDet thread earns runs
+// longer than SpecConfig.MaxRunCS inside its streak and meets the random
+// operations after it in that state; a seed whose plain LazyDet run then
+// reports no extended run (spec.extended_runs) fails.
+//
 //	lazydet-fuzz -seeds 100 -threads 4
 //	lazydet-fuzz -seeds 1000 -ops 120 -start 42
 //	lazydet-fuzz -seeds 5 -threads 256 -ops 8 -invariants
+//	lazydet-fuzz -seeds 10 -streak 600 -invariants
 package main
 
 import (
@@ -100,6 +108,7 @@ func main() {
 	start := flag.Uint64("start", 1, "first seed")
 	threads := flag.Int("threads", 4, "simulated thread count")
 	ops := flag.Int("ops", 60, "operations per thread")
+	streak := flag.Int("streak", 0, "critical sections on thread-owned locks spliced into every thread's program (from randprog.MinExtendingStreak on, LazyDet must extend runs past MaxRunCS)")
 	invariants := flag.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
 	vet := flag.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
 	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
@@ -110,8 +119,10 @@ func main() {
 
 	cfg := randprog.DefaultConfig(*threads)
 	cfg.OpsPerThread = *ops
+	cfg.OwnStreak = *streak
 
 	failures := 0
+	var extendedRuns int64
 	vetSeeds, vetFalseWarnings := 0, 0
 	for s := uint64(0); s < uint64(*seeds); s++ {
 		seed := *start + s
@@ -217,6 +228,12 @@ func main() {
 			}
 			if va.name == "LazyDet" {
 				lazyRef = r1
+				n := r1.Spec.ExtendedRuns.Load()
+				extendedRuns += n
+				if *streak >= randprog.MinExtendingStreak && n == 0 {
+					fmt.Printf("seed %d: no LazyDet run went past MaxRunCS although every thread has a %d-section own-lock streak\n", seed, *streak)
+					ok = false
+				}
 			}
 			// Property 9: static speculation hints. The hinted schedule may
 			// differ (hints change when the engine speculates), but the
@@ -308,6 +325,9 @@ func main() {
 	suffix := ""
 	if *invariants {
 		suffix = ", zero invariant violations"
+	}
+	if *streak > 0 {
+		suffix += fmt.Sprintf("; %d LazyDet runs extended past MaxRunCS", extendedRuns)
 	}
 	if vetSeeds > 0 {
 		suffix += fmt.Sprintf("; progcheck: %d seeds cross-checked, %d warning false positive(s)", vetSeeds, vetFalseWarnings)

@@ -152,9 +152,9 @@ func main() {
 			res.Commits, res.PagesCommitted, res.WordsCommitted, res.WordsScanned)
 	}
 	if res.Spec != nil && res.Spec.Runs.Load() > 0 {
-		fmt.Printf("speculation: %.1f%% of %d acquisitions; %d runs, %.1f%% committed, mean %.1f CS/run\n",
+		fmt.Printf("speculation: %.1f%% of %d acquisitions; %d runs, %.1f%% committed, mean %.1f CS/run (%d extended past the floor)\n",
 			res.Spec.SpecAcquirePct(), res.Spec.TotalAcquires.Load(),
-			res.Spec.Runs.Load(), res.Spec.SuccessPct(), res.Spec.MeanRunCS())
+			res.Spec.Runs.Load(), res.Spec.SuccessPct(), res.Spec.MeanRunCS(), res.Spec.ExtendedRuns.Load())
 		fmt.Printf("             %d reverts, %d irrevocable upgrades\n",
 			res.Spec.Reverts.Load(), res.Spec.Upgrades.Load())
 	}

@@ -74,10 +74,14 @@ func (m Mode) String() string {
 // and reused unchanged for all workloads.
 type SpecConfig struct {
 	// Coarsening allows one speculation run to span multiple critical
-	// sections, up to MaxRunCS. Disabling it (Figure 11's
-	// LAZYDET-NoCoarsening) limits runs to one critical section.
+	// sections: MaxRunCS of them, and up to 64 once the thread has earned it
+	// (see MaxRunCS). Disabling it (Figure 11's LAZYDET-NoCoarsening) limits
+	// runs to one critical section.
 	Coarsening bool
-	// MaxRunCS bounds the critical sections per run when coarsening.
+	// MaxRunCS is the floor of the coarsening limit, not a cap: the critical
+	// sections a run may span when coarsening, until the thread's last 64
+	// runs have all committed. From then on, and until its next revert, the
+	// thread's runs may span 64 (spec.go's runLimit).
 	MaxRunCS int
 	// Irrevocable enables upgrading a run to irrevocable status when a
 	// system call is encountered (paper §3.5). When disabled (Figure 11's
@@ -109,9 +113,11 @@ type SpecConfig struct {
 // experiment. Like the paper (§3.4), the success threshold is 85 % (virtual
 // probes replace its retry period) and the parameter set was tuned once on
 // the hash-table microbenchmark and then applied to all workloads: on this
-// runtime a coarsening limit of 8 critical sections maximizes hash-table
+// runtime a coarsening floor of 8 critical sections maximizes hash-table
 // throughput (longer runs enlarge the lock set, and with it the conflict
-// probability, faster than they amortize commits).
+// probability, faster than they amortize commits). It is a floor: threads
+// that never conflict — none of the hash table's do that for 64 runs — earn
+// runs of 64 sections (spec.go's runLimit).
 func DefaultSpecConfig() SpecConfig {
 	return SpecConfig{
 		Coarsening:         true,
@@ -379,6 +385,10 @@ type tstate struct {
 	runCS        int     // critical sections in the current run
 	noSpecNext   bool    // progress guarantee after a revert (§3.2)
 
+	// runHist is the outcomes of the thread's last 64 runs, whatever locks
+	// they took. It starts all-failure: the longer runs of runLimit are
+	// earned by 64 commits in a row, never assumed.
+	runHist uint64
 	// Per-thread speculation history, used when PerLockStats is off.
 	threadHist uint64
 	probe      specProbe // pending virtual probe; touched only with the turn held
@@ -416,12 +426,18 @@ type specProbe struct {
 
 func (e *Engine) ts(t *dvm.Thread) *tstate { return t.EngineData.(*tstate) }
 
+// newTState is a thread's state before its first instruction. The per-thread
+// lock history starts optimistic like the per-lock ones (§3.4); runHist starts
+// at zero, all-failure.
+func newTState(mem mempipe.Thread) *tstate {
+	return &tstate{mem: mem, threadHist: ^uint64(0)}
+}
+
 // ThreadStart implements dvm.Engine. Suspended threads are registered as
 // parked, so they do not pin the global clock minimum at zero before they
 // are spawned.
 func (e *Engine) ThreadStart(t *dvm.Thread) {
-	ts := &tstate{threadHist: ^uint64(0)}
-	ts.mem = e.mems[t.ID]
+	ts := newTState(e.mems[t.ID])
 	t.Mem = ts.mem
 	if e.strong() && e.cfg.Spec.WriteAware {
 		t.Mem = writeAwareWindow{ts.mem, ts}

@@ -60,7 +60,7 @@ func newHand(t *testing.T, cfg Config, threads, locks int) *hand {
 	arb.SetDeadlockHandler(func() {}) // all-parked is this driver's resting state
 	for tid := 0; tid < threads; tid++ {
 		th := &dvm.Thread{ID: tid, Regs: make([]int64, 1)}
-		ts := &tstate{threadHist: ^uint64(0), mem: h.eng.mems[tid]}
+		ts := newTState(h.eng.mems[tid])
 		th.Mem, th.EngineData = ts.mem, ts
 		h.th = append(h.th, th)
 		arb.SetParked(tid)

@@ -27,7 +27,7 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 			return
 		}
 		want := e.shouldSpeculate(ts, t.ID, l)
-		if want && ts.runCS < e.cfg.Spec.MaxRunCS {
+		if want && ts.runCS < e.runLimit(ts) {
 			e.specAcquire(t, ts, l, write)
 			return
 		}
@@ -35,7 +35,7 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 			return // reverted: execution restarts from the snapshot
 		}
 		if want {
-			// The run only ended because it hit the coarsening
+			// The run only ended because it hit its coarsening
 			// limit; chain a fresh run starting at this lock.
 			e.beginRun(t, ts)
 			e.specAcquire(t, ts, l, write)
@@ -54,6 +54,22 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	} else {
 		e.convRLock(t, ts, l)
 	}
+}
+
+// maxEarnedRunCS is the coarsening ceiling: the width of the run history that
+// earns it.
+const maxEarnedRunCS = 64
+
+// runLimit is how many critical sections the thread's current run may span
+// (§3.4's coarsening). Spec.MaxRunCS is the floor every thread starts at; a
+// thread whose last 64 runs all committed has earned the ceiling, and one
+// revert puts it back at the floor for its next 64 runs. Only the thread's own
+// history is read, so the limit is deterministic (DESIGN.md §4).
+func (e *Engine) runLimit(ts *tstate) int {
+	if ts.runHist == ^uint64(0) && e.cfg.Spec.Coarsening {
+		return max(e.cfg.Spec.MaxRunCS, maxEarnedRunCS)
+	}
+	return e.cfg.Spec.MaxRunCS
 }
 
 // beginRun starts a speculation run at the current lock acquisition:
@@ -141,10 +157,12 @@ func (e *Engine) specHist(ts *tstate, tid int, l int64) *uint64 {
 // Called by the conventional acquire arms with the turn held, l free and not
 // yet taken, my the thread's clock. Like a real run, a virtual one is begun by
 // its first lock's history and stays open for up to MaxRunCS outermost
-// acquisitions, which are inside it and begin nothing; it resolves into its
-// lock's history at the last of them, or sooner if the thread comes back to
-// the lock. Then l arms one, unless its history says speculate: a conventional
-// acquisition there is the post-revert progress guarantee and proves nothing.
+// acquisitions (the floor: a probe prices the runs a stood-down thread would
+// begin with, not the ones it could earn), which are inside it and begin
+// nothing; it resolves into its lock's history at the last of them, or sooner
+// if the thread comes back to the lock. Then l arms one, unless its history
+// says speculate: a conventional acquisition there is the post-revert progress
+// guarantee and proves nothing.
 func (e *Engine) virtualProbe(ts *tstate, tid int, l int64, write bool, my int64) {
 	if !e.cfg.Speculation || ts.depth > 0 {
 		return
@@ -161,9 +179,14 @@ func (e *Engine) virtualProbe(ts *tstate, tid int, l int64, write bool, my int64
 	}
 }
 
-// recordOutcome shifts the run's outcome into the history of every lock it
-// touched (or the thread history when per-lock statistics are disabled).
+// recordOutcome shifts the run's outcome into the thread's run history and
+// into the history of every lock it touched (or the thread history when
+// per-lock statistics are disabled).
 func (e *Engine) recordOutcome(ts *tstate, tid int, success bool) {
+	ts.runHist = detsync.PushOutcome(ts.runHist, success)
+	if e.spec != nil && ts.runCS > e.cfg.Spec.MaxRunCS {
+		e.spec.ExtendedRuns.Add(1)
+	}
 	if !e.cfg.Spec.PerLockStats {
 		ts.threadHist = detsync.PushOutcome(ts.threadHist, success)
 		return

@@ -10,11 +10,16 @@ type lockRec struct {
 
 // specLog is the thread-local speculation log (§3.1): the locks a run
 // touched, in first-acquisition order, and the locations it accessed
-// atomically (§7 extension). Records are flat and found by a backward scan —
-// a run logs at most MaxRunCS x nesting-depth locks and re-touches its newest
-// entries most, so the scan is shorter than a hash — and the buffers are
-// retained across runs: logging is an append, reset is two truncations, and
-// a steady-state run allocates nothing.
+// atomically (§7 extension). Records are flat and found by a backward scan. A
+// run logs at most 64 x nesting-depth locks (runLimit's ceiling; MaxRunCS x
+// depth until the thread has earned it) and re-touches its newest entries
+// most: a hit on the newest record costs 2.5 ns at any size, and a miss — the
+// full scan that every section of a run over distinct locks pays — 8 / 55 /
+// 140 ns at 8 / 64 / 192 records (BenchmarkSpecLogAcquire, 2.1 GHz Xeon), so
+// a 64-section run over 64 distinct locks averages 28 ns of scan per section:
+// what one map access costs, without a map's clearing at reset. The buffers
+// are retained across runs: logging is an append, reset is two truncations,
+// and a steady-state run allocates nothing.
 type specLog struct {
 	locks []lockRec
 	atoms []int64

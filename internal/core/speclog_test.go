@@ -269,26 +269,28 @@ func TestSpecLogMatchesMapModel(t *testing.T) {
 }
 
 // TestSpecRunSteadyStateAllocatesNothing: once its buffers exist, a whole run
-// — begin, eight critical sections with a store each, commit — allocates
-// nothing in the engine: logging is an append into retained records and the
-// reset is a truncation.
+// at the earned ceiling — begin, 64 critical sections over 64 distinct locks
+// with a store each, commit — allocates nothing in the engine: logging is an
+// append into retained records and the reset is a truncation.
 func TestSpecRunSteadyStateAllocatesNothing(t *testing.T) {
+	const n = maxEarnedRunCS
 	for _, cfg := range []Config{lazyCfg(), waCfg()} {
-		r := newRig(t, cfg, 1, 64, 8, 0, 0)
+		r := newRig(t, cfg, 1, 64, n, 0, 0)
 		r.eng.rec = nil // the trace recorder's own buffers are not under test
 		b := dvm.NewBuilder("steady")
 		b.Do(func(th *dvm.Thread) {
 			ts := r.eng.ts(th)
-			n := int64(0)
+			ts.runHist = ^uint64(0) // the thread has earned the ceiling
+			v := int64(0)
 			allocs := testing.AllocsPerRun(100, func() {
-				for l := int64(0); l < 8; l++ {
+				for l := int64(0); l < n; l++ {
 					r.eng.Lock(th, l)
-					n++
-					th.Mem.Store(l, n)
+					v++
+					th.Mem.Store(l, v)
 					r.eng.Unlock(th, l)
 				}
-				if !ts.spec || ts.runCS != 8 || len(ts.log.locks) != 8 {
-					t.Errorf("run shape: spec=%v runCS=%d log=%d, want one 8-section run", ts.spec, ts.runCS, len(ts.log.locks))
+				if !ts.spec || ts.runCS != n || len(ts.log.locks) != n {
+					t.Errorf("run shape: spec=%v runCS=%d log=%d, want one %d-section run", ts.spec, ts.runCS, len(ts.log.locks), n)
 				}
 				if !r.eng.terminateRun(th, ts) {
 					t.Error("a lone thread's run failed validation")
@@ -299,5 +301,31 @@ func TestSpecRunSteadyStateAllocatesNothing(t *testing.T) {
 			}
 		})
 		dvm.Run(r.eng, []*dvm.Program{b.Build()})
+	}
+}
+
+// BenchmarkSpecLogAcquire prices the log's backward scan at the sizes a run can
+// reach: 8 records (a floor-length run), 64 (the earned ceiling) and 192 (the
+// ceiling with three-deep nesting). "miss" acquires a lock the log does not
+// hold yet — a full scan and an append, the worst case, which a run over
+// distinct locks pays at every section; "newest" re-acquires the newest
+// record, what a thread cycling over few locks pays.
+func BenchmarkSpecLogAcquire(b *testing.B) {
+	for _, n := range []int{8, 64, 192} {
+		var g specLog
+		for l := 0; l < n; l++ {
+			g.acquire(int64(l), true)
+		}
+		b.Run(fmt.Sprintf("miss/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.acquire(-1, true)
+				g.locks = g.locks[:n]
+			}
+		})
+		b.Run(fmt.Sprintf("newest/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.acquire(int64(n-1), true)
+			}
+		})
 	}
 }

@@ -37,7 +37,7 @@ type fingerprint struct {
 // go test ./internal/harness -run TestPinnedFingerprints -update
 func TestPinnedFingerprints(t *testing.T) {
 	var got []fingerprint
-	pin := func(name string, w *harness.Workload, opt harness.Options) {
+	pin := func(name string, w *harness.Workload, opt harness.Options) *harness.Result {
 		opt.Trace = true
 		res, err := harness.Run(w, opt)
 		if err != nil {
@@ -52,6 +52,7 @@ func TestPinnedFingerprints(t *testing.T) {
 			WordsScanned:     res.WordsScanned,
 			ArbiterChainHits: res.ArbiterChainHits,
 		})
+		return res
 	}
 
 	writeAware := core.DefaultSpecConfig()
@@ -102,6 +103,21 @@ func TestPinnedFingerprints(t *testing.T) {
 			pin(fmt.Sprintf("%s/%v/t8", name, eng), workloads.ByName(name).New(1),
 				harness.Options{Engine: eng, Threads: 8})
 		}
+	}
+
+	// A row where earned coarsening is live at t=4: own-lock streaks long
+	// enough that every thread's runs go past MaxRunCS (core's runLimit), with
+	// the seed's random operations on both sides of them.
+	cfg := randprog.DefaultConfig(4)
+	cfg.OpsPerThread = 40
+	cfg.OwnStreak = randprog.MinExtendingStreak
+	w, _, err := randprog.Generate(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := pin("seed1+streak/LazyDet/t4", w, harness.Options{Engine: harness.LazyDet, Threads: 4, CollectSpec: true})
+	if res.Spec.ExtendedRuns.Load() == 0 {
+		t.Error("seed1+streak/LazyDet/t4: no run went past MaxRunCS; the row pins nothing new")
 	}
 
 	out, err := json.MarshalIndent(got, "", "  ")

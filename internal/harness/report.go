@@ -26,6 +26,7 @@ func absorbStats(tel *telemetry.Recorder, res *Result) {
 		tel.Count("spec.reverts", s.Reverts.Load())
 		tel.Count("spec.committed_cs", s.CommittedCS.Load())
 		tel.Count("spec.upgrades", s.Upgrades.Load())
+		tel.Count("spec.extended_runs", s.ExtendedRuns.Load())
 		tel.SetGauge("spec.acquire_pct", s.SpecAcquirePct())
 		tel.SetGauge("spec.success_pct", s.SuccessPct())
 	}

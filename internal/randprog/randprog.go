@@ -43,7 +43,26 @@ type Config struct {
 	// critical sections (irrevocable upgrade) and between them (run
 	// termination).
 	WithSyscalls bool
+	// OwnStreak, if positive, splices that many consecutive critical sections
+	// on locks no other thread takes into every thread's plan, at a
+	// seed-chosen position. No run inside a streak can fail validation, so
+	// one of at least MinExtendingStreak sections takes a LazyDet thread
+	// through the 64 committed runs that earn it extended runs (core's
+	// runLimit) — a state the random mix alone never reaches — and into the
+	// random operations after it with that state live.
+	OwnStreak int
 }
+
+// MinExtendingStreak is the shortest OwnStreak that provably ends inside an
+// extended run under core.DefaultSpecConfig: two runs may be lost at its start
+// (one open from the random operations before it that reverts, one section
+// run conventionally after that revert), then 64 runs of 8 sections commit,
+// and the 9th section of the next run is past the floor.
+const MinExtendingStreak = 8 + 1 + 64*8 + 9
+
+// ownLocksPerThread is how many locks (each guarding one cell) a thread's
+// streak cycles over.
+const ownLocksPerThread = 3
 
 // DefaultConfig returns moderate bounds with every operation class enabled,
 // so differential runs exercise the condvar, rwlock and irrevocable paths by
@@ -72,6 +91,7 @@ const (
 	opLockedSysc  // locked add with a Syscall inside the critical section
 	opBareSyscall // Syscall outside any critical section
 	opPrivateAdd  // add to a thread-private cell under the shared private lock
+	opOwnAdd      // add to a cell under a lock only this thread takes (OwnStreak)
 )
 
 type op struct {
@@ -96,6 +116,8 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("randprog: %d ops per thread, want >= 0", cfg.OpsPerThread)
 	case cfg.MaxBarriers < 0:
 		return fmt.Errorf("randprog: %d max barriers, want >= 0", cfg.MaxBarriers)
+	case cfg.OwnStreak < 0:
+		return fmt.Errorf("randprog: own-lock streak of %d sections, want >= 0", cfg.OwnStreak)
 	}
 	return nil
 }
@@ -110,7 +132,9 @@ func (cfg Config) validate() error {
 // after it are thread-private counters all guarded by the single lock
 // Cells+1 — each section's footprint is a distinct constant address, so the
 // footprint analysis classifies that lock Disjoint and the hinted engine
-// must never revert on it (lazydet-fuzz property 9).
+// must never revert on it (lazydet-fuzz property 9). With OwnStreak, thread
+// t's ownLocksPerThread own cells follow, each guarded by a lock of its own
+// after lock Cells+1.
 func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -120,6 +144,12 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 	doorLock := int64(cfg.Cells)
 	privLock := int64(cfg.Cells) + 1
 	privBase := rvCell + 1
+	heapWords, locks := privBase+int64(cfg.Threads), cfg.Cells+2
+	ownBase, ownLock := heapWords, int64(locks)
+	if cfg.OwnStreak > 0 {
+		heapWords += int64(cfg.Threads * ownLocksPerThread)
+		locks += cfg.Threads * ownLocksPerThread
+	}
 	expected := map[int64]int64{}
 	r := seed
 	next := func(n uint64) uint64 {
@@ -197,6 +227,19 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 		}
 	}
 
+	// Own-lock streaks, drawn after every other operation so that a seed's
+	// plan without them is the plan it always was.
+	for tid := 0; tid < cfg.Threads && cfg.OwnStreak > 0; tid++ {
+		streak := make([]op, cfg.OwnStreak)
+		for i := range streak {
+			k := int64(tid*ownLocksPerThread + i%ownLocksPerThread)
+			streak[i] = op{kind: opOwnAdd, cell: ownBase + k, cell2: ownLock + k, delta: int64(next(7)) + 1}
+			expected[ownBase+k] += streak[i].delta
+		}
+		at := int(next(uint64(len(plans[tid]) + 1)))
+		plans[tid] = append(plans[tid][:at:at], append(streak, plans[tid][at:]...)...)
+	}
+
 	// Condvar rendezvous: non-leaders check in under the door lock and
 	// signal; the leader waits until everyone has. The counter's final
 	// value is schedule-independent.
@@ -206,8 +249,8 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 
 	w := &harness.Workload{
 		Name:      fmt.Sprintf("randprog-%x", seed),
-		HeapWords: int64(cfg.Cells+cfg.AtomicCells+1) + int64(cfg.Threads),
-		Locks:     cfg.Cells + 2,
+		HeapWords: heapWords,
+		Locks:     locks,
 		Barriers:  1,
 		Conds:     1,
 		Programs: func(n int) []*dvm.Program {
@@ -215,14 +258,19 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 			for tid := 0; tid < n; tid++ {
 				b := dvm.NewBuilder(fmt.Sprintf("rnd-%d", tid))
 				v := b.Reg()
+				// addUnder emits one critical section on lock that adds delta
+				// to cell.
+				addUnder := func(lock, cell, delta int64) {
+					b.Lock(dvm.Const(lock))
+					b.Load(v, dvm.Const(cell))
+					b.Store(dvm.Const(cell), dvm.Dyn(func(t *dvm.Thread) int64 { return t.R(v) + delta }))
+					b.Unlock(dvm.Const(lock))
+				}
 				for _, o := range plans[tid] {
 					o := o
 					switch o.kind {
 					case opLockedAdd:
-						b.Lock(dvm.Const(o.cell))
-						b.Load(v, dvm.Const(o.cell))
-						b.Store(dvm.Const(o.cell), dvm.Dyn(func(t *dvm.Thread) int64 { return t.R(v) + o.delta }))
-						b.Unlock(dvm.Const(o.cell))
+						addUnder(o.cell, o.cell, o.delta)
 					case opNestedAdd:
 						b.Lock(dvm.Const(o.cell))
 						b.Lock(dvm.Const(o.cell2))
@@ -245,11 +293,9 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 					case opBareSyscall:
 						b.Syscall(&dvm.Syscall{Name: "fuzz", Work: o.work})
 					case opPrivateAdd:
-						cell := dvm.Const(privBase + int64(tid))
-						b.Lock(dvm.Const(privLock))
-						b.Load(v, cell)
-						b.Store(cell, dvm.Dyn(func(t *dvm.Thread) int64 { return t.R(v) + o.delta }))
-						b.Unlock(dvm.Const(privLock))
+						addUnder(privLock, privBase+int64(tid), o.delta)
+					case opOwnAdd:
+						addUnder(o.cell2, o.cell, o.delta)
 					case opAtomicAdd:
 						b.AtomicAdd(v, dvm.Const(o.cell), dvm.Const(o.delta))
 					case opBarrier:

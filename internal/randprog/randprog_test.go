@@ -112,6 +112,7 @@ func TestConfigRejection(t *testing.T) {
 		{"no-atomic-cells", func(c *Config) { c.AtomicCells = 0 }},
 		{"negative-ops", func(c *Config) { c.OpsPerThread = -1 }},
 		{"negative-barriers", func(c *Config) { c.MaxBarriers = -1 }},
+		{"negative-streak", func(c *Config) { c.OwnStreak = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -178,6 +179,50 @@ func TestExpectedModelMatchesEveryEngine(t *testing.T) {
 	for _, eng := range harness.AllEngines {
 		if _, err := harness.Run(w, harness.Options{Engine: eng, Threads: cfg.Threads}); err != nil {
 			t.Errorf("%s: %v", eng, err)
+		}
+	}
+}
+
+// TestOwnStreak: a streak adds exactly OwnStreak critical sections per thread
+// and leaves the seed's other operations what they were; the model still holds
+// under every engine; and at MinExtendingStreak LazyDet provably runs past
+// MaxRunCS — the state the streak exists to reach.
+func TestOwnStreak(t *testing.T) {
+	cfg := DefaultConfig(4)
+	for _, seed := range []uint64{1, 2, 3, 4, 5} {
+		plain, expPlain, err := Generate(seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long := cfg
+		long.OwnStreak = MinExtendingStreak
+		w, exp, err := Generate(seed, long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cell, want := range expPlain {
+			if exp[cell] != want {
+				t.Fatalf("seed %d: the streak changed cell %d's expected value %d to %d", seed, cell, want, exp[cell])
+			}
+		}
+		was, now := countOps(plain, cfg.Threads), countOps(w, cfg.Threads)
+		for _, op := range []dvm.Opcode{dvm.OpLock, dvm.OpUnlock, dvm.OpRLock, dvm.OpSyscall, dvm.OpAtomic, dvm.OpBarrier} {
+			want := was[op]
+			if op == dvm.OpLock || op == dvm.OpUnlock {
+				want += cfg.Threads * long.OwnStreak
+			}
+			if now[op] != want {
+				t.Errorf("seed %d: %d %v with the streak, want %d", seed, now[op], op, want)
+			}
+		}
+		for _, eng := range harness.AllEngines {
+			res, err := harness.Run(w, harness.Options{Engine: eng, Threads: cfg.Threads, CollectSpec: eng == harness.LazyDet})
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, eng, err)
+			}
+			if eng == harness.LazyDet && res.Spec.ExtendedRuns.Load() == 0 {
+				t.Errorf("seed %d: no LazyDet run went past MaxRunCS in %d-section streaks", seed, long.OwnStreak)
+			}
 		}
 	}
 }
