@@ -47,7 +47,7 @@
 // -streak splices a run of critical sections on locks no other thread takes
 // into every thread's program (randprog.Config.OwnStreak). From
 // randprog.MinExtendingStreak sections on, every LazyDet thread earns runs
-// longer than SpecConfig.MaxRunCS inside its streak and meets the random
+// longer than the coarsening floor inside its streak and meets the random
 // operations after it in that state; a seed whose plain LazyDet run then
 // reports no extended run (spec.extended_runs) fails.
 //
@@ -108,7 +108,7 @@ func main() {
 	start := flag.Uint64("start", 1, "first seed")
 	threads := flag.Int("threads", 4, "simulated thread count")
 	ops := flag.Int("ops", 60, "operations per thread")
-	streak := flag.Int("streak", 0, "critical sections on thread-owned locks spliced into every thread's program (from randprog.MinExtendingStreak on, LazyDet must extend runs past MaxRunCS)")
+	streak := flag.Int("streak", 0, "critical sections on thread-owned locks spliced into every thread's program (from randprog.MinExtendingStreak on, LazyDet must extend runs past the floor)")
 	invariants := flag.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
 	vet := flag.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
 	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
@@ -231,7 +231,7 @@ func main() {
 				n := r1.Spec.ExtendedRuns.Load()
 				extendedRuns += n
 				if *streak >= randprog.MinExtendingStreak && n == 0 {
-					fmt.Printf("seed %d: no LazyDet run went past MaxRunCS although every thread has a %d-section own-lock streak\n", seed, *streak)
+					fmt.Printf("seed %d: no LazyDet run went past the floor although every thread has a %d-section own-lock streak\n", seed, *streak)
 					ok = false
 				}
 			}
@@ -327,7 +327,7 @@ func main() {
 		suffix = ", zero invariant violations"
 	}
 	if *streak > 0 {
-		suffix += fmt.Sprintf("; %d LazyDet runs extended past MaxRunCS", extendedRuns)
+		suffix += fmt.Sprintf("; %d LazyDet runs extended past the floor", extendedRuns)
 	}
 	if vetSeeds > 0 {
 		suffix += fmt.Sprintf("; progcheck: %d seeds cross-checked, %d warning false positive(s)", vetSeeds, vetFalseWarnings)

@@ -15,7 +15,8 @@
 //     contribution: speculative order elision with lock-level conflict
 //     detection, adaptive per-lock speculation statistics, coarsening
 //     across critical sections, revert/restart, and irrevocable upgrade
-//     for system calls (paper §3). The speculation paths live in spec.go.
+//     for system calls (paper §3). The speculation paths live in spec.go,
+//     the policy that steers them in policy.go.
 //
 // The paper derives its comparison systems from the LazyDet code base
 // (§5.3); this package mirrors that by hosting all deterministic engines
@@ -69,20 +70,18 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// SpecConfig tunes the LazyDet speculation engine. The defaults are the
-// paper's parameters (§3.4), tuned there on the hash-table microbenchmark
-// and reused unchanged for all workloads.
+// SpecConfig tunes the LazyDet speculation engine. Its switches are the
+// paper's Figure 11 ablations and two extensions; the policy's parameters —
+// the 85 % threshold, the coarsening floor of 8 and its earned ceiling of 64 —
+// are constants of the policy (policy.go), tuned once on the hash-table
+// microbenchmark and reused unchanged for all workloads, like the paper's
+// (§3.4).
 type SpecConfig struct {
 	// Coarsening allows one speculation run to span multiple critical
-	// sections: MaxRunCS of them, and up to 64 once the thread has earned it
-	// (see MaxRunCS). Disabling it (Figure 11's LAZYDET-NoCoarsening) limits
-	// runs to one critical section.
+	// sections: 8 of them (the floor), and up to 64 once the thread's last 64
+	// runs all committed. Disabling it (Figure 11's LAZYDET-NoCoarsening)
+	// limits runs to one critical section.
 	Coarsening bool
-	// MaxRunCS is the floor of the coarsening limit, not a cap: the critical
-	// sections a run may span when coarsening, until the thread's last 64
-	// runs have all committed. From then on, and until its next revert, the
-	// thread's runs may span 64 (spec.go's runLimit).
-	MaxRunCS int
 	// Irrevocable enables upgrading a run to irrevocable status when a
 	// system call is encountered (paper §3.5). When disabled (Figure 11's
 	// LAZYDET-NoIrrevocable), a system call inside a speculative critical
@@ -92,9 +91,6 @@ type SpecConfig struct {
 	// When disabled (Figure 11's LAZYDET-NoPerLockStats), one history per
 	// thread is used for all locks.
 	PerLockStats bool
-	// ThresholdPermille is the success-rate threshold (out of 1000)
-	// required to begin speculating; the paper uses 85 % = 850.
-	ThresholdPermille int
 	// SpeculativeAtomics executes atomic read-modify-writes inside
 	// speculation runs, detecting conflicts on the accessed locations —
 	// the extension the paper's §7 proposes. When disabled, an atomic
@@ -109,22 +105,13 @@ type SpecConfig struct {
 	WriteAware bool
 }
 
-// DefaultSpecConfig returns the speculation parameters used by every
-// experiment. Like the paper (§3.4), the success threshold is 85 % (virtual
-// probes replace its retry period) and the parameter set was tuned once on
-// the hash-table microbenchmark and then applied to all workloads: on this
-// runtime a coarsening floor of 8 critical sections maximizes hash-table
-// throughput (longer runs enlarge the lock set, and with it the conflict
-// probability, faster than they amortize commits). It is a floor: threads
-// that never conflict — none of the hash table's do that for 64 runs — earn
-// runs of 64 sections (spec.go's runLimit).
+// DefaultSpecConfig returns the speculation switches used by every
+// experiment: the paper's three features on, speculative atomics on.
 func DefaultSpecConfig() SpecConfig {
 	return SpecConfig{
 		Coarsening:         true,
-		MaxRunCS:           8,
 		Irrevocable:        true,
 		PerLockStats:       true,
-		ThresholdPermille:  850,
 		SpeculativeAtomics: true,
 	}
 }
@@ -176,20 +163,10 @@ const (
 	HintConflicting
 )
 
-// withDefaults fills zero fields.
+// withDefaults fills a zero SpecConfig.
 func (c Config) withDefaults() Config {
 	if c.Spec == (SpecConfig{}) {
 		c.Spec = DefaultSpecConfig()
-	}
-	if c.Spec.MaxRunCS <= 0 || !c.Spec.Coarsening {
-		if c.Spec.Coarsening {
-			c.Spec.MaxRunCS = DefaultSpecConfig().MaxRunCS
-		} else {
-			c.Spec.MaxRunCS = 1
-		}
-	}
-	if c.Spec.ThresholdPermille == 0 {
-		c.Spec.ThresholdPermille = 850
 	}
 	return c
 }
@@ -239,15 +216,8 @@ type Engine struct {
 	// -1. Read and written only at deterministic turn points.
 	irrevocableOwner int
 
-	// elideGlobal is the workload-wide elision survival history — the same
-	// 64-outcome shift register as a lock's ElideHist, fed by every resolved
-	// real or virtual elision regardless of lock. It exists because per-lock
-	// histories cannot learn on dynamically addressed lock sets (ht's
-	// per-bucket locks see a handful of releases each): a workload whose
-	// threads release in long uninterrupted runs earns engagement here even
-	// when every individual lock is too cold to predict anything. Mutated
-	// only at turns.
-	elideGlobal uint64
+	// pol is the speculation and elision policy (policy.go).
+	pol policy
 }
 
 // New builds an engine. It panics on inconsistent configuration, which is a
@@ -302,26 +272,7 @@ func New(cfg Config, d Deps) *Engine {
 	if cfg.CheckInvariants {
 		e.audit = invariant.New(d.Arb, d.Tbl, d.Heap, d.OnViolation)
 	}
-	if d.Tbl != nil {
-		// Conflicting-hinted locks start pessimistic: an all-failure
-		// success history keeps them conventional until virtual probes earn
-		// speculation back, instead of paying the warm-up reverts
-		// the optimistic all-success seed would. (A no-op without per-lock
-		// statistics: the SpecHist slices are nil then.) Elision histories
-		// need no such zeroing: they start zero for every lock and are
-		// earned through virtual probes (elide.go).
-		for l, h := range cfg.Hints {
-			if h != HintConflicting || l >= len(d.Tbl.Locks) {
-				continue
-			}
-			if cfg.Speculation {
-				hist := d.Tbl.Locks[l].SpecHist
-				for i := range hist {
-					hist[i] = 0
-				}
-			}
-		}
-	}
+	e.pol = newPolicy(cfg, d.Tbl, e.pipe, d.Spec)
 	return e
 }
 
@@ -385,59 +336,21 @@ type tstate struct {
 	runCS        int     // critical sections in the current run
 	noSpecNext   bool    // progress guarantee after a revert (§3.2)
 
-	// runHist is the outcomes of the thread's last 64 runs, whatever locks
-	// they took. It starts all-failure: the longer runs of runLimit are
-	// earned by 64 commits in a row, never assumed.
-	runHist uint64
-	// Per-thread speculation history, used when PerLockStats is off.
-	threadHist uint64
-	probe      specProbe // pending virtual probe; touched only with the turn held
-
-	// Publication-elision state (elide.go): when elidePending is set, the
-	// thread's most recent publication was deferred at lock elideLock's
-	// release and its hit/miss outcome resolves at the thread's next
-	// publication point. elideChain counts consecutive deferred
-	// publications since the last physical commit, bounded by
-	// maxElideChain.
-	elidePending bool
-	elideLock    int64
-	elideChain   int
-
-	// Virtual-probe state (elide.go): when virtPending is set, the thread's
-	// most recent release at lock virtLock published eagerly and recorded
-	// the heap sequence in virtSeq; at the thread's next publication point
-	// the probe resolves — an unchanged sequence means a deferred
-	// publication would have survived to merge there, a hit at zero staging
-	// cost.
-	virtPending bool
-	virtLock    int64
-	virtSeq     int64
-}
-
-// specProbe is a run not taken (spec.go's virtualProbe): what a run begun at
-// an outermost conventional acquisition of lock would have validated against,
-// and how many more outermost acquisitions it stays open for (0: no probe).
-type specProbe struct {
-	write       bool
-	lock        int64
-	begin, base int64
-	left        int
+	pol threadPolicy // the thread's histories, probe and pending elision outcome
 }
 
 func (e *Engine) ts(t *dvm.Thread) *tstate { return t.EngineData.(*tstate) }
 
-// newTState is a thread's state before its first instruction. The per-thread
-// lock history starts optimistic like the per-lock ones (§3.4); runHist starts
-// at zero, all-failure.
-func newTState(mem mempipe.Thread) *tstate {
-	return &tstate{mem: mem, threadHist: ^uint64(0)}
+// newTState is thread tid's state before its first instruction.
+func (e *Engine) newTState(tid int) *tstate {
+	return &tstate{mem: e.mems[tid], pol: newThreadPolicy(tid)}
 }
 
 // ThreadStart implements dvm.Engine. Suspended threads are registered as
 // parked, so they do not pin the global clock minimum at zero before they
 // are spawned.
 func (e *Engine) ThreadStart(t *dvm.Thread) {
-	ts := newTState(e.mems[t.ID])
+	ts := e.newTState(t.ID)
 	t.Mem = ts.mem
 	if e.strong() && e.cfg.Spec.WriteAware {
 		t.Mem = writeAwareWindow{ts.mem, ts}

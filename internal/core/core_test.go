@@ -181,7 +181,7 @@ func TestAdaptiveDisablesSpeculation(t *testing.T) {
 	// threshold.
 	low := false
 	for tid := 0; tid < 4; tid++ {
-		if detsync.SuccessRatePermille(r.tbl.Locks[0].SpecHist[tid]) < 850 {
+		if successRatePermille(r.tbl.Locks[0].SpecHist[tid]) < specThresholdPermille {
 			low = true
 		}
 	}
@@ -332,15 +332,13 @@ func TestBarrierTerminatesRun(t *testing.T) {
 }
 
 // TestCoarseningChainsRuns: consecutive disjoint critical sections coalesce
-// into runs up to MaxRunCS and chain into new runs afterwards.
+// into runs of the floor's length and chain into new runs afterwards (a fresh
+// thread has not earned longer ones).
 func TestCoarseningChainsRuns(t *testing.T) {
-	cfg := lazyCfg()
-	cfg.Spec = DefaultSpecConfig()
-	cfg.Spec.MaxRunCS = 4
-	r := newRig(t, cfg, 1, 64, 8, 0, 0)
+	r := newRig(t, lazyCfg(), 1, 64, 8, 0, 0)
 	b := dvm.NewBuilder("p")
 	i := b.Reg()
-	b.ForN(i, 16, func() {
+	b.ForN(i, 4*runFloor, func() {
 		l := dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(i) % 8 })
 		b.Lock(l)
 		b.Store(dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(i) % 8 }), dvm.FromReg(i))
@@ -349,10 +347,10 @@ func TestCoarseningChainsRuns(t *testing.T) {
 	dvm.Run(r.eng, []*dvm.Program{b.Build()})
 
 	if runs := r.spec.Runs.Load(); runs != 4 {
-		t.Errorf("runs = %d, want 4 (16 CS at 4 CS/run)", runs)
+		t.Errorf("runs = %d, want 4 (%d CS at %d CS/run)", runs, 4*runFloor, runFloor)
 	}
-	if m := r.spec.MeanRunCS(); m != 4 {
-		t.Errorf("mean run = %.1f CS, want 4", m)
+	if m := r.spec.MeanRunCS(); m != runFloor {
+		t.Errorf("mean run = %.1f CS, want %d", m, runFloor)
 	}
 }
 

@@ -58,7 +58,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && st.Readers == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
-			e.virtualProbe(ts, t.ID, l, true, my)
+			e.pol.convAcquired(&ts.pol, ts.depth, l, true, my)
 			st.Owner = int32(t.ID) + 1
 			st.LastAcquireDLC = my
 			if !e.cfg.Spec.WriteAware {
@@ -110,9 +110,7 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 		// commit; speculation runs based on older heap states conflict.
 		st.LastCommitSeq = e.pipe.Seq()
 	}
-	if ts.probe.left > 0 && ts.probe.lock == l {
-		ts.probe.base = st.LastCommitSeq // a virtual run's own release is not a conflict
-	}
+	e.pol.convReleased(&ts.pol, l, st.LastCommitSeq)
 	e.rec.Sync(t.ID, trace.OpRelease, l, st.ReleaseDLC)
 	e.arb.ReleaseTurn(t.ID, syncCost)
 }

@@ -4,44 +4,14 @@ import (
 	"fmt"
 	"testing"
 
-	"lazydet/internal/detsync"
 	"lazydet/internal/dvm"
 )
 
-// This file tests the speculation policy's virtual probes (spec.go): the
-// per-lock predicate shared with validate, arming and resolution at
-// conventional acquisitions, and the two end-to-end properties they exist
+// This file tests the speculation policy's virtual probes (policy.go's
+// convAcquired) end to end, through real Lock/Unlock calls: arming and
+// resolution at conventional acquisitions, and the two properties they exist
 // for — a lock that never succeeds costs a bounded number of reverts however
 // long it runs, and a lock that turns private speculates again promptly.
-
-// TestLockIntact tables the conflict predicate validate and the probes share.
-func TestLockIntact(t *testing.T) {
-	const begin, base = 100, 7
-	for _, c := range []struct {
-		name       string
-		st         detsync.Lock
-		write      bool
-		writeAware bool
-		want       bool
-	}{
-		{"untouched", detsync.Lock{LastAcquireDLC: begin, LastCommitSeq: base}, true, false, true},
-		{"held exclusively", detsync.Lock{Owner: 2, LastAcquireDLC: begin, LastCommitSeq: base}, false, false, false},
-		{"writer meets live readers", detsync.Lock{Readers: 1}, true, false, false},
-		{"reader meets live readers", detsync.Lock{Readers: 3}, false, false, true},
-		{"acquired since BEGIN", detsync.Lock{LastAcquireDLC: begin + 1}, true, false, false},
-		{"committed past the base", detsync.Lock{LastCommitSeq: base + 1}, false, false, false},
-		{"write-aware: an acquisition that wrote nothing", detsync.Lock{LastAcquireDLC: begin + 1, LastCommitSeq: base}, true, true, true},
-		{"write-aware: a section that wrote", detsync.Lock{LastAcquireDLC: begin + 1, LastCommitSeq: base + 1}, true, true, false},
-	} {
-		cfg := lazyCfg()
-		cfg.Spec = DefaultSpecConfig()
-		cfg.Spec.WriteAware = c.writeAware
-		e := newRig(t, cfg, 1, 16, 1, 0, 0).eng
-		if got := e.lockIntact(&c.st, c.write, begin, base); got != c.want {
-			t.Errorf("%s: lockIntact = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
 
 // hand drives engine calls for several simulated threads from the test's own
 // goroutine. Every thread is parked in the arbiter except the one acting, and
@@ -60,7 +30,7 @@ func newHand(t *testing.T, cfg Config, threads, locks int) *hand {
 	arb.SetDeadlockHandler(func() {}) // all-parked is this driver's resting state
 	for tid := 0; tid < threads; tid++ {
 		th := &dvm.Thread{ID: tid, Regs: make([]int64, 1)}
-		ts := newTState(h.eng.mems[tid])
+		ts := h.eng.newTState(tid)
 		th.Mem, th.EngineData = ts.mem, ts
 		h.th = append(h.th, th)
 		arb.SetParked(tid)
@@ -96,7 +66,7 @@ func (h *hand) section(tid int, l int64, write bool) {
 }
 
 // noCoarsening is the configuration under which a probe lives for exactly one
-// acquisition (MaxRunCS = 1), so arm and resolve can be observed one step
+// acquisition (the floor is 1), so arm and resolve can be observed one step
 // apart.
 func noCoarsening() Config {
 	cfg := lazyCfg()
@@ -150,7 +120,7 @@ func TestVirtualProbeArmResolve(t *testing.T) {
 			h.tbl.Locks[l].SpecHist[0], h.tbl.Locks[l].SpecHist[1] = marker, marker
 		}
 		h.section(0, A, c.write)
-		if p := h.ts(0).probe; p.left != 1 || p.lock != A || p.write != c.write {
+		if p := h.ts(0).pol.probe; p.left != 1 || p.lock != A || p.write != c.write {
 			t.Fatalf("%s: conventional acquisition of A armed %+v", c.name, p)
 		}
 		if got := h.tbl.Locks[A].SpecHist[0]; got != marker {
@@ -161,7 +131,7 @@ func TestVirtualProbeArmResolve(t *testing.T) {
 		if got := h.tbl.Locks[A].SpecHist[0]; got != c.want {
 			t.Errorf("%s: history of A = %#x, want %#x", c.name, got, c.want)
 		}
-		if p := h.ts(0).probe; p.left != 1 || p.lock != B {
+		if p := h.ts(0).pol.probe; p.left != 1 || p.lock != B {
 			t.Errorf("%s: acquisition of B armed %+v, want a probe on B", c.name, p)
 		}
 		if h.spec.SpecAcquires.Load() != 0 && c.name != "foreign committed run that logged it" {
@@ -191,7 +161,7 @@ func TestVirtualProbeScope(t *testing.T) {
 		below(h)
 		h.do(0, lock(A))
 		h.do(0, lock(B)) // depth 1
-		if p := h.ts(0).probe; p.lock != A || h.tbl.Locks[A].SpecHist[0] != marker || h.tbl.Locks[B].SpecHist[0] != marker {
+		if p := h.ts(0).pol.probe; p.lock != A || h.tbl.Locks[A].SpecHist[0] != marker || h.tbl.Locks[B].SpecHist[0] != marker {
 			t.Fatalf("nested acquisition of B touched the probe: %+v, histories %#x %#x", p, h.tbl.Locks[A].SpecHist[0], h.tbl.Locks[B].SpecHist[0])
 		}
 		h.do(0, unlock(B))
@@ -209,7 +179,7 @@ func TestVirtualProbeScope(t *testing.T) {
 		h := newHand(t, noCoarsening(), 1, 3)
 		h.ts(0).noSpecNext = true // the post-revert progress guarantee: conventional although A says speculate
 		h.section(0, A, true)
-		if p := h.ts(0).probe; p.left != 0 {
+		if p := h.ts(0).pol.probe; p.left != 0 {
 			t.Fatalf("conventional acquisition of a speculating lock armed %+v", p)
 		}
 		h.tbl.Locks[B].SpecHist[0] = marker
@@ -219,17 +189,18 @@ func TestVirtualProbeScope(t *testing.T) {
 		}
 	})
 
+	// MaxRunCS was the floor's configurable name; the subtest keeps it.
 	t.Run("open for MaxRunCS acquisitions, or until the thread comes back", func(t *testing.T) {
 		h := newHand(t, lazyCfg(), 1, 3)
 		below(h)
-		n := h.eng.cfg.Spec.MaxRunCS
+		n := runFloor
 		h.section(0, A, true)
 		for i := 1; i < n; i++ {
 			h.section(0, B, true)
 			if got := h.tbl.Locks[A].SpecHist[0]; got != marker {
 				t.Fatalf("probe on A resolved at acquisition %d of %d", i, n)
 			}
-			if p := h.ts(0).probe; p.lock != A {
+			if p := h.ts(0).pol.probe; p.lock != A {
 				t.Fatalf("acquisition %d inside A's virtual run armed %+v", i, p)
 			}
 		}
@@ -237,7 +208,7 @@ func TestVirtualProbeScope(t *testing.T) {
 		if got := h.tbl.Locks[A].SpecHist[0]; got != marker<<1|1 {
 			t.Fatalf("history of A = %#x after %d acquisitions, want a hit", got, n)
 		}
-		if p := h.ts(0).probe; p.lock != C || p.left != n {
+		if p := h.ts(0).pol.probe; p.lock != C || p.left != n {
 			t.Fatalf("the resolving acquisition armed %+v, want a fresh probe on C", p)
 		}
 		h.section(0, B, true)
@@ -251,10 +222,10 @@ func TestVirtualProbeScope(t *testing.T) {
 		cfg := noCoarsening()
 		cfg.Spec.PerLockStats = false
 		h := newHand(t, cfg, 1, 2)
-		h.ts(0).threadHist = marker
+		h.ts(0).pol.threadHist = marker
 		h.section(0, A, true)
 		h.section(0, B, true)
-		if got := h.ts(0).threadHist; got != marker<<1|1 {
+		if got := h.ts(0).pol.threadHist; got != marker<<1|1 {
 			t.Fatalf("thread history = %#x, want a hit pushed", got)
 		}
 		if got := h.tbl.Locks[A].SpecHist[0]; got != ^uint64(0) {

@@ -8,12 +8,12 @@ import (
 	"lazydet/internal/dvm"
 )
 
-// This file tests earned coarsening (spec.go's runLimit): a run may pass
-// Spec.MaxRunCS, up to 64 critical sections, only while the thread's last 64
-// runs all committed. The hand rig of probe_test.go drives real Lock/Unlock
+// This file tests earned coarsening (policy.go's runLimit) end to end: a run
+// may pass the floor, up to 64 critical sections, only while the thread's last
+// 64 runs all committed. The hand rig of probe_test.go drives real Lock/Unlock
 // calls, so run lengths are read off the engine's own commit statistics.
 
-const floor, ceiling = 8, maxEarnedRunCS
+const floor, ceiling = runFloor, runCeiling
 
 // runLengths runs n exclusive critical sections as thread tid, each on the
 // next of the rig's locks, and returns the length of every run that committed
@@ -48,21 +48,18 @@ func wantLengths(t *testing.T, lens []int64, floorRuns int, then ...int64) {
 	}
 }
 
-// TestRunLimitIsEarned: a fresh thread's first 64 runs stop at MaxRunCS
+// TestRunLimitIsEarned: a fresh thread's first 64 runs stop at the floor
 // however cleanly they commit — the history starts all-failure — and the 65th
 // spans 64 sections over 64 distinct locks.
 func TestRunLimitIsEarned(t *testing.T) {
 	h := newHand(t, lazyCfg(), 1, ceiling)
-	if got := h.eng.cfg.Spec.MaxRunCS; got != floor {
-		t.Fatalf("default MaxRunCS = %d, the tests assume %d", got, floor)
-	}
 	ts := h.ts(0)
-	if got := h.eng.runLimit(ts); got != floor {
+	if got := h.eng.pol.runLimit(&ts.pol); got != floor {
 		t.Fatalf("a fresh thread's run limit = %d, want the floor %d", got, floor)
 	}
 	// 63 runs end at sections 9, 17, ..., 505; the 64th is open.
 	wantLengths(t, h.runLengths(0, 63*floor+1), 63)
-	if got := h.eng.runLimit(ts); got != floor {
+	if got := h.eng.pol.runLimit(&ts.pol); got != floor {
 		t.Fatalf("run limit after 63 committed runs = %d, want the floor %d", got, floor)
 	}
 	// Seven more sections fill the 64th run, the next acquisition commits it
@@ -87,7 +84,7 @@ func earn(t *testing.T, h *hand) {
 		t.Fatalf("%d locks: the 65th run would not begin at lock 0", len(h.tbl.Locks))
 	}
 	wantLengths(t, h.runLengths(0, 64*floor+1), 64)
-	if got := h.eng.runLimit(h.ts(0)); got != ceiling {
+	if got := h.eng.pol.runLimit(&h.ts(0).pol); got != ceiling {
 		t.Fatalf("run limit after 64 committed runs = %d, want %d", got, ceiling)
 	}
 }
@@ -105,7 +102,7 @@ func TestRunLimitResetsOnRevert(t *testing.T) {
 			t.Error("thread 0's run committed across a foreign acquisition of its lock")
 		}
 	})
-	if got := h.eng.runLimit(h.ts(0)); got != floor {
+	if got := h.eng.pol.runLimit(&h.ts(0).pol); got != floor {
 		t.Fatalf("run limit after a revert = %d, want the floor %d", got, floor)
 	}
 	// The section after a revert is conventional (§3.2), then runs resume: 64
@@ -133,10 +130,10 @@ func TestRunLimitNoCoarsening(t *testing.T) {
 	if got := h.spec.Commits.Load(); got != n-1 {
 		t.Fatalf("%d runs committed in %d sections, want %d", got, n, n-1)
 	}
-	if h.ts(0).runHist != ^uint64(0) {
-		t.Fatalf("run history %#x: the test never reached the state in which a coarsening engine extends", h.ts(0).runHist)
+	if h.ts(0).pol.runHist != ^uint64(0) {
+		t.Fatalf("run history %#x: the test never reached the state in which a coarsening engine extends", h.ts(0).pol.runHist)
 	}
-	if got := h.eng.runLimit(h.ts(0)); got != 1 {
+	if got := h.eng.pol.runLimit(&h.ts(0).pol); got != 1 {
 		t.Fatalf("run limit = %d with coarsening off, want 1", got)
 	}
 	if got := h.spec.ExtendedRuns.Load(); got != 0 {
@@ -178,37 +175,45 @@ func TestRunLimitIrrevocable(t *testing.T) {
 	}
 }
 
+// extendingProgs is the program of TestExtendedRunsAreDeterministic: each
+// thread increments its own cell under its own lock iters times, and the shared
+// counter under lock threads every period-th iteration.
+func extendingProgs(threads, iters int) []*dvm.Program {
+	const counter = 0
+	shared := int64(threads) // the lock after the private ones
+	var progs []*dvm.Program
+	for tid := 0; tid < threads; tid++ {
+		b := dvm.NewBuilder(fmt.Sprintf("t%d", tid))
+		i, v := b.Reg(), b.Reg()
+		add := func(lock, cell int64) {
+			b.Lock(dvm.Const(lock))
+			b.Load(v, dvm.Const(cell))
+			b.Store(dvm.Const(cell), dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(v) + 1 }))
+			b.Unlock(dvm.Const(lock))
+		}
+		period := int64(577 + 50*tid) // first meeting inside each thread's first extended run
+		b.ForN(i, int64(iters), func() {
+			add(int64(tid), 8+int64(tid))
+			b.If(func(th *dvm.Thread) bool { return th.R(i)%period == period-1 }, func() { add(shared, counter) })
+		})
+		progs = append(progs, b.Build())
+	}
+	return progs
+}
+
 // TestExtendedRunsAreDeterministic: four threads run long enough on private
 // locks to earn the ceiling, and meet on one shared lock often enough that
 // some extended runs fail validation. Trace signature, heap hash and every
 // speculation count must not depend on GOMAXPROCS.
 func TestExtendedRunsAreDeterministic(t *testing.T) {
 	const threads, iters, counter = 4, 1500, 0
-	const shared = threads // the lock after the private ones
 	type outcome struct {
 		sig, heap                  uint64
 		runs, reverts, extended, n int64
 	}
 	run := func() outcome {
 		r := newRig(t, lazyCfg(), threads, 64, threads+1, 0, 0)
-		var progs []*dvm.Program
-		for tid := 0; tid < threads; tid++ {
-			b := dvm.NewBuilder(fmt.Sprintf("t%d", tid))
-			i, v := b.Reg(), b.Reg()
-			add := func(lock, cell int64) {
-				b.Lock(dvm.Const(lock))
-				b.Load(v, dvm.Const(cell))
-				b.Store(dvm.Const(cell), dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(v) + 1 }))
-				b.Unlock(dvm.Const(lock))
-			}
-			period := int64(577 + 50*tid) // first meeting inside each thread's first extended run
-			b.ForN(i, iters, func() {
-				add(int64(tid), 8+int64(tid))
-				b.If(func(th *dvm.Thread) bool { return th.R(i)%period == period-1 }, func() { add(shared, counter) })
-			})
-			progs = append(progs, b.Build())
-		}
-		dvm.Run(r.eng, progs)
+		dvm.Run(r.eng, extendingProgs(threads, iters))
 		for tid := int64(0); tid < threads; tid++ {
 			if got := r.read(8 + tid); got != iters {
 				t.Fatalf("thread %d's cell = %d, want %d", tid, got, iters)
@@ -233,5 +238,109 @@ func TestExtendedRunsAreDeterministic(t *testing.T) {
 		if got != ref {
 			t.Fatalf("GOMAXPROCS=%d: %+v, first run %+v", procs, got, ref)
 		}
+	}
+}
+
+// burstProgs is the burst fingerprint workload's shape (harness's
+// elision_test.go): each thread owns a lock and a word and alternates heavy
+// compute with bursts of reacquisitions, staggered so the bursts are disjoint
+// in logical time — publication elision's target.
+func burstProgs(threads int) []*dvm.Program {
+	const bursts, burstLen, heavy = 10, 20, 10_000
+	var progs []*dvm.Program
+	for tid := 0; tid < threads; tid++ {
+		b := dvm.NewBuilder(fmt.Sprintf("burst-%d", tid))
+		i, j, v := b.Reg(), b.Reg(), b.Reg()
+		lock, addr := dvm.Const(int64(tid)), dvm.Const(int64(tid))
+		b.DoCost(1+int64(tid)*1000, func(*dvm.Thread) {})
+		b.ForN(i, bursts, func() {
+			b.DoCost(heavy, func(*dvm.Thread) {})
+			b.ForN(j, burstLen, func() {
+				b.Lock(lock)
+				b.Load(v, addr)
+				b.Store(addr, dvm.Dyn(func(t *dvm.Thread) int64 { return t.R(v) + 1 }))
+				b.Unlock(lock)
+			})
+		})
+		progs = append(progs, b.Build())
+	}
+	return progs
+}
+
+// exitWatch keeps every thread's policy state as the thread leaves: ThreadExit
+// ends the thread's last run, so only then is its run history final.
+type exitWatch struct {
+	*Engine
+	th []threadPolicy
+}
+
+func (w *exitWatch) ThreadExit(t *dvm.Thread) bool {
+	if !w.Engine.ThreadExit(t) {
+		return false
+	}
+	w.th[t.ID] = w.ts(t).pol
+	return true
+}
+
+// policyWords is every history word of a finished run, in a fixed order.
+func policyWords(r *rig, th []threadPolicy) []uint64 {
+	var words []uint64
+	for _, st := range r.tbl.Locks {
+		words = append(words, st.SpecHist...)
+		words = append(words, st.ElideHist)
+	}
+	words = append(words, r.eng.pol.elideGlobal)
+	for _, tp := range th {
+		words = append(words, tp.runHist, tp.threadHist)
+	}
+	return words
+}
+
+// TestPolicyStateIsDeterministic: every policy word — each (lock, thread)
+// SpecHist, each ElideHist, the workload-wide elision history and each
+// thread's run and thread histories — is the same at the end of a run at
+// GOMAXPROCS 1, 2, 4 and 8. A policy race can leave the heap and every counter
+// unchanged and still move these words, so the words are compared themselves:
+// on the extending program (earned coarsening and reverts live) and on the
+// burst shape (publication elision live) under LazyDet and Consequence.
+func TestPolicyStateIsDeterministic(t *testing.T) {
+	const threads = 4
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		locks int
+		progs func() []*dvm.Program
+	}{
+		{"extending/LazyDet", lazyCfg(), threads + 1, func() []*dvm.Program { return extendingProgs(threads, 1500) }},
+		{"burst/LazyDet", lazyCfg(), threads, func() []*dvm.Program { return burstProgs(threads) }},
+		{"burst/Consequence", Config{Mode: ModeStrong}, threads, func() []*dvm.Program { return burstProgs(threads) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			var ref []uint64
+			for _, procs := range []int{1, 2, 4, 8} {
+				runtime.GOMAXPROCS(procs)
+				r := newRig(t, c.cfg, threads, 64, c.locks, 0, 0)
+				w := &exitWatch{Engine: r.eng, th: make([]threadPolicy, threads)}
+				dvm.Run(w, c.progs())
+				got := policyWords(r, w.th)
+				if ref == nil {
+					ref = got
+					elided := r.eng.pol.elideGlobal
+					for _, st := range r.tbl.Locks {
+						elided |= st.ElideHist
+					}
+					if elided == 0 {
+						t.Fatalf("no elision outcome was a hit: the run exercises too little of the policy")
+					}
+					continue
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("GOMAXPROCS=%d: policy word %d = %#x, %#x at GOMAXPROCS=1", procs, i, got[i], ref[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -51,7 +51,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
-			e.virtualProbe(ts, t.ID, l, false, my)
+			e.pol.convAcquired(&ts.pol, ts.depth, l, false, my)
 			st.Readers++
 			st.Acquires++
 			ts.depth++

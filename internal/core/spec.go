@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"lazydet/internal/detsync"
 	"lazydet/internal/dvm"
 	"lazydet/internal/mempipe"
 	"lazydet/internal/telemetry"
@@ -26,8 +25,8 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 			e.specAcquire(t, ts, l, write)
 			return
 		}
-		want := e.shouldSpeculate(ts, t.ID, l)
-		if want && ts.runCS < e.runLimit(ts) {
+		want := e.pol.speculate(&ts.pol, l)
+		if want && ts.runCS < e.pol.runLimit(&ts.pol) {
 			e.specAcquire(t, ts, l, write)
 			return
 		}
@@ -41,7 +40,7 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 			e.specAcquire(t, ts, l, write)
 			return
 		}
-	} else if ts.depth == 0 && !ts.noSpecNext && e.shouldSpeculate(ts, t.ID, l) {
+	} else if ts.depth == 0 && !ts.noSpecNext && e.pol.speculate(&ts.pol, l) {
 		e.beginRun(t, ts)
 		e.specAcquire(t, ts, l, write)
 		return
@@ -54,22 +53,6 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	} else {
 		e.convRLock(t, ts, l)
 	}
-}
-
-// maxEarnedRunCS is the coarsening ceiling: the width of the run history that
-// earns it.
-const maxEarnedRunCS = 64
-
-// runLimit is how many critical sections the thread's current run may span
-// (§3.4's coarsening). Spec.MaxRunCS is the floor every thread starts at; a
-// thread whose last 64 runs all committed has earned the ceiling, and one
-// revert puts it back at the floor for its next 64 runs. Only the thread's own
-// history is read, so the limit is deterministic (DESIGN.md §4).
-func (e *Engine) runLimit(ts *tstate) int {
-	if ts.runHist == ^uint64(0) && e.cfg.Spec.Coarsening {
-		return max(e.cfg.Spec.MaxRunCS, maxEarnedRunCS)
-	}
-	return e.cfg.Spec.MaxRunCS
 }
 
 // beginRun starts a speculation run at the current lock acquisition:
@@ -122,95 +105,6 @@ func (e *Engine) specRelease(t *dvm.Thread, ts *tstate, l int64) {
 	}
 }
 
-// shouldSpeculate makes the adaptive speculation decision (§3.4) from the
-// 64-bit success history: speculate while the success rate is at the
-// threshold. Below it the history fills from virtual probes (virtualProbe),
-// not from the paper's real probe every 20th attempt (DESIGN.md §4d has why).
-// A thread reads only its own histories, so the decision is deterministic.
-func (e *Engine) shouldSpeculate(ts *tstate, tid int, l int64) bool {
-	// A statically Disjoint lock always speculates: its critical sections
-	// have provably non-overlapping footprints, so speculation on it can
-	// never fail validation (DESIGN.md §5e) and warm-up or probing would
-	// only forfeit elision wins. The noSpecNext progress guarantee is
-	// enforced by the callers before they consult this decision, so the
-	// prior cannot starve a reverted thread.
-	if e.hint(l) == HintDisjoint {
-		return true
-	}
-	h, thr := *e.specHist(ts, tid, l), e.cfg.Spec.ThresholdPermille
-	return detsync.SuccessRatePermille(h) >= thr
-}
-
-// specHist is thread tid's history for lock l — the thread's one history
-// when per-lock statistics are off (Figure 11's LAZYDET-NoPerLockStats).
-func (e *Engine) specHist(ts *tstate, tid int, l int64) *uint64 {
-	if e.cfg.Spec.PerLockStats {
-		return &e.tbl.Locks[l].SpecHist[tid]
-	}
-	return &ts.threadHist
-}
-
-// virtualProbe is the policy's evidence source below the threshold, and costs
-// nothing: a conventional acquisition takes the turn anyway, and whether a run
-// begun at it would have validated is the question validate asks of a lock
-// (lockIntact), put to the BEGIN and heap base the acquisition itself defines.
-// Called by the conventional acquire arms with the turn held, l free and not
-// yet taken, my the thread's clock. Like a real run, a virtual one is begun by
-// its first lock's history and stays open for up to MaxRunCS outermost
-// acquisitions (the floor: a probe prices the runs a stood-down thread would
-// begin with, not the ones it could earn), which are inside it and begin
-// nothing; it resolves into its lock's history at the last of them, or sooner
-// if the thread comes back to the lock. Then l arms one, unless its history
-// says speculate: a conventional acquisition there is the post-revert progress
-// guarantee and proves nothing.
-func (e *Engine) virtualProbe(ts *tstate, tid int, l int64, write bool, my int64) {
-	if !e.cfg.Speculation || ts.depth > 0 {
-		return
-	}
-	if p := &ts.probe; p.left > 0 {
-		if p.left--; p.left > 0 && p.lock != l {
-			return
-		}
-		h := e.specHist(ts, tid, p.lock)
-		*h = detsync.PushOutcome(*h, e.lockIntact(&e.tbl.Locks[p.lock], p.write, p.begin, p.base))
-	}
-	if !e.shouldSpeculate(ts, tid, l) {
-		ts.probe = specProbe{write: write, lock: l, begin: my, base: e.tbl.Locks[l].LastCommitSeq, left: e.cfg.Spec.MaxRunCS}
-	}
-}
-
-// recordOutcome shifts the run's outcome into the thread's run history and
-// into the history of every lock it touched (or the thread history when
-// per-lock statistics are disabled).
-func (e *Engine) recordOutcome(ts *tstate, tid int, success bool) {
-	ts.runHist = detsync.PushOutcome(ts.runHist, success)
-	if e.spec != nil && ts.runCS > e.cfg.Spec.MaxRunCS {
-		e.spec.ExtendedRuns.Add(1)
-	}
-	if !e.cfg.Spec.PerLockStats {
-		ts.threadHist = detsync.PushOutcome(ts.threadHist, success)
-		return
-	}
-	for _, r := range ts.log.locks {
-		h := &e.tbl.Locks[r.lock].SpecHist[tid]
-		*h = detsync.PushOutcome(*h, success)
-	}
-}
-
-// lockIntact is conflict detection for one lock (§3.2), shared by validate
-// and the virtual probes so the two cannot drift: a run that logged st
-// (exclusively if write) at clock begin on heap base base is still valid iff
-// st is not held against it and nobody acquired or committed it since.
-func (e *Engine) lockIntact(st *detsync.Lock, write bool, begin, base int64) bool {
-	if st.Owner != 0 || write && st.Readers != 0 {
-		return false // held exclusively, or our write meets live readers
-	}
-	if !e.cfg.Spec.WriteAware && st.LastAcquireDLC > begin {
-		return false
-	}
-	return st.LastCommitSeq <= base
-}
-
 // validate is conflict detection (§3.2): the run fails if any lock it
 // recorded was acquired by another thread since the run began, or is
 // currently held non-speculatively. Detection is purely on locks — never on
@@ -228,31 +122,21 @@ func (e *Engine) validate(ts *tstate) bool {
 	}
 	for _, r := range ts.log.locks {
 		l := r.lock
-		if e.hint(l) == HintDisjoint {
+		if e.pol.disjoint(l) {
 			// Statically disjoint footprints: no section guarded by l
 			// reads or writes data another section of l touches, so
 			// commits interleaved since BEGIN cannot have invalidated
-			// this run through l. The lock-level checks below are coarser
-			// than footprints and would still fire spuriously; skipping
-			// them is what turns the static verdict into elided reverts.
-			// Soundness argument: DESIGN.md §5e.
+			// this run through l. The lock-level checks are coarser than
+			// footprints and would still fire spuriously; skipping them
+			// is what turns the static verdict into elided reverts.
 			continue
 		}
-		if st := &e.tbl.Locks[l]; !e.lockIntact(st, r.write, ts.begin, ts.baseAtBegin) {
+		if st := &e.tbl.Locks[l]; !e.pol.lockIntact(st, r.write, ts.begin, ts.baseAtBegin) {
 			st.ConflictReverts++
 			return false
 		}
 	}
 	return true
-}
-
-// hint returns the static speculation prior for lock l; HintNone when no
-// hint table was configured or l is out of its range.
-func (e *Engine) hint(l int64) SpecHint {
-	if l >= 0 && l < int64(len(e.cfg.Hints)) {
-		return e.cfg.Hints[l]
-	}
-	return HintNone
 }
 
 // terminateRun ends the current speculation run: wait for the commit turn,
@@ -316,7 +200,7 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 		e.tbl.Locks[l].Readers++
 		ts.heldConvRead = append(ts.heldConvRead, l)
 	}
-	e.recordOutcome(ts, t.ID, true)
+	e.pol.runEnded(&ts.pol, ts.log.locks, ts.runCS, true)
 	if e.spec != nil {
 		e.spec.Commits.Add(1)
 		e.spec.CommittedCS.Add(int64(ts.runCS))
@@ -356,7 +240,7 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 		// state; the restore must have preserved it word for word.
 		e.audit.AtWindow(t.ID, ts.mem)
 	}
-	e.recordOutcome(ts, t.ID, false)
+	e.pol.runEnded(&ts.pol, ts.log.locks, ts.runCS, false)
 	if e.tel != nil {
 		my := e.arb.DLC(t.ID)
 		e.tel.Count("spec.reverted_words", int64(discarded))

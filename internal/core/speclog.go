@@ -11,7 +11,7 @@ type lockRec struct {
 // specLog is the thread-local speculation log (§3.1): the locks a run
 // touched, in first-acquisition order, and the locations it accessed
 // atomically (§7 extension). Records are flat and found by a backward scan. A
-// run logs at most 64 x nesting-depth locks (runLimit's ceiling; MaxRunCS x
+// run logs at most 64 x nesting-depth locks (runCeiling; the floor's 8 x
 // depth until the thread has earned it) and re-touches its newest entries
 // most: a hit on the newest record costs 2.5 ns at any size, and a miss — the
 // full scan that every section of a run over distinct locks pays — 8 / 55 /

@@ -273,14 +273,14 @@ func TestSpecLogMatchesMapModel(t *testing.T) {
 // with a store each, commit — allocates nothing in the engine: logging is an
 // append into retained records and the reset is a truncation.
 func TestSpecRunSteadyStateAllocatesNothing(t *testing.T) {
-	const n = maxEarnedRunCS
+	const n = runCeiling
 	for _, cfg := range []Config{lazyCfg(), waCfg()} {
 		r := newRig(t, cfg, 1, 64, n, 0, 0)
 		r.eng.rec = nil // the trace recorder's own buffers are not under test
 		b := dvm.NewBuilder("steady")
 		b.Do(func(th *dvm.Thread) {
 			ts := r.eng.ts(th)
-			ts.runHist = ^uint64(0) // the thread has earned the ceiling
+			ts.pol.runHist = ^uint64(0) // the thread has earned the ceiling
 			v := int64(0)
 			allocs := testing.AllocsPerRun(100, func() {
 				for l := int64(0); l < n; l++ {

@@ -1,7 +1,9 @@
 // Package detsync holds the deterministic synchronization objects shared by
 // the eager (Consequence-style) and lazy (LazyDet) engines: the lock table
-// with its G_l last-acquisition map and per-(lock, thread) speculation
-// metadata, deterministic condition variables, and barriers.
+// with its G_l last-acquisition map and the storage for per-lock speculation
+// metadata, deterministic condition variables, and barriers. The metadata is
+// storage only: the speculation policy in internal/core (policy.go) seeds it
+// and is its sole reader and writer.
 //
 // All mutable fields are read and written only while the mutating thread
 // holds the deterministic turn (see internal/dlc), except each thread's own
@@ -9,8 +11,6 @@
 // turn holders synchronize through the arbiter's mutex, so plain fields are
 // safe and every state transition is deterministic.
 package detsync
-
-import "math/bits"
 
 // Lock is the per-lock state and metadata. The paper allocates this "when
 // the lock is initialized" (§3.2); here the whole table is sized up front.
@@ -38,11 +38,10 @@ type Lock struct {
 	LastCommitSeq int64
 	// Acquires counts total acquisitions (Table 1 statistics).
 	Acquires int64
-	// SpecHist is the per-thread 64-bit success history: bit i of
-	// SpecHist[tid] records whether one of thread tid's last 64
-	// speculation runs involving this lock committed (paper §3.4). The
-	// metadata is per-thread so speculation decisions stay deterministic
-	// (paper footnote 3).
+	// SpecHist is storage for the per-thread 64-bit success histories of
+	// core's speculation policy (paper §3.4), one word per thread so
+	// decisions stay deterministic (paper footnote 3). Allocated by NewTable,
+	// seeded, read and written only by the policy.
 	SpecHist []uint64
 	// ConflictReverts counts speculation reverts attributed to this lock:
 	// validation runs whose first failing check was one of this lock's
@@ -50,17 +49,10 @@ type Lock struct {
 	// not attributed to any lock. Mutated only at turns, so the count is
 	// a deterministic function of the schedule.
 	ConflictReverts int64
-	// ElideHist is the 64-bit publication-elision survival history of this
-	// lock, shared across threads: bit i records whether a deferred (or, for
-	// a virtual probe, hypothetically deferred) publication at one of the
-	// last 64 eager releases survived until the owner's next release without
-	// any other publication advancing the heap — the condition under which a
-	// real stage would have merged there. Unlike SpecHist it is not
-	// per-thread — a miss means the interval was crossed by a foreign
-	// publication, which predicts misses for every owner. Mutated only at
-	// turns (outcomes resolve at the owner's next publication point, which
-	// is a turn), so decisions stay deterministic. Starts zero: elision is
-	// earned through cost-free virtual probes, never paid for up front.
+	// ElideHist is storage for the lock's publication-elision survival
+	// history in core's policy: one word shared across threads, because a
+	// miss means the lock's state was demanded cross-thread, which predicts
+	// misses for every owner. Read and written only by the policy, at turns.
 	ElideHist uint64
 }
 
@@ -97,9 +89,8 @@ type Table struct {
 }
 
 // NewTable allocates nlocks locks, nconds condition variables and nbarriers
-// barriers for nthreads threads. If specMeta is true, per-(lock, thread)
-// speculation metadata is allocated with all-success histories, so
-// speculation starts optimistically enabled.
+// barriers for nthreads threads, and, if specMeta is true, the per-(lock,
+// thread) speculation metadata, which core's policy seeds.
 func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
 	t := &Table{
 		NThreads: nthreads,
@@ -118,9 +109,6 @@ func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
 		// thousands of locks (hash-table buckets) would otherwise pay nlocks
 		// allocations here on every run.
 		hist := make([]uint64, nlocks*nthreads)
-		for i := range hist {
-			hist[i] = ^uint64(0)
-		}
 		for i := range t.Locks {
 			t.Locks[i].SpecHist = hist[i*nthreads : (i+1)*nthreads : (i+1)*nthreads]
 		}
@@ -134,27 +122,3 @@ func (t *Table) Wake(tid int) { t.wake[tid] <- struct{}{} }
 
 // WaitWake blocks the calling thread until another thread wakes it.
 func (t *Table) WaitWake(tid int) { <-t.wake[tid] }
-
-// SuccessRatePermille returns the success rate of history word h in
-// thousandths (popcount * 1000 / 64).
-func SuccessRatePermille(h uint64) int {
-	return bits.OnesCount64(h) * 1000 / 64
-}
-
-// RecentRatePermille is the success rate over only the newest w outcomes of
-// history word h (PushOutcome shifts in at bit 0, so the low bits are the
-// most recent). A short window reacts in w pushes instead of 64 — the
-// difference between a policy that engages mid-phase and one that engages
-// after the phase is over.
-func RecentRatePermille(h uint64, w int) int {
-	return bits.OnesCount64(h&(1<<w-1)) * 1000 / w
-}
-
-// PushOutcome shifts outcome (1 = success) into history word h.
-func PushOutcome(h uint64, success bool) uint64 {
-	h <<= 1
-	if success {
-		h |= 1
-	}
-	return h
-}

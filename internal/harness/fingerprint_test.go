@@ -106,7 +106,7 @@ func TestPinnedFingerprints(t *testing.T) {
 	}
 
 	// A row where earned coarsening is live at t=4: own-lock streaks long
-	// enough that every thread's runs go past MaxRunCS (core's runLimit), with
+	// enough that every thread's runs go past the coarsening floor (core's runLimit), with
 	// the seed's random operations on both sides of them.
 	cfg := randprog.DefaultConfig(4)
 	cfg.OpsPerThread = 40
@@ -117,7 +117,7 @@ func TestPinnedFingerprints(t *testing.T) {
 	}
 	res := pin("seed1+streak/LazyDet/t4", w, harness.Options{Engine: harness.LazyDet, Threads: 4, CollectSpec: true})
 	if res.Spec.ExtendedRuns.Load() == 0 {
-		t.Error("seed1+streak/LazyDet/t4: no run went past MaxRunCS; the row pins nothing new")
+		t.Error("seed1+streak/LazyDet/t4: no run went past the floor; the row pins nothing new")
 	}
 
 	out, err := json.MarshalIndent(got, "", "  ")

@@ -186,7 +186,7 @@ func TestExpectedModelMatchesEveryEngine(t *testing.T) {
 // TestOwnStreak: a streak adds exactly OwnStreak critical sections per thread
 // and leaves the seed's other operations what they were; the model still holds
 // under every engine; and at MinExtendingStreak LazyDet provably runs past
-// MaxRunCS — the state the streak exists to reach.
+// the coarsening floor — the state the streak exists to reach.
 func TestOwnStreak(t *testing.T) {
 	cfg := DefaultConfig(4)
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
@@ -221,7 +221,7 @@ func TestOwnStreak(t *testing.T) {
 				t.Fatalf("seed %d: %s: %v", seed, eng, err)
 			}
 			if eng == harness.LazyDet && res.Spec.ExtendedRuns.Load() == 0 {
-				t.Errorf("seed %d: no LazyDet run went past MaxRunCS in %d-section streaks", seed, long.OwnStreak)
+				t.Errorf("seed %d: no LazyDet run went past the floor in %d-section streaks", seed, long.OwnStreak)
 			}
 		}
 	}

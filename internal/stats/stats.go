@@ -106,7 +106,7 @@ type Spec struct {
 	Reverts       atomic.Int64 // runs that reverted
 	CommittedCS   atomic.Int64 // critical sections inside committed runs
 	Upgrades      atomic.Int64 // runs upgraded to irrevocable
-	ExtendedRuns  atomic.Int64 // runs that went past SpecConfig.MaxRunCS (earned coarsening)
+	ExtendedRuns  atomic.Int64 // runs that went past the coarsening floor (earned coarsening)
 
 	mu      sync.Mutex
 	reverts []RevertSample

@@ -163,11 +163,8 @@ func TestPublicAPISpecConfig(t *testing.T) {
 	if !sc.Coarsening || !sc.Irrevocable || !sc.PerLockStats {
 		t.Fatalf("default speculation config lost the paper's features: %+v", sc)
 	}
-	if sc.ThresholdPermille != 850 {
-		t.Fatalf("default success threshold is not the paper's 85%%: %+v", sc)
-	}
-	if n := reflect.TypeOf(sc).NumField(); n != 7 {
-		t.Fatalf("SpecConfig has %d fields, want 7: virtual probes replaced the retry period and added no knob", n)
+	if n := reflect.TypeOf(sc).NumField(); n != 5 {
+		t.Fatalf("SpecConfig has %d fields, want 5: the threshold and the coarsening floor are policy constants", n)
 	}
 	sc.Coarsening = false
 	w := counter(100)
