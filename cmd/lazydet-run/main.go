@@ -22,22 +22,6 @@ import (
 	"lazydet/internal/workloads"
 )
 
-// startCPUProfile begins CPU profiling into path; the returned func stops it.
-func startCPUProfile(path string) (func(), error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}, nil
-}
-
 // writeHeapProfile writes an allocation profile of the run to path.
 func writeHeapProfile(path string) error {
 	f, err := os.Create(path)
@@ -77,37 +61,42 @@ func buildWorkload(name string, scale int) (*harness.Workload, error) {
 	return nil, fmt.Errorf("unknown workload %q", name)
 }
 
-func main() {
-	workload := flag.String("workload", "ht", "workload name (see -list)")
-	engine := flag.String("engine", "lazydet", "engine: pthreads, consequence, weak, weak-nondet, lazydet")
-	threads := flag.Int("threads", 8, "simulated thread count")
-	scale := flag.Int("scale", 1, "problem-size multiplier")
-	trace := flag.Bool("trace", false, "record and print determinism fingerprints")
-	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
-	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
-	reportPath := flag.String("report", "", "write a single-run structured JSON run report to this file")
-	list := flag.Bool("list", false, "list workloads and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file; samples carry engine-phase pprof labels (grant/commit/validate)")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit code so every deferred
+// cleanup (the CPU profile's flush above all) runs before the process exits.
+func run(args []string) int {
+	fs := flag.NewFlagSet("lazydet-run", flag.ExitOnError)
+	workload := fs.String("workload", "ht", "workload name (see -list)")
+	engine := fs.String("engine", "lazydet", "engine: pthreads, consequence, weak, weak-nondet, lazydet")
+	threads := fs.Int("threads", 8, "simulated thread count")
+	scale := fs.Int("scale", 1, "problem-size multiplier")
+	trace := fs.Bool("trace", false, "record and print determinism fingerprints")
+	shards := fs.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
+	compiled := fs.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
+	reportPath := fs.String("report", "", "write a single-run structured JSON run report to this file")
+	list := fs.Bool("list", false, "list workloads and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file; samples carry engine-phase pprof labels (grant/commit/validate)")
+	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	fs.Parse(args)
 
 	if *list {
 		fmt.Println("ht htlazy (Synchrobench microbenchmarks)")
 		for _, g := range workloads.All() {
 			fmt.Println(g.Name)
 		}
-		return
+		return 0
 	}
 
 	ek, err := engineByName(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	w, err := buildWorkload(*workload, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	opt := harness.Options{
@@ -119,23 +108,26 @@ func main() {
 		Telemetry:  *reportPath != "",
 	}
 	if *cpuprofile != "" {
-		core.EnableProfileLabels()
-		stop, err := startCPUProfile(*cpuprofile)
+		stop, err := core.StartCPUProfile(*cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		defer stop()
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}()
 	}
 	res, err := harness.Run(w, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if *memprofile != "" {
 		if err := writeHeapProfile(*memprofile); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -175,8 +167,9 @@ func main() {
 		}
 		if err := suite.WriteFile(*reportPath); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("report:      %s\n", *reportPath)
 	}
+	return 0
 }

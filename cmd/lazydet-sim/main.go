@@ -3,9 +3,6 @@
 //
 //	lazydet-sim -grid bench/ci-grid.json                  # timestamped output folder
 //	lazydet-sim -grid sweep.json -out runs/try3           # fixed output folder
-//	lazydet-sim -grid bench/ci-grid.json -out a \
-//	    -baseline bench/baseline.json -gate 25            # gate sim/* rows
-//	lazydet-sim -compare a/report.json -baseline bench/baseline.json -gate 25
 //
 // The output folder holds the resolved grid config (grid.json), the run
 // report (report.json), the merged deterministic summary
@@ -14,9 +11,9 @@
 // (<grid>-timing.csv, excluded from byte-diffs by design), and with
 // per_request_csv the raw per-cell stamp dumps under cells/.
 //
-// Gating (-baseline/-gate) filters the baseline to sim/* rows first, so a
-// grid run is compared only against the simulation slice of the full
-// bench/baseline.json.
+// The interpreter cells of bench/ci-grid.json are also rows of
+// internal/harness/testdata/fingerprints.json, where every deterministic
+// metric of their run reports is pinned exactly.
 package main
 
 import (
@@ -25,125 +22,75 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"time"
 
 	"lazydet/internal/core"
 	"lazydet/internal/experiments"
-	"lazydet/internal/telemetry"
 )
 
-// diffSim gates the sim/* slice of both reports and returns the exit code.
-func diffSim(basePath, curPath string, gatePct float64) int {
-	base, err := telemetry.ReadReport(basePath)
-	if err != nil {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit code so every deferred
+// cleanup (the CPU profile's flush above all) runs before the process exits.
+func run(args []string) int {
+	fs := flag.NewFlagSet("lazydet-sim", flag.ExitOnError)
+	grid := fs.String("grid", "", "grid config file (JSON; see bench/ci-grid.json)")
+	out := fs.String("out", "", "output folder (default sim-runs/<UTC timestamp>)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the grid run to this file; samples carry engine-phase pprof labels (grant/commit/validate)")
+	fs.Parse(args)
+
+	if *grid == "" {
+		fs.Usage()
+		return 2
+	}
+	if *cpuprofile != "" {
+		stop, err := core.StartCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}()
+	}
+	if err := simulate(*grid, *out); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	cur, err := telemetry.ReadReport(curPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	// The report suite pins the hint policy as sim/hints-* rows; no grid
-	// produces those, so they are dropped from the baseline slice before the
-	// MissingRuns check.
-	c := telemetry.Compare(base.FilterPrefix("sim/").DropPrefix("sim/hints-"),
-		cur.FilterPrefix("sim/").DropPrefix("sim/hints-"), gatePct)
-	c.Format(os.Stdout)
-	if !c.Ok() {
-		fmt.Printf("sim gate FAILED: %d regression(s), %d missing run(s) (gate %.1f%%)\n",
-			len(c.Regressions), len(c.MissingRuns), gatePct)
-		return 1
-	}
-	fmt.Printf("sim gate passed (gate %.1f%%)\n", gatePct)
 	return 0
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-func main() {
-	grid := flag.String("grid", "", "grid config file (JSON; see bench/ci-grid.json)")
-	out := flag.String("out", "", "output folder (default sim-runs/<UTC timestamp>)")
-	baseline := flag.String("baseline", "", "baseline report to gate the sim/* rows against")
-	gate := flag.Float64("gate", 0, "fail when a gated sim metric regresses more than this percent; 0 reports without failing")
-	compare := flag.String("compare", "", "diff this existing report's sim/* rows against -baseline without running anything")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the grid run to this file; samples carry engine-phase pprof labels (grant/commit/validate)")
-	flag.Parse()
-
-	// The deferred stop does not run through the os.Exit gate paths below,
-	// so the stop closure is also invoked explicitly before them.
-	stopProfile := func() {}
-	if *cpuprofile != "" {
-		core.EnableProfileLabels()
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		stopped := false
-		stopProfile = func() {
-			if stopped {
-				return
-			}
-			stopped = true
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-		defer stopProfile()
-	}
-
-	if *compare != "" {
-		if *baseline == "" {
-			fmt.Fprintln(os.Stderr, "-compare requires -baseline")
-			os.Exit(2)
-		}
-		os.Exit(diffSim(*baseline, *compare, *gate))
-	}
-	if *grid == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	g, err := experiments.LoadGrid(*grid)
+// simulate runs the grid config at path into the output folder dir.
+func simulate(path, dir string) error {
+	g, err := experiments.LoadGrid(path)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	dir := *out
 	if dir == "" {
 		dir = filepath.Join("sim-runs", time.Now().UTC().Format("20060102T150405Z"))
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail(err)
+		return err
 	}
 	// The resolved config rides along with the results, so a folder is
 	// self-describing and re-runnable.
 	resolved, err := json.MarshalIndent(g, "", "  ")
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := os.WriteFile(filepath.Join(dir, "grid.json"), append(resolved, '\n'), 0o644); err != nil {
-		fail(err)
+		return err
 	}
 
-	cfg := experiments.Config{Out: os.Stdout, CSVDir: dir}
-	suite, err := experiments.RunGrid(cfg, g)
+	suite, err := experiments.RunGrid(experiments.Config{Out: os.Stdout, CSVDir: dir}, g)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	reportPath := filepath.Join(dir, "report.json")
-	if err := suite.WriteFile(reportPath); err != nil {
-		fail(err)
+	if err := suite.WriteFile(filepath.Join(dir, "report.json")); err != nil {
+		return err
 	}
 	fmt.Printf("wrote %d cell runs to %s\n", len(suite.Runs), dir)
-
-	if *baseline != "" {
-		stopProfile()
-		os.Exit(diffSim(*baseline, reportPath, *gate))
-	}
+	return nil
 }

@@ -264,9 +264,9 @@ func New(cfg Config, d Deps) *Engine {
 		e.mems[tid] = e.pipe.NewThread(tid)
 	}
 	if d.Tel != nil {
-		// A pure function of the heap configuration, so a gated metric: a
+		// A pure function of the heap configuration, so a pinned metric: a
 		// run that silently changed its publication sharding should fail
-		// the perf gate's comparison, not pass with different plumbing.
+		// TestPinnedFingerprints, not pass with different plumbing.
 		d.Tel.SetGauge("mempipe.shards", float64(e.pipe.Shards()))
 	}
 	if cfg.CheckInvariants {

@@ -10,22 +10,40 @@
 // time to the phase the elision work targets (`go tool pprof -tagfocus
 // engine_phase=commit`). Labeling costs two goroutine-label stores per
 // labeled region, so it is off unless a front end that is actually writing
-// a profile calls EnableProfileLabels; disabled, each site is one atomic
-// load and a no-op call.
+// a profile calls StartCPUProfile; disabled, each site is one atomic load
+// and a no-op call.
 package core
 
 import (
 	"context"
+	"os"
 	"runtime/pprof"
 	"sync/atomic"
 )
 
 var profilePhases atomic.Bool
 
-// EnableProfileLabels turns on engine-phase pprof labels process-wide. The
-// CLI front ends call it when -cpuprofile is given; there is no way to turn
-// labels off again (profiles are one-shot per process).
-func EnableProfileLabels() { profilePhases.Store(true) }
+// StartCPUProfile turns on engine-phase labels process-wide and starts a CPU
+// profile into path. The returned stop flushes the profile and closes the
+// file; until it runs the file may be empty, so a front end must reach it on
+// every exit path — os.Exit skips deferred calls, which is why the mains
+// return their exit code from a run function that defers stop. Labels stay
+// on after stop (profiles are one-shot per process).
+func StartCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	profilePhases.Store(true)
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
 
 var noPhase = func() {}
 

@@ -29,13 +29,6 @@ type Config struct {
 	Scale int
 	// Quick shrinks sweeps for fast smoke runs.
 	Quick bool
-	// Compiled runs the deterministic engines on the threaded-code
-	// backend instead of the interpreter. Because the two backends
-	// publish identical clocks at every sync point, a -report run with
-	// Compiled set must reproduce the interpreter baseline's gated
-	// metrics exactly — diffing against bench/baseline.json turns the
-	// perf gate itself into a differential oracle for the lowering pass.
-	Compiled bool
 	// CSVDir, when set, additionally writes each experiment's rows as
 	// <CSVDir>/<experiment>.csv for re-plotting.
 	CSVDir string

@@ -196,7 +196,7 @@ func (g *Grid) seeds() []uint64 {
 }
 
 // cellName keys one cell+repeat in reports and CSV: every dimension except
-// the engine (which has its own report field) is encoded, so baseline keys
+// the engine (which has its own report field) is encoded, so report keys
 // are collision-free.
 func cellName(cont GridContention, gap int64, workers, rep int, backend string) string {
 	name := fmt.Sprintf("sim/%s/g%d/w%d/r%d", cont.Name, gap, workers, rep)
@@ -322,27 +322,4 @@ func writePerRequest(cfg Config, cell, engine string, res *opensim.Result) error
 		f.row(q.ID, q.Mix, q.Admit, q.Start, q.Finish, q.Latency(), q.Wait(), q.Depth)
 	}
 	return nil
-}
-
-// CIGrid is the checked-in smoke grid CI runs twice and byte-diffs
-// (bench/ci-grid.json mirrors it; a unit test keeps the two in sync). Its
-// cells are also appended to the report suite, which is how sim/* rows
-// enter bench/baseline.json. Small on purpose: 8 cells × 2 repeats, each
-// verified by a double run.
-func CIGrid() *Grid {
-	return &Grid{
-		Name:       "sim-ci-grid",
-		Repeats:    2,
-		SeedRanges: []SeedRange{{From: 1, To: 1}, {From: 7, To: 7}},
-		Requests:   192,
-		MeanGaps:   []int64{48, 192},
-		Workers:    []int{3},
-		Engines:    []string{"Consequence", "LazyDet"},
-		Backends:   []string{"interp", "compiled"},
-		Contention: []GridContention{
-			{Name: "c4", Keys: 64, Stripes: 4, HotPct: 25, HotKeys: 2},
-		},
-		PerRequestCSV: true,
-		Verify:        true,
-	}
 }

@@ -113,25 +113,6 @@ func TestGridSeedsFollowRangeOrder(t *testing.T) {
 	}
 }
 
-// bench/ci-grid.json is the file CI hands to lazydet-sim; CIGrid() is the
-// value the report suite embeds (and therefore what bench/baseline.json's
-// sim/* rows pin). They must describe the same grid, or the sim-smoke job
-// and the perf gate would quietly measure different things.
-func TestCIGridMatchesCheckedInFile(t *testing.T) {
-	f, err := os.Open(filepath.Join("..", "..", "bench", "ci-grid.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	g, err := ParseGrid(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g, CIGrid()) {
-		t.Errorf("bench/ci-grid.json %+v\n!= experiments.CIGrid() %+v", g, CIGrid())
-	}
-}
-
 // Golden-file test for the merged summary CSV: a tiny single-cell grid's
 // summary must reproduce testdata/sim-golden-summary.csv byte-for-byte.
 // Every column is deterministic (DLC stamps, exact percentiles, trace and

@@ -1,7 +1,8 @@
 // Run-report construction: folds the harness's measurements — the telemetry
 // registry plus the legacy stats collectors (speculation, blocked time, the
-// sync-order trace) — into one telemetry.RunReport, the unit lazydet-bench
-// and lazydet-run serialize and the CI perf gate diffs.
+// sync-order trace) — into one telemetry.RunReport, the unit lazydet-run and
+// lazydet-sim serialize. Its Metrics half is what testdata/fingerprints.json
+// pins, exactly, for every pinned run (TestPinnedFingerprints).
 package harness
 
 import (
@@ -32,7 +33,7 @@ func absorbStats(tel *telemetry.Recorder, res *Result) {
 	}
 	if res.LockReverts != nil {
 		// Lock-attributed revert total: a deterministic function of the
-		// schedule (ConflictReverts mutates only at turns), so gated. The
+		// schedule (ConflictReverts mutates only at turns), so a metric. The
 		// per-lock breakdown stays on Result.LockReverts for callers; only
 		// the sum is a stable metric name across workloads.
 		var sum int64
@@ -50,7 +51,7 @@ func absorbStats(tel *telemetry.Recorder, res *Result) {
 }
 
 // timingCounters names telemetry counters that carry wall time rather than
-// deterministic counts; BuildReport routes them into the never-gated Timing
+// deterministic counts; BuildReport routes them into the never-pinned Timing
 // section so Metrics stays reproducible across machines.
 var timingCounters = map[string]bool{
 	"progcheck.analysis_ns":  true,
@@ -75,12 +76,12 @@ var timingCounters = map[string]bool{
 	// Fast-path chain grants additionally require the granted thread's
 	// arrival to beat every rival's clock publication — a wall-clock race —
 	// so they stay informational; dlc.chain_hits (the chance the fast path
-	// chases) is deterministic and gated.
+	// chases) is deterministic and a metric.
 	"dlc.chain_fast": true,
 	// Threaded-code lowering cost is wall time; the fusion statistics
 	// depend only on the compiler's pattern tables, which may change
 	// between versions without affecting the deterministic schedule, so
-	// all three stay out of the gated metrics.
+	// all three stay out of the metrics.
 	"dvm.compile_ns":        true,
 	"dvm.fused_blocks":      true,
 	"dvm.superinstructions": true,
@@ -90,9 +91,9 @@ var timingCounters = map[string]bool{
 //
 // Deterministic values (every telemetry counter and gauge — DLC totals,
 // turn waits, commit word counts, speculation outcomes) land in Metrics,
-// which the perf gate may fail on. Machine-dependent values (wall/CPU time,
-// utilization, per-thread blocked time, revert-cost nanosecond percentiles)
-// land in Timing, which is reported but never gated.
+// which a pinned run must reproduce exactly. Machine-dependent values
+// (wall/CPU time, utilization, per-thread blocked time, revert-cost
+// nanosecond percentiles) land in Timing, which is reported but never pinned.
 func BuildReport(res *Result) telemetry.RunReport {
 	r := telemetry.RunReport{
 		Workload: res.Workload,

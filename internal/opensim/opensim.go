@@ -267,8 +267,8 @@ func (r *Result) summarize() {
 }
 
 // publish lands the summary in the run's telemetry registry: the gauges
-// become deterministic report Metrics (the sim.* rows the perf gate
-// enforces), the latency histogram a deterministic report distribution.
+// become deterministic report Metrics (the sim.* metrics fingerprints.json
+// pins), the latency histogram a deterministic report distribution.
 func (r *Result) publish(tel *telemetry.Recorder) {
 	if tel == nil {
 		return

@@ -1,7 +1,7 @@
 // Package telemetry is the unified metrics registry of the runtime: the one
 // place the engines (internal/core), the versioned heap (internal/vheap),
 // the memory pipeline (internal/mempipe) and the harness publish their
-// measurements into, and the one place run reports, CI perf gates and
+// measurements into, and the one place run reports, pinned fingerprints and
 // Chrome-trace timelines are built from.
 //
 // The registry holds three metric kinds:
