@@ -1,7 +1,8 @@
 // Command lazydet-fuzz differentially stress-tests the engines: it
 // generates random data-race-free commutative programs (whose final memory
 // is schedule-independent and predicted on the host), runs each under every
-// engine, and verifies four properties per seed:
+// engine, and checks these properties per seed (the numbers are stable
+// names other documents cite; retired properties leave gaps):
 //
 //  1. correctness — every engine's final memory matches the model exactly;
 //
@@ -14,35 +15,30 @@
 //
 //  4. (with -invariants) runtime invariants — turn-holder uniqueness, heap
 //     commit monotonicity, lock-table consistency and snapshot round-trip
-//     exactness hold at every turn grant and commit/revert.
+//     exactness hold at every turn grant and commit/revert;
 //
-// With -vet (on by default) every generated program set is additionally
-// cross-checked against the static analyzer: internal/progcheck must report
-// zero error findings on these race-free, deadlock-free programs (any
-// finding is an analyzer false positive — warnings are tallied and the rate
-// reported), and after seeding a known bug into a copy (the final halt is
-// prefixed with a lock acquisition that is never released) the analyzer
-// must flag it, or it has a soundness hole.
+//  5. (with -vet, on by default) no analyzer false positives — the static
+//     analyzer (internal/progcheck) reports zero error findings on these
+//     race-free, deadlock-free programs; warnings are tallied and the rate
+//     reported;
 //
-// Unless -nohints is given, every seed also runs LazyDet with the static
-// speculation hints (harness.Options.SpecHints) and checks the hint
-// properties: the hinted run is deterministic, its final memory is
-// bit-identical to the unhinted run's (hints steer speculation, never
-// committed state), and every lock the footprint analysis proved Disjoint
-// observes zero conflict-attributed reverts — if a "can never fail
-// validation" lock reverts even once, the static proof is unsound.
-// -nohints drops the hinted runs, making the unhinted policy the
-// differential baseline.
+//  6. (with -vet) no analyzer soundness hole — after a known bug is seeded
+//     into a copy (the final halt is prefixed with a lock acquisition that
+//     is never released) the analyzer flags it;
 //
-// -shards overrides the heap's shard count — and independently of the flag,
-// every seed cross-checks the strong engines against the opposite shard
-// layout (default vs single-shard): traces and final memory must be
-// bit-identical, because publication order is specified by (DLC, tid) alone
-// and shards only partition locks. -compiled runs every engine on the
-// threaded-code backend (fused superinstructions) instead of the
-// interpreter — and independently of the flag, every seed cross-checks
-// the strong engines against the opposite backend, the interpreter serving
-// as the differential oracle for the lowering pass.
+//  8. execution-backend oracle — Consequence and LazyDet produce
+//     bit-identical traces and final memory on the interpreter and on the
+//     threaded-code backend (fused superinstructions); -compiled makes the
+//     threaded code the primary backend for every run and the interpreter
+//     the cross-check;
+//
+//  9. (unless -nohints) static speculation hints — LazyDet also runs with
+//     the static hints (harness.Options.SpecHints): the hinted run is
+//     deterministic, its final memory is bit-identical to the unhinted
+//     run's (hints steer speculation, never committed state), and every
+//     lock the footprint analysis proved Disjoint observes zero
+//     conflict-attributed reverts — if a "can never fail validation" lock
+//     reverts even once, the static proof is unsound.
 //
 // -streak splices a run of critical sections on locks no other thread takes
 // into every thread's program (randprog.Config.OwnStreak). From
@@ -58,6 +54,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -103,19 +100,28 @@ func hasClass(rep *progcheck.Report, class progcheck.Class) bool {
 	return false
 }
 
-func main() {
-	seeds := flag.Int("seeds", 50, "number of random programs")
-	start := flag.Uint64("start", 1, "first seed")
-	threads := flag.Int("threads", 4, "simulated thread count")
-	ops := flag.Int("ops", 60, "operations per thread")
-	streak := flag.Int("streak", 0, "critical sections on thread-owned locks spliced into every thread's program (from randprog.MinExtendingStreak on, LazyDet must extend runs past the floor)")
-	invariants := flag.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
-	vet := flag.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
-	shards := flag.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
-	compiled := flag.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
-	noHints := flag.Bool("nohints", false, "skip the statically hinted LazyDet runs (unhinted differential baseline only)")
-	verbose := flag.Bool("v", false, "print every seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit code: 0 when every seed
+// passes, 1 when any fails, 2 on a usage error.
+func run(args []string) int {
+	fs := flag.NewFlagSet("lazydet-fuzz", flag.ContinueOnError)
+	seeds := fs.Int("seeds", 50, "number of random programs")
+	start := fs.Uint64("start", 1, "first seed")
+	threads := fs.Int("threads", 4, "simulated thread count")
+	ops := fs.Int("ops", 60, "operations per thread")
+	streak := fs.Int("streak", 0, "critical sections on thread-owned locks spliced into every thread's program (from randprog.MinExtendingStreak on, LazyDet must extend runs past the floor)")
+	invariants := fs.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
+	vet := fs.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
+	compiled := fs.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
+	noHints := fs.Bool("nohints", false, "skip the statically hinted LazyDet runs (unhinted differential baseline only)")
+	verbose := fs.Bool("v", false, "print every seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := randprog.DefaultConfig(*threads)
 	cfg.OpsPerThread = *ops
@@ -134,9 +140,7 @@ func main() {
 		}
 		ok := true
 		var violations []*invariant.Violation
-		baseOpt := harness.Options{
-			Threads: *threads, HeapShards: *shards, Compiled: *compiled,
-		}
+		baseOpt := harness.Options{Threads: *threads, Compiled: *compiled}
 		if *invariants {
 			baseOpt.CheckInvariants = true
 			baseOpt.OnViolation = func(v *invariant.Violation) { violations = append(violations, v) }
@@ -263,41 +267,20 @@ func main() {
 				}
 			}
 		}
-		// Property 7: sharding oracle. The sharded heap vs the single-lock
-		// layout must be unobservable: publication order is specified by
-		// (DLC, tid) alone, so the strong engines must produce bit-identical
-		// traces and final memory either way.
+		// Property 8: execution-backend oracle. The threaded-code backend
+		// and the interpreter publish identical clocks at every sync point,
+		// so the schedule — and with it the trace and the final memory —
+		// must be bit-identical per seed.
 		for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
 			opt := baseOpt
 			opt.Engine = eng
 			opt.Trace = true
 			ref, err := harness.Run(w, opt)
-			alt := opt
-			if opt.HeapShards == 1 {
-				alt.HeapShards = 0 // oracle run was requested; compare against default sharding
-			} else {
-				alt.HeapShards = 1
-			}
-			res, err2 := harness.Run(w, alt)
-			if err != nil || err2 != nil {
-				fmt.Printf("seed %d: %s shard oracle: %v %v\n", seed, eng, err, err2)
-				ok = false
-				continue
-			}
-			if ref.TraceSig != res.TraceSig || ref.HeapHash != res.HeapHash {
-				fmt.Printf("seed %d: %s DIVERGES from shard oracle (trace %x/%x heap %x/%x)\n",
-					seed, eng, ref.TraceSig, res.TraceSig, ref.HeapHash, res.HeapHash)
-				ok = false
-			}
-			// Property 8: execution-backend oracle. The threaded-code
-			// backend and the interpreter publish identical clocks at
-			// every sync point, so the schedule — and with it the trace
-			// and the final memory — must be bit-identical per seed.
 			bopt := opt
 			bopt.Compiled = !opt.Compiled
-			bres, err4 := harness.Run(w, bopt)
-			if err4 != nil {
-				fmt.Printf("seed %d: %s backend oracle: %v\n", seed, eng, err4)
+			bres, err2 := harness.Run(w, bopt)
+			if err != nil || err2 != nil {
+				fmt.Printf("seed %d: %s backend oracle: %v %v\n", seed, eng, err, err2)
 				ok = false
 				continue
 			}
@@ -320,7 +303,7 @@ func main() {
 	}
 	if failures > 0 {
 		fmt.Printf("FAIL: %d of %d seeds\n", failures, *seeds)
-		os.Exit(1)
+		return 1
 	}
 	suffix := ""
 	if *invariants {
@@ -333,4 +316,5 @@ func main() {
 		suffix += fmt.Sprintf("; progcheck: %d seeds cross-checked, %d warning false positive(s)", vetSeeds, vetFalseWarnings)
 	}
 	fmt.Printf("ok: %d seeds × %d engines, all equivalent and deterministic%s\n", *seeds, len(harness.AllEngines), suffix)
+	return 0
 }

@@ -72,7 +72,6 @@ func run(args []string) int {
 	threads := fs.Int("threads", 8, "simulated thread count")
 	scale := fs.Int("scale", 1, "problem-size multiplier")
 	trace := fs.Bool("trace", false, "record and print determinism fingerprints")
-	shards := fs.Int("shards", 0, "versioned heap shard count (0 = default, 1 = single-lock oracle)")
 	compiled := fs.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
 	reportPath := fs.String("report", "", "write a single-run structured JSON run report to this file")
 	list := fs.Bool("list", false, "list workloads and exit")
@@ -93,6 +92,10 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "-scale %d: the problem-size multiplier must be at least 1\n", *scale)
+		return 2
+	}
 	w, err := buildWorkload(*workload, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -103,7 +106,6 @@ func run(args []string) int {
 		Engine: ek, Threads: *threads, Trace: *trace,
 		MeasureTimes: true, CollectSpec: ek == harness.LazyDet,
 		CountLocks: ek == harness.Pthreads,
-		HeapShards: *shards,
 		Compiled:   *compiled,
 		Telemetry:  *reportPath != "",
 	}

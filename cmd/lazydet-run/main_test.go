@@ -27,3 +27,17 @@ func TestErrorExitFlushesCPUProfile(t *testing.T) {
 		t.Fatalf("CPU profile is %d bytes and not gzip-framed", len(b))
 	}
 }
+
+// TestRejectsNonPositiveScale: a problem-size multiplier below 1 is a usage
+// error (exit 2), not a panic inside the workload or the heap constructor.
+func TestRejectsNonPositiveScale(t *testing.T) {
+	for _, c := range []struct{ workload, scale string }{
+		{"radix", "-1"},
+		{"barnes", "-1"},
+		{"ferret", "0"},
+	} {
+		if code := run([]string{"-workload", c.workload, "-scale", c.scale, "-threads", "2"}); code != 2 {
+			t.Errorf("-workload %s -scale %s: exit code %d, want 2", c.workload, c.scale, code)
+		}
+	}
+}

@@ -57,6 +57,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
 		os.Exit(2)
 	}
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "-scale %d: the problem-size multiplier must be at least 1\n", *scale)
+		os.Exit(2)
+	}
 
 	var w *harness.Workload
 	switch *workload {

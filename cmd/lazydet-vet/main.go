@@ -138,6 +138,10 @@ func main() {
 	werror := flag.Bool("werror", false, "treat warn-severity findings as failures")
 	flag.Parse()
 
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "-scale %d: the problem-size multiplier must be at least 1\n", *scale)
+		os.Exit(2)
+	}
 	targets, err := buildTargets(*workload, *all, *litmus, *threads, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

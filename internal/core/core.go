@@ -263,12 +263,6 @@ func New(cfg Config, d Deps) *Engine {
 	for tid := range e.mems {
 		e.mems[tid] = e.pipe.NewThread(tid)
 	}
-	if d.Tel != nil {
-		// A pure function of the heap configuration, so a pinned metric: a
-		// run that silently changed its publication sharding should fail
-		// TestPinnedFingerprints, not pass with different plumbing.
-		d.Tel.SetGauge("mempipe.shards", float64(e.pipe.Shards()))
-	}
 	if cfg.CheckInvariants {
 		e.audit = invariant.New(d.Arb, d.Tbl, d.Heap, d.OnViolation)
 	}

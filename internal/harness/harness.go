@@ -115,11 +115,6 @@ type Options struct {
 	// FullVersionChains retains every page version (DLRC-style
 	// accounting) instead of trimming to live bases (§4.2 experiment).
 	FullVersionChains bool
-	// HeapShards overrides the versioned heap's shard count (page-range
-	// partitions of the commit lock, page pool and trim floor). Zero means
-	// the heap's default; 1 collapses to the single-lock layout, the
-	// differential oracle for sharding.
-	HeapShards int
 	// Telemetry enables the unified metrics registry
 	// (internal/telemetry): the engine, versioned heap and memory pipeline
 	// publish counters and histograms into one recorder, available as
@@ -245,6 +240,10 @@ func Run(w *Workload, opt Options) (*Result, error) {
 	if opt.PageWords < 0 || opt.PageWords&(opt.PageWords-1) != 0 {
 		return nil, fmt.Errorf("harness: page size %d words is not a power of two", opt.PageWords)
 	}
+	if w.HeapWords < 0 || w.Locks < 0 || w.Conds < 0 || w.Barriers < 0 {
+		return nil, fmt.Errorf("harness: workload %s has a negative size (heap %d words, %d locks, %d conds, %d barriers)",
+			w.Name, w.HeapWords, w.Locks, w.Conds, w.Barriers)
+	}
 	progs := w.Programs(opt.Threads)
 	if len(progs) != opt.Threads {
 		return nil, fmt.Errorf("harness: workload %s built %d programs for %d threads", w.Name, len(progs), opt.Threads)
@@ -360,9 +359,6 @@ func Run(w *Workload, opt Options) (*Result, error) {
 		}
 		if opt.FullVersionChains {
 			hopts = append(hopts, vheap.WithFullVersionChains())
-		}
-		if opt.HeapShards > 0 {
-			hopts = append(hopts, vheap.WithShards(opt.HeapShards))
 		}
 		if tel != nil {
 			hopts = append(hopts, vheap.WithTelemetry(tel))

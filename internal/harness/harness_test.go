@@ -307,19 +307,29 @@ func TestLockCounting(t *testing.T) {
 // reported as errors by Run, for every engine, instead of panicking further
 // down (vheap.New panics on a page size that is not a power of two).
 func TestRunRejectsBadOptions(t *testing.T) {
+	ok := Options{Threads: 2}
 	for _, c := range []struct {
 		name string
 		opt  Options
+		bend func(*Workload) // nil: the workload as built
 		want string
 	}{
-		{"no threads", Options{Threads: 0}, "thread count 0"},
-		{"negative threads", Options{Threads: -2}, "thread count -2"},
-		{"page size not a power of two", Options{Threads: 2, PageWords: 48}, "page size 48"},
-		{"negative page size", Options{Threads: 2, PageWords: -8}, "page size -8"},
+		{"no threads", Options{Threads: 0}, nil, "thread count 0"},
+		{"negative threads", Options{Threads: -2}, nil, "thread count -2"},
+		{"page size not a power of two", Options{Threads: 2, PageWords: 48}, nil, "page size 48"},
+		{"negative page size", Options{Threads: 2, PageWords: -8}, nil, "page size -8"},
+		{"negative heap", ok, func(w *Workload) { w.HeapWords = -1 }, "workload counter has a negative size (heap -1 words"},
+		{"negative locks", ok, func(w *Workload) { w.Locks = -1 }, "workload counter has a negative size (heap 64 words, -1 locks"},
+		{"negative conds", ok, func(w *Workload) { w.Conds = -3 }, "workload counter has a negative size (heap 64 words, 1 locks, -3 conds"},
+		{"negative barriers", ok, func(w *Workload) { w.Barriers = -1 }, "workload counter has a negative size (heap 64 words, 1 locks, 0 conds, -1 barriers"},
 	} {
 		for _, eng := range AllEngines {
 			c.opt.Engine = eng
-			res, err := Run(counterWorkload(4), c.opt)
+			w := counterWorkload(4)
+			if c.bend != nil {
+				c.bend(w)
+			}
+			res, err := Run(w, c.opt)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s under %s: error %v, want one naming %q", c.name, eng, err, c.want)
 			}

@@ -19,9 +19,8 @@
 //     needs, and — checked at each publication, before the commit consumes
 //     the dirty set — the dirty-word bitmaps agree with the twin diffs, so
 //     the bitmap commit path publishes exactly what the full scan would.
-//     Per shard, the sequence of trim floors never decreases and never
-//     passes the newest commit — stale floor caches may trim less, never
-//     more.
+//     The sequence of trim floors never decreases and never passes the
+//     newest commit — a stale floor cache may trim less, never more.
 //  3. Lock-table consistency (internal/detsync): a lock is never held
 //     exclusively and shared at the same time, reader counts are
 //     non-negative, and the per-lock logical timestamps — ReleaseDLC,
@@ -99,10 +98,9 @@ type Checker struct {
 	// has seen, for strict-monotonicity checking.
 	lastCommitSeq int64
 
-	// shardFloors shadows each heap shard's last trim floor, for the
-	// per-shard floor-monotonicity check. Sized lazily at the first
-	// AtCommit (the shard count is a heap construction detail).
-	shardFloors []int64
+	// trimFloor shadows the heap's last trim floor, for the
+	// floor-monotonicity check; -1 matches the heap's pre-first-trim floor.
+	trimFloor int64
 
 	// Shadow copies of each lock's monotone timestamps, updated at every
 	// turn-grant audit. A value that moves backwards between two audits
@@ -120,7 +118,7 @@ func New(arb *dlc.Arbiter, tbl *detsync.Table, heap *vheap.Heap, report func(*Vi
 	if report == nil {
 		report = func(v *Violation) { panic(v.Error()) }
 	}
-	c := &Checker{arb: arb, tbl: tbl, heap: heap, report: report}
+	c := &Checker{arb: arb, tbl: tbl, heap: heap, report: report, trimFloor: -1}
 	if tbl != nil {
 		c.releaseDLC = make([]int64, len(tbl.Locks))
 		c.acquireDLC = make([]int64, len(tbl.Locks))
@@ -250,24 +248,16 @@ func (c *Checker) AtCommit(tid int, seq int64) {
 	if err := c.heap.Audit(); err != nil {
 		c.violate(tid, -1, "heap-chain", err.Error())
 	}
-	floors := c.heap.ShardTrimFloors()
-	if c.shardFloors == nil {
-		c.shardFloors = make([]int64, len(floors))
-		for i := range c.shardFloors {
-			c.shardFloors[i] = -1 // matches a shard's pre-first-trim floor
-		}
+	f := c.heap.TrimFloor()
+	if f < c.trimFloor {
+		c.violate(tid, -1, "trim-floor",
+			fmt.Sprintf("trim floor moved backwards: %d -> %d", c.trimFloor, f))
 	}
-	for si, f := range floors {
-		if f < c.shardFloors[si] {
-			c.violate(tid, -1, "shard-trim-floor",
-				fmt.Sprintf("shard %d trim floor moved backwards: %d -> %d", si, c.shardFloors[si], f))
-		}
-		if f > seq {
-			c.violate(tid, -1, "shard-trim-floor",
-				fmt.Sprintf("shard %d trim floor %d is ahead of commit %d", si, f, seq))
-		}
-		c.shardFloors[si] = f
+	if f > seq {
+		c.violate(tid, -1, "trim-floor",
+			fmt.Sprintf("trim floor %d is ahead of commit %d", f, seq))
 	}
+	c.trimFloor = f
 }
 
 // AtRevert audits a speculation revert: the thread must be exactly the BEGIN

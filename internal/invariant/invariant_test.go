@@ -237,11 +237,11 @@ func TestEndToEndDirtyAuditClean(t *testing.T) {
 	}
 }
 
-// TestCheckerShardTrimFloor: the checker rejects a shard trim floor that is
-// ahead of the commit it is audited at — the shape an over-trim (or a
-// corrupted floor) produces — and accepts real trims, whose floors only
-// rise with the commits.
-func TestCheckerShardTrimFloor(t *testing.T) {
+// TestCheckerTrimFloor: the checker rejects a trim floor that is ahead of the
+// commit it is audited at — the shape an over-trim (or a corrupted floor)
+// produces — and one that moved backwards since the last audit, and accepts
+// real trims, whose floors only rise with the commits.
+func TestCheckerTrimFloor(t *testing.T) {
 	arb := dlc.New(1)
 	tbl := detsync.NewTable(1, 1, 0, 0, false)
 	heap := vheap.New(1024)
@@ -262,19 +262,32 @@ func TestCheckerShardTrimFloor(t *testing.T) {
 		t.Fatalf("clean trims flagged: %v", got[0])
 	}
 
+	flagged := func(vs []*invariant.Violation, detail string) bool {
+		for _, v := range vs {
+			if v.Rule == "trim-floor" && strings.Contains(v.Detail, detail) {
+				return true
+			}
+		}
+		return false
+	}
+
 	// A fresh checker told commit 1 just published must reject the trim
-	// floors already sitting near commit 6.
+	// floor already sitting near commit 6.
 	var got2 []*invariant.Violation
 	c2 := invariant.New(arb, tbl, heap, func(v *invariant.Violation) { got2 = append(got2, v) })
 	c2.AtCommit(0, 1)
-	found := false
-	for _, v := range got2 {
-		if v.Rule == "shard-trim-floor" && strings.Contains(v.Detail, "ahead of commit") {
-			found = true
-		}
+	if !flagged(got2, "ahead of commit") {
+		t.Fatalf("trim floor ahead of the audited commit not flagged as trim-floor: %v", got2)
 	}
-	if !found {
-		t.Fatalf("trim floor ahead of the audited commit not flagged as shard-trim-floor: %v", got2)
+
+	// A checker that last audited a floor above the heap's must report the
+	// floor as having moved backwards.
+	var got3 []*invariant.Violation
+	c3 := invariant.New(arb, tbl, heap, func(v *invariant.Violation) { got3 = append(got3, v) })
+	c3.SetTrimFloorShadow(heap.TrimFloor() + 1)
+	c3.AtCommit(0, heap.Seq())
+	if !flagged(got3, "moved backwards") {
+		t.Fatalf("trim floor below the last audited one not flagged as trim-floor: %v", got3)
 	}
 	v.Close()
 }

@@ -33,10 +33,6 @@ type Pipeline interface {
 	// Seq returns the newest published commit sequence — always 0 for flat
 	// memory, where stores are global the moment they happen.
 	Seq() int64
-	// Shards reports how many page-range shards publications are routed
-	// across (per-shard commit locks in the versioned heap). Flat memory is
-	// unsharded: every store lands directly, so it reports 1.
-	Shards() int
 	// ReadCommitted reads the newest published value of addr, bypassing
 	// any thread's unpublished writes.
 	ReadCommitted(addr int64) int64
@@ -169,7 +165,6 @@ func (p versioned) NewThread(tid int) Thread {
 	return &versionedThread{v: p.h.NewView(), tel: p.tel, publishes: p.tel.Handle("mempipe.publishes")}
 }
 func (p versioned) Seq() int64                     { return p.h.Seq() }
-func (p versioned) Shards() int                    { return p.h.Shards() }
 func (p versioned) ReadCommitted(addr int64) int64 { return p.h.ReadCommitted(addr) }
 
 type versionedThread struct {
@@ -276,7 +271,6 @@ func NewFlat(m *shmem.Mem) Pipeline { return flat{m} }
 
 func (p flat) NewThread(tid int) Thread       { return flatThread{p.m} }
 func (p flat) Seq() int64                     { return 0 }
-func (p flat) Shards() int                    { return 1 }
 func (p flat) ReadCommitted(addr int64) int64 { return p.m.ReadCommitted(addr) }
 
 type flatThread struct{ m *shmem.Mem }

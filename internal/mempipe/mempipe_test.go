@@ -9,7 +9,7 @@ import (
 	"lazydet/internal/vheap"
 )
 
-const words = 64 // one page, one shard
+const words = 64 // one page
 
 // twin is one side of TestVisibilityPoints: an owner window and a foreign
 // window over a private heap.
@@ -260,8 +260,8 @@ func TestPublicationContract(t *testing.T) {
 				if !c.versioned {
 					wantSeq, wantCount = 0, 0
 				}
-				if p.Seq() != wantSeq || p.Shards() != 1 {
-					t.Fatalf("pipeline at sequence %d over %d shards, want %d over 1", p.Seq(), p.Shards(), wantSeq)
+				if p.Seq() != wantSeq {
+					t.Fatalf("pipeline at sequence %d, want %d", p.Seq(), wantSeq)
 				}
 				if tel != nil && tel.Counter("mempipe.publishes") != wantCount {
 					t.Fatalf("mempipe.publishes = %d, want %d (one per publication)", tel.Counter("mempipe.publishes"), wantCount)

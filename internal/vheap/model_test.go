@@ -10,7 +10,7 @@ import (
 // committed memory is one whole array per sequence number, a view is a base
 // sequence plus the words it wrote, and a publication writes every word that
 // differs from its twin (or was StoreDirty'ed) into a copy of the newest
-// array. No pages, tables, bitmaps, pools, chains, shards or stages — which is
+// array. No pages, tables, bitmaps, pools, chains or stages — which is
 // the point: those may change how a word is found, never which.
 //
 // Deferred publication has no counterpart here. At most one stage is ever
@@ -157,100 +157,98 @@ func TestHeapMatchesModel(t *testing.T) {
 	const words, steps = 192, 500
 	b2i := map[bool]int{true: 1}
 	for _, pageWords := range []int{16, 32} {
-		for _, shards := range []int{1, 8} {
-			for _, owned := range []bool{false, true} {
-				for seed := int64(1); seed <= 6; seed++ {
-					name := fmt.Sprintf("page%d/shards%d/owned=%v/seed%d", pageWords, shards, owned, seed)
-					t.Run(name, func(t *testing.T) {
-						r := rand.New(rand.NewSource(seed))
-						h := New(words, WithPageWords(pageWords), WithShards(shards))
-						ref := &refHeap{seqs: [][]int64{make([]int64, words)}}
-						var views [3]*View
-						var refs [3]*refView
-						var snaps [3]*DirtySnapshot // reused across runs, as the engine does
-						var refSnaps [3]*refSnap    // non-nil while a speculative run is open
-						for i := range views {
-							views[i], refs[i] = h.NewView(), &refView{dirty: map[int64]refWord{}}
+		for _, owned := range []bool{false, true} {
+			for seed := int64(1); seed <= 6; seed++ {
+				name := fmt.Sprintf("page%d/owned=%v/seed%d", pageWords, owned, seed)
+				t.Run(name, func(t *testing.T) {
+					r := rand.New(rand.NewSource(seed))
+					h := New(words, WithPageWords(pageWords))
+					ref := &refHeap{seqs: [][]int64{make([]int64, words)}}
+					var views [3]*View
+					var refs [3]*refView
+					var snaps [3]*DirtySnapshot // reused across runs, as the engine does
+					var refSnaps [3]*refSnap    // non-nil while a speculative run is open
+					for i := range views {
+						views[i], refs[i] = h.NewView(), &refView{dirty: map[int64]refWord{}}
+					}
+					for step := 0; step < steps; step++ {
+						i := r.Intn(3)
+						v, m := views[i], refs[i]
+						addr := r.Int63n(words)
+						if owned {
+							addr = addr/3*3 + int64(i)
 						}
-						for step := 0; step < steps; step++ {
-							i := r.Intn(3)
-							v, m := views[i], refs[i]
-							addr := r.Int63n(words)
-							if owned {
-								addr = addr/3*3 + int64(i)
+						val := 1 + r.Int63n(4) // few values: silent stores are common
+						op := r.Intn(16)
+						if refSnaps[i] != nil && op >= 8 {
+							op = 8 + op%2 // an open run only stores, loads and ends
+						}
+						var got, want [2]int
+						switch {
+						case op < 6:
+							v.Store(addr, val)
+							m.store(ref, addr, val, false)
+						case op < 8:
+							v.StoreDirty(addr, val)
+							m.store(ref, addr, val, true)
+						case op == 8: // Load: compared below
+						case op == 9 && refSnaps[i] != nil:
+							got[0], want[0] = v.RevertTo(snaps[i]), m.revertTo(*refSnaps[i])
+							refSnaps[i] = nil
+						case op == 9:
+							snaps[i] = v.SnapshotDirtyInto(snaps[i])
+							s := m.snapshot()
+							refSnaps[i] = &s
+							got[0], want[0] = snaps[i].Words(), s.words
+						case op < 12:
+							seq, changed := v.Commit()
+							got = [2]int{int(seq), changed}
+							want[0], want[1] = m.commit(ref)
+						case op == 12:
+							got[0], want[0] = v.Revert(), m.revert(ref)
+						case op == 13 && len(m.dirty) == 0:
+							v.Update()
+							m.base = ref.newest()
+						case op == 14 && owned:
+							seq, staged := v.StagePublish()
+							mseq, mstaged := m.stagePublish(ref)
+							got, want = [2]int{int(seq), b2i[staged]}, [2]int{mseq, b2i[mstaged]}
+						case op == 15 && owned && !m.hasForced():
+							v.RefreshDirty()
+							m.base = ref.newest()
+						}
+						if got != want {
+							t.Fatalf("step %d view %d op %d: heap returned %v, model %v", step, i, op, got, want)
+						}
+						if g, w := int(h.Seq()), ref.newest(); g != w {
+							t.Fatalf("step %d: heap at sequence %d, model at %d", step, g, w)
+						}
+						for j := range views {
+							if g, w := views[j].Load(addr), refs[j].load(ref, addr); g != w {
+								t.Fatalf("step %d (view %d op %d): view %d loads word %d = %d, model %d", step, i, op, j, addr, g, w)
 							}
-							val := 1 + r.Int63n(4) // few values: silent stores are common
-							op := r.Intn(16)
-							if refSnaps[i] != nil && op >= 8 {
-								op = 8 + op%2 // an open run only stores, loads and ends
+							if g, w := views[j].DirtyWords(), refs[j].dirtyWords(); g != w {
+								t.Fatalf("step %d (view %d op %d): view %d has %d dirty words, model %d", step, i, op, j, g, w)
 							}
-							var got, want [2]int
-							switch {
-							case op < 6:
-								v.Store(addr, val)
-								m.store(ref, addr, val, false)
-							case op < 8:
-								v.StoreDirty(addr, val)
-								m.store(ref, addr, val, true)
-							case op == 8: // Load: compared below
-							case op == 9 && refSnaps[i] != nil:
-								got[0], want[0] = v.RevertTo(snaps[i]), m.revertTo(*refSnaps[i])
-								refSnaps[i] = nil
-							case op == 9:
-								snaps[i] = v.SnapshotDirtyInto(snaps[i])
-								s := m.snapshot()
-								refSnaps[i] = &s
-								got[0], want[0] = snaps[i].Words(), s.words
-							case op < 12:
-								seq, changed := v.Commit()
-								got = [2]int{int(seq), changed}
-								want[0], want[1] = m.commit(ref)
-							case op == 12:
-								got[0], want[0] = v.Revert(), m.revert(ref)
-							case op == 13 && len(m.dirty) == 0:
-								v.Update()
-								m.base = ref.newest()
-							case op == 14 && owned:
-								seq, staged := v.StagePublish()
-								mseq, mstaged := m.stagePublish(ref)
-								got, want = [2]int{int(seq), b2i[staged]}, [2]int{mseq, b2i[mstaged]}
-							case op == 15 && owned && !m.hasForced():
-								v.RefreshDirty()
-								m.base = ref.newest()
+							if g, w := views[j].DirtyPages() != 0, len(refs[j].dirty) != 0; g != w {
+								t.Fatalf("step %d (view %d op %d): view %d dirty = %v, model %v", step, i, op, j, g, w)
 							}
-							if got != want {
-								t.Fatalf("step %d view %d op %d: heap returned %v, model %v", step, i, op, got, want)
-							}
-							if g, w := int(h.Seq()), ref.newest(); g != w {
-								t.Fatalf("step %d: heap at sequence %d, model at %d", step, g, w)
-							}
-							for j := range views {
-								if g, w := views[j].Load(addr), refs[j].load(ref, addr); g != w {
-									t.Fatalf("step %d (view %d op %d): view %d loads word %d = %d, model %d", step, i, op, j, addr, g, w)
+							for _, err := range []error{views[j].AuditDirty(), views[j].AuditTables(), views[j].AuditDeferred()} {
+								if err != nil {
+									t.Fatalf("step %d (view %d op %d): view %d: %v", step, i, op, j, err)
 								}
-								if g, w := views[j].DirtyWords(), refs[j].dirtyWords(); g != w {
-									t.Fatalf("step %d (view %d op %d): view %d has %d dirty words, model %d", step, i, op, j, g, w)
-								}
-								if g, w := views[j].DirtyPages() != 0, len(refs[j].dirty) != 0; g != w {
-									t.Fatalf("step %d (view %d op %d): view %d dirty = %v, model %v", step, i, op, j, g, w)
-								}
-								for _, err := range []error{views[j].AuditDirty(), views[j].AuditTables(), views[j].AuditDeferred()} {
-									if err != nil {
-										t.Fatalf("step %d (view %d op %d): view %d: %v", step, i, op, j, err)
-									}
-								}
-							}
-							if err := h.Audit(); err != nil {
-								t.Fatalf("step %d (view %d op %d): %v", step, i, op, err)
 							}
 						}
-						for a := int64(0); a < words; a++ {
-							if g, w := h.ReadCommitted(a), ref.seqs[ref.newest()][a]; g != w {
-								t.Fatalf("committed word %d = %d, model %d", a, g, w)
-							}
+						if err := h.Audit(); err != nil {
+							t.Fatalf("step %d (view %d op %d): %v", step, i, op, err)
 						}
-					})
-				}
+					}
+					for a := int64(0); a < words; a++ {
+						if g, w := h.ReadCommitted(a), ref.seqs[ref.newest()][a]; g != w {
+							t.Fatalf("committed word %d = %d, model %d", a, g, w)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -257,36 +257,20 @@ func (h *Heap) applyStage(s *stage) {
 	scanned := int64(0)
 	pages := int64(0)
 	changed := 0
-	batches := int64(0)
 	var pageHits, pageMisses int64
-	cur := -1
+	h.mu.Lock()
 	for k, pi := range s.pis {
-		if si := pi >> h.ppsShift; si != cur {
-			if cur >= 0 {
-				h.shards[cur].mu.Unlock()
-			}
-			h.shards[si].mu.Lock()
-			cur = si
-			batches++
-		}
-		sh := &h.shards[cur]
 		if head := h.slots[pi].Load(); head.seq >= s.seq {
+			h.mu.Unlock()
 			panic(fmt.Sprintf("vheap: deferred publication at seq %d under page %d head seq %d — a commit overtook an outstanding stage",
 				s.seq, pi, head.seq))
 		}
-		n := h.commitPage(sh, pi, s.pages[k], s.seq, &scanned, &pageHits, &pageMisses)
-		if n == 0 {
-			continue
-		}
-		pages++
-		changed += n
-		if h.trim {
-			h.trimChainLocked(sh, h.slots[pi].Load(), h.shardFloor(sh))
+		if n := h.commitPage(pi, s.pages[k], s.seq, &scanned, &pageHits, &pageMisses); n > 0 {
+			pages++
+			changed += n
 		}
 	}
-	if cur >= 0 {
-		h.shards[cur].mu.Unlock()
-	}
+	h.mu.Unlock()
 	h.commits.Add(1)
 	h.pagesWritten.Add(pages)
 	h.wordsMerged.Add(int64(changed))
@@ -296,7 +280,7 @@ func (h *Heap) applyStage(s *stage) {
 		h.pageMisses.Add(pageMisses)
 	}
 	h.ctr.stageFlushes.Add(1)
-	h.countCommit(pages, int64(changed), scanned, batches, 0, 0, pageHits, pageMisses)
+	h.countCommit(pages, int64(changed), scanned, 0, 0, pageHits, pageMisses)
 }
 
 // RefreshDirty re-bases the view on the newest committed state while

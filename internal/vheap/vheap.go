@@ -36,15 +36,12 @@
 //     versions come from a per-heap free list refilled by chain trimming —
 //     steady-state sync epochs allocate nothing.
 //
-// The heap is sharded by contiguous page range: each shard owns its pages'
-// commit lock, published-page pool and trim-floor cache, so commits touching
-// disjoint page ranges contend on nothing global — the hierarchical scaling
-// structure the tournament arbiter (internal/dlc) applies to turn grants,
-// applied to publication. Sharding is invisible to determinism: commit
-// sequence numbers and publication order are still derived solely from the
-// (DLC, tid) turn order that serializes Commit calls, and a shard only
-// partitions which mutex guards which page chains. WithShards(1) collapses
-// the heap to the original single-lock layout as the differential oracle.
+// One heap mutex guards every version chain, the published-page pool and
+// trimming. It is safety code, not a scheduler: commits are already
+// serialized by the deterministic turn, which alone fixes commit sequence
+// numbers and publication order, so the mutex never decides an order — it
+// only keeps the defensive concurrent paths (barrier re-bases, post-run
+// reads, audits) memory-safe.
 //
 // Version chains are trimmed below the oldest base sequence still referenced
 // by a live view. This is the space advantage the paper ascribes to DDRF
@@ -75,12 +72,6 @@ import (
 // DefaultPageWords is the default page size in 64-bit words (2 KiB pages).
 const DefaultPageWords = 256
 
-// DefaultShards is the shard count New aims for when WithShards is not
-// given: enough to spread commit traffic, few enough that per-shard state
-// (a mutex, a pool, a floor cache) stays negligible. Heaps with fewer pages
-// than shards get one shard per page.
-const DefaultShards = 8
-
 // page is one immutable version of one page, linked into that slot's
 // version list. Only the prev pointer mutates (for trimming), hence atomic.
 type page struct {
@@ -89,41 +80,8 @@ type page struct {
 	words []int64
 }
 
-// heapShard owns one contiguous page range of the heap: the mutex guarding
-// those pages' version chains, the published-page pool their trims refill,
-// and a cache of the trim floor. Lock order, where both are held: a shard
-// mutex before viewMu (and shards in index order before viewMu when a
-// whole-heap operation locks several).
-type heapShard struct {
-	mu sync.Mutex // guards this shard's chains, pool and trims
-
-	// pagePool is this shard's free list of published page frames, refilled
-	// by chain trimming: a version cut below the trim floor is unreachable
-	// by every live view (their bases are at or above the floor, so no
-	// chain walk descends past the floor's terminal node), which makes its
-	// frame safe to overwrite in a later commit. Guarded by mu.
-	pagePool []*page
-
-	// Trim-floor cache: recomputing the floor is an O(views) scan under
-	// viewMu, so commits into this shard reuse the last computed value
-	// until it is invalidated — by view registration/unregistration, or by
-	// a re-base of a view that sat at (or below) the cached floor. View
-	// bases only move forward, and NewView bases at the newest commit
-	// (>= every floor), so a cached floor is always a lower bound of the
-	// true floor: stale only ever means trimming less, never over-trimming.
-	floorCache atomic.Int64
-	floorValid atomic.Bool
-
-	// lastFloor is the floor the shard's most recent trim used, -1 before
-	// any. The true floor is monotone (bases only move forward, new views
-	// base at the newest commit) and caches revalidate against the current
-	// view set, so the sequence of floors a shard trims at must never
-	// decrease — the per-shard monotonicity invariant the checker audits.
-	// Guarded by mu.
-	lastFloor int64
-}
-
-// Heap is the shared versioned memory.
+// Heap is the shared versioned memory. Lock order, where several are held:
+// stageMu before mu before viewMu.
 type Heap struct {
 	pageWords int
 	pageShift uint
@@ -136,11 +94,31 @@ type Heap struct {
 	// appear in many chains at once, so trimming must never recycle it.
 	zero *page
 
-	// Shards partition the page slots into contiguous ranges of 2^ppsShift
-	// pages: page pi belongs to shards[pi>>ppsShift]. Each shard's mutex
-	// serializes commits and trims on its own pages only.
-	ppsShift uint
-	shards   []heapShard
+	mu sync.Mutex // guards the version chains, pagePool, lastFloor and trims
+
+	// pagePool is the free list of published page frames, refilled by chain
+	// trimming: a version cut below the trim floor is unreachable by every
+	// live view (their bases are at or above the floor, so no chain walk
+	// descends past the floor's terminal node), which makes its frame safe
+	// to overwrite in a later commit. Guarded by mu.
+	pagePool []*page
+
+	// Trim-floor cache: recomputing the floor is an O(views) scan under
+	// viewMu, so commits reuse the last computed value until it is
+	// invalidated — by view registration/unregistration, or by a re-base of
+	// a view that sat at (or below) the cached floor. View bases only move
+	// forward, and NewView bases at the newest commit (>= every floor), so a
+	// cached floor is always a lower bound of the true floor: stale only
+	// ever means trimming less, never over-trimming.
+	floorCache atomic.Int64
+	floorValid atomic.Bool
+
+	// lastFloor is the floor the most recent trim used, -1 before any. The
+	// true floor is monotone (bases only move forward, new views base at the
+	// newest commit) and the cache revalidates against the current view set,
+	// so the sequence of floors trims use must never decrease — the
+	// monotonicity invariant the checker audits. Guarded by mu.
+	lastFloor int64
 
 	viewMu sync.Mutex // guards the live-view registry
 	views  []*View    // live views in no particular order, for trim floor computation
@@ -173,7 +151,7 @@ type Heap struct {
 // commit adds to them, so the path takes no registry mutex and hashes no
 // name. All nil (and nil-safe) without telemetry.
 type heapCounters struct {
-	commits, pages, words, scanned, batches      *telemetry.Counter
+	commits, pages, words, scanned               *telemetry.Counter
 	stagePublishes, stageFlushes                 *telemetry.Counter
 	frameHits, frameMisses, pageHits, pageMisses *telemetry.Counter
 }
@@ -183,22 +161,12 @@ type Option func(*heapConfig)
 
 type heapConfig struct {
 	pageWords  int
-	shards     int
 	keepChains bool
 	tel        *telemetry.Recorder
 }
 
 // WithPageWords sets the page size in words; it must be a power of two.
 func WithPageWords(n int) Option { return func(c *heapConfig) { c.pageWords = n } }
-
-// WithShards sets the target shard count (default DefaultShards). The heap
-// rounds pages-per-shard up to a power of two, so the realized count (see
-// Shards) can be lower; it never exceeds the page count. WithShards(1)
-// restores the original single-lock heap and is kept as the differential
-// oracle the sharded layout is tested against: shard boundaries are pure
-// lock partitioning, so every shard count publishes byte-identical heaps,
-// sequences and commit statistics.
-func WithShards(n int) Option { return func(c *heapConfig) { c.shards = n } }
 
 // WithFullVersionChains retains every page version rather than trimming
 // chains to the versions still reachable by a live view. Used by the
@@ -207,9 +175,7 @@ func WithFullVersionChains() Option { return func(c *heapConfig) { c.keepChains 
 
 // WithTelemetry publishes the heap's commit-path measurements into rec:
 // cumulative "vheap.commits", "vheap.pages_committed", "vheap.words_committed",
-// "vheap.words_scanned" and "vheap.shard_batches" (shard lock acquisitions
-// across commits, a deterministic function of each commit's dirty-page set)
-// counters, a "vheap.commit_words" histogram of
+// and "vheap.words_scanned" counters, a "vheap.commit_words" histogram of
 // per-commit merged word counts, and the pool counters
 // "vheap.frame_pool_hits"/"vheap.frame_pool_misses" (dirty-page frames) and
 // "vheap.page_pool_hits"/"vheap.page_pool_misses" (published page frames).
@@ -240,25 +206,13 @@ func New(words int64, opts ...Option) *Heap {
 	if np == 0 {
 		np = 1
 	}
-	want := cfg.shards
-	if want <= 0 {
-		want = DefaultShards
-	}
-	if want > np {
-		want = np
-	}
-	pps := 1
-	for pps < (np+want-1)/want {
-		pps <<= 1
-	}
 	h := &Heap{
 		pageWords: cfg.pageWords,
 		pageShift: shift,
 		pageMask:  int64(cfg.pageWords - 1),
 		npages:    np,
 		slots:     make([]atomic.Pointer[page], np),
-		ppsShift:  uint(bits.TrailingZeros(uint(pps))),
-		shards:    make([]heapShard, (np+pps-1)/pps),
+		lastFloor: -1,
 		trim:      !cfg.keepChains,
 		tel:       cfg.tel,
 		ctr: heapCounters{
@@ -266,7 +220,6 @@ func New(words int64, opts ...Option) *Heap {
 			pages:          cfg.tel.Handle("vheap.pages_committed"),
 			words:          cfg.tel.Handle("vheap.words_committed"),
 			scanned:        cfg.tel.Handle("vheap.words_scanned"),
-			batches:        cfg.tel.Handle("vheap.shard_batches"),
 			stagePublishes: cfg.tel.Handle("vheap.stage_publishes"),
 			stageFlushes:   cfg.tel.Handle("vheap.stage_flushes"),
 			frameHits:      cfg.tel.Handle("vheap.frame_pool_hits"),
@@ -275,9 +228,6 @@ func New(words int64, opts ...Option) *Heap {
 			pageMisses:     cfg.tel.Handle("vheap.page_pool_misses"),
 		},
 	}
-	for i := range h.shards {
-		h.shards[i].lastFloor = -1
-	}
 	h.zero = &page{seq: 0, words: make([]int64, cfg.pageWords)}
 	for i := range h.slots {
 		h.slots[i].Store(h.zero) // shared zero page; copied on first write
@@ -285,35 +235,13 @@ func New(words int64, opts ...Option) *Heap {
 	return h
 }
 
-// Shards returns the realized shard count.
-func (h *Heap) Shards() int { return len(h.shards) }
-
-// shardOf returns the shard owning page pi.
-func (h *Heap) shardOf(pi int) *heapShard { return &h.shards[pi>>h.ppsShift] }
-
-// shardRange returns the page range [lo, hi) shard si owns.
-func (h *Heap) shardRange(si int) (lo, hi int) {
-	lo = si << h.ppsShift
-	hi = lo + 1<<h.ppsShift
-	if hi > h.npages {
-		hi = h.npages
-	}
-	return lo, hi
-}
-
-// ShardTrimFloors returns, per shard, the trim floor its most recent trim
-// used (-1 for shards that never trimmed). The true floor is monotone, so
-// each entry must never decrease across calls — the invariant checker's
-// per-shard trim-floor rule.
-func (h *Heap) ShardTrimFloors() []int64 {
-	floors := make([]int64, len(h.shards))
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		floors[i] = s.lastFloor
-		s.mu.Unlock()
-	}
-	return floors
+// TrimFloor returns the trim floor the most recent trim used (-1 before
+// any). The true floor is monotone, so the value must never decrease across
+// calls — the invariant checker's trim-floor rule.
+func (h *Heap) TrimFloor() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.lastFloor
 }
 
 // Words returns the heap size in words.
@@ -332,9 +260,8 @@ func (h *Heap) Seq() int64 { return h.seq.Load() }
 func (h *Heap) SetInitial(addr, val int64) {
 	pi := addr >> h.pageShift
 	off := addr & h.pageMask
-	s := h.shardOf(int(pi))
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	head := h.slots[pi].Load()
 	if head == h.zero {
 		// First touch: give the slot a private page. The shared zero page
@@ -382,69 +309,51 @@ func (h *Heap) trimFloorLocked() int64 {
 	return floor
 }
 
-// noteRebase invalidates every shard's cached trim floor when a view moves
-// its base forward from oldBase: if that view sat at (or below) a shard's
-// cached floor it may have been the floor holder, so that shard's next
-// commit must recompute. Views strictly above a cached floor cannot lower
-// it by moving forward.
+// noteRebase invalidates the cached trim floor when a view moves its base
+// forward from oldBase: if that view sat at (or below) the cached floor it
+// may have been the floor holder, so the next commit must recompute. Views
+// strictly above a cached floor cannot lower it by moving forward.
 func (h *Heap) noteRebase(oldBase int64) {
-	for i := range h.shards {
-		s := &h.shards[i]
-		if s.floorValid.Load() && oldBase <= s.floorCache.Load() {
-			s.floorValid.Store(false)
-		}
+	if h.floorValid.Load() && oldBase <= h.floorCache.Load() {
+		h.floorValid.Store(false)
 	}
 }
 
-// invalidateFloors drops every shard's cached trim floor (view set changed).
-func (h *Heap) invalidateFloors() {
-	for i := range h.shards {
-		h.shards[i].floorValid.Store(false)
-	}
-}
-
-// shardFloor returns the shard's cached trim floor, recomputing it from the
-// live-view registry when invalid. Caller holds s.mu (lock order: a shard
-// mutex before viewMu).
-func (h *Heap) shardFloor(s *heapShard) int64 {
-	if s.floorValid.Load() {
-		return s.floorCache.Load()
+// cachedFloor returns the cached trim floor, recomputing it from the
+// live-view registry when invalid. Caller holds h.mu (lock order: mu before
+// viewMu).
+func (h *Heap) cachedFloor() int64 {
+	if h.floorValid.Load() {
+		return h.floorCache.Load()
 	}
 	h.viewMu.Lock()
 	floor := h.trimFloorLocked()
 	h.viewMu.Unlock()
-	s.floorCache.Store(floor)
-	s.floorValid.Store(true)
+	h.floorCache.Store(floor)
+	h.floorValid.Store(true)
 	return floor
 }
 
 // Hash returns an FNV-1a hash of the newest committed heap contents. Two
-// deterministic runs of the same program must produce equal hashes. Each
-// shard is locked while its range is hashed; page order (and so the hash)
-// is independent of the shard layout.
+// deterministic runs of the same program must produce equal hashes.
 func (h *Heap) Hash() uint64 {
 	h.flushStages(nil, flushAll) // hash the state including deferred publications
 	f := fnv.New64a()
 	var buf [8]byte
-	for si := range h.shards {
-		s := &h.shards[si]
-		s.mu.Lock()
-		lo, hi := h.shardRange(si)
-		for i := lo; i < hi; i++ {
-			p := h.slots[i].Load()
-			for _, w := range p.words {
-				buf[0] = byte(w)
-				buf[1] = byte(w >> 8)
-				buf[2] = byte(w >> 16)
-				buf[3] = byte(w >> 24)
-				buf[4] = byte(w >> 32)
-				buf[5] = byte(w >> 40)
-				buf[6] = byte(w >> 48)
-				buf[7] = byte(w >> 56)
-				f.Write(buf[:])
-			}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.slots {
+		for _, w := range h.slots[i].Load().words {
+			buf[0] = byte(w)
+			buf[1] = byte(w >> 8)
+			buf[2] = byte(w >> 16)
+			buf[3] = byte(w >> 24)
+			buf[4] = byte(w >> 32)
+			buf[5] = byte(w >> 40)
+			buf[6] = byte(w >> 48)
+			buf[7] = byte(w >> 56)
+			f.Write(buf[:])
 		}
-		s.mu.Unlock()
 	}
 	return f.Sum64()
 }
@@ -490,17 +399,13 @@ func (h *Heap) Stats() CommitStats {
 // systems pay (paper §4.2).
 func (h *Heap) LiveVersions() int {
 	h.flushStages(nil, flushAll)
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	n := 0
-	for si := range h.shards {
-		s := &h.shards[si]
-		s.mu.Lock()
-		lo, hi := h.shardRange(si)
-		for i := lo; i < hi; i++ {
-			for p := h.slots[i].Load(); p != nil; p = p.prev.Load() {
-				n++
-			}
+	for i := range h.slots {
+		for p := h.slots[i].Load(); p != nil; p = p.prev.Load() {
+			n++
 		}
-		s.mu.Unlock()
 	}
 	return n
 }
@@ -511,20 +416,18 @@ func (h *Heap) LiveVersions() int {
 // version of every chain is at or below the trim floor (the minimum base of
 // the live views) so no live view's base has been trimmed out from under it,
 // no pooled page frame is still reachable from a version chain (a reachable
-// frame would be overwritten by the commit that reuses it), and every
-// shard's cached and last-used trim floors are at or below the true floor.
-// Returns a descriptive error on the first breach. Used by the invariant
-// checker (internal/invariant).
+// frame would be overwritten by the commit that reuses it), and the cached
+// and last-used trim floors are at or below the true floor. Returns a
+// descriptive error on the first breach. Used by the invariant checker
+// (internal/invariant).
 func (h *Heap) Audit() error {
-	// Snapshot the outstanding stages before taking shard locks (flushes
-	// acquire stageMu before shard mutexes; Audit must not invert that).
+	// Snapshot the outstanding stages before taking mu (flushes acquire
+	// stageMu before mu; Audit must not invert that).
 	h.stageMu.Lock()
 	stages := append([]*stage(nil), h.stages...)
 	h.stageMu.Unlock()
-	for i := range h.shards {
-		h.shards[i].mu.Lock()
-		defer h.shards[i].mu.Unlock()
-	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.viewMu.Lock()
 	defer h.viewMu.Unlock()
 	top := h.seq.Load()
@@ -545,32 +448,29 @@ func (h *Heap) Audit() error {
 			return fmt.Errorf("vheap: live view base %d is ahead of the newest commit %d", b, top)
 		}
 	}
-	pooled := make(map[*page]bool)
-	for si := range h.shards {
-		s := &h.shards[si]
-		if s.floorValid.Load() && s.floorCache.Load() > floor {
-			return fmt.Errorf("vheap: shard %d cached trim floor %d is above the true floor %d — trimming could cut a live view's base",
-				si, s.floorCache.Load(), floor)
+	if h.floorValid.Load() && h.floorCache.Load() > floor {
+		return fmt.Errorf("vheap: cached trim floor %d is above the true floor %d — trimming could cut a live view's base",
+			h.floorCache.Load(), floor)
+	}
+	if h.lastFloor > floor {
+		return fmt.Errorf("vheap: last trimmed at floor %d, above the true floor %d — trimming could have cut a live view's base",
+			h.lastFloor, floor)
+	}
+	pooled := make(map[*page]bool, len(h.pagePool))
+	for i, p := range h.pagePool {
+		if p == nil {
+			return fmt.Errorf("vheap: page pool entry %d is nil", i)
 		}
-		if s.lastFloor > floor {
-			return fmt.Errorf("vheap: shard %d last trimmed at floor %d, above the true floor %d — trimming could have cut a live view's base",
-				si, s.lastFloor, floor)
+		if p == h.zero {
+			return fmt.Errorf("vheap: the shared zero page was recycled into the page pool — other chains may still reference it")
 		}
-		for i, p := range s.pagePool {
-			if p == nil {
-				return fmt.Errorf("vheap: shard %d page pool entry %d is nil", si, i)
-			}
-			if p == h.zero {
-				return fmt.Errorf("vheap: the shared zero page was recycled into shard %d's page pool — other chains may still reference it", si)
-			}
-			if len(p.words) != h.pageWords {
-				return fmt.Errorf("vheap: shard %d pooled page frame %d has %d words, want the page size %d", si, i, len(p.words), h.pageWords)
-			}
-			if p.prev.Load() != nil {
-				return fmt.Errorf("vheap: shard %d pooled page frame %d still links to a version chain", si, i)
-			}
-			pooled[p] = true
+		if len(p.words) != h.pageWords {
+			return fmt.Errorf("vheap: pooled page frame %d has %d words, want the page size %d", i, len(p.words), h.pageWords)
 		}
+		if p.prev.Load() != nil {
+			return fmt.Errorf("vheap: pooled page frame %d still links to a version chain", i)
+		}
+		pooled[p] = true
 	}
 	for pi := range h.slots {
 		p := h.slots[pi].Load()
@@ -691,7 +591,7 @@ func (h *Heap) NewView() *View {
 	v.slot = len(h.views)
 	h.views = append(h.views, v)
 	h.viewMu.Unlock()
-	h.invalidateFloors()
+	h.floorValid.Store(false) // view set changed
 	return v
 }
 
@@ -723,7 +623,7 @@ func (v *View) Close() {
 	}
 	v.h.viewMu.Unlock()
 	if unregistered {
-		v.h.invalidateFloors()
+		v.h.floorValid.Store(false) // view set changed
 	}
 }
 
@@ -955,15 +855,15 @@ func (v *View) StoreDirty(addr, val int64) {
 	}
 }
 
-// newPageLocked takes a published-page frame from the shard's pool
-// (refilled by chain trimming) or allocates one, counting the outcome into
-// hits/misses. Caller holds s.mu; the returned frame's words are
-// overwritten by the caller before publication.
-func (h *Heap) newPageLocked(s *heapShard, seq int64, hits, misses *int64) *page {
-	if n := len(s.pagePool); n > 0 {
-		p := s.pagePool[n-1]
-		s.pagePool[n-1] = nil
-		s.pagePool = s.pagePool[:n-1]
+// newPageLocked takes a published-page frame from the pool (refilled by
+// chain trimming) or allocates one, counting the outcome into hits/misses.
+// Caller holds h.mu; the returned frame's words are overwritten by the
+// caller before publication.
+func (h *Heap) newPageLocked(seq int64, hits, misses *int64) *page {
+	if n := len(h.pagePool); n > 0 {
+		p := h.pagePool[n-1]
+		h.pagePool[n-1] = nil
+		h.pagePool = h.pagePool[:n-1]
 		p.seq = seq
 		p.prev.Store(nil)
 		*hits++
@@ -975,9 +875,9 @@ func (h *Heap) newPageLocked(s *heapShard, seq int64, hits, misses *int64) *page
 
 // commitPage merges one dirty page onto its head version and publishes the
 // result, returning the number of merged words (0 means every store was
-// silent and nothing was published). Caller holds the mutex of page pi's
-// shard s.
-func (h *Heap) commitPage(s *heapShard, pi int, d *dirtyPage, newSeq int64, scanned, pageHits, pageMisses *int64) int {
+// silent and nothing was published). When trimming is on, the page's chain
+// is then trimmed at the current floor. Caller holds h.mu.
+func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits, pageMisses *int64) int {
 	head := h.slots[pi].Load()
 	var merged *page
 	n := 0
@@ -988,7 +888,7 @@ func (h *Heap) commitPage(s *heapShard, pi int, d *dirtyPage, newSeq int64, scan
 			*scanned++
 			if d.words[i] != d.twin[i] {
 				if merged == nil {
-					merged = h.newPageLocked(s, newSeq, pageHits, pageMisses)
+					merged = h.newPageLocked(newSeq, pageHits, pageMisses)
 					copy(merged.words, head.words)
 				}
 				merged.words[i] = d.words[i]
@@ -1001,6 +901,9 @@ func (h *Heap) commitPage(s *heapShard, pi int, d *dirtyPage, newSeq int64, scan
 	}
 	merged.prev.Store(head)
 	h.slots[pi].Store(merged)
+	if h.trim {
+		h.trimChainLocked(merged, h.cachedFloor())
+	}
 	return n
 }
 
@@ -1009,18 +912,15 @@ func (h *Heap) commitPage(s *heapShard, pi int, d *dirtyPage, newSeq int64, scan
 // new page version is linked in. Only the bitmap's marked words are
 // examined. The view is re-based on the new committed state and its dirty
 // set cleared — the frames are recycled, and trimmed-off page versions
-// refill their shards' published-page pools. Returns the new sequence number
-// and the number of words merged.
+// refill the published-page pool. Returns the new sequence number and the
+// number of words merged.
 //
-// Publication locks one shard at a time: each dirty page is merged and
-// trimmed under the mutex of the shard owning it, with consecutive dirty
-// pages in the same shard sharing one acquisition. The committed sequence is
-// advanced only after every page is published, so a view registering
-// concurrently still bases on a fully published state.
+// Every page is merged and trimmed under one acquisition of h.mu. The
+// committed sequence is advanced only after every page is published, so a
+// view registering concurrently still bases on a fully published state.
 //
 // Callers must serialize commits deterministically (all engines here commit
-// while holding the turn); the shard mutexes only protect the data
-// structures.
+// while holding the turn); the mutex only protects the data structures.
 func (v *View) Commit() (seq int64, changed int) {
 	h := v.h
 	// Deferred-publication rule: a physical commit first applies every
@@ -1033,32 +933,15 @@ func (v *View) Commit() (seq int64, changed int) {
 	newSeq := h.seq.Load() + 1
 	scanned := int64(0)
 	pages := int64(0)
-	batches := int64(0)
 	var pageHits, pageMisses int64
-	cur := -1
+	h.mu.Lock()
 	for _, pi := range v.dirtyIdx {
-		if si := pi >> h.ppsShift; si != cur {
-			if cur >= 0 {
-				h.shards[cur].mu.Unlock()
-			}
-			h.shards[si].mu.Lock()
-			cur = si
-			batches++
-		}
-		s := &h.shards[cur]
-		n := h.commitPage(s, pi, v.dirtyTab[pi], newSeq, &scanned, &pageHits, &pageMisses)
-		if n == 0 {
-			continue
-		}
-		pages++
-		changed += n
-		if h.trim {
-			h.trimChainLocked(s, h.slots[pi].Load(), h.shardFloor(s))
+		if n := h.commitPage(pi, v.dirtyTab[pi], newSeq, &scanned, &pageHits, &pageMisses); n > 0 {
+			pages++
+			changed += n
 		}
 	}
-	if cur >= 0 {
-		h.shards[cur].mu.Unlock()
-	}
+	h.mu.Unlock()
 	h.seq.Store(newSeq)
 	h.commits.Add(1)
 	h.pagesWritten.Add(pages)
@@ -1074,7 +957,7 @@ func (v *View) Commit() (seq int64, changed int) {
 		h.pageHits.Add(pageHits)
 		h.pageMisses.Add(pageMisses)
 	}
-	h.countCommit(pages, int64(changed), scanned, batches, frameHits, frameMiss, pageHits, pageMisses)
+	h.countCommit(pages, int64(changed), scanned, frameHits, frameMiss, pageHits, pageMisses)
 	v.base.Store(newSeq)
 	h.noteRebase(oldBase)
 	v.unstaged = false
@@ -1085,7 +968,7 @@ func (v *View) Commit() (seq int64, changed int) {
 
 // countCommit publishes one physical commit (a view's or a flushed stage's)
 // into telemetry. A pool counter that never fired stays out of the snapshot.
-func (h *Heap) countCommit(pages, changed, scanned, batches, frameHits, frameMiss, pageHits, pageMisses int64) {
+func (h *Heap) countCommit(pages, changed, scanned, frameHits, frameMiss, pageHits, pageMisses int64) {
 	if h.tel == nil {
 		return
 	}
@@ -1093,7 +976,6 @@ func (h *Heap) countCommit(pages, changed, scanned, batches, frameHits, frameMis
 	h.ctr.pages.Add(pages)
 	h.ctr.words.Add(changed)
 	h.ctr.scanned.Add(scanned)
-	h.ctr.batches.Add(batches)
 	h.tel.Observe("vheap.commit_words", changed)
 	if frameHits != 0 {
 		h.ctr.frameHits.Add(frameHits)
@@ -1113,12 +995,11 @@ func (h *Heap) countCommit(pages, changed, scanned, batches, frameHits, frameMis
 // is <= floor: no live view can need anything older. Readers concurrently
 // walking the chain hold bases >= floor, so they never traverse past the new
 // terminal node — which is what makes the cut-off tail unreachable and its
-// frames safe to recycle into the shard's page pool (the shared zero page
-// excepted: it can sit in many chains at once). The floor is recorded as the
-// shard's lastFloor for the monotonicity audit. Caller holds s.mu; head must
-// belong to shard s.
-func (h *Heap) trimChainLocked(s *heapShard, head *page, floor int64) {
-	s.lastFloor = floor
+// frames safe to recycle into the page pool (the shared zero page excepted:
+// it can sit in many chains at once). The floor is recorded as lastFloor for
+// the monotonicity audit. Caller holds h.mu.
+func (h *Heap) trimChainLocked(head *page, floor int64) {
+	h.lastFloor = floor
 	p := head
 	for p.seq > floor {
 		prev := p.prev.Load()
@@ -1135,7 +1016,7 @@ func (h *Heap) trimChainLocked(s *heapShard, head *page, floor int64) {
 		next := q.prev.Load()
 		q.prev.Store(nil)
 		if q != h.zero {
-			s.pagePool = append(s.pagePool, q)
+			h.pagePool = append(h.pagePool, q)
 		}
 		q = next
 	}

@@ -139,7 +139,7 @@ func TestLiveViewRegistryCloseOrder(t *testing.T) {
 		if err := h.Audit(); err != nil {
 			t.Fatal(err)
 		}
-		return h.ShardTrimFloors()[0]
+		return h.TrimFloor()
 	}
 	for _, step := range []struct {
 		close int   // index into pins
