@@ -1,103 +1,104 @@
 // Command lazydet-bench regenerates the tables and figures of the paper's
-// evaluation. Examples:
+// evaluation (-exp), and runs declarative open-loop simulation grids, the
+// experiment-grid front end for internal/opensim (-grid). Examples:
 //
-//	lazydet-bench -fig 7            # the hash-table sweeps
-//	lazydet-bench -table 1          # lock statistics
-//	lazydet-bench -all -quick       # everything, shrunk sweeps
-//	lazydet-bench -fig 8 -reps 5    # the paper's repetition count
+//	lazydet-bench -exp fig7            # the hash-table sweeps
+//	lazydet-bench -exp table1          # lock statistics
+//	lazydet-bench -exp all -quick      # everything, shrunk sweeps
+//	lazydet-bench -exp fig8 -reps 5    # the paper's repetition count
+//	lazydet-bench -grid bench/ci-grid.json               # timestamped output folder
+//	lazydet-bench -grid sweep.json -csv runs/try3        # fixed output folder
+//
+// A grid's output folder holds the resolved grid config (grid.json), the run
+// report (report.json), the merged deterministic summary
+// (<grid>-summary.csv — two runs of the same grid are byte-identical, the
+// CI determinism check), the machine-dependent timing twin
+// (<grid>-timing.csv, excluded from byte-diffs by design), and with
+// per_request_csv the raw per-cell stamp dumps under cells/.
 //
 // Deterministic behaviour is pinned elsewhere: every deterministic metric of
 // a run report is compared exactly by TestPinnedFingerprints
-// (internal/harness/testdata/fingerprints.json), and wall time is measured by
+// (internal/harness/testdata/fingerprints.json), the interpreter cells of
+// bench/ci-grid.json included, and wall time is measured by
 // benchmark/run.sh.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
+	"time"
 
 	"lazydet/internal/core"
 	"lazydet/internal/experiments"
 )
+
+// experiment is one table or figure -exp selects by name.
+type experiment struct {
+	name string
+	run  func(experiments.Config) error
+}
+
+// exps lists every experiment in the order -exp all runs them.
+var exps = []experiment{
+	{"table1", experiments.Table1},
+	{"fig1", experiments.Fig1},
+	{"fig7", experiments.Fig7},
+	{"fig8", experiments.Fig8},
+	{"fig9", experiments.Fig9},
+	{"fig10", experiments.Fig10},
+	{"fig11", experiments.Fig11},
+	{"table2", experiments.Table2},
+	{"fig12", experiments.Fig12},
+	{"versions", experiments.Versions},
+	{"arbsweep", experiments.ArbiterSweep},
+	{"dispatchsweep", experiments.DispatchSweep},
+}
 
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run is the whole command; it returns the exit code so every deferred
 // cleanup (the CPU profile's flush above all) runs before the process exits.
 func run(args []string) int {
-	fs := flag.NewFlagSet("lazydet-bench", flag.ExitOnError)
-	fig := fs.Int("fig", 0, "regenerate figure N (1, 7, 8, 9, 10, 11, 12)")
-	table := fs.Int("table", 0, "regenerate table N (1, 2)")
-	all := fs.Bool("all", false, "regenerate every table and figure")
-	versions := fs.Bool("versions", false, "run the §4.2 version-count experiment")
-	arbsweep := fs.Bool("arbsweep", false, "run the arbiter-cost-vs-threads sweep (the tournament tree's scaling curve)")
-	dispatchsweep := fs.Bool("dispatchsweep", false, "run the dispatch-cost sweep (interpreter vs threaded code vs direct, per program shape)")
+	var names []string
+	for _, e := range exps {
+		names = append(names, e.name)
+	}
+	fs := flag.NewFlagSet("lazydet-bench", flag.ContinueOnError)
+	exp := fs.String("exp", "", "experiment to regenerate: "+strings.Join(names, ", ")+", or all")
+	grid := fs.String("grid", "", "run this grid config file (JSON; see bench/ci-grid.json) into the -csv folder")
 	reps := fs.Int("reps", 3, "repetitions per data point (paper: 5)")
 	threads := fs.Int("threads", 0, "override the experiment's thread count")
 	scale := fs.Int("scale", 1, "workload problem-size multiplier")
 	quick := fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
-	csvDir := fs.String("csv", "", "also write each experiment's rows as CSV files into this directory")
+	csvDir := fs.String("csv", "", "also write each experiment's rows as CSV files into this directory; with -grid, the output folder (default sim-runs/<UTC timestamp>)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file; samples carry engine-phase pprof labels (grant/commit/validate)")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the selected experiments to this file")
-	fs.Parse(args)
-
-	type job struct {
-		name string
-		run  func(experiments.Config) error
-	}
-	var jobs []job
-	add := func(name string, run func(experiments.Config) error) {
-		jobs = append(jobs, job{name, run})
-	}
-
-	figs := map[int]func(experiments.Config) error{
-		1: experiments.Fig1, 7: experiments.Fig7, 8: experiments.Fig8,
-		9: experiments.Fig9, 10: experiments.Fig10, 11: experiments.Fig11,
-		12: experiments.Fig12,
-	}
-	tables := map[int]func(experiments.Config) error{
-		1: experiments.Table1, 2: experiments.Table2,
-	}
-
-	switch {
-	case *all:
-		add("table 1", experiments.Table1)
-		add("figure 1", experiments.Fig1)
-		add("figure 7", experiments.Fig7)
-		add("figure 8", experiments.Fig8)
-		add("figure 9", experiments.Fig9)
-		add("figure 10", experiments.Fig10)
-		add("figure 11", experiments.Fig11)
-		add("table 2", experiments.Table2)
-		add("figure 12", experiments.Fig12)
-		add("versions", experiments.Versions)
-		add("arbsweep", experiments.ArbiterSweep)
-		add("dispatchsweep", experiments.DispatchSweep)
-	case *fig != 0:
-		f, ok := figs[*fig]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "no such figure: %d (have 1, 7, 8, 9, 10, 11, 12)\n", *fig)
-			return 2
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		add(fmt.Sprintf("figure %d", *fig), f)
-	case *table != 0:
-		f, ok := tables[*table]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "no such table: %d (have 1, 2)\n", *table)
-			return 2
-		}
-		add(fmt.Sprintf("table %d", *table), f)
-	case *versions:
-		add("versions", experiments.Versions)
-	case *arbsweep:
-		add("arbsweep", experiments.ArbiterSweep)
-	case *dispatchsweep:
-		add("dispatchsweep", experiments.DispatchSweep)
-	default:
+		return 2
+	}
+	if (*exp == "") == (*grid == "") {
+		fmt.Fprintln(os.Stderr, "give exactly one of -exp and -grid")
 		fs.Usage()
+		return 2
+	}
+	var jobs []experiment
+	for _, e := range exps {
+		if *exp == e.name || *exp == "all" {
+			jobs = append(jobs, e)
+		}
+	}
+	if *exp != "" && len(jobs) == 0 {
+		fmt.Fprintf(os.Stderr, "no such experiment: %q (have %s, all)\n", *exp, strings.Join(names, ", "))
 		return 2
 	}
 
@@ -128,6 +129,13 @@ func run(args []string) int {
 		}()
 	}
 
+	if *grid != "" {
+		if err := simulate(*grid, *csvDir); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		return 0
+	}
 	cfg := experiments.Config{
 		Out:     os.Stdout,
 		Reps:    *reps,
@@ -144,4 +152,37 @@ func run(args []string) int {
 		fmt.Println()
 	}
 	return 0
+}
+
+// simulate runs the grid config at path into the output folder dir.
+func simulate(path, dir string) error {
+	g, err := experiments.LoadGrid(path)
+	if err != nil {
+		return err
+	}
+	if dir == "" {
+		dir = filepath.Join("sim-runs", time.Now().UTC().Format("20060102T150405Z"))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	// The resolved config rides along with the results, so a folder is
+	// self-describing and re-runnable.
+	resolved, err := json.MarshalIndent(g, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "grid.json"), append(resolved, '\n'), 0o644); err != nil {
+		return err
+	}
+
+	suite, err := experiments.RunGrid(experiments.Config{Out: os.Stdout, CSVDir: dir}, g)
+	if err != nil {
+		return err
+	}
+	if err := suite.WriteFile(filepath.Join(dir, "report.json")); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d cell runs to %s\n", len(suite.Runs), dir)
+	return nil
 }

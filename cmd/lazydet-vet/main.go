@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -61,33 +62,24 @@ func buildTargets(workload string, all, litmus bool, threads, scale int) ([]targ
 		}
 		return ts, nil
 	}
-	if all {
-		for _, variant := range []string{"ht", "htlazy"} {
-			cfg := workloads.DefaultHTConfig(workloads.HTVariant(variant))
-			w := workloads.NewHashTable(cfg)
-			ts = append(ts, target{name: variant, progs: w.Programs(threads)})
-		}
-		for _, g := range workloads.All() {
-			ts = append(ts, target{name: g.Name, progs: g.New(scale).Programs(threads)})
-		}
-		ts = append(ts, target{name: "opensim", progs: opensim.VetPrograms(opensim.Config{Workers: threads - 1}, threads)})
-		return ts, nil
-	}
-	switch workload {
-	case "":
+	var gens []workloads.Gen
+	switch {
+	case all:
+		gens = append([]workloads.Gen{*workloads.ByName("ht"), *workloads.ByName("htlazy")}, workloads.All()...)
+	case workload == "":
 		return nil, fmt.Errorf("one of -workload, -all or -litmus is required")
-	case "ht", "htlazy":
-		cfg := workloads.DefaultHTConfig(workloads.HTVariant(workload))
-		w := workloads.NewHashTable(cfg)
-		ts = append(ts, target{name: workload, progs: w.Programs(threads)})
-	case "opensim":
-		ts = append(ts, target{name: "opensim", progs: opensim.VetPrograms(opensim.Config{Workers: threads - 1}, threads)})
-	default:
+	case workload != "opensim":
 		g := workloads.ByName(workload)
 		if g == nil {
 			return nil, fmt.Errorf("unknown workload %q", workload)
 		}
+		gens = append(gens, *g)
+	}
+	for _, g := range gens {
 		ts = append(ts, target{name: g.Name, progs: g.New(scale).Programs(threads)})
+	}
+	if all || workload == "opensim" {
+		ts = append(ts, target{name: "opensim", progs: opensim.VetPrograms(opensim.Config{Workers: threads - 1}, threads)})
 	}
 	return ts, nil
 }
@@ -128,24 +120,53 @@ func hintsMatch(rep *progcheck.Report, want map[int64]progcheck.SpecVerdict) boo
 	return true
 }
 
-func main() {
-	workload := flag.String("workload", "", "vet one workload's programs (see lazydet-run -list)")
-	all := flag.Bool("all", false, "vet every built-in workload")
-	litmus := flag.Bool("litmus", false, "run the known-bad litmus corpus and check expected verdicts")
-	threads := flag.Int("threads", 8, "thread count the program set is built for")
-	scale := flag.Int("scale", 1, "problem-size multiplier")
-	jsonOut := flag.Bool("json", false, "emit one JSON object per target instead of human-readable reports")
-	werror := flag.Bool("werror", false, "treat warn-severity findings as failures")
-	flag.Parse()
+// verdict classifies a target's report: a litmus target is "as-expected"
+// when the finding classes and the speculation hints both match the corpus
+// expectation and "mismatch" when either drifts, in either direction; a
+// workload is "clean" or has "findings".
+func verdict(t target, rep *progcheck.Report) string {
+	switch {
+	case t.isLitmus && classesEqual(rep.Classes(), t.want) && hintsMatch(rep, t.wantHints):
+		return "as-expected"
+	case t.isLitmus:
+		return "mismatch"
+	case len(rep.Findings) > 0:
+		return "findings"
+	}
+	return "clean"
+}
+
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command; it returns the exit code.
+func run(args []string) int {
+	fs := flag.NewFlagSet("lazydet-vet", flag.ContinueOnError)
+	workload := fs.String("workload", "", "vet one workload's programs: a lazydet-run workload name, or opensim")
+	all := fs.Bool("all", false, "vet every built-in workload")
+	litmus := fs.Bool("litmus", false, "run the known-bad litmus corpus and check expected verdicts")
+	threads := fs.Int("threads", 8, "thread count the program set is built for")
+	scale := fs.Int("scale", 1, "problem-size multiplier")
+	jsonOut := fs.Bool("json", false, "emit one JSON object per target instead of human-readable reports")
+	werror := fs.Bool("werror", false, "treat warn-severity findings as failures")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *scale < 1 {
 		fmt.Fprintf(os.Stderr, "-scale %d: the problem-size multiplier must be at least 1\n", *scale)
-		os.Exit(2)
+		return 2
+	}
+	if *threads < 1 {
+		fmt.Fprintf(os.Stderr, "-threads %d: a program set needs at least one thread\n", *threads)
+		return 2
 	}
 	targets, err := buildTargets(*workload, *all, *litmus, *threads, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	enc := json.NewEncoder(os.Stdout)
@@ -153,44 +174,29 @@ func main() {
 	failed := false
 	for _, t := range targets {
 		rep := progcheck.Check(t.progs)
-		bad := rep.CountBySeverity(progcheck.SevError) > 0
-		if *werror && rep.CountBySeverity(progcheck.SevWarn) > 0 {
-			bad = true
-		}
-
-		verdict := "clean"
-		if len(rep.Findings) > 0 {
-			verdict = "findings"
-		}
-		if t.isLitmus {
-			// Litmus targets fail when the analyzer's verdict drifts from
-			// the corpus expectation — the finding classes or the
-			// speculation hints — in either direction.
-			if classesEqual(rep.Classes(), t.want) && hintsMatch(rep, t.wantHints) {
-				verdict = "as-expected"
-			} else {
-				verdict = "mismatch"
-				failed = true
-			}
-		} else if bad {
+		v := verdict(t, rep)
+		bad := rep.CountBySeverity(progcheck.SevError) > 0 ||
+			*werror && rep.CountBySeverity(progcheck.SevWarn) > 0
+		if v == "mismatch" || !t.isLitmus && bad {
 			failed = true
 		}
 
 		if *jsonOut {
-			if err := enc.Encode(jsonReport{Target: t.name, Report: rep, Expected: t.want, ExpectedHints: t.wantHints, Verdict: verdict}); err != nil {
+			if err := enc.Encode(jsonReport{Target: t.name, Report: rep, Expected: t.want, ExpectedHints: t.wantHints, Verdict: v}); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			continue
 		}
 		fmt.Printf("== %s ==\n", t.name)
 		if t.isLitmus {
-			fmt.Printf("expected: %v, verdict: %s\n", t.want, verdict)
+			fmt.Printf("expected: %v, verdict: %s\n", t.want, v)
 		}
 		fmt.Print(rep.Human())
 		fmt.Println()
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -89,3 +89,19 @@ func TestVetJSONGolden(t *testing.T) {
 		t.Fatalf("vet JSON output drifted from golden (run `go test ./cmd/lazydet-vet -update` to refresh after verifying the new verdicts)")
 	}
 }
+
+// TestRejectsNonPositiveThreads: a program set built for fewer than one
+// thread is a usage error (exit 2) — not a panic while building the
+// service simulation's or a workload's programs, and not a vacuous
+// "no findings" over zero programs.
+func TestRejectsNonPositiveThreads(t *testing.T) {
+	for _, c := range []struct{ workload, threads string }{
+		{"opensim", "0"},
+		{"barnes", "-2"},
+		{"ht", "0"},
+	} {
+		if code := run([]string{"-workload", c.workload, "-threads", c.threads}); code != 2 {
+			t.Errorf("-workload %s -threads %s: exit code %d, want 2", c.workload, c.threads, code)
+		}
+	}
+}

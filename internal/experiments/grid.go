@@ -1,4 +1,4 @@
-// The declarative experiment-grid runner behind cmd/lazydet-sim: a JSON
+// The declarative experiment-grid runner behind `lazydet-bench -grid`: a JSON
 // config names the dimensions of an open-loop simulation sweep (arrival
 // rate × workers × engine × contention × backend), the repeat count and the
 // seed ranges; RunGrid executes the cross-product with a per-cell schedule

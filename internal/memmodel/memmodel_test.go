@@ -2,6 +2,20 @@ package memmodel
 
 import "testing"
 
+// logOutcomes logs the outcome set every model allows for p, so
+// `go test -v -run 'Figure|StoreBuffer|MessagePassing' ./internal/memmodel`
+// prints the outcome table of the paper's §4 litmus programs.
+func logOutcomes(t *testing.T, p *Program) {
+	t.Helper()
+	t.Logf("%s", p.Name)
+	for _, m := range []struct {
+		name    string
+		allowed func(*Program) OutcomeSet
+	}{{"SC", SC}, {"TSO", TSO}, {"DLRC", DLRC}, {"DDRF", DDRF}} {
+		t.Logf("  %-5s %v", m.name+":", m.allowed(p))
+	}
+}
+
 // TestFigure4 checks the paper's Figure 4 claims: the both-zero outcome is
 // impossible under TSO, possible under DDRF, and mandatory under DLRC.
 func TestFigure4(t *testing.T) {
@@ -9,9 +23,7 @@ func TestFigure4(t *testing.T) {
 	tso := TSO(p)
 	dlrc := DLRC(p)
 	ddrf := DDRF(p)
-	t.Logf("TSO:  %v", tso)
-	t.Logf("DLRC: %v", dlrc)
-	t.Logf("DDRF: %v", ddrf)
+	logOutcomes(t, p)
 
 	if tso.Has(BothZero) {
 		t.Error("TSO must forbid r1=0 r2=0 (locks are full fences)")
@@ -30,8 +42,7 @@ func TestFigure5(t *testing.T) {
 	p := Figure5()
 	dlrc := DLRC(p)
 	ddrf := DDRF(p)
-	t.Logf("DLRC: %v", dlrc)
-	t.Logf("DDRF: %v", ddrf)
+	logOutcomes(t, p)
 
 	if dlrc.Has("r1=1") {
 		t.Error("DLRC must forbid r1=1 (no happens-before edge ever exists)")
@@ -49,6 +60,7 @@ func TestFigure6(t *testing.T) {
 		tso := TSO(p)
 		dlrc := DLRC(p)
 		ddrf := DDRF(p)
+		t.Logf("%s: TSO ⊆ DDRF %v, DLRC ⊆ DDRF %v", p.Name, tso.SubsetOf(ddrf), dlrc.SubsetOf(ddrf))
 		if !tso.SubsetOf(ddrf) {
 			t.Errorf("%s: TSO ⊄ DDRF: TSO %v, DDRF %v", p.Name, tso, ddrf)
 		}
@@ -59,6 +71,7 @@ func TestFigure6(t *testing.T) {
 	p := Figure4()
 	tso := TSO(p)
 	dlrc := DLRC(p)
+	t.Logf("%s: TSO ⊆ DLRC %v, DLRC ⊆ TSO %v (incomparable)", p.Name, tso.SubsetOf(dlrc), dlrc.SubsetOf(tso))
 	if tso.SubsetOf(dlrc) || dlrc.SubsetOf(tso) {
 		t.Errorf("TSO and DLRC must be incomparable on Figure 4: TSO %v, DLRC %v", tso, dlrc)
 	}
@@ -81,6 +94,7 @@ func TestSCSubsetOfTSO(t *testing.T) {
 // in §4).
 func TestStoreBufferWithoutLocks(t *testing.T) {
 	p := StoreBufferNoLocks()
+	logOutcomes(t, p)
 	tso := TSO(p)
 	if !tso.Has(BothZero) {
 		t.Errorf("TSO without fences must allow r1=0 r2=0, got %v", tso)
@@ -96,6 +110,7 @@ func TestStoreBufferWithoutLocks(t *testing.T) {
 // after the sender's, creating a happens-before chain to the data load).
 func TestMessagePassingHandoff(t *testing.T) {
 	p := MessagePassing()
+	logOutcomes(t, p)
 	for name, set := range map[string]OutcomeSet{"TSO": TSO(p), "DLRC": DLRC(p), "DDRF": DDRF(p)} {
 		if set.Has("data=0 flag=1") {
 			t.Errorf("%s: flag observed but data lost: %v", name, set)

@@ -51,8 +51,14 @@ func All() []Gen {
 	}
 }
 
-// ByName returns the named generator, or nil.
+// ByName returns the named generator, or nil. Besides Table 1's rows it
+// resolves the Synchrobench hash-table variants "ht" and "htlazy", which
+// have one size: their generator ignores the scale.
 func ByName(name string) *Gen {
+	switch v := HTVariant(name); v {
+	case HT, HTLazy:
+		return &Gen{Name: name, New: func(int) *harness.Workload { return NewHashTable(DefaultHTConfig(v)) }, LockBased: true}
+	}
 	for _, g := range All() {
 		if g.Name == name {
 			return &g
