@@ -18,9 +18,8 @@
 //
 // Deterministic behaviour is pinned elsewhere: every deterministic metric of
 // a run report is compared exactly by TestPinnedFingerprints
-// (internal/harness/testdata/fingerprints.json), the interpreter cells of
-// bench/ci-grid.json included, and wall time is measured by
-// benchmark/run.sh.
+// (internal/harness/testdata/fingerprints.json), the cells of
+// bench/ci-grid.json included, and wall time is measured by benchmark/run.sh.
 package main
 
 import (
@@ -58,7 +57,6 @@ var exps = []experiment{
 	{"fig12", experiments.Fig12},
 	{"versions", experiments.Versions},
 	{"arbsweep", experiments.ArbiterSweep},
-	{"dispatchsweep", experiments.DispatchSweep},
 }
 
 func main() { os.Exit(run(os.Args[1:])) }

@@ -1,8 +1,8 @@
 // Command lazydet-fuzz differentially stress-tests the engines: it
 // generates random data-race-free commutative programs (whose final memory
 // is schedule-independent and predicted on the host), runs each under every
-// engine, and checks these properties per seed (the numbers are stable
-// names other documents cite; retired properties leave gaps):
+// engine, and checks properties 1-6 and 9 per seed (the numbers are stable
+// names other documents cite; retired properties 7 and 8 leave a gap):
 //
 //  1. correctness — every engine's final memory matches the model exactly;
 //
@@ -26,19 +26,13 @@
 //     into a copy (the final halt is prefixed with a lock acquisition that
 //     is never released) the analyzer flags it;
 //
-//  8. execution-backend oracle — Consequence and LazyDet produce
-//     bit-identical traces and final memory on the interpreter and on the
-//     threaded-code backend (fused superinstructions); -compiled makes the
-//     threaded code the primary backend for every run and the interpreter
-//     the cross-check;
-//
-//  9. (unless -nohints) static speculation hints — LazyDet also runs with
-//     the static hints (harness.Options.SpecHints): the hinted run is
-//     deterministic, its final memory is bit-identical to the unhinted
-//     run's (hints steer speculation, never committed state), and every
-//     lock the footprint analysis proved Disjoint observes zero
-//     conflict-attributed reverts — if a "can never fail validation" lock
-//     reverts even once, the static proof is unsound.
+//  9. static speculation hints — LazyDet also runs with the static hints
+//     (harness.Options.SpecHints): the hinted run is deterministic, its
+//     final memory is bit-identical to the unhinted run's (hints steer
+//     speculation, never committed state), and every lock the footprint
+//     analysis proved Disjoint observes zero conflict-attributed reverts —
+//     if a "can never fail validation" lock reverts even once, the static
+//     proof is unsound.
 //
 // -streak splices a run of critical sections on locks no other thread takes
 // into every thread's program (randprog.Config.OwnStreak). From
@@ -113,8 +107,6 @@ func run(args []string) int {
 	streak := fs.Int("streak", 0, "critical sections on thread-owned locks spliced into every thread's program (from randprog.MinExtendingStreak on, LazyDet must extend runs past the floor)")
 	invariants := fs.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
 	vet := fs.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
-	compiled := fs.Bool("compiled", false, "run the threaded-code backend instead of the interpreter")
-	noHints := fs.Bool("nohints", false, "skip the statically hinted LazyDet runs (unhinted differential baseline only)")
 	verbose := fs.Bool("v", false, "print every seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -140,7 +132,7 @@ func run(args []string) int {
 		}
 		ok := true
 		var violations []*invariant.Violation
-		baseOpt := harness.Options{Threads: *threads, Compiled: *compiled}
+		baseOpt := harness.Options{Threads: *threads}
 		if *invariants {
 			baseOpt.CheckInvariants = true
 			baseOpt.OnViolation = func(v *invariant.Violation) { violations = append(violations, v) }
@@ -198,9 +190,6 @@ func run(args []string) int {
 		}
 		var lazyRef *harness.Result // the unhinted LazyDet run, property 9's oracle
 		for _, va := range variants {
-			if va.hints && *noHints {
-				continue
-			}
 			opt := baseOpt
 			opt.Engine = va.engine
 			opt.Trace = true
@@ -265,29 +254,6 @@ func run(args []string) int {
 						}
 					}
 				}
-			}
-		}
-		// Property 8: execution-backend oracle. The threaded-code backend
-		// and the interpreter publish identical clocks at every sync point,
-		// so the schedule — and with it the trace and the final memory —
-		// must be bit-identical per seed.
-		for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
-			opt := baseOpt
-			opt.Engine = eng
-			opt.Trace = true
-			ref, err := harness.Run(w, opt)
-			bopt := opt
-			bopt.Compiled = !opt.Compiled
-			bres, err2 := harness.Run(w, bopt)
-			if err != nil || err2 != nil {
-				fmt.Printf("seed %d: %s backend oracle: %v %v\n", seed, eng, err, err2)
-				ok = false
-				continue
-			}
-			if ref.TraceSig != bres.TraceSig || ref.HeapHash != bres.HeapHash {
-				fmt.Printf("seed %d: %s DIVERGES from backend oracle (trace %x/%x heap %x/%x)\n",
-					seed, eng, ref.TraceSig, bres.TraceSig, ref.HeapHash, bres.HeapHash)
-				ok = false
 			}
 		}
 		// Property 4: zero invariant violations across all of the above.

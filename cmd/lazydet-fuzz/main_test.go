@@ -43,14 +43,21 @@ func TestTwoSeedsPass(t *testing.T) {
 }
 
 // TestUnknownFlagIsUsageError: a flag the command does not define is a usage
-// error (exit 2); the fuzzer must not start.
+// error (exit 2); the fuzzer must not start. -compiled and -nohints must stay
+// unknown: the interpreter is the only backend and property 9 always runs.
 func TestUnknownFlagIsUsageError(t *testing.T) {
-	var code int
-	out := captureStdout(t, func() { code = run([]string{"-nosuchflag", "1"}) })
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if strings.Contains(out, "ok:") {
-		t.Fatalf("fuzzer ran despite the usage error:\n%s", out)
+	for _, args := range [][]string{
+		{"-nosuchflag", "1"},
+		{"-compiled"},
+		{"-nohints"},
+	} {
+		var code int
+		out := captureStdout(t, func() { code = run(args) })
+		if code != 2 {
+			t.Fatalf("%v: exit code %d, want 2", args, code)
+		}
+		if strings.Contains(out, "ok:") {
+			t.Fatalf("%v: fuzzer ran despite the usage error:\n%s", args, out)
+		}
 	}
 }

@@ -1,6 +1,11 @@
 // Threaded-code compilation: the lowering pass that turns a validated
 // Program into the compiled Exec backend.
 //
+// Nothing in the engine path selects this backend. Its only caller is the
+// benchmark's per-layer dispatch comparator (dvm.compiled_ns_per_instr next
+// to dvm.interp_ns_per_instr), and compile_test.go holds it event-for-event
+// to the interpreter so that row measures the same work.
+//
 // The interpreter (Thread.runInterp) pays, per instruction, a bounds check,
 // a PC increment, a switch dispatch, and the pend/steps tick-batching
 // bookkeeping. This pass pays those costs once per *block* instead: the

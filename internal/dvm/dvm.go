@@ -25,6 +25,13 @@
 // evaluated in the paper (pthreads, Consequence, TotalOrder-Weak,
 // TotalOrder-Weak-Nondet, LazyDet) are interchangeable behind those
 // interfaces.
+//
+// Programs execute on one backend, the interpreter (Thread.runInterp). The
+// threaded-code lowering in compile.go (Compile, Compiled, WithExecs) is a
+// measured comparator, not an engine path: its only caller is the
+// benchmark's per-layer dvm.compiled_ns_per_instr row, compile_test.go checks
+// it event-for-event against the interpreter, and no option, flag or config
+// key selects it.
 package dvm
 
 import (
@@ -469,7 +476,7 @@ func (t *Thread) MatchesSnapshot(s *Snapshot) error {
 }
 
 // Exec is one execution backend for validated programs: the interpreter
-// (Interp) or the threaded-code backend (Compile). Implementations must be
+// (Interp) or the threaded-code comparator (Compile). Implementations must be
 // safe for concurrent use by multiple threads running the same program —
 // they hold only immutable per-program data, never per-thread state. The
 // interface is sealed: an execution backend participates in the VM's tick
@@ -609,24 +616,15 @@ func newFile(n int) []int64 {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	execs   []Exec
-	compile bool
+	execs []Exec
 }
 
 // WithExecs supplies one pre-built execution backend per thread (index i
-// runs thread i). Nil entries fall back to the interpreter. The harness
-// uses this to pass pre-compiled programs so it can time and deduplicate
-// compilation itself.
+// runs thread i). Nil entries fall back to the interpreter. Its only caller
+// is the benchmark's per-layer dispatch comparator, which passes programs it
+// lowered with Compile.
 func WithExecs(execs []Exec) RunOption {
 	return func(c *runConfig) { c.execs = execs }
-}
-
-// WithCompiledPrograms makes Run lower every program to the threaded-code
-// backend (Compile), deduplicating identical *Program values. The programs
-// must be valid (Program.Validate); a compile failure panics, since it can
-// only mean an unvalidated program reached Run.
-func WithCompiledPrograms() RunOption {
-	return func(c *runConfig) { c.compile = true }
 }
 
 // Run executes one program per thread under the given engine and blocks
@@ -639,21 +637,6 @@ func Run(eng Engine, progs []*Program, opts ...RunOption) {
 		o(&cfg)
 	}
 	execs := cfg.execs
-	if cfg.compile && execs == nil {
-		execs = make([]Exec, len(progs))
-		cache := make(map[*Program]*Compiled, 1)
-		for i, p := range progs {
-			c := cache[p]
-			if c == nil {
-				var err error
-				if c, err = Compile(p); err != nil {
-					panic(fmt.Sprintf("dvm: WithCompiledPrograms on invalid program: %v", err))
-				}
-				cache[p] = c
-			}
-			execs[i] = c
-		}
-	}
 	grp := &Group{
 		start: make([]chan struct{}, len(progs)),
 		done:  make([]chan struct{}, len(progs)),

@@ -1,7 +1,7 @@
 // The declarative experiment-grid runner behind `lazydet-bench -grid`: a JSON
 // config names the dimensions of an open-loop simulation sweep (arrival
-// rate × workers × engine × contention × backend), the repeat count and the
-// seed ranges; RunGrid executes the cross-product with a per-cell schedule
+// rate × workers × engine × contention), the repeat count and the seed
+// ranges; RunGrid executes the cross-product with a per-cell schedule
 // cross-check and emits per-cell CSV plus a merged summary into the
 // configured output folder (SNIPPETS.md snippet 3's experiments.json →
 // CSV → analysis pipeline, specialized to deterministic metrics).
@@ -40,8 +40,6 @@ var (
 	ErrGridSeedCount = errors.New("experiments: grid seed ranges must supply exactly one seed per repeat")
 	// ErrGridEngine rejects unknown or nondeterministic engine names.
 	ErrGridEngine = errors.New("experiments: grid engine must be Consequence, TotalOrder-Weak or LazyDet")
-	// ErrGridBackend rejects backends other than interp/compiled.
-	ErrGridBackend = errors.New(`experiments: grid backend must be "interp" or "compiled"`)
 	// ErrGridVerify reports a per-cell schedule cross-check divergence:
 	// the same cell run twice produced different stamps or traces.
 	ErrGridVerify = errors.New("experiments: grid cell cross-check diverged")
@@ -81,7 +79,6 @@ type Grid struct {
 	MeanGaps   []int64          `json:"mean_gaps"`
 	Workers    []int            `json:"workers"`
 	Engines    []string         `json:"engines"`
-	Backends   []string         `json:"backends"`
 	Contention []GridContention `json:"contention"`
 
 	// PerRequestCSV additionally writes one CSV of raw stamps per cell.
@@ -132,8 +129,8 @@ func LoadGrid(path string) (*Grid, error) {
 }
 
 // Validate checks the grid's shape: a positive repeat count, non-empty
-// dimensions, known engine and backend names, and non-overlapping seed
-// ranges supplying exactly one seed per repeat.
+// dimensions, known engine names, and non-overlapping seed ranges supplying
+// exactly one seed per repeat.
 func (g *Grid) Validate() error {
 	if g.Repeats < 1 {
 		return ErrGridRepeats
@@ -145,7 +142,6 @@ func (g *Grid) Validate() error {
 		{"mean_gaps", len(g.MeanGaps)},
 		{"workers", len(g.Workers)},
 		{"engines", len(g.Engines)},
-		{"backends", len(g.Backends)},
 		{"contention", len(g.Contention)},
 	}
 	for _, d := range dims {
@@ -156,11 +152,6 @@ func (g *Grid) Validate() error {
 	for _, e := range g.Engines {
 		if _, ok := gridEngines[e]; !ok {
 			return fmt.Errorf("%w: got %q", ErrGridEngine, e)
-		}
-	}
-	for _, b := range g.Backends {
-		if b != "interp" && b != "compiled" {
-			return fmt.Errorf("%w: got %q", ErrGridBackend, b)
 		}
 	}
 	total := 0
@@ -198,12 +189,8 @@ func (g *Grid) seeds() []uint64 {
 // cellName keys one cell+repeat in reports and CSV: every dimension except
 // the engine (which has its own report field) is encoded, so report keys
 // are collision-free.
-func cellName(cont GridContention, gap int64, workers, rep int, backend string) string {
-	name := fmt.Sprintf("sim/%s/g%d/w%d/r%d", cont.Name, gap, workers, rep)
-	if backend == "compiled" {
-		name += "/compiled"
-	}
-	return name
+func cellName(cont GridContention, gap int64, workers, rep int) string {
+	return fmt.Sprintf("sim/%s/g%d/w%d/r%d", cont.Name, gap, workers, rep)
 }
 
 // RunGrid executes the validated grid's cross-product and returns the suite
@@ -218,7 +205,7 @@ func RunGrid(cfg Config, g *Grid) (*telemetry.SuiteReport, error) {
 	}
 	suite := &telemetry.SuiteReport{Schema: telemetry.ReportSchema, Suite: g.Name}
 	summary, err := cfg.csvFile(g.Name+"-summary",
-		"cell", "engine", "threads", "backend", "mean_gap", "workers", "contention",
+		"cell", "engine", "threads", "mean_gap", "workers", "contention",
 		"repeat", "seed", "requests", "lat_p50", "lat_p95", "lat_p99", "wait_p95",
 		"qdepth_max", "qdepth_mean", "makespan_dlc", "throughput_kdlc",
 		"trace_sig", "heap_hash")
@@ -238,62 +225,59 @@ func RunGrid(cfg Config, g *Grid) (*telemetry.SuiteReport, error) {
 		for _, gap := range g.MeanGaps {
 			for _, workers := range g.Workers {
 				for _, engName := range g.Engines {
-					for _, backend := range g.Backends {
-						for rep := 0; rep < g.Repeats; rep++ {
-							cell := opensim.Config{
-								Engine:   gridEngines[engName],
-								Workers:  workers,
-								Requests: g.Requests,
-								MeanGap:  gap,
-								Seed:     seeds[rep],
-								Keys:     cont.Keys,
-								Stripes:  cont.Stripes,
-								HotPct:   cont.HotPct,
-								HotKeys:  cont.HotKeys,
-								OpCost:   g.OpCost,
-								PollCost: g.PollCost,
-								Mix:      g.Mix,
-								Compiled: backend == "compiled",
-								Trace:    true,
-							}
-							name := cellName(cont, gap, workers, rep, backend)
-							res, err := opensim.Run(cell)
+					for rep := 0; rep < g.Repeats; rep++ {
+						cell := opensim.Config{
+							Engine:   gridEngines[engName],
+							Workers:  workers,
+							Requests: g.Requests,
+							MeanGap:  gap,
+							Seed:     seeds[rep],
+							Keys:     cont.Keys,
+							Stripes:  cont.Stripes,
+							HotPct:   cont.HotPct,
+							HotKeys:  cont.HotKeys,
+							OpCost:   g.OpCost,
+							PollCost: g.PollCost,
+							Mix:      g.Mix,
+							Trace:    true,
+						}
+						name := cellName(cont, gap, workers, rep)
+						res, err := opensim.Run(cell)
+						if err != nil {
+							return nil, fmt.Errorf("%s under %s: %w", name, engName, err)
+						}
+						if g.Verify {
+							again, err := opensim.Run(cell)
 							if err != nil {
-								return nil, fmt.Errorf("%s under %s: %w", name, engName, err)
+								return nil, fmt.Errorf("%s under %s (cross-check): %w", name, engName, err)
 							}
-							if g.Verify {
-								again, err := opensim.Run(cell)
-								if err != nil {
-									return nil, fmt.Errorf("%s under %s (cross-check): %w", name, engName, err)
-								}
-								if res.Harness.TraceSig != again.Harness.TraceSig ||
-									res.Harness.HeapHash != again.Harness.HeapHash ||
-									!reflect.DeepEqual(res.Requests, again.Requests) {
-									return nil, fmt.Errorf("%w: %s under %s", ErrGridVerify, name, engName)
-								}
+							if res.Harness.TraceSig != again.Harness.TraceSig ||
+								res.Harness.HeapHash != again.Harness.HeapHash ||
+								!reflect.DeepEqual(res.Requests, again.Requests) {
+								return nil, fmt.Errorf("%w: %s under %s", ErrGridVerify, name, engName)
 							}
-							rr := harness.BuildReport(res.Harness)
-							rr.Workload = name
-							suite.Runs = append(suite.Runs, rr)
-							cfg.printf("%-34s %-16s lat p50/p95/p99 %d/%d/%d dlc, qmax %d\n",
-								name, engName, res.LatP50, res.LatP95, res.LatP99, res.QDepthMax)
+						}
+						rr := harness.BuildReport(res.Harness)
+						rr.Workload = name
+						suite.Runs = append(suite.Runs, rr)
+						cfg.printf("%-34s %-16s lat p50/p95/p99 %d/%d/%d dlc, qmax %d\n",
+							name, engName, res.LatP50, res.LatP95, res.LatP99, res.QDepthMax)
 
-							summary.row(name, engName, workers+1, backend, gap, workers, cont.Name,
-								rep, seeds[rep], g.Requests, res.LatP50, res.LatP95, res.LatP99,
-								res.WaitP95, res.QDepthMax, res.QDepthMean, res.MakespanDLC,
-								res.ThroughputKDLC, rr.TraceSig, rr.HeapHash)
-							wall := res.Harness.Wall.Seconds()
-							reqPerS := 0.0
-							if wall > 0 {
-								reqPerS = float64(g.Requests) / wall
-							}
-							timing.row(name, engName, rep, res.Harness.Wall.Nanoseconds(),
-								res.Harness.CPU.Nanoseconds(), reqPerS)
+						summary.row(name, engName, workers+1, gap, workers, cont.Name,
+							rep, seeds[rep], g.Requests, res.LatP50, res.LatP95, res.LatP99,
+							res.WaitP95, res.QDepthMax, res.QDepthMean, res.MakespanDLC,
+							res.ThroughputKDLC, rr.TraceSig, rr.HeapHash)
+						wall := res.Harness.Wall.Seconds()
+						reqPerS := 0.0
+						if wall > 0 {
+							reqPerS = float64(g.Requests) / wall
+						}
+						timing.row(name, engName, rep, res.Harness.Wall.Nanoseconds(),
+							res.Harness.CPU.Nanoseconds(), reqPerS)
 
-							if g.PerRequestCSV {
-								if err := writePerRequest(cfg, name, engName, res); err != nil {
-									return nil, err
-								}
+						if g.PerRequestCSV {
+							if err := writePerRequest(cfg, name, engName, res); err != nil {
+								return nil, err
 							}
 						}
 					}

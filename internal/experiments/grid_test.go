@@ -22,7 +22,6 @@ const validGridJSON = `{
   "mean_gaps": [64],
   "workers": [2],
   "engines": ["Consequence"],
-  "backends": ["interp"],
   "contention": [{"name": "c", "keys": 16, "stripes": 2, "hot_pct": 10, "hot_keys": 2}]
 }`
 
@@ -88,9 +87,13 @@ func TestParseGridErrors(t *testing.T) {
 			wantErr: ErrGridEngine,
 		},
 		{
-			name:    "unknown backend",
-			mutate:  func(s string) string { return strings.Replace(s, `"interp"`, `"jit"`, 1) },
-			wantErr: ErrGridBackend,
+			// The interpreter is the only backend; a config written for
+			// the retired backends dimension must fail, not run half.
+			name: "retired backends key",
+			mutate: func(s string) string {
+				return strings.Replace(s, `"engines"`, `"backends": ["interp", "compiled"], "engines"`, 1)
+			},
+			wantErr: ErrGridUnknownKey,
 		},
 	}
 	for _, tc := range cases {
@@ -127,7 +130,6 @@ func TestSummaryCSVGolden(t *testing.T) {
 		MeanGaps:   []int64{64},
 		Workers:    []int{2},
 		Engines:    []string{"Consequence"},
-		Backends:   []string{"interp"},
 		Contention: []GridContention{{Name: "c2", Keys: 32, Stripes: 2, HotPct: 20, HotKeys: 2}},
 		Verify:     true,
 	}

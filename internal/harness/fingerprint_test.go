@@ -146,8 +146,8 @@ func TestPinnedFingerprints(t *testing.T) {
 		t.Error("seed1+streak/LazyDet/t4: no run went past the floor; the row pins nothing new")
 	}
 
-	// The open-loop simulation: the interpreter cells of the grid CI runs
-	// (each cross-checked by the grid's own double run), keyed sim/..., and
+	// The open-loop simulation: the cells of the grid CI runs (each
+	// cross-checked by the grid's own double run), keyed sim/..., and
 	// one service cell with the static speculation hints off and on. The
 	// hinted run is a different, still deterministic, schedule (the queue
 	// lock classifies Conflicting, so the policy skips its warm-up), so both
@@ -156,7 +156,6 @@ func TestPinnedFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid.Backends = []string{"interp"}
 	sims, err := experiments.RunGrid(experiments.Config{}, grid)
 	if err != nil {
 		t.Fatal(err)

@@ -153,12 +153,6 @@ type Options struct {
 	// (lazydet-fuzz property 9). Reuses Result.Vet's report when Vet is
 	// also set.
 	SpecHints bool
-	// Compiled lowers the workload's programs to the threaded-code backend
-	// (internal/dvm Compile): fused superinstructions with specialized
-	// operands, replacing the per-instruction interpreter dispatch. The
-	// interpreter is the differential oracle: schedules, traces, heaps and
-	// gated metrics are bit-identical per seed with this flag flipped.
-	Compiled bool
 }
 
 // Result is one run's measurements.
@@ -300,37 +294,6 @@ func Run(w *Workload, opt Options) (*Result, error) {
 		hints = lowerHints(rep.Hints, w.Locks)
 	}
 
-	// Lower the programs to threaded code when requested — outside the
-	// timed section, with the lowering cost reported as machine-dependent
-	// timing, never as a metric. Threads sharing a *Program share one
-	// compilation.
-	var runOpts []dvm.RunOption
-	if opt.Compiled {
-		execs := make([]dvm.Exec, len(progs))
-		cache := make(map[*dvm.Program]*dvm.Compiled, len(progs))
-		cstart := time.Now()
-		for i, p := range progs {
-			cp := cache[p]
-			if cp == nil {
-				var err error
-				if cp, err = dvm.Compile(p); err != nil {
-					return nil, fmt.Errorf("harness: workload %s, thread %d: %w", w.Name, i, err)
-				}
-				cache[p] = cp
-			}
-			execs[i] = cp
-		}
-		if tel != nil {
-			tel.Count("dvm.compile_ns", time.Since(cstart).Nanoseconds())
-			for _, cp := range cache {
-				st := cp.Stats()
-				tel.Count("dvm.fused_blocks", int64(st.FusedBlocks))
-				tel.Count("dvm.superinstructions", int64(st.Superinstrs))
-			}
-		}
-		runOpts = append(runOpts, dvm.WithExecs(execs))
-	}
-
 	var eng dvm.Engine
 	var readFinal func(int64) int64
 	var heap *vheap.Heap
@@ -435,7 +398,7 @@ func Run(w *Workload, opt Options) (*Result, error) {
 	}
 	cpuBefore := stats.ProcessCPUNs()
 	start := time.Now()
-	dvm.Run(eng, progs, runOpts...)
+	dvm.Run(eng, progs)
 	res.Wall = time.Since(start)
 	cpuAfter := stats.ProcessCPUNs()
 	res.CPU = time.Duration(cpuAfter - cpuBefore)

@@ -305,7 +305,8 @@ func TestLockCounting(t *testing.T) {
 
 // TestRunRejectsBadOptions: option values the substrate cannot honour are
 // reported as errors by Run, for every engine, instead of panicking further
-// down (vheap.New panics on a page size that is not a power of two).
+// down (vheap.New panics on a page size that is not a power of two), and
+// the rejected run leaves no goroutine behind.
 func TestRunRejectsBadOptions(t *testing.T) {
 	ok := Options{Threads: 2}
 	for _, c := range []struct {
@@ -329,7 +330,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 			if c.bend != nil {
 				c.bend(w)
 			}
-			res, err := Run(w, c.opt)
+			res, err := runNoLeak(t, c.name+" under "+eng.String(), w, c.opt)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s under %s: error %v, want one naming %q", c.name, eng, err, c.want)
 			}

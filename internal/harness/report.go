@@ -1,7 +1,7 @@
 // Run-report construction: folds the harness's measurements — the telemetry
 // registry plus the legacy stats collectors (speculation, blocked time, the
 // sync-order trace) — into one telemetry.RunReport, the unit lazydet-run and
-// lazydet-sim serialize. Its Metrics half is what testdata/fingerprints.json
+// lazydet-bench -grid serialize. Its Metrics half is what testdata/fingerprints.json
 // pins, exactly, for every pinned run (TestPinnedFingerprints).
 package harness
 
@@ -78,13 +78,6 @@ var timingCounters = map[string]bool{
 	// so they stay informational; dlc.chain_hits (the chance the fast path
 	// chases) is deterministic and a metric.
 	"dlc.chain_fast": true,
-	// Threaded-code lowering cost is wall time; the fusion statistics
-	// depend only on the compiler's pattern tables, which may change
-	// between versions without affecting the deterministic schedule, so
-	// all three stay out of the metrics.
-	"dvm.compile_ns":        true,
-	"dvm.fused_blocks":      true,
-	"dvm.superinstructions": true,
 }
 
 // BuildReport converts one run's measurements into a report entry.

@@ -17,8 +17,8 @@
 // speculative executions that revert discard their stamps, and exactly one
 // committed stamp survives — a Go-side array would race under LazyDet).
 // Latency percentiles, queue depth and throughput are therefore functions
-// of the deterministic schedule alone: bit-identical across hosts, Go
-// versions and backends, and gateable in CI. Wall-clock twins stay in the
+// of the deterministic schedule alone: bit-identical across hosts and Go
+// versions, and gateable in CI. Wall-clock twins stay in the
 // report's Timing half, following internal/telemetry's split.
 package opensim
 
@@ -102,9 +102,6 @@ type Config struct {
 	// Mix is the weighted request mix; nil means DefaultMix.
 	Mix []MixEntry
 
-	// Compiled selects the threaded-code backend. Stamps and metrics must
-	// be bit-identical to the interpreter (flush points coincide).
-	Compiled bool
 	// Trace enables sync-order trace recording (cross-checks).
 	Trace bool
 	// SpecHints seeds LazyDet's speculation policy with the progcheck
@@ -222,7 +219,6 @@ func Run(cfg Config) (*Result, error) {
 		Telemetry:   true,
 		Trace:       cfg.Trace,
 		CollectSpec: cfg.Engine == harness.LazyDet,
-		Compiled:    cfg.Compiled,
 		SpecHints:   cfg.SpecHints,
 	}
 	hres, err := harness.Run(w, opt)

@@ -52,30 +52,6 @@ func TestRunTwiceIdentical(t *testing.T) {
 	}
 }
 
-// The threaded-code backend must reproduce the interpreter's stamps and
-// schedule exactly: both backends place DLC flush points identically, so a
-// clock read mid-stream sees the same published value.
-func TestBackendEquivalence(t *testing.T) {
-	for _, e := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
-		cfg := testConfig(e)
-		ri, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s interp: %v", e, err)
-		}
-		cfg.Compiled = true
-		rc, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s compiled: %v", e, err)
-		}
-		if !reflect.DeepEqual(ri.Requests, rc.Requests) {
-			t.Errorf("%s: stamps differ between interpreter and compiled backends", e)
-		}
-		if ri.Harness.TraceSig != rc.Harness.TraceSig {
-			t.Errorf("%s: trace signatures differ across backends", e)
-		}
-	}
-}
-
 // Different seeds must yield different schedules (the RNG partitioning is
 // actually seeded), while metrics remain internally consistent.
 func TestSeedSensitivity(t *testing.T) {

@@ -4,7 +4,7 @@
 // immutable plan arrays: arrival gaps, each request's mix class, and each
 // operation's key and read/write kind. The VM programs only index those
 // arrays, so the work a request performs is a function of (seed, config)
-// alone — identical across engines, thread interleavings and backends.
+// alone — identical across engines and thread interleavings.
 // What the engines *do* determine is the schedule: who pops which request
 // when, and therefore every DLC stamp.
 package opensim

@@ -1,5 +1,5 @@
 // Run reports: the structured JSON account of one or more runs that
-// lazydet-run (-report) and lazydet-sim emit.
+// lazydet-run (-report) and lazydet-bench -grid emit.
 //
 // A report separates metrics by reproducibility class:
 //
