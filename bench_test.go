@@ -255,21 +255,19 @@ func BenchmarkFigures4to6_MemoryModels(b *testing.B) {
 	})
 }
 
-// BenchmarkSection42_VersionRetention measures the §4.2 space/time claim:
-// commits against a DDRF-style coalescing version list versus a
-// DLRC-style heap retaining full version chains.
+// BenchmarkSection42_VersionRetention measures the §4.2 time claim: commits
+// against a DDRF-style coalescing version list, which trims every chain to
+// the versions a live view can still read.
 func BenchmarkSection42_VersionRetention(b *testing.B) {
-	run := func(b *testing.B, opts ...vheap.Option) {
-		h := vheap.New(1<<14, opts...)
+	b.Run("DDRF-coalesced", func(b *testing.B) {
+		h := vheap.New(1 << 14)
 		v := h.NewView()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			v.Store(int64(i%(1<<14)), int64(i))
 			v.Commit()
 		}
-	}
-	b.Run("DDRF-coalesced", func(b *testing.B) { run(b) })
-	b.Run("DLRC-full-chains", func(b *testing.B) { run(b, vheap.WithFullVersionChains()) })
+	})
 }
 
 // BenchmarkExtension_SpeculativeAtomics measures the §7 extension: atomics

@@ -15,14 +15,14 @@
 //
 //  4. (with -invariants) runtime invariants — turn-holder uniqueness, heap
 //     commit monotonicity, lock-table consistency and snapshot round-trip
-//     exactness hold at every turn grant and commit/revert;
+//     exactness hold at every turn grant and commit/revert (a breach is
+//     the run's error);
 //
-//  5. (with -vet, on by default) no analyzer false positives — the static
-//     analyzer (internal/progcheck) reports zero error findings on these
-//     race-free, deadlock-free programs; warnings are tallied and the rate
-//     reported;
+//  5. no analyzer false positives — the static analyzer
+//     (internal/progcheck) reports zero error findings on these race-free,
+//     deadlock-free programs; warnings are tallied and the rate reported;
 //
-//  6. (with -vet) no analyzer soundness hole — after a known bug is seeded
+//  6. no analyzer soundness hole — after a known bug is seeded
 //     into a copy (the final halt is prefixed with a lock acquisition that
 //     is never released) the analyzer flags it;
 //
@@ -53,10 +53,10 @@ import (
 	"fmt"
 	"os"
 
+	"lazydet"
 	"lazydet/internal/core"
 	"lazydet/internal/dvm"
 	"lazydet/internal/harness"
-	"lazydet/internal/invariant"
 	"lazydet/internal/progcheck"
 	"lazydet/internal/randprog"
 )
@@ -106,7 +106,6 @@ func run(args []string) int {
 	ops := fs.Int("ops", 60, "operations per thread")
 	streak := fs.Int("streak", 0, "critical sections on thread-owned locks spliced into every thread's program (from randprog.MinExtendingStreak on, LazyDet must extend runs past the floor)")
 	invariants := fs.Bool("invariants", false, "audit runtime invariants at every turn and commit/revert")
-	vet := fs.Bool("vet", true, "cross-check progcheck static verdicts against runtime outcomes")
 	verbose := fs.Bool("v", false, "print every seed")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -121,7 +120,7 @@ func run(args []string) int {
 
 	failures := 0
 	var extendedRuns int64
-	vetSeeds, vetFalseWarnings := 0, 0
+	vetFalseWarnings := 0
 	for s := uint64(0); s < uint64(*seeds); s++ {
 		seed := *start + s
 		w, _, err := randprog.Generate(seed, cfg)
@@ -131,11 +130,16 @@ func run(args []string) int {
 			continue
 		}
 		ok := true
-		var violations []*invariant.Violation
-		baseOpt := harness.Options{Threads: *threads}
-		if *invariants {
-			baseOpt.CheckInvariants = true
-			baseOpt.OnViolation = func(v *invariant.Violation) { violations = append(violations, v) }
+		baseOpt := harness.Options{Threads: *threads, CheckInvariants: *invariants}
+		// fail reports a failed run. Property 4: an invariant breach comes
+		// back as the run's error, wrapping the first violation.
+		fail := func(name string, err error) {
+			var v *lazydet.InvariantViolation
+			if errors.As(err, &v) {
+				name += ": property 4"
+			}
+			fmt.Printf("seed %d: %s: %v\n", seed, name, err)
+			ok = false
 		}
 
 		// Properties 5 and 6: static/runtime cross-check. The generator
@@ -144,24 +148,21 @@ func run(args []string) int {
 		// warnings only feed the rate printed at the end — and (6) seeding
 		// a lock-held-at-exit bug into a copy must produce exactly that
 		// finding, or the analyzer has a soundness hole.
-		if *vet {
-			progs := w.Programs(*threads)
-			rep := progcheck.Check(progs)
-			if n := rep.CountBySeverity(progcheck.SevError); n > 0 {
-				fmt.Printf("seed %d: progcheck false positive: %d error finding(s) on a race-free program:\n%s",
-					seed, n, rep.Human())
-				ok = false
-			}
-			vetFalseWarnings += rep.CountBySeverity(progcheck.SevWarn)
-			vetSeeds++
-			if mut := seedHeldLockBug(progs[0]); mut == nil {
-				fmt.Printf("seed %d: progcheck cross-check: generated program does not end in halt\n", seed)
-				ok = false
-			} else if mrep := progcheck.Check([]*dvm.Program{mut}); !hasClass(mrep, progcheck.ClassHeldAtExit) {
-				fmt.Printf("seed %d: progcheck MISSED a seeded %s bug in %s\n",
-					seed, progcheck.ClassHeldAtExit, mut.Name)
-				ok = false
-			}
+		progs := w.Programs(*threads)
+		rep := progcheck.Check(progs)
+		if n := rep.CountBySeverity(progcheck.SevError); n > 0 {
+			fmt.Printf("seed %d: progcheck false positive: %d error finding(s) on a race-free program:\n%s",
+				seed, n, rep.Human())
+			ok = false
+		}
+		vetFalseWarnings += rep.CountBySeverity(progcheck.SevWarn)
+		if mut := seedHeldLockBug(progs[0]); mut == nil {
+			fmt.Printf("seed %d: progcheck cross-check: generated program does not end in halt\n", seed)
+			ok = false
+		} else if mrep := progcheck.Check([]*dvm.Program{mut}); !hasClass(mrep, progcheck.ClassHeldAtExit) {
+			fmt.Printf("seed %d: progcheck MISSED a seeded %s bug in %s\n",
+				seed, progcheck.ClassHeldAtExit, mut.Name)
+			ok = false
 		}
 
 		// Property 1: model equivalence under every engine.
@@ -169,8 +170,7 @@ func run(args []string) int {
 			opt := baseOpt
 			opt.Engine = eng
 			if _, err := harness.Run(w, opt); err != nil {
-				fmt.Printf("seed %d: %s: %v\n", seed, eng, err)
-				ok = false
+				fail(eng.String(), err)
 			}
 		}
 		// Properties 2 and 3: determinism + speculation accounting, for
@@ -201,9 +201,8 @@ func run(args []string) int {
 			}
 			r1, err1 := harness.Run(w, opt)
 			r2, err2 := harness.Run(w, opt)
-			if err1 != nil || err2 != nil {
-				fmt.Printf("seed %d: %s: %v %v\n", seed, va.name, err1, err2)
-				ok = false
+			if err := errors.Join(err1, err2); err != nil {
+				fail(va.name, err)
 				continue
 			}
 			if r1.TraceSig != r2.TraceSig || r1.HeapHash != r2.HeapHash {
@@ -256,11 +255,6 @@ func run(args []string) int {
 				}
 			}
 		}
-		// Property 4: zero invariant violations across all of the above.
-		for _, v := range violations {
-			fmt.Printf("seed %d: %v\n", seed, v)
-			ok = false
-		}
 		if !ok {
 			failures++
 		} else if *verbose {
@@ -278,9 +272,7 @@ func run(args []string) int {
 	if *streak > 0 {
 		suffix += fmt.Sprintf("; %d LazyDet runs extended past the floor", extendedRuns)
 	}
-	if vetSeeds > 0 {
-		suffix += fmt.Sprintf("; progcheck: %d seeds cross-checked, %d warning false positive(s)", vetSeeds, vetFalseWarnings)
-	}
+	suffix += fmt.Sprintf("; progcheck: %d seeds cross-checked, %d warning false positive(s)", *seeds, vetFalseWarnings)
 	fmt.Printf("ok: %d seeds × %d engines, all equivalent and deterministic%s\n", *seeds, len(harness.AllEngines), suffix)
 	return 0
 }

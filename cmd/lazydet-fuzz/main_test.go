@@ -43,13 +43,15 @@ func TestTwoSeedsPass(t *testing.T) {
 }
 
 // TestUnknownFlagIsUsageError: a flag the command does not define is a usage
-// error (exit 2); the fuzzer must not start. -compiled and -nohints must stay
-// unknown: the interpreter is the only backend and property 9 always runs.
+// error (exit 2); the fuzzer must not start. -compiled, -nohints and -vet
+// must stay unknown: the interpreter is the only backend, and properties 5, 6
+// and 9 always run.
 func TestUnknownFlagIsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nosuchflag", "1"},
 		{"-compiled"},
 		{"-nohints"},
+		{"-vet=false"},
 	} {
 		var code int
 		out := captureStdout(t, func() { code = run(args) })

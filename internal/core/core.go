@@ -186,9 +186,8 @@ type Deps struct {
 	// of turn waits, speculation runs, commits and reverts. Disabled (nil)
 	// costs one pointer compare per audit point, like OnViolation.
 	Tel *telemetry.Recorder
-	// OnViolation receives invariant violations when
-	// Config.CheckInvariants is set. Nil means panic on violation — a
-	// repeatable panic, since the engines are deterministic.
+	// OnViolation receives invariant violations; required when
+	// Config.CheckInvariants is set.
 	OnViolation func(*invariant.Violation)
 }
 

@@ -26,7 +26,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		{"fig11", Fig11, []string{"Figure 11", "NoCoarsening", "NoIrrevocable", "NoPerLockStats"}},
 		{"table2", Table2, []string{"Table 2", "% success", "dedup"}},
 		{"fig12", Fig12, []string{"Figure 12", "least-squares"}},
-		{"versions", Versions, []string{"§4.2", "DDRF", "DLRC"}},
+		{"versions", Versions, []string{"§4.2", "DDRF", "DLRC", "16 pages"}},
 		{"arbsweep", ArbiterSweep, []string{"arbiter cost", "tree", "work/grant"}},
 	}
 	for _, c := range cases {

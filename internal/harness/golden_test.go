@@ -1,11 +1,9 @@
 package harness_test
 
 import (
-	"sync"
 	"testing"
 
 	"lazydet/internal/harness"
-	"lazydet/internal/invariant"
 	"lazydet/internal/randprog"
 )
 
@@ -33,22 +31,8 @@ func TestGoldenCorpusRunTwice(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, eng := range engines {
-			var mu sync.Mutex
-			var violations []*invariant.Violation
-			opt := harness.Options{
-				Engine:          eng,
-				Threads:         threads,
-				Trace:           true,
-				CheckInvariants: true,
-				// Runs of different engines on this workload never overlap,
-				// but violations are appended by whichever thread holds the
-				// turn, so guard the slice anyway.
-				OnViolation: func(v *invariant.Violation) {
-					mu.Lock()
-					violations = append(violations, v)
-					mu.Unlock()
-				},
-			}
+			// An invariant violation would be the run's error.
+			opt := harness.Options{Engine: eng, Threads: threads, Trace: true, CheckInvariants: true}
 			r1, err := harness.Run(w, opt)
 			if err != nil {
 				t.Fatalf("seed %d %s run 1: %v", seed, eng, err)
@@ -62,9 +46,6 @@ func TestGoldenCorpusRunTwice(t *testing.T) {
 			}
 			if r1.HeapHash != r2.HeapHash {
 				t.Errorf("seed %d %s: final memory differs: %x vs %x", seed, eng, r1.HeapHash, r2.HeapHash)
-			}
-			if len(violations) != 0 {
-				t.Errorf("seed %d %s: %d invariant violations, first: %v", seed, eng, len(violations), violations[0])
 			}
 		}
 	}

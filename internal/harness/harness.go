@@ -8,6 +8,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"lazydet/internal/core"
@@ -109,12 +110,6 @@ type Options struct {
 	// Spec overrides LazyDet's speculation parameters; zero value means
 	// the paper's defaults.
 	Spec core.SpecConfig
-	// PageWords overrides the versioned heap's page size; it must be a
-	// power of two.
-	PageWords int
-	// FullVersionChains retains every page version (DLRC-style
-	// accounting) instead of trimming to live bases (§4.2 experiment).
-	FullVersionChains bool
 	// Telemetry enables the unified metrics registry
 	// (internal/telemetry): the engine, versioned heap and memory pipeline
 	// publish counters and histograms into one recorder, available as
@@ -130,19 +125,11 @@ type Options struct {
 	// (internal/invariant) on the deterministic engines: turn-holder
 	// uniqueness, heap commit monotonicity and chain integrity,
 	// lock-table consistency, and snapshot round-trip exactness are
-	// asserted at every turn grant and commit/revert. Off by default;
-	// enabling it costs roughly the lock-table size per synchronization
-	// operation.
+	// asserted at every turn grant and commit/revert. A breach makes Run
+	// return an error wrapping the first *invariant.Violation (the run
+	// itself goes on to the end). Off by default; enabling it costs roughly
+	// the lock-table size per synchronization operation.
 	CheckInvariants bool
-	// OnViolation receives structured invariant violations when
-	// CheckInvariants is set; nil means a violation panics (repeatably,
-	// since the engines are deterministic).
-	OnViolation func(*invariant.Violation)
-	// Vet runs the internal/progcheck static analyzer over the workload's
-	// programs before execution. Error-severity findings (definite lock
-	// discipline violations) abort the run; warnings (potential deadlocks,
-	// race candidates) are kept on Result.Vet for the caller to surface.
-	Vet bool
 	// SpecHints runs the progcheck footprint analysis over the workload's
 	// programs and seeds LazyDet's speculation policy with the per-lock
 	// verdicts: Disjoint locks always speculate and skip their validation
@@ -150,8 +137,7 @@ type Options struct {
 	// left to runtime adaptation. No effect on the other engines. The
 	// unhinted policy is the differential oracle: final heap hashes and
 	// Validate outcomes must be identical with this flag flipped
-	// (lazydet-fuzz property 9). Reuses Result.Vet's report when Vet is
-	// also set.
+	// (lazydet-fuzz property 9).
 	SpecHints bool
 }
 
@@ -207,10 +193,6 @@ type Result struct {
 	// BlockedPct is the fraction of total thread-time spent blocked
 	// (turn waits, lock waits, parks) when measured.
 	BlockedPct float64
-	// Vet is the static-analysis report when Options.Vet was set. It is
-	// populated even when vet aborts the run, so callers can render the
-	// findings.
-	Vet *progcheck.Report
 	// Hints is the footprint-analysis verdict table when Options.SpecHints
 	// was set on a LazyDet run.
 	Hints *progcheck.SpecHints
@@ -230,9 +212,6 @@ type Result struct {
 func Run(w *Workload, opt Options) (*Result, error) {
 	if opt.Threads <= 0 {
 		return nil, fmt.Errorf("harness: thread count %d", opt.Threads)
-	}
-	if opt.PageWords < 0 || opt.PageWords&(opt.PageWords-1) != 0 {
-		return nil, fmt.Errorf("harness: page size %d words is not a power of two", opt.PageWords)
 	}
 	if w.HeapWords < 0 || w.Locks < 0 || w.Conds < 0 || w.Barriers < 0 {
 		return nil, fmt.Errorf("harness: workload %s has a negative size (heap %d words, %d locks, %d conds, %d barriers)",
@@ -271,29 +250,15 @@ func Run(w *Workload, opt Options) (*Result, error) {
 		tel = telemetry.New()
 	}
 
-	if opt.Vet {
-		vet := progcheck.Check(progs)
-		res.Vet = vet
-		vet.Publish(tel)
-		if n := vet.CountBySeverity(progcheck.SevError); n > 0 {
-			return res, fmt.Errorf("harness: workload %s failed static vet with %d error finding(s):\n%s",
-				w.Name, n, vet.Human())
-		}
-	}
 	var hints []core.SpecHint
 	if opt.SpecHints && opt.Engine == LazyDet {
-		rep := res.Vet
-		if rep == nil {
-			// Vet didn't run: do the analysis here and publish only the
-			// hint verdict counters (the full progcheck.* namespace is
-			// Options.Vet's contract).
-			rep = progcheck.Check(progs)
-			rep.Hints.Publish(tel)
-		}
+		rep := progcheck.Check(progs)
+		rep.Hints.Publish(tel)
 		res.Hints = rep.Hints
 		hints = lowerHints(rep.Hints, w.Locks)
 	}
 
+	var audit violations
 	var eng dvm.Engine
 	var readFinal func(int64) int64
 	var heap *vheap.Heap
@@ -316,17 +281,7 @@ func Run(w *Workload, opt Options) (*Result, error) {
 		defer func() { res.HeapHash = mem.Hash() }()
 
 	case Consequence, LazyDet:
-		var hopts []vheap.Option
-		if opt.PageWords > 0 {
-			hopts = append(hopts, vheap.WithPageWords(opt.PageWords))
-		}
-		if opt.FullVersionChains {
-			hopts = append(hopts, vheap.WithFullVersionChains())
-		}
-		if tel != nil {
-			hopts = append(hopts, vheap.WithTelemetry(tel))
-		}
-		heap = vheap.New(w.HeapWords, hopts...)
+		heap = vheap.New(w.HeapWords, vheap.WithTelemetry(tel))
 		if w.Init != nil {
 			w.Init(heap.SetInitial, opt.Threads)
 		}
@@ -348,7 +303,7 @@ func Run(w *Workload, opt Options) (*Result, error) {
 			Times:       times,
 			Spec:        spec,
 			Tel:         tel,
-			OnViolation: opt.OnViolation,
+			OnViolation: audit.report,
 		})
 		readFinal = heap.ReadCommitted
 		defer func() {
@@ -378,7 +333,7 @@ func Run(w *Workload, opt Options) (*Result, error) {
 			Rec:         rec,
 			Times:       times,
 			Tel:         tel,
-			OnViolation: opt.OnViolation,
+			OnViolation: audit.report,
 		})
 		readFinal = mem.ReadCommitted
 		defer func() { res.HeapHash = mem.Hash() }()
@@ -435,12 +390,44 @@ func Run(w *Workload, opt Options) (*Result, error) {
 		absorbStats(tel, res)
 		res.Telemetry = tel
 	}
+	if err := audit.err(); err != nil {
+		return res, fmt.Errorf("harness: %s under %s: %w", w.Name, opt.Engine, err)
+	}
 	if w.Validate != nil {
 		if err := w.Validate(readFinal, opt.Threads); err != nil {
 			return res, fmt.Errorf("harness: %s under %s: %w", w.Name, opt.Engine, err)
 		}
 	}
 	return res, nil
+}
+
+// violations collects what the invariant audit reports during one run, for
+// Run's error. Reports come from whichever thread holds the turn; the mutex
+// keeps the collector safe without leaning on that argument. err is called
+// after dvm.Run has joined every thread.
+type violations struct {
+	mu    sync.Mutex
+	first *invariant.Violation
+	more  int
+}
+
+func (c *violations) report(v *invariant.Violation) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.first == nil {
+		c.first = v
+	} else {
+		c.more++
+	}
+}
+
+// err wraps the first violation, so errors.As finds it, and says how many
+// followed; nil if the audit found nothing.
+func (c *violations) err() error {
+	if c.first == nil {
+		return nil
+	}
+	return fmt.Errorf("%w (%d more violation(s) after it)", c.first, c.more)
 }
 
 // lowerHints converts the analyzer's verdict table into the engine's dense

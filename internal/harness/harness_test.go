@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"lazydet/internal/core"
 	"lazydet/internal/dvm"
+	"lazydet/internal/invariant"
 )
 
 // counterWorkload: every thread increments a single lock-protected counter
@@ -303,10 +305,9 @@ func TestLockCounting(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadOptions: option values the substrate cannot honour are
-// reported as errors by Run, for every engine, instead of panicking further
-// down (vheap.New panics on a page size that is not a power of two), and
-// the rejected run leaves no goroutine behind.
+// TestRunRejectsBadOptions: option and workload values the substrate cannot
+// honour are reported as errors by Run, for every engine, instead of
+// panicking further down, and the rejected run leaves no goroutine behind.
 func TestRunRejectsBadOptions(t *testing.T) {
 	ok := Options{Threads: 2}
 	for _, c := range []struct {
@@ -317,8 +318,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}{
 		{"no threads", Options{Threads: 0}, nil, "thread count 0"},
 		{"negative threads", Options{Threads: -2}, nil, "thread count -2"},
-		{"page size not a power of two", Options{Threads: 2, PageWords: 48}, nil, "page size 48"},
-		{"negative page size", Options{Threads: 2, PageWords: -8}, nil, "page size -8"},
 		{"negative heap", ok, func(w *Workload) { w.HeapWords = -1 }, "workload counter has a negative size (heap -1 words"},
 		{"negative locks", ok, func(w *Workload) { w.Locks = -1 }, "workload counter has a negative size (heap 64 words, -1 locks"},
 		{"negative conds", ok, func(w *Workload) { w.Conds = -3 }, "workload counter has a negative size (heap 64 words, 1 locks, -3 conds"},
@@ -339,7 +338,27 @@ func TestRunRejectsBadOptions(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Run(counterWorkload(4), Options{Engine: LazyDet, Threads: 2, PageWords: 64}); err != nil {
-		t.Errorf("page size 64: %v", err)
+}
+
+// TestViolationsBecomeRunsError: the collector Run installs as the audit's
+// reporter turns a run's violations into one error that wraps the first —
+// errors.As finds it — and counts the ones after it.
+func TestViolationsBecomeRunsError(t *testing.T) {
+	var c violations
+	if err := c.err(); err != nil {
+		t.Fatalf("no violations reported, error %v", err)
+	}
+	c.report(&invariant.Violation{Rule: "lock-gl-monotone", Thread: 1, DLC: 40, Lock: 3, Detail: "G_l 40 -> 12"})
+	c.report(&invariant.Violation{Rule: "turn-minimum", Thread: 2, DLC: 41, Lock: -1, Detail: "second"})
+	err := c.err()
+	var v *invariant.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("errors.As found no *invariant.Violation in %v", err)
+	}
+	if v.Rule != "lock-gl-monotone" || v.Lock != 3 {
+		t.Errorf("wrapped violation %+v, want the first one reported (lock-gl-monotone on lock 3)", v)
+	}
+	if !strings.Contains(err.Error(), "(1 more violation(s) after it)") {
+		t.Errorf("error %q does not count the one violation after the first", err)
 	}
 }

@@ -35,9 +35,10 @@ func runNoLeak(t *testing.T, what string, w *Workload, opt Options) (*Result, er
 }
 
 // TestRunLeavesNoGoroutines: a clean run under every engine, with tracing,
-// telemetry spans, blocked-time accounting and the invariant audit on, a run
-// whose workload Validate fails, and one whose program fails Program.Validate
-// each leave no goroutine behind. The rejected-option paths are covered by
+// telemetry spans, blocked-time accounting and the invariant audit on, an
+// audited run alone under each strong engine, a run whose workload Validate
+// fails, and one whose program fails Program.Validate each leave no
+// goroutine behind. The rejected-option paths are covered by
 // TestRunRejectsBadOptions.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	for _, eng := range AllEngines {
@@ -45,6 +46,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			MeasureTimes: true, CollectSpec: true, CheckInvariants: true}
 		if _, err := runNoLeak(t, eng.String(), counterWorkload(50), opt); err != nil {
 			t.Errorf("%s: %v", eng, err)
+		}
+	}
+	for _, eng := range []EngineKind{Consequence, LazyDet} {
+		opt := Options{Engine: eng, Threads: 4, CheckInvariants: true}
+		if _, err := runNoLeak(t, eng.String()+" with CheckInvariants", counterWorkload(50), opt); err != nil {
+			t.Errorf("%s with CheckInvariants: %v", eng, err)
 		}
 	}
 

@@ -54,11 +54,6 @@ func absorbStats(tel *telemetry.Recorder, res *Result) {
 // deterministic counts; BuildReport routes them into the never-pinned Timing
 // section so Metrics stays reproducible across machines.
 var timingCounters = map[string]bool{
-	"progcheck.analysis_ns":  true,
-	"progcheck.lockstate_ns": true,
-	"progcheck.deadlock_ns":  true,
-	"progcheck.race_ns":      true,
-	"progcheck.footprint_ns": true,
 	// The frame/page pool hit ratios depend on when the runtime scheduler
 	// lets views register against the trim floor — an allocation detail,
 	// not deterministic machine state — so they are informational only.

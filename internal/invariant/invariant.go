@@ -37,8 +37,9 @@
 // A violation is reported as a structured diagnostic (*Violation) naming the
 // rule, thread, logical time and lock, at the turn where the corruption is
 // first observable — instead of the distant trace-hash mismatch it would
-// otherwise decay into. The default reporter panics, because under
-// determinism the panic is perfectly repeatable (paper Appendix A).
+// otherwise decay into. The caller supplies the reporter; harness.Run
+// collects the violations and returns the first as the run's error, which
+// under determinism is perfectly repeatable (paper Appendix A).
 //
 // Checker methods are invoked only by the thread currently holding the
 // deterministic turn; consecutive turn holders synchronize through the
@@ -112,12 +113,8 @@ type Checker struct {
 }
 
 // New builds a checker over an engine's substrates. heap may be nil (weak
-// engines have no versioned memory). If report is nil, violations panic —
-// deterministic engines make the panic repeatable.
+// engines have no versioned memory). report receives every violation.
 func New(arb *dlc.Arbiter, tbl *detsync.Table, heap *vheap.Heap, report func(*Violation)) *Checker {
-	if report == nil {
-		report = func(v *Violation) { panic(v.Error()) }
-	}
 	c := &Checker{arb: arb, tbl: tbl, heap: heap, report: report, trimFloor: -1}
 	if tbl != nil {
 		c.releaseDLC = make([]int64, len(tbl.Locks))

@@ -33,8 +33,7 @@
 //     the Report.Hints table that seeds LazyDet's speculation policy
 //     through harness.Options.SpecHints.
 //
-// cmd/lazydet-vet exposes the analyzer on the command line, and
-// harness.Options.Vet runs it as a pre-run check.
+// cmd/lazydet-vet exposes the analyzer on the command line.
 package progcheck
 
 import (

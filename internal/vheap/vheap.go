@@ -47,8 +47,10 @@
 // by a live view. This is the space advantage the paper ascribes to DDRF
 // (§4.2): the heap holds one version per page plus short tails for in-flight
 // views (t views → at most t extra bases), rather than the l+t versions a
-// DLRC-style system must retain. WithFullVersionChains disables trimming so
-// the DLRC accounting experiment can measure the difference.
+// DLRC-style system must retain. That DLRC count needs no second heap mode:
+// a DLRC heap keeps every version it ever linked, so it holds the initial
+// page population plus Stats().Pages, which counts exactly one per linked
+// version.
 //
 // Word-level twin diffing gives the same write-isolation semantics as the
 // paper's system, including its documented limitation: a "silent store" (a
@@ -139,8 +141,6 @@ type Heap struct {
 	pageHits    atomic.Int64 // published page frames served from the heap pool
 	pageMisses  atomic.Int64 // published page frames freshly allocated
 
-	trim bool // trim chains below the oldest live base (DDRF coalescing)
-
 	// tel, if non-nil, receives commit metrics ("vheap.*" counters and the
 	// commit-size histogram). Nil costs one pointer compare per commit.
 	tel *telemetry.Recorder
@@ -160,18 +160,12 @@ type heapCounters struct {
 type Option func(*heapConfig)
 
 type heapConfig struct {
-	pageWords  int
-	keepChains bool
-	tel        *telemetry.Recorder
+	pageWords int
+	tel       *telemetry.Recorder
 }
 
 // WithPageWords sets the page size in words; it must be a power of two.
 func WithPageWords(n int) Option { return func(c *heapConfig) { c.pageWords = n } }
-
-// WithFullVersionChains retains every page version rather than trimming
-// chains to the versions still reachable by a live view. Used by the
-// DLRC-vs-DDRF version accounting experiment.
-func WithFullVersionChains() Option { return func(c *heapConfig) { c.keepChains = true } }
 
 // WithTelemetry publishes the heap's commit-path measurements into rec:
 // cumulative "vheap.commits", "vheap.pages_committed", "vheap.words_committed",
@@ -213,7 +207,6 @@ func New(words int64, opts ...Option) *Heap {
 		npages:    np,
 		slots:     make([]atomic.Pointer[page], np),
 		lastFloor: -1,
-		trim:      !cfg.keepChains,
 		tel:       cfg.tel,
 		ctr: heapCounters{
 			commits:        cfg.tel.Handle("vheap.commits"),
@@ -246,9 +239,6 @@ func (h *Heap) TrimFloor() int64 {
 
 // Words returns the heap size in words.
 func (h *Heap) Words() int64 { return int64(h.npages) * int64(h.pageWords) }
-
-// PageWords returns the page size in words.
-func (h *Heap) PageWords() int { return h.pageWords }
 
 // Seq returns the newest committed sequence number.
 func (h *Heap) Seq() int64 { return h.seq.Load() }
@@ -362,7 +352,9 @@ func (h *Heap) Hash() uint64 {
 type CommitStats struct {
 	// Commits is the number of Commit calls.
 	Commits int64
-	// Pages is the number of page versions published.
+	// Pages is the number of page versions published: one per page a
+	// commit or applied stage changed, none for a page whose stores were
+	// all silent.
 	Pages int64
 	// Words is the number of words merged onto head versions — the change
 	// set size the paper's Figure 12 plots.
@@ -395,8 +387,8 @@ func (h *Heap) Stats() CommitStats {
 }
 
 // LiveVersions counts page versions currently reachable from the version
-// lists. With full chains retained this measures the cost that DLRC-style
-// systems pay (paper §4.2).
+// lists: the retention DDRF pays (paper §4.2). The DLRC-style count, every
+// version ever written, is the page count plus Stats().Pages.
 func (h *Heap) LiveVersions() int {
 	h.flushStages(nil, flushAll)
 	h.mu.Lock()
@@ -412,7 +404,7 @@ func (h *Heap) LiveVersions() int {
 
 // Audit verifies the heap's structural invariants: every page version chain
 // is strictly decreasing in commit sequence, no version is newer than the
-// heap's committed sequence, with trimming enabled the oldest retained
+// heap's committed sequence, while any view is live the oldest retained
 // version of every chain is at or below the trim floor (the minimum base of
 // the live views) so no live view's base has been trimmed out from under it,
 // no pooled page frame is still reachable from a version chain (a reachable
@@ -488,7 +480,7 @@ func (h *Heap) Audit() error {
 			}
 			oldest = q.seq
 		}
-		if h.trim && len(h.views) > 0 && oldest > floor {
+		if len(h.views) > 0 && oldest > floor {
 			return fmt.Errorf("vheap: page %d oldest retained version %d is above the trim floor %d — a live view's base was trimmed",
 				pi, oldest, floor)
 		}
@@ -901,9 +893,7 @@ func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits,
 	}
 	merged.prev.Store(head)
 	h.slots[pi].Store(merged)
-	if h.trim {
-		h.trimChainLocked(merged, h.cachedFloor())
-	}
+	h.trimChainLocked(merged, h.cachedFloor())
 	return n
 }
 

@@ -139,16 +139,50 @@ func TestTrimmedChainsStayBounded(t *testing.T) {
 	}
 }
 
-func TestFullChainsRetainHistory(t *testing.T) {
-	h := New(256, WithPageWords(16), WithFullVersionChains())
+// TestPagesCountsEachNewVersion pins what the DLRC version count (paper
+// §4.2) is derived from: Stats().Pages rises by exactly one for every page a
+// publication links a new version into — on the direct Commit path and on
+// the deferred-stage path alike — and not at all for a page whose stores
+// were all silent. A DLRC heap retains every linked version, so its count
+// is the page population plus Stats().Pages.
+func TestPagesCountsEachNewVersion(t *testing.T) {
+	h := New(64, WithPageWords(16)) // 4 pages
 	v := h.NewView()
-	for i := 0; i < 50; i++ {
-		v.Store(0, int64(i))
+	step := func(what string, wantPages int64, publish func()) {
+		t.Helper()
+		before := h.Stats().Pages
+		publish()
+		v.SettleDeferred()
+		if got := h.Stats().Pages - before; got != wantPages {
+			t.Fatalf("%s: Stats().Pages rose by %d, want %d", what, got, wantPages)
+		}
+	}
+	step("commit touching pages 0 and 2", 2, func() {
+		v.Store(1, 10)
+		v.Store(2, 20)
+		v.Store(33, 30)
 		v.Commit()
-	}
-	if n := h.LiveVersions(); n < 50 {
-		t.Fatalf("LiveVersions = %d, want >= 50 with full chains", n)
-	}
+	})
+	step("commit touching page 3", 1, func() {
+		v.Store(50, 50)
+		v.Commit()
+	})
+	step("staged publication touching pages 1 and 3", 2, func() {
+		v.Store(17, 17)
+		v.Store(51, 51)
+		if _, staged := v.StagePublish(); !staged {
+			t.Fatal("StagePublish did not stage")
+		}
+	})
+	step("silent commit", 0, func() {
+		v.Store(1, 10)
+		v.Store(33, 30)
+		v.Commit()
+	})
+	step("silent staged publication", 0, func() {
+		v.Store(2, 20)
+		v.StagePublish()
+	})
 }
 
 func TestHashDetectsDifferences(t *testing.T) {

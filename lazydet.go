@@ -48,8 +48,12 @@
 // Setting Options.CheckInvariants additionally audits the runtime's own
 // safety invariants (turn-holder uniqueness, heap commit monotonicity,
 // lock-table consistency, speculation-revert exactness) at every turn grant
-// and commit/revert, reporting any breach as a structured
-// InvariantViolation at the violating operation.
+// and commit/revert. A breach makes Run return an error wrapping a
+// structured InvariantViolation observed at the violating operation:
+//
+//	_, err := lazydet.Run(w, lazydet.Options{Engine: lazydet.LazyDet, Threads: 8, CheckInvariants: true})
+//	var v *lazydet.InvariantViolation
+//	if errors.As(err, &v) { ... v.Rule, v.Thread, v.DLC ... }
 package lazydet
 
 import (
@@ -89,11 +93,11 @@ type (
 	EngineKind = harness.EngineKind
 	// SpecConfig tunes LazyDet's speculation (paper §3.4).
 	SpecConfig = core.SpecConfig
-	// InvariantViolation is the structured diagnostic delivered to
-	// Options.OnViolation when Options.CheckInvariants is set: the broken
-	// rule, the observing thread, its logical clock and turn status, and
-	// the offending lock. With no OnViolation handler a violation panics
-	// (repeatably — the engines are deterministic).
+	// InvariantViolation is the structured diagnostic of a breach the
+	// audit finds when Options.CheckInvariants is set: the broken rule, the
+	// observing thread, its logical clock and turn status, and the
+	// offending lock. Run's error wraps the first one, so errors.As
+	// retrieves it; the engines are deterministic, so it is repeatable.
 	InvariantViolation = invariant.Violation
 )
 

@@ -139,22 +139,15 @@ func TestPublicAPIVerifyValueDivergence(t *testing.T) {
 }
 
 // TestPublicAPIInvariantOptions: the invariant audit layer is reachable
-// through the public Options, and a clean run reports nothing.
+// through the public Options, and a clean run reports nothing (a violation
+// would be Run's error).
 func TestPublicAPIInvariantOptions(t *testing.T) {
-	var got []*lazydet.InvariantViolation
 	w := counter(100)
 	for _, eng := range []lazydet.EngineKind{lazydet.Consequence, lazydet.LazyDet} {
-		_, err := lazydet.Run(w, lazydet.Options{
-			Engine: eng, Threads: 4,
-			CheckInvariants: true,
-			OnViolation:     func(v *lazydet.InvariantViolation) { got = append(got, v) },
-		})
+		_, err := lazydet.Run(w, lazydet.Options{Engine: eng, Threads: 4, CheckInvariants: true})
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
 		}
-	}
-	if len(got) != 0 {
-		t.Fatalf("clean runs reported %d invariant violations, first: %v", len(got), got[0])
 	}
 }
 
@@ -165,6 +158,9 @@ func TestPublicAPISpecConfig(t *testing.T) {
 	}
 	if n := reflect.TypeOf(sc).NumField(); n != 5 {
 		t.Fatalf("SpecConfig has %d fields, want 5: the threshold and the coarsening floor are policy constants", n)
+	}
+	if n := reflect.TypeOf(lazydet.Options{}).NumField(); n != 12 {
+		t.Fatalf("Options has %d fields, want 12: a field stays only if a caller must choose it", n)
 	}
 	sc.Coarsening = false
 	w := counter(100)
