@@ -199,12 +199,12 @@ func BenchmarkFigure11_Ablations(b *testing.B) {
 	w := workloads.ByName("ferret").New(1)
 	variants := map[string]func(*lazydet.SpecConfig){
 		"Full":           func(*lazydet.SpecConfig) {},
-		"NoCoarsening":   func(s *lazydet.SpecConfig) { s.Coarsening = false },
-		"NoIrrevocable":  func(s *lazydet.SpecConfig) { s.Irrevocable = false },
-		"NoPerLockStats": func(s *lazydet.SpecConfig) { s.PerLockStats = false },
+		"NoCoarsening":   func(s *lazydet.SpecConfig) { s.NoCoarsening = true },
+		"NoIrrevocable":  func(s *lazydet.SpecConfig) { s.NoIrrevocable = true },
+		"NoPerLockStats": func(s *lazydet.SpecConfig) { s.NoPerLockStats = true },
 	}
 	for _, name := range []string{"Full", "NoCoarsening", "NoIrrevocable", "NoPerLockStats"} {
-		sc := lazydet.DefaultSpecConfig()
+		var sc lazydet.SpecConfig
 		variants[name](&sc)
 		b.Run(name, func(b *testing.B) {
 			runOnce(b, w, lazydet.Options{Engine: lazydet.LazyDet, Threads: benchThreads, Spec: sc})
@@ -267,41 +267,6 @@ func BenchmarkSection42_VersionRetention(b *testing.B) {
 			v.Store(int64(i%(1<<14)), int64(i))
 			v.Commit()
 		}
-	})
-}
-
-// BenchmarkExtension_SpeculativeAtomics measures the §7 extension: atomics
-// inside speculation runs versus eager (run-terminating) atomics.
-func BenchmarkExtension_SpeculativeAtomics(b *testing.B) {
-	w := workloads.AtomicHistogram(1)
-	on := lazydet.DefaultSpecConfig()
-	off := lazydet.DefaultSpecConfig()
-	off.SpeculativeAtomics = false
-	b.Run("speculative", func(b *testing.B) {
-		runOnce(b, w, lazydet.Options{Engine: lazydet.LazyDet, Threads: benchThreads, Spec: on})
-	})
-	b.Run("eager", func(b *testing.B) {
-		runOnce(b, w, lazydet.Options{Engine: lazydet.LazyDet, Threads: benchThreads, Spec: off})
-	})
-}
-
-// BenchmarkExtension_WriteAwareValidation measures dependence-aware
-// conflict detection (§6.2 direction) on a read-mostly hash table, where
-// the paper's G_l scheme aborts on reader-reader overlap and write-aware
-// detection does not.
-func BenchmarkExtension_WriteAwareValidation(b *testing.B) {
-	cfg := htCfg(workloads.HT)
-	cfg.UpdatePct = 10
-	cfg.MaxObjects = 512 // small table: heavy lock sharing
-	w := workloads.NewHashTable(cfg)
-	gl := lazydet.DefaultSpecConfig()
-	wa := lazydet.DefaultSpecConfig()
-	wa.WriteAware = true
-	b.Run("paper-Gl", func(b *testing.B) {
-		runOnce(b, w, lazydet.Options{Engine: lazydet.LazyDet, Threads: benchThreads, Spec: gl})
-	})
-	b.Run("write-aware", func(b *testing.B) {
-		runOnce(b, w, lazydet.Options{Engine: lazydet.LazyDet, Threads: benchThreads, Spec: wa})
 	})
 }
 

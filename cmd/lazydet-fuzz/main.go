@@ -7,8 +7,7 @@
 //  1. correctness — every engine's final memory matches the model exactly;
 //
 //  2. determinism — Consequence, TotalOrder-Weak and LazyDet reproduce
-//     identical trace signatures and memory across repeated runs, and so
-//     does LazyDet with write-aware conflict detection;
+//     identical trace signatures and memory across repeated runs;
 //
 //  3. speculation accounting — LazyDet's commits + reverts equal its run
 //     count;
@@ -54,7 +53,6 @@ import (
 	"os"
 
 	"lazydet"
-	"lazydet/internal/core"
 	"lazydet/internal/dvm"
 	"lazydet/internal/harness"
 	"lazydet/internal/progcheck"
@@ -174,19 +172,17 @@ func run(args []string) int {
 			}
 		}
 		// Properties 2 and 3: determinism + speculation accounting, for
-		// the deterministic engines plus LazyDet's write-aware variant.
+		// the deterministic engines plus LazyDet's hinted variant.
 		type variant struct {
-			name       string
-			engine     harness.EngineKind
-			writeAware bool
-			hints      bool
+			name   string
+			engine harness.EngineKind
+			hints  bool
 		}
 		variants := []variant{
-			{"Consequence", harness.Consequence, false, false},
-			{"TotalOrder-Weak", harness.TotalOrderWeak, false, false},
-			{"LazyDet", harness.LazyDet, false, false},
-			{"LazyDet-WriteAware", harness.LazyDet, true, false},
-			{"LazyDet-Hints", harness.LazyDet, false, true},
+			{"Consequence", harness.Consequence, false},
+			{"TotalOrder-Weak", harness.TotalOrderWeak, false},
+			{"LazyDet", harness.LazyDet, false},
+			{"LazyDet-Hints", harness.LazyDet, true},
 		}
 		var lazyRef *harness.Result // the unhinted LazyDet run, property 9's oracle
 		for _, va := range variants {
@@ -195,10 +191,6 @@ func run(args []string) int {
 			opt.Trace = true
 			opt.CollectSpec = va.engine == harness.LazyDet
 			opt.SpecHints = va.hints
-			if va.writeAware {
-				opt.Spec = core.DefaultSpecConfig()
-				opt.Spec.WriteAware = true
-			}
 			r1, err1 := harness.Run(w, opt)
 			r2, err2 := harness.Run(w, opt)
 			if err := errors.Join(err1, err2); err != nil {

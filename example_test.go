@@ -76,8 +76,7 @@ func ExampleVerify() {
 // ExampleOptions_speculation tunes LazyDet's speculation parameters — here
 // disabling coarsening, one of the paper's Figure 11 ablations.
 func ExampleOptions_speculation() {
-	sc := lazydet.DefaultSpecConfig()
-	sc.Coarsening = false
+	sc := lazydet.SpecConfig{NoCoarsening: true}
 
 	w := &lazydet.Workload{
 		Name: "ablated", HeapWords: 8, Locks: 4,

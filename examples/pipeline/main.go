@@ -86,14 +86,7 @@ func main() {
 	}
 	fmt.Printf("%-16s %10v   (eager determinism)\n", "Consequence", base.Wall)
 
-	full := lazydet.DefaultSpecConfig()
-	run("LazyDet", full)
-
-	noCoarsen := lazydet.DefaultSpecConfig()
-	noCoarsen.Coarsening = false
-	run("NoCoarsening", noCoarsen)
-
-	noIrrev := lazydet.DefaultSpecConfig()
-	noIrrev.Irrevocable = false
-	run("NoIrrevocable", noIrrev)
+	run("LazyDet", lazydet.SpecConfig{})
+	run("NoCoarsening", lazydet.SpecConfig{NoCoarsening: true})
+	run("NoIrrevocable", lazydet.SpecConfig{NoIrrevocable: true})
 }

@@ -12,17 +12,16 @@ import (
 // and determinism-by-total-order would squander the speed developers chose
 // atomics for. Two treatments are provided:
 //
-//   - Eager (all deterministic engines, and LazyDet outside speculation or
-//     with SpeculativeAtomics disabled): the atomic is a synchronization
-//     operation — wait for the turn, publish, apply, publish again. Totally
-//     ordered, hence deterministic.
-//   - Speculative (LazyDet with SpecConfig.SpeculativeAtomics): the atomic
-//     applies to the thread's isolated view with no coordination, and the
-//     accessed location is recorded in the run's atomic log. Conflict
-//     detection extends to those locations exactly as it covers locks: the
-//     run fails if any logged location was atomically updated by a
-//     committed run or eager atomic since the run began — "detecting
-//     conflicts only on locations accessed by the atomics" (§7).
+//   - Eager (all deterministic engines, and LazyDet outside speculation): the
+//     atomic is a synchronization operation — wait for the turn, publish,
+//     apply, publish again. Totally ordered, hence deterministic.
+//   - Speculative (LazyDet inside a revocable run): the atomic applies to the
+//     thread's isolated view with no coordination, and the accessed location
+//     is recorded in the run's atomic log. Conflict detection extends to
+//     those locations exactly as it covers locks: the run fails if any
+//     logged location was atomically updated by a committed run or eager
+//     atomic since the run began — "detecting conflicts only on locations
+//     accessed by the atomics" (§7).
 //
 // Atomic locations are assumed not to be concurrently updated by plain
 // stores (the usual discipline for atomics); plain reads of them are safe.
@@ -31,22 +30,7 @@ import (
 func (e *Engine) Atomic(t *dvm.Thread, a *dvm.Atomic) int64 {
 	ts := e.ts(t)
 	if e.cfg.Speculation && ts.spec && !ts.irrevocable {
-		if e.cfg.Spec.SpeculativeAtomics {
-			return e.specAtomic(t, ts, a)
-		}
-		// Without the extension an atomic is inter-thread communication:
-		// terminate the run (commit if possible, revert otherwise), or —
-		// inside a critical section — upgrade to irrevocable, exactly
-		// like a system call. The location is logged before the upgrade
-		// so its conflict check covers this access.
-		if ts.depth > 0 {
-			ts.log.touchAtomic(a.Addr(t))
-			if !e.enterIrrevocable(t, ts) {
-				return t.Regs[a.Dst] // reverted: value is irrelevant
-			}
-		} else if !e.terminateRun(t, ts) {
-			return t.Regs[a.Dst]
-		}
+		return e.specAtomic(t, ts, a)
 	}
 	if ts.irrevocable {
 		return e.irrevocableAtomic(t, ts, a)

@@ -83,8 +83,8 @@ func TestAtomicExchange(t *testing.T) {
 	}
 }
 
-// TestSpeculativeAtomicsStayInRun: with the extension enabled, atomics on
-// disjoint locations do not terminate speculation runs.
+// TestSpeculativeAtomicsStayInRun: atomics on disjoint locations do not
+// terminate speculation runs.
 func TestSpeculativeAtomicsStayInRun(t *testing.T) {
 	r := newRig(t, lazyCfg(), 1, 64, 4, 0, 0)
 	b := dvm.NewBuilder("p")
@@ -103,31 +103,6 @@ func TestSpeculativeAtomicsStayInRun(t *testing.T) {
 		if got := r.read(a); got != 2 {
 			t.Errorf("word %d = %d, want 2", a, got)
 		}
-	}
-}
-
-// TestNonSpeculativeAtomicsTerminateRuns: with the extension disabled, an
-// atomic inside a speculative critical section upgrades the run (like a
-// system call), and outside one it terminates the run.
-func TestNonSpeculativeAtomicsTerminateRuns(t *testing.T) {
-	cfg := lazyCfg()
-	cfg.Spec = DefaultSpecConfig()
-	cfg.Spec.SpeculativeAtomics = false
-	r := newRig(t, cfg, 1, 64, 4, 0, 0)
-	b := dvm.NewBuilder("p")
-	i, v := b.Reg(), b.Reg()
-	b.ForN(i, 8, func() {
-		l := dvm.Dyn(func(t *dvm.Thread) int64 { return t.R(i) % 4 })
-		b.Lock(l)
-		b.AtomicAdd(v, dvm.Const(16), dvm.Const(1))
-		b.Unlock(l)
-	})
-	dvm.Run(r.eng, []*dvm.Program{b.Build()})
-	if got := r.read(16); got != 8 {
-		t.Fatalf("counter = %d, want 8", got)
-	}
-	if runs := r.spec.Runs.Load(); runs < 4 {
-		t.Errorf("runs = %d, want many (each atomic ends or upgrades a run)", runs)
 	}
 }
 

@@ -70,50 +70,24 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// SpecConfig tunes the LazyDet speculation engine. Its switches are the
-// paper's Figure 11 ablations and two extensions; the policy's parameters —
-// the 85 % threshold, the coarsening floor of 8 and its earned ceiling of 64 —
-// are constants of the policy (policy.go), tuned once on the hash-table
-// microbenchmark and reused unchanged for all workloads, like the paper's
-// (§3.4).
+// SpecConfig selects the paper's Figure 11 ablations of LazyDet. The zero
+// value is the full system; each field turns one feature off. The policy's
+// parameters — the 85 % threshold, the coarsening floor of 8 and its earned
+// ceiling of 64 — are constants of the policy (policy.go), tuned once on the
+// hash-table microbenchmark and reused unchanged for all workloads, like the
+// paper's (§3.4).
 type SpecConfig struct {
-	// Coarsening allows one speculation run to span multiple critical
-	// sections: 8 of them (the floor), and up to 64 once the thread's last 64
-	// runs all committed. Disabling it (Figure 11's LAZYDET-NoCoarsening)
-	// limits runs to one critical section.
-	Coarsening bool
-	// Irrevocable enables upgrading a run to irrevocable status when a
-	// system call is encountered (paper §3.5). When disabled (Figure 11's
-	// LAZYDET-NoIrrevocable), a system call inside a speculative critical
-	// section reverts the run.
-	Irrevocable bool
-	// PerLockStats keeps the 64-bit success history per (lock, thread).
-	// When disabled (Figure 11's LAZYDET-NoPerLockStats), one history per
-	// thread is used for all locks.
-	PerLockStats bool
-	// SpeculativeAtomics executes atomic read-modify-writes inside
-	// speculation runs, detecting conflicts on the accessed locations —
-	// the extension the paper's §7 proposes. When disabled, an atomic
-	// terminates the run and executes eagerly.
-	SpeculativeAtomics bool
-	// WriteAware refines conflict detection in the direction of the
-	// dependence-aware schemes the paper's §6.2 points to: a committed
-	// critical section invalidates concurrent runs that logged its lock
-	// only if it actually wrote under that lock, so read-only critical
-	// sections never conflict with each other. Off by default — the
-	// paper's G_l scheme treats every acquisition as a conflict source.
-	WriteAware bool
-}
-
-// DefaultSpecConfig returns the speculation switches used by every
-// experiment: the paper's three features on, speculative atomics on.
-func DefaultSpecConfig() SpecConfig {
-	return SpecConfig{
-		Coarsening:         true,
-		Irrevocable:        true,
-		PerLockStats:       true,
-		SpeculativeAtomics: true,
-	}
+	// NoCoarsening (LAZYDET-NoCoarsening) limits a speculation run to one
+	// critical section. Otherwise a run spans 8 of them (the floor), and up
+	// to 64 once the thread's last 64 runs all committed.
+	NoCoarsening bool
+	// NoIrrevocable (LAZYDET-NoIrrevocable) reverts a run that meets a
+	// system call inside a speculative critical section, instead of
+	// upgrading it to irrevocable status (paper §3.5).
+	NoIrrevocable bool
+	// NoPerLockStats (LAZYDET-NoPerLockStats) keeps one 64-bit success
+	// history per thread for all locks, instead of one per (lock, thread).
+	NoPerLockStats bool
 }
 
 // Config configures a deterministic engine.
@@ -124,7 +98,7 @@ type Config struct {
 	// ModeStrong: speculation depends on the isolation that strong
 	// determinism provides (paper §2.3).
 	Speculation bool
-	// Spec tunes speculation; zero value means DefaultSpecConfig.
+	// Spec selects ablations of speculation; the zero value is full LazyDet.
 	Spec SpecConfig
 	// CheckInvariants enables the runtime audit layer
 	// (internal/invariant): at every turn grant and every commit/revert
@@ -162,14 +136,6 @@ const (
 	// earn speculation back) instead of the optimistic all-success default.
 	HintConflicting
 )
-
-// withDefaults fills a zero SpecConfig.
-func (c Config) withDefaults() Config {
-	if c.Spec == (SpecConfig{}) {
-		c.Spec = DefaultSpecConfig()
-	}
-	return c
-}
 
 // Deps carries the substrates an engine runs on. Heap is required for
 // ModeStrong, Mem for the weak modes. Rec, Times and Spec are optional.
@@ -222,7 +188,6 @@ type Engine struct {
 // New builds an engine. It panics on inconsistent configuration, which is a
 // programming error in the harness.
 func New(cfg Config, d Deps) *Engine {
-	cfg = cfg.withDefaults()
 	if cfg.Speculation && cfg.Mode != ModeStrong {
 		panic("core: speculation requires ModeStrong (lazy determinism needs thread isolation)")
 	}
@@ -301,8 +266,8 @@ type tstate struct {
 	// depth is the current lock nesting, speculative or conventional,
 	// exclusive or shared.
 	depth        int
-	heldConv     []heldLock // conventionally held exclusive locks
-	heldConvRead []int64    // conventionally held shared locks
+	heldConv     []int64 // conventionally held exclusive locks
+	heldConvRead []int64 // conventionally held shared locks
 
 	// tickFlushes counts the batched clock flushes this thread sent into
 	// the arbiter (see dlc.TickWindow) — published as the deterministic
@@ -345,9 +310,6 @@ func (e *Engine) newTState(tid int) *tstate {
 func (e *Engine) ThreadStart(t *dvm.Thread) {
 	ts := e.newTState(t.ID)
 	t.Mem = ts.mem
-	if e.strong() && e.cfg.Spec.WriteAware {
-		t.Mem = writeAwareWindow{ts.mem, ts}
-	}
 	t.EngineData = ts
 	// The thread's logical-clock reader: arb.DLC is this thread's own
 	// clock, so the read is exact at every published flush point and
@@ -417,41 +379,6 @@ func (e *Engine) Tick(t *dvm.Thread, cost int64) {
 	}
 	e.ts(t).tickFlushes++
 	e.arb.Tick(t.ID, cost)
-}
-
-// writeAwareWindow is the memory window installed when write-aware conflict
-// detection is on: it intercepts the VM's stores to tag the locks held at
-// the store, and passes everything else through to the pipeline window.
-// Only the VM's plain stores go through it — speculation-internal stores
-// (atomics) use ts.mem directly and are tracked by the atomic log instead.
-type writeAwareWindow struct {
-	mempipe.Thread
-	ts *tstate
-}
-
-func (w writeAwareWindow) Store(addr, val int64) {
-	w.Thread.Store(addr, val)
-	if w.ts.depth > 0 {
-		w.ts.markWrite()
-	}
-}
-
-// heldLock is a conventionally held exclusive lock; wrote records that a
-// store executed under it (WriteAware mode), which its release publishes as
-// the lock's commit sequence.
-type heldLock struct {
-	lock  int64
-	wrote bool
-}
-
-// markWrite tags every exclusively held lock as having guarded a write.
-func (ts *tstate) markWrite() {
-	for _, i := range ts.heldSpec {
-		ts.log.locks[i].wrote = true
-	}
-	for i := range ts.heldConv {
-		ts.heldConv[i].wrote = true
-	}
 }
 
 // waitTurn blocks for the deterministic turn, charging blocked time.

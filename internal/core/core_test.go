@@ -221,8 +221,7 @@ func TestIrrevocableUpgrade(t *testing.T) {
 // syscall executes non-speculatively on re-execution).
 func TestNoIrrevocableRevertsAndReexecutes(t *testing.T) {
 	cfg := lazyCfg()
-	cfg.Spec = DefaultSpecConfig()
-	cfg.Spec.Irrevocable = false
+	cfg.Spec.NoIrrevocable = true
 	r := newRig(t, cfg, 1, 64, 1, 0, 0)
 	count := 0
 	b := dvm.NewBuilder("p")
@@ -450,8 +449,7 @@ func TestConfigValidation(t *testing.T) {
 // one critical section.
 func TestNoCoarseningOneCSRuns(t *testing.T) {
 	cfg := lazyCfg()
-	cfg.Spec = DefaultSpecConfig()
-	cfg.Spec.Coarsening = false
+	cfg.Spec.NoCoarsening = true
 	r := newRig(t, cfg, 1, 64, 4, 0, 0)
 	b := dvm.NewBuilder("p")
 	i := b.Reg()
@@ -493,12 +491,11 @@ func TestNestedLocksFlattened(t *testing.T) {
 	}
 }
 
-// TestPerThreadStatsMode: with PerLockStats disabled, lock histories are
+// TestPerThreadStatsMode: with NoPerLockStats, lock histories are
 // unused and the thread-level history drives decisions.
 func TestPerThreadStatsMode(t *testing.T) {
 	cfg := lazyCfg()
-	cfg.Spec = DefaultSpecConfig()
-	cfg.Spec.PerLockStats = false
+	cfg.Spec.NoPerLockStats = true
 	r := newRig(t, cfg, 4, 64, 1, 0, 0)
 	b := dvm.NewBuilder("p")
 	i, v := b.Reg(), b.Reg()
@@ -518,5 +515,46 @@ func TestPerThreadStatsMode(t *testing.T) {
 		if r.tbl.Locks[0].SpecHist[tid] != ^uint64(0) {
 			t.Errorf("per-lock history written in per-thread mode (tid %d)", tid)
 		}
+	}
+}
+
+// TestAllAblationsTogether: the three Figure 11 ablations set at once each
+// take effect — every run is one critical section, a syscall inside a run
+// reverts it, and the revert lands in the thread's one history rather than
+// the lock's.
+func TestAllAblationsTogether(t *testing.T) {
+	cfg := lazyCfg()
+	cfg.Spec = SpecConfig{NoCoarsening: true, NoIrrevocable: true, NoPerLockStats: true}
+	r := newRig(t, cfg, 1, 64, 4, 0, 0)
+	count := 0
+	var threadHist uint64
+	b := dvm.NewBuilder("p")
+	i := b.Reg()
+	b.ForN(i, 12, func() {
+		l := dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(i) % 4 })
+		b.Lock(l)
+		b.Store(dvm.Const(8), dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(i) }))
+		b.Unlock(l)
+	})
+	b.Lock(dvm.Const(0))
+	b.Syscall(&dvm.Syscall{Name: "write", Work: 10, Effect: func(*dvm.Thread) { count++ }})
+	b.Unlock(dvm.Const(0))
+	b.Do(func(th *dvm.Thread) { threadHist = r.eng.ts(th).pol.threadHist })
+	dvm.Run(r.eng, []*dvm.Program{b.Build()})
+
+	if c, cs := r.spec.Commits.Load(), r.spec.CommittedCS.Load(); c != 12 || cs != 12 {
+		t.Errorf("committed %d runs of %d CS, want 12 runs of one CS each (NoCoarsening)", c, cs)
+	}
+	if count != 1 || r.spec.Reverts.Load() != 1 {
+		t.Errorf("syscall ran %d times with %d reverts, want 1 and 1 (NoIrrevocable)", count, r.spec.Reverts.Load())
+	}
+	if threadHist == ^uint64(0) {
+		t.Error("thread history never recorded the revert (NoPerLockStats)")
+	}
+	if h := r.tbl.Locks[0].SpecHist[0]; h != ^uint64(0) {
+		t.Errorf("lock 0 history = %#x, want untouched (NoPerLockStats)", h)
+	}
+	if got := r.read(8); got != 11 {
+		t.Errorf("word 8 = %d, want 11", got)
 	}
 }

@@ -61,16 +61,12 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 			e.pol.convAcquired(&ts.pol, ts.depth, l, true, my)
 			st.Owner = int32(t.ID) + 1
 			st.LastAcquireDLC = my
-			if !e.cfg.Spec.WriteAware {
-				// The acquisition itself invalidates concurrent runs
-				// under the paper's G_l discipline; in write-aware
-				// mode only the release of a writing critical section
-				// does.
-				st.LastCommitSeq = e.pipe.Seq()
-			}
+			// The acquisition itself invalidates concurrent runs under
+			// the paper's G_l discipline.
+			st.LastCommitSeq = e.pipe.Seq()
 			st.Acquires++
 			ts.depth++
-			ts.heldConv = append(ts.heldConv, heldLock{lock: l})
+			ts.heldConv = append(ts.heldConv, l)
 			if e.spec != nil {
 				e.spec.TotalAcquires.Add(1)
 			}
@@ -105,26 +101,13 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	st.Owner = 0
 	st.ReleaseDLC = e.arb.DLC(t.ID)
 	ts.depth--
-	if wrote := ts.dropHeldConv(l); wrote || !e.cfg.Spec.WriteAware {
-		// The critical section's writes became visible with this
-		// commit; speculation runs based on older heap states conflict.
-		st.LastCommitSeq = e.pipe.Seq()
-	}
+	dropLast(&ts.heldConv, l)
+	// The critical section's writes became visible with this commit;
+	// speculation runs based on older heap states conflict.
+	st.LastCommitSeq = e.pipe.Seq()
 	e.pol.convReleased(&ts.pol, l, st.LastCommitSeq)
 	e.rec.Sync(t.ID, trace.OpRelease, l, st.ReleaseDLC)
 	e.arb.ReleaseTurn(t.ID, syncCost)
-}
-
-// dropHeldConv removes the most recent occurrence of l and reports whether a
-// store executed while it was held (tracked in WriteAware mode only).
-func (ts *tstate) dropHeldConv(l int64) (wrote bool) {
-	for i := len(ts.heldConv) - 1; i >= 0; i-- {
-		if h := ts.heldConv[i]; h.lock == l {
-			ts.heldConv = append(ts.heldConv[:i], ts.heldConv[i+1:]...)
-			return h.wrote
-		}
-	}
-	return false
 }
 
 // CondWait implements dvm.Engine: release l, park deterministically on cv,
@@ -150,9 +133,8 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	st.Owner = 0
 	st.ReleaseDLC = my
 	ts.depth--
-	if wrote := ts.dropHeldConv(l); wrote || !e.cfg.Spec.WriteAware {
-		st.LastCommitSeq = e.pipe.Seq()
-	}
+	dropLast(&ts.heldConv, l)
+	st.LastCommitSeq = e.pipe.Seq()
 	c := &e.tbl.Conds[cv]
 	c.Waiters = append(c.Waiters, t.ID)
 	e.rec.Sync(t.ID, trace.OpCondWait, cv, my)

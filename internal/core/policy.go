@@ -53,12 +53,12 @@ const (
 // history, and handles on the storage of the per-lock histories (the lock
 // table's SpecHist and ElideHist, which only this file touches).
 type policy struct {
-	on, coarsen, perLock, writeAware bool
-	floor                            int // run limit until earned: runFloor, 1 without coarsening
-	hints                            []SpecHint
-	locks                            []detsync.Lock
-	pipe                             mempipe.Pipeline // the heap sequence virtual elision outcomes compare
-	stats                            *stats.Spec      // ExtendedRuns; nil disables
+	on, coarsen, perLock bool
+	floor                int // run limit until earned: runFloor, 1 without coarsening
+	hints                []SpecHint
+	locks                []detsync.Lock
+	pipe                 mempipe.Pipeline // the heap sequence virtual elision outcomes compare
+	stats                *stats.Spec      // ExtendedRuns; nil disables
 
 	// elideGlobal is the workload-wide elision survival history, fed by every
 	// resolved outcome whatever its lock. Per-lock histories cannot learn on
@@ -120,8 +120,8 @@ const (
 // elision is earned through virtual outcomes, never paid for up front.
 func newPolicy(cfg Config, tbl *detsync.Table, pipe mempipe.Pipeline, spec *stats.Spec) policy {
 	p := policy{
-		on: cfg.Speculation, coarsen: cfg.Spec.Coarsening, perLock: cfg.Spec.PerLockStats,
-		writeAware: cfg.Spec.WriteAware, floor: 1, hints: cfg.Hints, pipe: pipe, stats: spec,
+		on: cfg.Speculation, coarsen: !cfg.Spec.NoCoarsening, perLock: !cfg.Spec.NoPerLockStats,
+		floor: 1, hints: cfg.Hints, pipe: pipe, stats: spec,
 	}
 	if p.coarsen {
 		p.floor = runFloor
@@ -259,10 +259,7 @@ func (p *policy) lockIntact(st *detsync.Lock, write bool, begin, base int64) boo
 	if st.Owner != 0 || write && st.Readers != 0 {
 		return false // held exclusively, or our write meets live readers
 	}
-	if !p.writeAware && st.LastAcquireDLC > begin {
-		return false
-	}
-	return st.LastCommitSeq <= base
+	return st.LastAcquireDLC <= begin && st.LastCommitSeq <= base
 }
 
 // mayDefer resolves the thread's pending elision outcome at visibility point

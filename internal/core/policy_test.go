@@ -46,7 +46,6 @@ type polRig struct {
 }
 
 func newPolRig(cfg Config, threads, locks int) *polRig {
-	cfg = cfg.withDefaults()
 	r := &polRig{
 		tbl:  detsync.NewTable(threads, locks, 0, 0, cfg.Speculation),
 		mem:  &fakeWindow{},
@@ -149,22 +148,19 @@ func TestThresholdCrossing(t *testing.T) {
 func TestLockIntact(t *testing.T) {
 	const begin, base = 100, 7
 	for _, c := range []struct {
-		name       string
-		st         detsync.Lock
-		write      bool
-		writeAware bool
-		want       bool
+		name  string
+		st    detsync.Lock
+		write bool
+		want  bool
 	}{
-		{"untouched", detsync.Lock{LastAcquireDLC: begin, LastCommitSeq: base}, true, false, true},
-		{"held exclusively", detsync.Lock{Owner: 2, LastAcquireDLC: begin, LastCommitSeq: base}, false, false, false},
-		{"writer meets live readers", detsync.Lock{Readers: 1}, true, false, false},
-		{"reader meets live readers", detsync.Lock{Readers: 3}, false, false, true},
-		{"acquired since BEGIN", detsync.Lock{LastAcquireDLC: begin + 1}, true, false, false},
-		{"committed past the base", detsync.Lock{LastCommitSeq: base + 1}, false, false, false},
-		{"write-aware: an acquisition that wrote nothing", detsync.Lock{LastAcquireDLC: begin + 1, LastCommitSeq: base}, true, true, true},
-		{"write-aware: a section that wrote", detsync.Lock{LastAcquireDLC: begin + 1, LastCommitSeq: base + 1}, true, true, false},
+		{"untouched", detsync.Lock{LastAcquireDLC: begin, LastCommitSeq: base}, true, true},
+		{"held exclusively", detsync.Lock{Owner: 2, LastAcquireDLC: begin, LastCommitSeq: base}, false, false},
+		{"writer meets live readers", detsync.Lock{Readers: 1}, true, false},
+		{"reader meets live readers", detsync.Lock{Readers: 3}, false, true},
+		{"acquired since BEGIN", detsync.Lock{LastAcquireDLC: begin + 1}, true, false},
+		{"committed past the base", detsync.Lock{LastCommitSeq: base + 1}, false, false},
 	} {
-		p := policy{writeAware: c.writeAware}
+		var p policy
 		if got := p.lockIntact(&c.st, c.write, begin, base); got != c.want {
 			t.Errorf("%s: lockIntact = %v, want %v", c.name, got, c.want)
 		}
@@ -178,7 +174,7 @@ func TestLockIntact(t *testing.T) {
 func TestPolicyStandDownAndReengagement(t *testing.T) {
 	for _, perLock := range []bool{true, false} {
 		cfg := noCoarsening() // a probe lives one acquisition
-		cfg.Spec.PerLockStats = perLock
+		cfg.Spec.NoPerLockStats = !perLock
 		r := newPolRig(cfg, 2, 2)
 		tp := &r.th[0]
 		log := []lockRec{{lock: 0, count: 1, write: true}}
@@ -279,8 +275,7 @@ func TestPolicyRunLimit(t *testing.T) {
 		{"no coarsening, 64 commits", false, []int{64}, 1},
 	} {
 		cfg := lazyCfg()
-		cfg.Spec = DefaultSpecConfig()
-		cfg.Spec.Coarsening = c.coarsen
+		cfg.Spec.NoCoarsening = !c.coarsen
 		r := newPolRig(cfg, 1, 1)
 		for _, n := range c.outcomes {
 			ok := n > 0

@@ -70,8 +70,7 @@ func (h *hand) section(tid int, l int64, write bool) {
 // apart.
 func noCoarsening() Config {
 	cfg := lazyCfg()
-	cfg.Spec = DefaultSpecConfig()
-	cfg.Spec.Coarsening = false
+	cfg.Spec.NoCoarsening = true
 	return cfg
 }
 
@@ -220,7 +219,7 @@ func TestVirtualProbeScope(t *testing.T) {
 
 	t.Run("one history per thread without per-lock statistics", func(t *testing.T) {
 		cfg := noCoarsening()
-		cfg.Spec.PerLockStats = false
+		cfg.Spec.NoPerLockStats = true
 		h := newHand(t, cfg, 1, 2)
 		h.ts(0).pol.threadHist = marker
 		h.section(0, A, true)

@@ -182,19 +182,15 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 		st := &e.tbl.Locks[r.lock]
 		if r.write {
 			st.LastAcquireDLC = my
-			if r.wrote || !e.cfg.Spec.WriteAware {
-				st.LastCommitSeq = seq
-			}
+			st.LastCommitSeq = seq
 		}
 		st.Acquires += int64(r.count)
 	}
 	e.commitAtomicsLocked(ts)
 	for _, i := range ts.heldSpec {
-		// A still-held lock keeps its wrote flag: the conventional release
-		// that ends the section publishes it again.
-		r := ts.log.locks[i]
-		e.tbl.Locks[r.lock].Owner = int32(t.ID) + 1
-		ts.heldConv = append(ts.heldConv, heldLock{lock: r.lock, wrote: r.wrote})
+		l := ts.log.locks[i].lock
+		e.tbl.Locks[l].Owner = int32(t.ID) + 1
+		ts.heldConv = append(ts.heldConv, l)
 	}
 	for _, l := range ts.heldSpecRead {
 		e.tbl.Locks[l].Readers++
@@ -288,7 +284,7 @@ func (e *Engine) enterIrrevocable(t *dvm.Thread, ts *tstate) bool {
 	if ts.depth == 0 {
 		return e.terminateRun(t, ts)
 	}
-	if !e.cfg.Spec.Irrevocable {
+	if e.cfg.Spec.NoIrrevocable {
 		if e.spec != nil {
 			e.spec.Runs.Add(1)
 		}

@@ -5,7 +5,6 @@ type lockRec struct {
 	lock  int64
 	count int32 // acquisitions during the run, shared and exclusive
 	write bool  // taken exclusively at least once
-	wrote bool  // a store executed while it was held exclusively (WriteAware)
 }
 
 // specLog is the thread-local speculation log (§3.1): the locks a run

@@ -277,15 +277,17 @@ func TestBuildTwicePanics(t *testing.T) {
 // Scratch must start on a line boundary and own every line they touch, with
 // the lengths Snapshot/Restore copy left exactly as the program declared.
 func TestThreadFilesDoNotShareCacheLines(t *testing.T) {
+	// kind is which file a record is (0 Regs, 1 Scratch): the threads
+	// append concurrently, so a record's position says nothing about it.
 	type file struct {
-		tid, words int
-		base       uintptr
+		tid, kind, words int
+		base             uintptr
 	}
 	var mu sync.Mutex
 	var files []file
-	record := func(th *Thread, s []int64) {
+	record := func(th *Thread, kind int, s []int64) {
 		mu.Lock()
-		files = append(files, file{th.ID, len(s), uintptr(unsafe.Pointer(unsafe.SliceData(s)))})
+		files = append(files, file{th.ID, kind, len(s), uintptr(unsafe.Pointer(unsafe.SliceData(s)))})
 		mu.Unlock()
 	}
 	progs := make([]*Program, 4)
@@ -295,8 +297,8 @@ func TestThreadFilesDoNotShareCacheLines(t *testing.T) {
 		b.Reg()
 		b.Scratch(3 + 8*i) // sizes straddling one and several lines
 		b.Do(func(th *Thread) {
-			record(th, th.Regs)
-			record(th, th.Scratch)
+			record(th, 0, th.Regs)
+			record(th, 1, th.Scratch)
 			if s := th.Snapshot(); len(s.Regs) != len(th.Regs) || len(s.Scratch) != len(th.Scratch) {
 				t.Errorf("thread %d: snapshot lengths %d/%d, files %d/%d", th.ID, len(s.Regs), len(s.Scratch), len(th.Regs), len(th.Scratch))
 			}
@@ -310,11 +312,11 @@ func TestThreadFilesDoNotShareCacheLines(t *testing.T) {
 
 	owner := map[uintptr]int{} // cache line -> the one file on it
 	for k, f := range files {
-		if want := []int{2, 3 + 8*f.tid}[k%2]; f.words != want {
-			t.Errorf("thread %d file %d has %d words, want %d", f.tid, k%2, f.words, want)
+		if want := []int{2, 3 + 8*f.tid}[f.kind]; f.words != want {
+			t.Errorf("thread %d file %d has %d words, want %d", f.tid, f.kind, f.words, want)
 		}
 		if f.base%64 != 0 {
-			t.Errorf("thread %d file %d starts at %#x, not on a cache line", f.tid, k%2, f.base)
+			t.Errorf("thread %d file %d starts at %#x, not on a cache line", f.tid, f.kind, f.base)
 		}
 		for line := f.base / 64; line <= (f.base+uintptr(f.words)*8-1)/64; line++ {
 			if prev, taken := owner[line]; taken {

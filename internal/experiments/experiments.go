@@ -385,9 +385,9 @@ func Fig11(cfg Config) error {
 		name string
 		mod  func(*core.SpecConfig)
 	}{
-		{"NoCoarsening", func(s *core.SpecConfig) { s.Coarsening = false }},
-		{"NoIrrevocable", func(s *core.SpecConfig) { s.Irrevocable = false }},
-		{"NoPerLockStats", func(s *core.SpecConfig) { s.PerLockStats = false }},
+		{"NoCoarsening", func(s *core.SpecConfig) { s.NoCoarsening = true }},
+		{"NoIrrevocable", func(s *core.SpecConfig) { s.NoIrrevocable = true }},
+		{"NoPerLockStats", func(s *core.SpecConfig) { s.NoPerLockStats = true }},
 	}
 	cfg.printf("Figure 11: ablations, runtime normalized to full LazyDet, %d threads\n", threads)
 	cfg.printf("%-18s %14s %15s %16s\n", "program", "NoCoarsening", "NoIrrevocable", "NoPerLockStats")
@@ -404,7 +404,7 @@ func Fig11(cfg Config) error {
 		}
 		row := make([]float64, len(variants))
 		for i, v := range variants {
-			sc := core.DefaultSpecConfig()
+			var sc core.SpecConfig
 			v.mod(&sc)
 			m, _, _, err := measure(w, harness.Options{Engine: harness.LazyDet, Threads: threads, Spec: sc}, cfg.Reps)
 			if err != nil {

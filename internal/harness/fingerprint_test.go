@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"testing"
 
-	"lazydet/internal/core"
 	"lazydet/internal/experiments"
 	"lazydet/internal/harness"
 	"lazydet/internal/opensim"
@@ -63,8 +62,6 @@ func TestPinnedFingerprints(t *testing.T) {
 		return res
 	}
 
-	writeAware := core.DefaultSpecConfig()
-	writeAware.WriteAware = true
 	variants := []struct {
 		name string
 		opt  harness.Options
@@ -72,7 +69,6 @@ func TestPinnedFingerprints(t *testing.T) {
 		{"Consequence", harness.Options{Engine: harness.Consequence}},
 		{"TotalOrder-Weak", harness.Options{Engine: harness.TotalOrderWeak}},
 		{"LazyDet", harness.Options{Engine: harness.LazyDet}},
-		{"LazyDet-WriteAware", harness.Options{Engine: harness.LazyDet, Spec: writeAware}},
 	}
 	for _, threads := range []int{4, 64} {
 		cfg := randprog.DefaultConfig(threads)

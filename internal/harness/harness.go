@@ -107,8 +107,8 @@ type Options struct {
 	// CountLocks enables per-lock acquisition counting on the pthreads
 	// engine (Table 1).
 	CountLocks bool
-	// Spec overrides LazyDet's speculation parameters; zero value means
-	// the paper's defaults.
+	// Spec selects Figure 11 ablations of LazyDet; the zero value is the
+	// paper's full system.
 	Spec core.SpecConfig
 	// Telemetry enables the unified metrics registry
 	// (internal/telemetry): the engine, versioned heap and memory pipeline

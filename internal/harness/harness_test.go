@@ -209,9 +209,7 @@ func TestLazyDetCoarsens(t *testing.T) {
 	if m := full.Spec.MeanRunCS(); !(m > 1.5) {
 		t.Errorf("mean run length = %.2f CS with coarsening, want > 1.5", m)
 	}
-	nc := core.DefaultSpecConfig()
-	nc.Coarsening = false
-	one, err := Run(w, Options{Engine: LazyDet, Threads: 2, CollectSpec: true, Spec: nc})
+	one, err := Run(w, Options{Engine: LazyDet, Threads: 2, CollectSpec: true, Spec: core.SpecConfig{NoCoarsening: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ type Config struct {
 }
 
 // MinExtendingStreak is the shortest OwnStreak that provably ends inside an
-// extended run under core.DefaultSpecConfig: two runs may be lost at its start
+// extended run under full LazyDet (the zero core.SpecConfig): two runs may be lost at its start
 // (one open from the random operations before it that reverts, one section
 // run conventionally after that revert), then 64 runs of 8 sections commit,
 // and the 9th section of the next run is past the floor.

@@ -267,13 +267,22 @@ func TestStatsCountCommits(t *testing.T) {
 
 // TestQuickConcurrentViewsStress hammers the heap with concurrent views
 // performing random store/commit/revert/update sequences on disjoint
-// address ranges, then checks every view's writes survived exactly.
+// address ranges, then checks every view's writes survived exactly. Only
+// Commit is serialized, by commitMu standing in for the engines' turn: the
+// package contract is that "Commits are serialized" by the caller, and
+// everything else a view does may run concurrently with them.
 func TestQuickConcurrentViewsStress(t *testing.T) {
 	f := func(seed uint64) bool {
 		const goroutines = 4
 		const perRange = 64
 		h := New(goroutines*perRange, WithPageWords(32))
 		var wg sync.WaitGroup
+		var commitMu sync.Mutex
+		commit := func(v *View) {
+			commitMu.Lock()
+			v.Commit()
+			commitMu.Unlock()
+		}
 		expected := make([][]int64, goroutines)
 		for g := 0; g < goroutines; g++ {
 			expected[g] = make([]int64, perRange)
@@ -295,7 +304,7 @@ func TestQuickConcurrentViewsStress(t *testing.T) {
 						v.Revert()
 						pending = map[int64]int64{}
 					case 1, 2: // commit: pending becomes durable
-						v.Commit()
+						commit(v)
 						for a, val := range pending {
 							expected[g][a-base] = val
 						}
@@ -311,7 +320,7 @@ func TestQuickConcurrentViewsStress(t *testing.T) {
 						pending[a] = val
 					}
 				}
-				v.Commit()
+				commit(v)
 				for a, val := range pending {
 					expected[g][a-base] = val
 				}

@@ -3,7 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"lazydet/internal/core"
 	"lazydet/internal/harness"
 )
 
@@ -75,28 +74,20 @@ func TestAtomicHistogramAllEngines(t *testing.T) {
 	}
 }
 
-// TestAtomicHistogramSpeculativeBenefit: speculative atomics keep the
-// acquisitions speculative; disabling the extension forces eager atomics,
-// which terminate every run.
+// TestAtomicHistogramSpeculativeBenefit: under LazyDet the atomics execute
+// inside speculation runs — they do not end them — and the histogram still
+// validates.
 func TestAtomicHistogramSpeculativeBenefit(t *testing.T) {
 	w := AtomicHistogram(1)
 	on, err := harness.Run(w, harness.Options{Engine: harness.LazyDet, Threads: 4, CollectSpec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := core.DefaultSpecConfig()
-	off.SpeculativeAtomics = false
-	offRes, err := harness.Run(w, harness.Options{Engine: harness.LazyDet, Threads: 4, CollectSpec: true, Spec: off})
-	if err != nil {
-		t.Fatal(err)
+	if m := on.Spec.MeanRunCS(); !(m > 1) {
+		t.Errorf("mean run = %.2f CS, want > 1: an atomic ended its run", m)
 	}
-	if onLen, offLen := on.Spec.MeanRunCS(), offRes.Spec.MeanRunCS(); !(onLen > offLen) {
-		t.Errorf("speculative atomics should lengthen runs: %.2f vs %.2f CS", onLen, offLen)
-	}
-	t.Logf("spec atomics ON:  wall=%v runs=%d mean=%.1f CS success=%.0f%%",
+	t.Logf("spec atomics: wall=%v runs=%d mean=%.1f CS success=%.0f%%",
 		on.Wall, on.Spec.Runs.Load(), on.Spec.MeanRunCS(), on.Spec.SuccessPct())
-	t.Logf("spec atomics OFF: wall=%v runs=%d mean=%.1f CS success=%.0f%%",
-		offRes.Wall, offRes.Spec.Runs.Load(), offRes.Spec.MeanRunCS(), offRes.Spec.SuccessPct())
 }
 
 // TestAtomicHistogramDeterminism: run-twice check under LazyDet.

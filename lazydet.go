@@ -91,7 +91,8 @@ type (
 	Result = harness.Result
 	// EngineKind names one of the five systems.
 	EngineKind = harness.EngineKind
-	// SpecConfig tunes LazyDet's speculation (paper §3.4).
+	// SpecConfig selects the paper's Figure 11 ablations of LazyDet's
+	// speculation; the zero value is the full system.
 	SpecConfig = core.SpecConfig
 	// InvariantViolation is the structured diagnostic of a breach the
 	// audit finds when Options.CheckInvariants is set: the broken rule, the
@@ -122,11 +123,6 @@ func FromReg(r Reg) dvm.Val { return dvm.FromReg(r) }
 // Dyn wraps an arbitrary closure as an operand; the static analyzer treats
 // it as unknown.
 func Dyn(f func(*Thread) int64) dvm.Val { return dvm.Dyn(f) }
-
-// DefaultSpecConfig returns the speculation parameters used by the paper's
-// experiments (85 % success threshold, virtual probes below it, per-lock
-// statistics, coarsening, irrevocable upgrade).
-func DefaultSpecConfig() SpecConfig { return core.DefaultSpecConfig() }
 
 // Run executes the workload once under the configured engine.
 func Run(w *Workload, opt Options) (*Result, error) { return harness.Run(w, opt) }

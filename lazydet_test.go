@@ -152,17 +152,14 @@ func TestPublicAPIInvariantOptions(t *testing.T) {
 }
 
 func TestPublicAPISpecConfig(t *testing.T) {
-	sc := lazydet.DefaultSpecConfig()
-	if !sc.Coarsening || !sc.Irrevocable || !sc.PerLockStats {
-		t.Fatalf("default speculation config lost the paper's features: %+v", sc)
-	}
-	if n := reflect.TypeOf(sc).NumField(); n != 5 {
-		t.Fatalf("SpecConfig has %d fields, want 5: the threshold and the coarsening floor are policy constants", n)
+	var sc lazydet.SpecConfig
+	if n := reflect.TypeOf(sc).NumField(); n != 3 {
+		t.Fatalf("SpecConfig has %d fields, want 3: Figure 11's ablations; the threshold and the coarsening floor are policy constants", n)
 	}
 	if n := reflect.TypeOf(lazydet.Options{}).NumField(); n != 12 {
 		t.Fatalf("Options has %d fields, want 12: a field stays only if a caller must choose it", n)
 	}
-	sc.Coarsening = false
+	sc.NoCoarsening = true
 	w := counter(100)
 	res, err := lazydet.Run(w, lazydet.Options{Engine: lazydet.LazyDet, Threads: 2, Spec: sc, CollectSpec: true})
 	if err != nil {
