@@ -7,7 +7,9 @@
 // traces run over run.
 //
 // The operation mix deliberately covers every engine code path that has
-// distinct speculation behavior: exclusive locks (plain and nested),
+// distinct speculation behavior: exclusive locks (plain and nested, storing
+// and read-only, and a read under an outer lock around a store under an inner
+// one — a section invalidates concurrent runs only if it stored),
 // shared-mode rwlock reads (reader conflict detection, read logging),
 // atomics (the speculative-atomics extension), barriers (run termination at
 // a rendezvous), system calls both inside a critical section (irrevocable
@@ -92,6 +94,8 @@ const (
 	opBareSyscall // Syscall outside any critical section
 	opPrivateAdd  // add to a thread-private cell under the shared private lock
 	opOwnAdd      // add to a cell under a lock only this thread takes (OwnStreak)
+	opLockedRead  // Lock + load, no store: an exclusive section that wrote nothing
+	opReadThenAdd // load a cell under its lock, add to a second cell under a nested lock
 )
 
 type op struct {
@@ -159,7 +163,7 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 	barriers := 0
 	for tid := 0; tid < cfg.Threads; tid++ {
 		for i := 0; i < cfg.OpsPerThread; i++ {
-			switch next(16) {
+			switch next(18) {
 			case 0:
 				if tid == 0 && barriers < cfg.MaxBarriers {
 					barriers++
@@ -218,6 +222,22 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 				plans[tid] = append(plans[tid], op{kind: opPrivateAdd, delta: d})
 				expected[privBase+int64(tid)] += d
 				continue
+			case 16:
+				c := int64(next(uint64(cfg.Cells)))
+				plans[tid] = append(plans[tid], op{kind: opLockedRead, cell: c})
+			case 17:
+				// Ordered like opNestedAdd, so the two never deadlock.
+				a := int64(next(uint64(cfg.Cells)))
+				b := int64(next(uint64(cfg.Cells)))
+				if a == b {
+					b = (b + 1) % int64(cfg.Cells)
+				}
+				if a > b {
+					a, b = b, a
+				}
+				d := int64(next(5)) + 1
+				plans[tid] = append(plans[tid], op{kind: opReadThenAdd, cell: a, cell2: b, delta2: d})
+				expected[b] += d
 			default:
 				c := int64(cfg.Cells) + int64(next(uint64(cfg.AtomicCells)))
 				d := int64(next(5)) + 1
@@ -279,6 +299,15 @@ func Generate(seed uint64, cfg Config) (*harness.Workload, map[int64]int64, erro
 						b.Load(v, dvm.Const(o.cell2))
 						b.Store(dvm.Const(o.cell2), dvm.Dyn(func(t *dvm.Thread) int64 { return t.R(v) + o.delta2 }))
 						b.Unlock(dvm.Const(o.cell2))
+						b.Unlock(dvm.Const(o.cell))
+					case opLockedRead:
+						b.Lock(dvm.Const(o.cell))
+						b.Load(v, dvm.Const(o.cell))
+						b.Unlock(dvm.Const(o.cell))
+					case opReadThenAdd:
+						b.Lock(dvm.Const(o.cell))
+						b.Load(v, dvm.Const(o.cell))
+						addUnder(o.cell2, o.cell2, o.delta2)
 						b.Unlock(dvm.Const(o.cell))
 					case opSharedRead:
 						b.RLock(dvm.Const(o.cell))

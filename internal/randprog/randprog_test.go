@@ -166,6 +166,49 @@ func TestOpCoverage(t *testing.T) {
 	}
 }
 
+// TestExclusiveSectionShapes: the default mix emits the two exclusive-section
+// shapes whose conflicts depend on stores — an outermost section that stores
+// nothing, and an outer section that only reads around an inner section that
+// stores — on threads other than the condvar leader, whose rendezvous check
+// is the only read-only section the mix had before.
+func TestExclusiveSectionShapes(t *testing.T) {
+	cfg := DefaultConfig(4)
+	w, _, err := Generate(3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readOnly, readAroundStore := 0, 0
+	for tid, ops := range opcodes(w, cfg.Threads) {
+		if tid == 0 {
+			continue
+		}
+		// stored[d] records a store at nesting depth d or deeper, since the
+		// depth-d section began.
+		var stored []bool
+		for j, op := range ops {
+			switch op {
+			case dvm.OpLock:
+				if len(stored) == 1 && !stored[0] && ops[j-1] == dvm.OpLoad {
+					readAroundStore++ // inner lock after a read-only prefix
+				}
+				stored = append(stored, false)
+			case dvm.OpStore:
+				for d := range stored {
+					stored[d] = true
+				}
+			case dvm.OpUnlock:
+				if len(stored) == 1 && !stored[0] {
+					readOnly++
+				}
+				stored = stored[:len(stored)-1]
+			}
+		}
+	}
+	if readOnly == 0 || readAroundStore == 0 {
+		t.Fatalf("%d read-only exclusive sections and %d read-around-store pairs, want both > 0", readOnly, readAroundStore)
+	}
+}
+
 // TestExpectedModelMatchesEveryEngine: one generated workload satisfies its
 // own model under all five engines (the fuzzer's property 1, pinned as a
 // test).
