@@ -73,8 +73,8 @@ func TestSpeculationBeginsAtLock(t *testing.T) {
 	if r.spec.SpecAcquires.Load() != 1 {
 		t.Fatalf("spec acquires = %d, want 1", r.spec.SpecAcquires.Load())
 	}
-	if g := r.tbl.Locks[0].LastAcquireDLC; g == 0 {
-		t.Fatalf("G_l not updated on commit")
+	if s := r.tbl.Locks[0].LastCommitSeq; s == 0 {
+		t.Fatalf("the commit of a section that stored left the lock's commit sequence at 0")
 	}
 }
 

@@ -89,10 +89,10 @@ type threadPolicy struct {
 // outermost conventional acquisition of lock would have validated against,
 // and how many more outermost acquisitions it stays open for (0: no probe).
 type specProbe struct {
-	write       bool
-	lock        int64
-	begin, base int64
-	left        int
+	write bool
+	lock  int64
+	base  int64
+	left  int
 }
 
 // pendingElide is the thread's unresolved elision outcome: a real stage (a
@@ -219,15 +219,15 @@ func (p *policy) runEnded(tp *threadPolicy, log []lockRec, runCS int, ok bool) {
 // convAcquired is the virtual probe (DESIGN.md §4d), the policy's evidence
 // below the threshold, at no cost: a conventional acquisition takes the turn
 // anyway, and whether a run begun there would have validated is what
-// lockIntact asks of the BEGIN (my, the thread's clock) and heap base the
-// acquisition defines. Called with the turn held, l free and not yet taken.
+// lockIntact asks of the base the acquisition defines (the lock's commit
+// sequence). Called with the turn held, l free and not yet taken.
 // Like a real run, a virtual one stays open for the floor's worth of
 // outermost acquisitions (it prices the runs a stood-down thread would begin
 // with, not the ones it could earn), which begin nothing; it resolves into its
 // lock's history at the last of them, or sooner if the thread comes back to
 // the lock. Then l arms one, unless l speculates: a conventional acquisition
 // there is the post-revert progress guarantee and proves nothing.
-func (p *policy) convAcquired(tp *threadPolicy, depth int, l int64, write bool, my int64) {
+func (p *policy) convAcquired(tp *threadPolicy, depth int, l int64, write bool) {
 	if !p.on || depth > 0 {
 		return
 	}
@@ -235,10 +235,10 @@ func (p *policy) convAcquired(tp *threadPolicy, depth int, l int64, write bool, 
 		if pr.left--; pr.left > 0 && pr.lock != l {
 			return
 		}
-		p.push(tp, pr.lock, p.lockIntact(&p.locks[pr.lock], pr.write, pr.begin, pr.base))
+		p.push(tp, pr.lock, p.lockIntact(&p.locks[pr.lock], pr.write, pr.base))
 	}
 	if !p.speculate(tp, l) {
-		tp.probe = specProbe{write: write, lock: l, begin: my, base: p.locks[l].LastCommitSeq, left: p.floor}
+		tp.probe = specProbe{write: write, lock: l, base: p.locks[l].LastCommitSeq, left: p.floor}
 	}
 }
 
@@ -253,13 +253,13 @@ func (p *policy) convReleased(tp *threadPolicy, l, seq int64) {
 
 // lockIntact is conflict detection for one lock (§3.2), shared by validate
 // and the virtual probes so the two cannot drift: a run that logged st
-// (exclusively if write) at clock begin on heap base base is still valid iff
-// st is not held against it and nobody acquired or committed it since.
-func (p *policy) lockIntact(st *detsync.Lock, write bool, begin, base int64) bool {
+// (exclusively if write) on heap base base is still valid iff st is not held
+// against it and no section that stored under it committed past the base.
+func (p *policy) lockIntact(st *detsync.Lock, write bool, base int64) bool {
 	if st.Owner != 0 || write && st.Readers != 0 {
 		return false // held exclusively, or our write meets live readers
 	}
-	return st.LastAcquireDLC <= begin && st.LastCommitSeq <= base
+	return st.LastCommitSeq <= base
 }
 
 // mayDefer resolves the thread's pending elision outcome at visibility point

@@ -59,10 +59,10 @@ func newPolRig(cfg Config, threads, locks int) *polRig {
 	return r
 }
 
-// acquire is an outermost conventional acquisition of l by thread tid at clock
-// my, l free.
-func (r *polRig) acquire(tid int, l int64, my int64) {
-	r.pol.convAcquired(&r.th[tid], 0, l, true, my)
+// acquire is an outermost conventional acquisition of l by thread tid, l
+// free.
+func (r *polRig) acquire(tid int, l int64) {
+	r.pol.convAcquired(&r.th[tid], 0, l, true)
 }
 
 func TestSuccessRatePermille(t *testing.T) {
@@ -145,6 +145,9 @@ func TestThresholdCrossing(t *testing.T) {
 }
 
 // TestLockIntact tables the conflict predicate validate and the probes share.
+// A foreign section since the run's base leaves its release time and
+// acquisition count behind either way; only one that stored also moves the
+// commit sequence, and only that one conflicts.
 func TestLockIntact(t *testing.T) {
 	const begin, base = 100, 7
 	for _, c := range []struct {
@@ -153,15 +156,16 @@ func TestLockIntact(t *testing.T) {
 		write bool
 		want  bool
 	}{
-		{"untouched", detsync.Lock{LastAcquireDLC: begin, LastCommitSeq: base}, true, true},
-		{"held exclusively", detsync.Lock{Owner: 2, LastAcquireDLC: begin, LastCommitSeq: base}, false, false},
+		{"untouched", detsync.Lock{LastCommitSeq: base}, true, true},
+		{"held exclusively", detsync.Lock{Owner: 2, LastCommitSeq: base}, false, false},
 		{"writer meets live readers", detsync.Lock{Readers: 1}, true, false},
 		{"reader meets live readers", detsync.Lock{Readers: 3}, false, true},
-		{"acquired since BEGIN", detsync.Lock{LastAcquireDLC: begin + 1}, true, false},
+		{"acquired since BEGIN by a section that stored", detsync.Lock{ReleaseDLC: begin + 1, Acquires: 1, LastCommitSeq: base + 1}, true, false},
+		{"acquired since BEGIN by a read-only section", detsync.Lock{ReleaseDLC: begin + 1, Acquires: 1, LastCommitSeq: base}, true, true},
 		{"committed past the base", detsync.Lock{LastCommitSeq: base + 1}, false, false},
 	} {
 		var p policy
-		if got := p.lockIntact(&c.st, c.write, begin, base); got != c.want {
+		if got := p.lockIntact(&c.st, c.write, base); got != c.want {
 			t.Errorf("%s: lockIntact = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -187,13 +191,13 @@ func TestPolicyStandDownAndReengagement(t *testing.T) {
 		if perLock && (!r.pol.speculate(&r.th[1], 0) || !r.pol.speculate(tp, 1)) {
 			t.Fatalf("a failed run on (lock 0, thread 0) moved another thread's or lock's history")
 		}
-		r.acquire(0, 0, 0) // arms a probe on 0
+		r.acquire(0, 0) // arms a probe on 0
 		hits := 0
 		for !r.pol.speculate(tp, 0) {
 			if hits++; hits > 64 {
 				t.Fatalf("perLock=%v: 64 probe hits did not re-engage", perLock)
 			}
-			r.acquire(0, 0, int64(hits)) // resolves the probe as a hit, arms the next
+			r.acquire(0, 0) // resolves the probe as a hit, arms the next
 		}
 		if hits != 55 {
 			t.Errorf("perLock=%v: re-engaged after %d probe hits, want 55", perLock, hits)
@@ -245,11 +249,11 @@ func TestPolicyPriors(t *testing.T) {
 	}
 	// Conflicting arms a probe at its first conventional acquisition; a
 	// Disjoint lock never does.
-	r.acquire(1, disjoint, 10)
+	r.acquire(1, disjoint)
 	if r.th[1].probe.left != 0 {
 		t.Errorf("a Disjoint acquisition armed %+v", r.th[1].probe)
 	}
-	r.acquire(1, conflicting, 20)
+	r.acquire(1, conflicting)
 	if p := r.th[1].probe; p.lock != conflicting || p.left != runFloor {
 		t.Errorf("a Conflicting acquisition armed %+v", p)
 	}
@@ -314,8 +318,8 @@ func TestPolicyProbe(t *testing.T) {
 	t.Run("arm", func(t *testing.T) {
 		r := stoodDown(lazyCfg())
 		r.tbl.Locks[A].LastCommitSeq = 5
-		r.pol.convAcquired(&r.th[0], 0, A, false, 40)
-		want := specProbe{write: false, lock: A, begin: 40, base: 5, left: runFloor}
+		r.pol.convAcquired(&r.th[0], 0, A, false)
+		want := specProbe{write: false, lock: A, base: 5, left: runFloor}
 		if got := r.th[0].probe; got != want {
 			t.Fatalf("armed %+v, want %+v", got, want)
 		}
@@ -336,7 +340,7 @@ func TestPolicyProbe(t *testing.T) {
 			if c.cfg.Speculation {
 				r.tbl.Locks[A].SpecHist[0] = marker
 			}
-			r.pol.convAcquired(&r.th[0], c.depth, c.l, true, 10)
+			r.pol.convAcquired(&r.th[0], c.depth, c.l, true)
 			if p := r.th[0].probe; p.left != 0 {
 				t.Errorf("%s: armed %+v", c.name, p)
 			}
@@ -350,14 +354,15 @@ func TestPolicyProbe(t *testing.T) {
 			want    uint64
 		}{
 			{"untouched", func(*detsync.Lock) {}, marker<<1 | 1},
-			{"foreign acquisition", func(st *detsync.Lock) { st.LastAcquireDLC = 50 }, marker << 1},
+			{"foreign acquisition by a section that stored", func(st *detsync.Lock) { st.ReleaseDLC, st.LastCommitSeq = 50, 9 }, marker << 1},
+			{"foreign acquisition by a read-only section", func(st *detsync.Lock) { st.ReleaseDLC = 50; st.Acquires++ }, marker<<1 | 1},
 			{"foreign commit", func(st *detsync.Lock) { st.LastCommitSeq = 9 }, marker << 1},
 			{"live owner", func(st *detsync.Lock) { st.Owner = 2 }, marker << 1},
 		} {
 			r := stoodDown(noCoarsening())
-			r.acquire(0, A, 40)
+			r.acquire(0, A)
 			c.foreign(&r.tbl.Locks[A])
-			r.acquire(0, B, 60)
+			r.acquire(0, B)
 			if got := r.tbl.Locks[A].SpecHist[0]; got != c.want {
 				t.Errorf("%s: history %#x, want %#x", c.name, got, c.want)
 			}
@@ -369,22 +374,22 @@ func TestPolicyProbe(t *testing.T) {
 
 	t.Run("scope", func(t *testing.T) {
 		r := stoodDown(lazyCfg())
-		r.acquire(0, A, 10)
+		r.acquire(0, A)
 		for i := 1; i < runFloor; i++ {
-			r.acquire(0, B, int64(10+i))
+			r.acquire(0, B)
 			if got := r.tbl.Locks[A].SpecHist[0]; got != marker || r.th[0].probe.lock != A {
 				t.Fatalf("acquisition %d inside A's virtual run: history %#x, probe %+v", i, got, r.th[0].probe)
 			}
 		}
-		r.acquire(0, C, 30)
+		r.acquire(0, C)
 		if got := r.tbl.Locks[A].SpecHist[0]; got != marker<<1|1 {
 			t.Fatalf("history of A = %#x after %d acquisitions, want a hit", got, runFloor)
 		}
 		if got := r.tbl.Locks[B].SpecHist[0]; got != marker {
 			t.Fatalf("B, acquired inside the virtual run, took an outcome: %#x", got)
 		}
-		r.acquire(0, B, 31)
-		r.acquire(0, C, 32) // back at C: resolves at once
+		r.acquire(0, B)
+		r.acquire(0, C) // back at C: resolves at once
 		if got := r.tbl.Locks[C].SpecHist[0]; got != marker<<1|1 {
 			t.Fatalf("history of C = %#x on re-acquisition, want a hit", got)
 		}
@@ -392,14 +397,14 @@ func TestPolicyProbe(t *testing.T) {
 
 	t.Run("own release re-bases, a foreign lock's does not", func(t *testing.T) {
 		r := stoodDown(noCoarsening())
-		r.acquire(0, A, 10)
+		r.acquire(0, A)
 		r.tbl.Locks[A].LastCommitSeq = 3 // the thread's own release of A
 		r.pol.convReleased(&r.th[0], B, 7)
 		if got := r.th[0].probe.base; got != 0 {
 			t.Fatalf("a release of B re-based the probe on A to %d", got)
 		}
 		r.pol.convReleased(&r.th[0], A, 3)
-		r.acquire(0, B, 20)
+		r.acquire(0, B)
 		if got := r.tbl.Locks[A].SpecHist[0]; got != marker<<1|1 {
 			t.Fatalf("history of A = %#x: the thread's own release counted as a conflict", got)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lazydet/internal/dvm"
@@ -61,7 +62,14 @@ func (h *hand) section(tid int, l int64, write bool) {
 		return
 	}
 	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Lock(th, l) })
-	h.th[tid].Mem.Store(8+l, h.clock)
+	h.th[tid].Store(8+l, h.clock)
+	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Unlock(th, l) })
+}
+
+// lockedRead runs one exclusive critical section on l as thread tid that
+// stores nothing, so its release conflicts with no run that logged l.
+func (h *hand) lockedRead(tid int, l int64) {
+	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Lock(th, l) })
 	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Unlock(th, l) })
 }
 
@@ -81,9 +89,26 @@ const marker = uint64(1) << 20
 // TestVirtualProbeArmResolve drives thread 0 through a conventional section
 // on lock A (below the threshold, so the acquisition arms a probe), lets
 // thread 1 do something to A, and resolves the probe at thread 0's next
-// outermost conventional acquisition — of lock B.
+// outermost conventional acquisition — of lock B. A foreign section on A is a
+// conflict when it stored, and none when it only read.
 func TestVirtualProbeArmResolve(t *testing.T) {
 	const A, B, C = 0, 1, 2
+	foreignRun := func(stores bool) func(h *hand) {
+		return func(h *hand) {
+			h.tbl.Locks[A].SpecHist[1] = ^uint64(0) // thread 1 speculates on A
+			h.section(1, C, true)                   // conventionally first: re-bases its view
+			if stores {
+				h.section(1, A, true)
+			} else {
+				h.lockedRead(1, A)
+			}
+			h.do(1, func(e *Engine, th *dvm.Thread) {
+				if !e.terminateRun(th, e.ts(th)) {
+					t.Error("the foreign run did not commit; the case tests nothing")
+				}
+			})
+		}
+	}
 	for _, c := range []struct {
 		name    string
 		write   bool // thread 0's section on A is exclusive
@@ -91,18 +116,12 @@ func TestVirtualProbeArmResolve(t *testing.T) {
 		want    uint64 // history of (A, thread 0) once B is acquired
 	}{
 		{"nobody touched the lock", true, func(*hand) {}, marker<<1 | 1},
-		{"foreign conventional acquire", true, func(h *hand) { h.section(1, A, true) }, marker << 1},
-		{"foreign conventional acquire, reader probe", false, func(h *hand) { h.section(1, A, true) }, marker << 1},
-		{"foreign committed run that logged it", true, func(h *hand) {
-			h.tbl.Locks[A].SpecHist[1] = ^uint64(0) // thread 1 speculates on A
-			h.section(1, C, true)                   // conventionally first: re-bases its view
-			h.section(1, A, true)
-			h.do(1, func(e *Engine, th *dvm.Thread) {
-				if !e.terminateRun(th, e.ts(th)) {
-					t.Error("the foreign run did not commit; the case tests nothing")
-				}
-			})
-		}, marker << 1},
+		{"foreign conventional acquire that stored", true, func(h *hand) { h.section(1, A, true) }, marker << 1},
+		{"foreign conventional acquire, read-only", true, func(h *hand) { h.lockedRead(1, A) }, marker<<1 | 1},
+		{"foreign conventional acquire that stored, reader probe", false, func(h *hand) { h.section(1, A, true) }, marker << 1},
+		{"foreign conventional acquire, read-only, reader probe", false, func(h *hand) { h.lockedRead(1, A) }, marker<<1 | 1},
+		{"foreign committed run that logged it and stored", true, foreignRun(true), marker << 1},
+		{"foreign committed run that logged it read-only", true, foreignRun(false), marker<<1 | 1},
 		{"live owner", true, func(h *hand) {
 			h.do(1, func(e *Engine, th *dvm.Thread) { e.Lock(th, A) })
 		}, marker << 1},
@@ -133,7 +152,7 @@ func TestVirtualProbeArmResolve(t *testing.T) {
 		if p := h.ts(0).pol.probe; p.left != 1 || p.lock != B {
 			t.Errorf("%s: acquisition of B armed %+v, want a probe on B", c.name, p)
 		}
-		if h.spec.SpecAcquires.Load() != 0 && c.name != "foreign committed run that logged it" {
+		if h.spec.SpecAcquires.Load() != 0 && !strings.HasPrefix(c.name, "foreign committed run") {
 			t.Errorf("%s: a below-threshold lock was acquired speculatively", c.name)
 		}
 	}

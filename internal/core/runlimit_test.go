@@ -90,16 +90,37 @@ func earn(t *testing.T, h *hand) {
 }
 
 // TestRunLimitResetsOnRevert: one failed validation puts the thread back at
-// the floor until 64 further runs have committed.
+// the floor until 64 further runs have committed. A foreign section that took
+// the lock only to read fails nothing, and the thread keeps its ceiling.
 func TestRunLimitResetsOnRevert(t *testing.T) {
+	t.Run("foreign section that stored", func(t *testing.T) { runLimitAfterForeignSection(t, true) })
+	t.Run("foreign read-only section", func(t *testing.T) { runLimitAfterForeignSection(t, false) })
+}
+
+func runLimitAfterForeignSection(t *testing.T, stores bool) {
 	h := newHand(t, lazyCfg(), 2, ceiling)
 	earn(t, h)
 	// Thread 1 takes lock 0 conventionally, inside thread 0's open run.
 	h.ts(1).noSpecNext = true
+	if !stores {
+		h.lockedRead(1, 0)
+		h.do(0, func(e *Engine, th *dvm.Thread) {
+			if !e.terminateRun(th, e.ts(th)) {
+				t.Error("thread 0's run reverted across a read-only foreign section on its lock")
+			}
+		})
+		if got := h.eng.pol.runLimit(&h.ts(0).pol); got != ceiling {
+			t.Fatalf("run limit after a commit = %d, want the ceiling %d", got, ceiling)
+		}
+		if got := h.spec.Reverts.Load(); got != 0 {
+			t.Fatalf("%d reverts, want 0", got)
+		}
+		return
+	}
 	h.section(1, 0, true)
 	h.do(0, func(e *Engine, th *dvm.Thread) {
 		if e.terminateRun(th, e.ts(th)) {
-			t.Error("thread 0's run committed across a foreign acquisition of its lock")
+			t.Error("thread 0's run committed across a foreign section that stored under its lock")
 		}
 	})
 	if got := h.eng.pol.runLimit(&h.ts(0).pol); got != floor {

@@ -51,7 +51,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
 		if st.Owner == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
-			e.pol.convAcquired(&ts.pol, ts.depth, l, false, my)
+			e.pol.convAcquired(&ts.pol, ts.depth, l, false)
 			st.Readers++
 			st.Acquires++
 			ts.depth++
@@ -71,7 +71,7 @@ func (e *Engine) convRLock(t *dvm.Thread, ts *tstate, l int64) {
 }
 
 // convRUnlock releases a shared acquisition at the turn. Readers do not
-// update the lock's commit sequence or G_l: a read-only critical section
+// update the lock's commit sequence: a read-only critical section
 // invalidates no speculation.
 func (e *Engine) convRUnlock(t *dvm.Thread, ts *tstate, l int64) {
 	e.waitCommitTurn(t)

@@ -1,6 +1,6 @@
 // Package detsync holds the deterministic synchronization objects shared by
 // the eager (Consequence-style) and lazy (LazyDet) engines: the lock table
-// with its G_l last-acquisition map and the storage for per-lock speculation
+// with its per-lock commit sequences and the storage for per-lock speculation
 // metadata, deterministic condition variables, and barriers. The metadata is
 // storage only: the speculation policy in internal/core (policy.go) seeds it
 // and is its sole reader and writer.
@@ -26,15 +26,12 @@ type Lock struct {
 	// is free and ReleaseDLC <= T; otherwise the release lies in the
 	// acquirer's logical future and the acquire deterministically fails.
 	ReleaseDLC int64
-	// LastAcquireDLC is G_l: the DLC of the most recent acquisition,
-	// updated at every non-speculative acquisition and at every
-	// successful speculative commit (paper §3.2). Conflict detection
-	// compares it against a run's BEGIN value.
-	LastAcquireDLC int64
 	// LastCommitSeq is the heap commit sequence after the most recent
-	// commit by a thread that had acquired this lock. A speculation run
-	// whose heap base predates it may have missed critical-section
-	// writes guarded by the lock and must be reverted.
+	// commit of an exclusive critical section that stored under this lock
+	// (conventional release or validated run). A speculation run whose heap
+	// base predates it may have missed writes guarded by the lock and must
+	// be reverted. It replaces the paper's G_l (§3.2), the DLC of the most
+	// recent acquisition, which a section that only read moved too.
 	LastCommitSeq int64
 	// Acquires counts total acquisitions (Table 1 statistics).
 	Acquires int64

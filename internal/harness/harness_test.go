@@ -346,15 +346,15 @@ func TestViolationsBecomeRunsError(t *testing.T) {
 	if err := c.err(); err != nil {
 		t.Fatalf("no violations reported, error %v", err)
 	}
-	c.report(&invariant.Violation{Rule: "lock-gl-monotone", Thread: 1, DLC: 40, Lock: 3, Detail: "G_l 40 -> 12"})
+	c.report(&invariant.Violation{Rule: "lock-commitseq-monotone", Thread: 1, DLC: 40, Lock: 3, Detail: "LastCommitSeq 40 -> 12"})
 	c.report(&invariant.Violation{Rule: "turn-minimum", Thread: 2, DLC: 41, Lock: -1, Detail: "second"})
 	err := c.err()
 	var v *invariant.Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("errors.As found no *invariant.Violation in %v", err)
 	}
-	if v.Rule != "lock-gl-monotone" || v.Lock != 3 {
-		t.Errorf("wrapped violation %+v, want the first one reported (lock-gl-monotone on lock 3)", v)
+	if v.Rule != "lock-commitseq-monotone" || v.Lock != 3 {
+		t.Errorf("wrapped violation %+v, want the first one reported (lock-commitseq-monotone on lock 3)", v)
 	}
 	if !strings.Contains(err.Error(), "(1 more violation(s) after it)") {
 		t.Errorf("error %q does not count the one violation after the first", err)

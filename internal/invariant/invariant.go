@@ -23,8 +23,9 @@
 //     newest commit — a stale floor cache may trim less, never more.
 //  3. Lock-table consistency (internal/detsync): a lock is never held
 //     exclusively and shared at the same time, reader counts are
-//     non-negative, and the per-lock logical timestamps — ReleaseDLC,
-//     G_l (LastAcquireDLC) and LastCommitSeq — only advance. Because the
+//     non-negative, and the per-lock logical timestamps — ReleaseDLC and
+//     LastCommitSeq — only advance, the latter never past the heap's newest
+//     commit. Because the
 //     checker runs at every turn grant and those fields are only allowed to
 //     mutate at turns, any off-turn or backwards mutation surfaces at the
 //     very next turn grant.
@@ -61,7 +62,7 @@ import (
 // error.
 type Violation struct {
 	// Rule names the broken invariant, e.g. "turn-minimum",
-	// "heap-commit-monotone", "lock-gl-monotone", "revert-snapshot".
+	// "heap-commit-monotone", "lock-commitseq-monotone", "revert-snapshot".
 	Rule string
 	// Thread is the turn-holding thread that observed the breach.
 	Thread int
@@ -108,7 +109,6 @@ type Checker struct {
 	// was corrupted (the fields are only allowed to advance, and only at
 	// turns).
 	releaseDLC []int64
-	acquireDLC []int64 // G_l
 	commitSeq  []int64
 }
 
@@ -118,7 +118,6 @@ func New(arb *dlc.Arbiter, tbl *detsync.Table, heap *vheap.Heap, report func(*Vi
 	c := &Checker{arb: arb, tbl: tbl, heap: heap, report: report, trimFloor: -1}
 	if tbl != nil {
 		c.releaseDLC = make([]int64, len(tbl.Locks))
-		c.acquireDLC = make([]int64, len(tbl.Locks))
 		c.commitSeq = make([]int64, len(tbl.Locks))
 	}
 	return c
@@ -181,10 +180,6 @@ func (c *Checker) auditLocks(tid int) {
 			c.violate(tid, li, "lock-release-monotone",
 				fmt.Sprintf("ReleaseDLC moved backwards: %d -> %d", c.releaseDLC[l], st.ReleaseDLC))
 		}
-		if st.LastAcquireDLC < c.acquireDLC[l] {
-			c.violate(tid, li, "lock-gl-monotone",
-				fmt.Sprintf("G_l (LastAcquireDLC) moved backwards: %d -> %d", c.acquireDLC[l], st.LastAcquireDLC))
-		}
 		if st.LastCommitSeq < c.commitSeq[l] {
 			c.violate(tid, li, "lock-commitseq-monotone",
 				fmt.Sprintf("LastCommitSeq moved backwards: %d -> %d", c.commitSeq[l], st.LastCommitSeq))
@@ -194,7 +189,6 @@ func (c *Checker) auditLocks(tid int) {
 				fmt.Sprintf("LastCommitSeq %d is ahead of the heap's newest commit %d", st.LastCommitSeq, c.heap.Seq()))
 		}
 		c.releaseDLC[l] = st.ReleaseDLC
-		c.acquireDLC[l] = st.LastAcquireDLC
 		c.commitSeq[l] = st.LastCommitSeq
 	}
 }

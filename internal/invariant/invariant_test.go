@@ -43,30 +43,32 @@ func newAuditRig(threads, locks int, speculation bool) *rig {
 	return r
 }
 
-// TestMutationSkewedGl: deliberately moving a lock's G_l (LastAcquireDLC)
-// backwards between two turns must be caught at the very next turn grant as
-// a structured lock-gl-monotone violation naming the lock — not as a distant
-// trace-hash mismatch. The program is single-threaded, so the skew mutation
-// is not a data race.
-func TestMutationSkewedGl(t *testing.T) {
+// TestMutationSkewedCommitSeq: deliberately moving a lock's commit sequence
+// (LastCommitSeq) backwards between two turns must be caught at the very next
+// turn grant as a structured lock-commitseq-monotone violation naming the
+// lock — not as a distant trace-hash mismatch. The program is
+// single-threaded, so the skew mutation is not a data race.
+func TestMutationSkewedCommitSeq(t *testing.T) {
 	r := newAuditRig(1, 2, false)
-	b := dvm.NewBuilder("skew-gl")
+	b := dvm.NewBuilder("skew-commitseq")
 	v := b.Reg()
 	b.Lock(dvm.Const(0))
 	b.Load(v, dvm.Const(0))
 	b.Store(dvm.Const(0), dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(v) + 1 }))
 	b.Unlock(dvm.Const(0))
-	b.Do(func(*dvm.Thread) { r.tbl.Locks[0].LastAcquireDLC -= 1000 })
+	b.Lock(dvm.Const(1)) // a turn whose audit records the advanced sequence
+	b.Unlock(dvm.Const(1))
+	b.Do(func(*dvm.Thread) { r.tbl.Locks[0].LastCommitSeq-- })
 	b.Lock(dvm.Const(0)) // the violating turn: audit fires here
 	b.Unlock(dvm.Const(0))
 	dvm.Run(r.eng, []*dvm.Program{b.Build()})
 
 	if len(r.violations) == 0 {
-		t.Fatal("skewed G_l produced no invariant violation")
+		t.Fatal("skewed commit sequence produced no invariant violation")
 	}
 	got := r.violations[0]
-	if got.Rule != "lock-gl-monotone" {
-		t.Fatalf("violation rule = %q, want lock-gl-monotone (%v)", got.Rule, got)
+	if got.Rule != "lock-commitseq-monotone" {
+		t.Fatalf("violation rule = %q, want lock-commitseq-monotone (%v)", got.Rule, got)
 	}
 	if got.Lock != 0 {
 		t.Fatalf("violation names lock %d, want 0 (%v)", got.Lock, got)
