@@ -25,6 +25,9 @@ import (
 //
 // Atomic locations are assumed not to be concurrently updated by plain
 // stores (the usual discipline for atomics); plain reads of them are safe.
+// A plain read under a lock is covered by the lock rule: the VM counts every
+// atomic as a store (dvm.Thread.Atomic), so a section that ran one advances
+// its lock's commit sequence like a section that stored.
 
 // Atomic implements dvm.Engine.
 func (e *Engine) Atomic(t *dvm.Thread, a *dvm.Atomic) int64 {
