@@ -263,11 +263,11 @@ type tstate struct {
 	// backs the VM's Thread.Mem.
 	mem mempipe.Thread
 
-	// depth is the current lock nesting, speculative or conventional,
-	// exclusive or shared.
-	depth        int
-	heldConv     []heldLock // conventionally held exclusive locks
-	heldConvRead []int64    // conventionally held shared locks
+	// held is every lock the thread holds, exclusive or shared, in
+	// acquisition order; its length is the lock nesting depth. Inside a
+	// speculation run every hold is speculative (runs begin outside critical
+	// sections), outside one none is.
+	held []heldLock
 
 	// tickFlushes counts the batched clock flushes this thread sent into
 	// the arbiter (see dlc.TickWindow) — published as the deterministic
@@ -288,36 +288,35 @@ type tstate struct {
 	// so recycling cannot perturb deterministic allocation-order counts).
 	snapScratch  *dvm.Snapshot
 	dirtyScratch *vheap.DirtySnapshot
-	log          specLog    // L_i and the atomic log (speclog.go)
-	heldSpec     []heldLock // locks held speculatively in exclusive mode
-	heldSpecRead []int64    // locks held speculatively in shared mode
-	runCS        int        // critical sections in the current run
-	noSpecNext   bool       // progress guarantee after a revert (§3.2)
+	log          specLog // L_i and the atomic log (speclog.go)
+	runCS        int     // critical sections in the current run
+	noSpecNext   bool    // progress guarantee after a revert (§3.2)
 
 	pol threadPolicy // the thread's histories, probe and pending elision outcome
 }
 
-// heldLock is an exclusively held lock and the thread's store count
-// (dvm.Thread.Stores) at its acquisition. The release that finds the count
-// moved publishes the section as one that stored, under this lock or under
-// one nested inside it: only then does the lock's commit sequence advance,
-// and with it the conflict that concurrent runs which logged the lock see
-// (spec.go's validate).
+// heldLock is a held lock, its mode and the thread's store count
+// (dvm.Thread.Stores) at its acquisition. The release of an exclusive hold
+// that finds the count moved publishes the section as one that stored, under
+// this lock or under one nested inside it: only then does the lock's commit
+// sequence advance, and with it the conflict that concurrent runs which
+// logged the lock see (spec.go's validate).
 type heldLock struct {
 	lock   int64
 	stores int64
-	rec    int32 // a speculative hold's record in the run's log; unused by heldConv
+	rec    int32 // a speculative hold's record in the run's log
+	write  bool  // exclusive
 }
 
 // wrote reports whether thread t stored since h was taken.
 func (h heldLock) wrote(t *dvm.Thread) bool { return t.Stores() != h.stores }
 
-// dropHeld removes the most recent hold of l from s and returns it, and
-// whether thread t stored while it was held.
-func dropHeld(s *[]heldLock, l int64, t *dvm.Thread) (h heldLock, wrote bool) {
-	for i := len(*s) - 1; i >= 0; i-- {
-		if h = (*s)[i]; h.lock == l {
-			*s = append((*s)[:i], (*s)[i+1:]...)
+// drop removes the thread's most recent hold of l in the given mode and
+// returns it, and whether thread t stored while it was held.
+func (ts *tstate) drop(t *dvm.Thread, l int64, write bool) (h heldLock, stored bool) {
+	for i := len(ts.held) - 1; i >= 0; i-- {
+		if h = ts.held[i]; h.lock == l && h.write == write {
+			ts.held = append(ts.held[:i], ts.held[i+1:]...)
 			return h, h.wrote(t)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"lazydet/internal/detsync"
 	"lazydet/internal/dvm"
 	"lazydet/internal/mempipe"
 	"lazydet/internal/trace"
@@ -21,35 +22,46 @@ import (
 // lock-table sequence updates below are inert. One choreography, every
 // engine.
 
-// Lock implements dvm.Engine. With speculation enabled it dispatches to the
-// lazy path in spec.go; otherwise it acquires conventionally.
-func (e *Engine) Lock(t *dvm.Thread, l int64) {
+// Lock, RLock, Unlock and RUnlock implement dvm.Engine. A shared (read)
+// hold differs from an exclusive one only in its mode bit: readers admit each
+// other, and a read-only section invalidates no speculation (the direction
+// of the paper's §6.2, at lock granularity).
+func (e *Engine) Lock(t *dvm.Thread, l int64)    { e.acquire(t, l, true) }
+func (e *Engine) RLock(t *dvm.Thread, l int64)   { e.acquire(t, l, false) }
+func (e *Engine) Unlock(t *dvm.Thread, l int64)  { e.release(t, l, true) }
+func (e *Engine) RUnlock(t *dvm.Thread, l int64) { e.release(t, l, false) }
+
+// acquire takes l, exclusively if write. With speculation enabled it
+// dispatches to the lazy path in spec.go; otherwise it acquires
+// conventionally.
+func (e *Engine) acquire(t *dvm.Thread, l int64, write bool) {
 	ts := e.ts(t)
 	if e.cfg.Speculation {
-		e.lazyAcquire(t, ts, l, true)
+		e.lazyAcquire(t, ts, l, write)
 		return
 	}
-	e.convLock(t, ts, l)
+	e.convLock(t, ts, l, write)
 }
 
-// Unlock implements dvm.Engine.
-func (e *Engine) Unlock(t *dvm.Thread, l int64) {
+// release ends the thread's hold of l in the given mode.
+func (e *Engine) release(t *dvm.Thread, l int64, write bool) {
 	ts := e.ts(t)
 	if ts.spec {
-		e.specRelease(t, ts, l)
+		e.specRelease(t, ts, l, write)
 		return
 	}
-	e.convUnlock(t, ts, l)
+	e.convUnlock(t, ts, l, write)
 }
 
 // convLock performs a deterministic eager acquisition: wait for the turn,
 // publish and refresh memory, and take the lock if it is free and was
 // released in the logical past. Otherwise charge a quantum to the clock and
 // re-queue — the Kendo retry discipline, deterministic because lock state
-// only changes at turns and release times are recorded in logical time. The
+// only changes at turns and release times are recorded in logical time. A
+// writer needs the lock free of readers too; a reader only of a writer. The
 // acquisition conflicts with no speculation run; only a release that stored
 // does (convUnlock).
-func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
+func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	st := &e.tbl.Locks[l]
 	backoff := quantum
 	for {
@@ -59,16 +71,15 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 		// same-owner elision win.
 		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
-		if st.Owner == 0 && st.Readers == 0 && (e.arb.Nondet() || st.ReleaseDLC <= my) {
-			e.pol.convAcquired(&ts.pol, ts.depth, l, true)
-			st.Owner = int32(t.ID) + 1
-			st.Acquires++
-			ts.depth++
-			ts.heldConv = append(ts.heldConv, heldLock{lock: l, stores: t.Stores()})
+		if st.Owner == 0 && (!write || st.Readers == 0) && (e.arb.Nondet() || st.ReleaseDLC <= my) {
+			e.pol.convAcquired(&ts.pol, len(ts.held), l, write)
+			h := heldLock{lock: l, stores: t.Stores(), write: write}
+			e.hold(t.ID, h)
+			ts.held = append(ts.held, h)
 			if e.spec != nil {
 				e.spec.TotalAcquires.Add(1)
 			}
-			e.rec.Sync(t.ID, trace.OpAcquire, l, my)
+			e.rec.Sync(t.ID, acquireOp(write), l, my)
 			e.arb.ReleaseTurn(t.ID, syncCost)
 			return
 		}
@@ -85,29 +96,70 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64) {
 	}
 }
 
-// convUnlock releases a conventionally held lock at the turn, recording the
-// release time for deterministic future acquires. The release publication is
-// the elision point: when the lock's policy allows, the commit is deferred
-// at a reserved sequence instead of performed (elide.go).
-func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64) {
+// hold marks h's lock conventionally held by thread tid in h's mode: owned
+// for an exclusive hold, one more reader for a shared one. Caller holds the
+// turn.
+func (e *Engine) hold(tid int, h heldLock) {
+	if st := &e.tbl.Locks[h.lock]; h.write {
+		st.Owner = int32(tid) + 1
+	} else {
+		st.Readers++
+	}
+}
+
+// convUnlock releases a conventionally held lock at the turn. The release
+// publication is the elision point: when the lock's policy allows, the commit
+// is deferred at a reserved sequence instead of performed (elide.go).
+func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	e.waitCommitTurn(t)
 	e.sync(t, ts, mempipe.Release, l)
+	if !write {
+		st := &e.tbl.Locks[l]
+		if st.Readers <= 0 {
+			panic(fmt.Sprintf("core: thread %d runlocks lock %d with no readers", t.ID, l))
+		}
+		st.Readers--
+		ts.drop(t, l, false)
+	} else {
+		e.pol.convReleased(&ts.pol, l, e.unlockOwned(t, ts, l).LastCommitSeq)
+	}
+	e.rec.Sync(t.ID, releaseOp(write), l, e.arb.DLC(t.ID))
+	e.arb.ReleaseTurn(t.ID, syncCost)
+}
+
+// unlockOwned frees the exclusively held l, recording the release time for
+// deterministic future acquires. A shared release does none of this: a
+// read-only section neither delays acquirers in logical time nor invalidates
+// any speculation. Caller holds the turn and has published.
+func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) *detsync.Lock {
 	st := &e.tbl.Locks[l]
 	if st.Owner != int32(t.ID)+1 {
 		panic(fmt.Sprintf("core: thread %d unlocks lock %d owned by %d", t.ID, l, st.Owner-1))
 	}
 	st.Owner = 0
 	st.ReleaseDLC = e.arb.DLC(t.ID)
-	ts.depth--
-	if _, wrote := dropHeld(&ts.heldConv, l, t); wrote {
+	if _, wrote := ts.drop(t, l, true); wrote {
 		// The critical section's writes became visible with this commit;
 		// speculation runs based on older heap states conflict. A section
 		// that stored nothing invalidates nobody.
 		st.LastCommitSeq = e.pipe.Seq()
 	}
-	e.pol.convReleased(&ts.pol, l, st.LastCommitSeq)
-	e.rec.Sync(t.ID, trace.OpRelease, l, st.ReleaseDLC)
-	e.arb.ReleaseTurn(t.ID, syncCost)
+	return st
+}
+
+// acquireOp and releaseOp are the trace events of a hold's mode.
+func acquireOp(write bool) trace.Op {
+	if write {
+		return trace.OpAcquire
+	}
+	return trace.OpRAcquire
+}
+
+func releaseOp(write bool) trace.Op {
+	if write {
+		return trace.OpRelease
+	}
+	return trace.OpRRelease
 }
 
 // CondWait implements dvm.Engine: release l, park deterministically on cv,
@@ -128,14 +180,7 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	// settle here — which also keeps any flush pinned to a later wake
 	// sequence a deterministic no-op.
 	e.sync(t, ts, mempipe.Park, noLock)
-	my := e.arb.DLC(t.ID)
-	st := &e.tbl.Locks[l]
-	st.Owner = 0
-	st.ReleaseDLC = my
-	ts.depth--
-	if _, wrote := dropHeld(&ts.heldConv, l, t); wrote {
-		st.LastCommitSeq = e.pipe.Seq()
-	}
+	my := e.unlockOwned(t, ts, l).ReleaseDLC
 	c := &e.tbl.Conds[cv]
 	c.Waiters = append(c.Waiters, t.ID)
 	e.rec.Sync(t.ID, trace.OpCondWait, cv, my)
@@ -145,7 +190,7 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	// view is refreshed by the deterministic re-acquisition below, never
 	// at the (wall-clock-dependent) wake moment.
 	e.rec.Sync(t.ID, trace.OpCondWake, cv, e.arb.DLC(t.ID))
-	e.convLock(t, ts, l)
+	e.convLock(t, ts, l, true)
 }
 
 // CondSignal implements dvm.Engine: wake the longest-parked waiter, giving
@@ -245,12 +290,10 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 func (e *Engine) Syscall(t *dvm.Thread, s *dvm.Syscall) {
 	ts := e.ts(t)
 	if ts.spec && !ts.irrevocable {
+		// A run outside a critical section terminates (commits) instead
+		// of upgrading, and the call then runs conventionally.
 		if !e.enterIrrevocable(t, ts) {
 			return // run reverted; the syscall re-executes after restart
-		}
-		if !ts.spec {
-			// The run terminated (committed) instead of upgrading;
-			// fall through to a conventional call.
 		}
 	}
 	e.rec.Sync(t.ID, trace.OpSyscall, int64(s.Work), e.arb.DLC(t.ID))

@@ -160,8 +160,8 @@ func TestLockIntact(t *testing.T) {
 		{"held exclusively", detsync.Lock{Owner: 2, LastCommitSeq: base}, false, false},
 		{"writer meets live readers", detsync.Lock{Readers: 1}, true, false},
 		{"reader meets live readers", detsync.Lock{Readers: 3}, false, true},
-		{"acquired since BEGIN by a section that stored", detsync.Lock{ReleaseDLC: begin + 1, Acquires: 1, LastCommitSeq: base + 1}, true, false},
-		{"acquired since BEGIN by a read-only section", detsync.Lock{ReleaseDLC: begin + 1, Acquires: 1, LastCommitSeq: base}, true, true},
+		{"acquired since BEGIN by a section that stored", detsync.Lock{ReleaseDLC: begin + 1, LastCommitSeq: base + 1}, true, false},
+		{"acquired since BEGIN by a read-only section", detsync.Lock{ReleaseDLC: begin + 1, LastCommitSeq: base}, true, true},
 		{"committed past the base", detsync.Lock{LastCommitSeq: base + 1}, false, false},
 	} {
 		var p policy
@@ -181,7 +181,7 @@ func TestPolicyStandDownAndReengagement(t *testing.T) {
 		cfg.Spec.NoPerLockStats = !perLock
 		r := newPolRig(cfg, 2, 2)
 		tp := &r.th[0]
-		log := []lockRec{{lock: 0, count: 1, write: true}}
+		log := []lockRec{{lock: 0, write: true}}
 		for i := 1; i <= 10; i++ {
 			r.pol.runEnded(tp, log, 1, false)
 			if got, want := r.pol.speculate(tp, 0), i < 10; got != want {
@@ -355,7 +355,7 @@ func TestPolicyProbe(t *testing.T) {
 		}{
 			{"untouched", func(*detsync.Lock) {}, marker<<1 | 1},
 			{"foreign acquisition by a section that stored", func(st *detsync.Lock) { st.ReleaseDLC, st.LastCommitSeq = 50, 9 }, marker << 1},
-			{"foreign acquisition by a read-only section", func(st *detsync.Lock) { st.ReleaseDLC = 50; st.Acquires++ }, marker<<1 | 1},
+			{"foreign acquisition by a read-only section", func(st *detsync.Lock) { st.ReleaseDLC = 50 }, marker<<1 | 1},
 			{"foreign commit", func(st *detsync.Lock) { st.LastCommitSeq = 9 }, marker << 1},
 			{"live owner", func(st *detsync.Lock) { st.Owner = 2 }, marker << 1},
 		} {

@@ -164,3 +164,54 @@ func TestRWLockDeterminism(t *testing.T) {
 		t.Fatalf("rwlock workload not deterministic: heap %x/%x trace %x/%x", h1, h2, s1, s2)
 	}
 }
+
+// TestSharedHoldOutlivesItsRun: a run that commits while it still holds a
+// lock shared leaves a conventional reader behind. Thread 0 read-locks a,
+// and inside the same run takes l and waits on a condition variable, so the
+// run commits at the wait with a still held; thread 0 then works on, writes
+// a marker and only then releases a. Thread 1 signals and takes a
+// exclusively: it must wait for thread 0's release and see the marker.
+func TestSharedHoldOutlivesItsRun(t *testing.T) {
+	const a, l, cv, flag, marker, seen = 0, 1, 0, 8, 9, 10
+	r := newRig(t, lazyCfg(), 2, 64, 2, 1, 0)
+	var waitedInRun bool
+
+	b0 := dvm.NewBuilder("reader")
+	fv, i := b0.Reg(), b0.Reg()
+	b0.RLock(dvm.Const(a))
+	b0.Lock(dvm.Const(l))
+	b0.Load(fv, dvm.Const(flag))
+	b0.While(func(th *dvm.Thread) bool { return th.R(fv) == 0 }, func() {
+		// Inside a run every hold is speculative, a's included.
+		b0.Do(func(th *dvm.Thread) { waitedInRun = waitedInRun || r.eng.ts(th).spec })
+		b0.CondWait(dvm.Const(cv), dvm.Const(l))
+		b0.Load(fv, dvm.Const(flag))
+	})
+	b0.Unlock(dvm.Const(l))
+	b0.ForN(i, 400, func() { b0.Do(func(*dvm.Thread) {}) })
+	b0.Store(dvm.Const(marker), dvm.Const(1))
+	b0.RUnlock(dvm.Const(a))
+
+	b1 := dvm.NewBuilder("writer")
+	j, v := b1.Reg(), b1.Reg()
+	b1.ForN(j, 100, func() { b1.Do(func(*dvm.Thread) {}) })
+	b1.Lock(dvm.Const(l))
+	b1.Store(dvm.Const(flag), dvm.Const(1))
+	b1.CondSignal(dvm.Const(cv))
+	b1.Unlock(dvm.Const(l))
+	b1.Lock(dvm.Const(a))
+	b1.Load(v, dvm.Const(marker))
+	b1.Store(dvm.Const(seen), dvm.FromReg(v))
+	b1.Unlock(dvm.Const(a))
+
+	dvm.Run(r.eng, []*dvm.Program{b0.Build(), b1.Build()})
+	if !waitedInRun {
+		t.Fatal("thread 0 never waited inside a run; the test no longer builds its shape")
+	}
+	if got := r.read(seen); got != 1 {
+		t.Fatalf("writer saw marker %d, want 1: it took a while the committed run's reader still held it", got)
+	}
+	if st := r.tbl.Locks[a]; st.Owner != 0 || st.Readers != 0 {
+		t.Fatalf("lock a left with owner %d, %d readers", st.Owner, st.Readers)
+	}
+}

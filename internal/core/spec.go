@@ -19,7 +19,7 @@ import (
 // fall back to a conventional acquisition (Figure 3 in the paper).
 func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	if ts.spec {
-		if ts.depth > 0 {
+		if len(ts.held) > 0 {
 			// Nested acquisition inside a speculative critical
 			// section: nesting is flattened into the run (§6.2).
 			e.specAcquire(t, ts, l, write)
@@ -40,7 +40,7 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 			e.specAcquire(t, ts, l, write)
 			return
 		}
-	} else if ts.depth == 0 && !ts.noSpecNext && e.pol.speculate(&ts.pol, l) {
+	} else if len(ts.held) == 0 && !ts.noSpecNext && e.pol.speculate(&ts.pol, l) {
 		e.beginRun(t, ts)
 		e.specAcquire(t, ts, l, write)
 		return
@@ -48,11 +48,7 @@ func (e *Engine) lazyAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	// Progress guarantee: after a revert the next critical section runs
 	// without speculation (§3.2).
 	ts.noSpecNext = false
-	if write {
-		e.convLock(t, ts, l)
-	} else {
-		e.convRLock(t, ts, l)
-	}
+	e.convLock(t, ts, l, write)
 }
 
 // beginRun starts a speculation run at the current lock acquisition:
@@ -76,34 +72,26 @@ func (e *Engine) beginRun(t *dvm.Thread, ts *tstate) {
 // with other readers.
 func (e *Engine) specAcquire(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	rec := ts.log.acquire(l, write)
-	op := trace.OpRAcquire
-	if write {
-		ts.heldSpec = append(ts.heldSpec, heldLock{lock: l, stores: t.Stores(), rec: rec})
-		op = trace.OpAcquire
-	} else {
-		ts.heldSpecRead = append(ts.heldSpecRead, l)
-	}
-	ts.depth++
-	if ts.depth == 1 {
+	ts.held = append(ts.held, heldLock{lock: l, stores: t.Stores(), rec: rec, write: write})
+	if len(ts.held) == 1 {
 		ts.runCS++
 	}
 	if e.spec != nil {
 		e.spec.TotalAcquires.Add(1)
 		e.spec.SpecAcquires.Add(1)
 	}
-	e.rec.Sync(t.ID, op, l, e.arb.DLC(t.ID))
+	e.rec.Sync(t.ID, acquireOp(write), l, e.arb.DLC(t.ID))
 }
 
-// specRelease records a speculative exclusive release, and in the log whether
-// the section stored. An irrevocable run terminates at the first point where
-// no locks are held (§3.5).
-func (e *Engine) specRelease(t *dvm.Thread, ts *tstate, l int64) {
-	if h, wrote := dropHeld(&ts.heldSpec, l, t); wrote {
+// specRelease records a speculative release, and in the log whether an
+// exclusive section stored. An irrevocable run terminates at the first point
+// where no locks are held (§3.5).
+func (e *Engine) specRelease(t *dvm.Thread, ts *tstate, l int64, write bool) {
+	if h, wrote := ts.drop(t, l, write); write && wrote {
 		ts.log.locks[h.rec].wrote = true
 	}
-	ts.depth--
-	e.rec.Sync(t.ID, trace.OpRelease, l, e.arb.DLC(t.ID))
-	if ts.irrevocable && ts.depth == 0 {
+	e.rec.Sync(t.ID, releaseOp(write), l, e.arb.DLC(t.ID))
+	if ts.irrevocable && len(ts.held) == 0 {
 		e.terminateRun(t, ts) // commits: irrevocable runs never revert
 	}
 }
@@ -181,30 +169,24 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 	} else {
 		e.sync(t, ts, mempipe.Acquire, noLock)
 	}
-	for _, h := range ts.heldSpec {
-		// A lock still held publishes what its section stored so far with
-		// this commit, and keeps its acquisition count: the conventional
+	for _, h := range ts.held {
+		// A lock still held turns conventional in its mode. An exclusive
+		// one publishes what its section stored so far with this commit,
+		// and keeps the store count from its acquisition: the conventional
 		// release that ends the section publishes it again.
-		if h.wrote(t) {
+		if h.write && h.wrote(t) {
 			ts.log.locks[h.rec].wrote = true
 		}
-		e.tbl.Locks[h.lock].Owner = int32(t.ID) + 1
-		ts.heldConv = append(ts.heldConv, h)
+		e.hold(t.ID, h)
 	}
 	my := e.arb.DLC(t.ID)
 	seq := e.pipe.Seq()
 	for _, r := range ts.log.locks {
-		st := &e.tbl.Locks[r.lock]
 		if r.wrote {
-			st.LastCommitSeq = seq
+			e.tbl.Locks[r.lock].LastCommitSeq = seq
 		}
-		st.Acquires += int64(r.count)
 	}
 	e.commitAtomicsLocked(ts)
-	for _, l := range ts.heldSpecRead {
-		e.tbl.Locks[l].Readers++
-		ts.heldConvRead = append(ts.heldConvRead, l)
-	}
 	e.pol.runEnded(&ts.pol, ts.log.locks, ts.runCS, true)
 	if e.spec != nil {
 		e.spec.Commits.Add(1)
@@ -255,9 +237,11 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 	}
 	e.rec.Sync(t.ID, trace.OpSpecRevert, int64(ts.runCS), e.arb.DLC(t.ID))
 	ts.noSpecNext = true
-	// The log's wrote flags go with it: discarded writes never became visible.
+	// The log's wrote flags go with it: discarded writes never became
+	// visible. Every hold was speculative: runs begin outside critical
+	// sections.
 	e.resetSpec(ts)
-	ts.depth = len(ts.heldConv) + len(ts.heldConvRead) // always 0: runs begin outside critical sections
+	ts.held = ts.held[:0]
 }
 
 // resetSpec clears per-run state: O(1), the log's buffers are retained.
@@ -267,8 +251,6 @@ func (e *Engine) resetSpec(ts *tstate) {
 	ts.snap = nil
 	ts.dirtySnap = nil
 	ts.log.reset()
-	ts.heldSpec = ts.heldSpec[:0]
-	ts.heldSpecRead = ts.heldSpecRead[:0]
 	ts.runCS = 0
 }
 
@@ -280,7 +262,7 @@ func (e *Engine) resetSpec(ts *tstate) {
 // disabled (Figure 11's ablation) the run reverts instead and the syscall
 // re-executes non-speculatively. Returns false if the thread was reverted.
 func (e *Engine) enterIrrevocable(t *dvm.Thread, ts *tstate) bool {
-	if ts.depth == 0 {
+	if len(ts.held) == 0 {
 		return e.terminateRun(t, ts)
 	}
 	if e.cfg.Spec.NoIrrevocable {

@@ -3,9 +3,8 @@ package core
 // lockRec is one lock's record in a run's log L_i.
 type lockRec struct {
 	lock  int64
-	count int32 // acquisitions during the run, shared and exclusive
-	write bool  // taken exclusively at least once
-	wrote bool  // an exclusive section under it stored (heldLock)
+	write bool // taken exclusively at least once
+	wrote bool // an exclusive section under it stored (heldLock)
 }
 
 // specLog is the thread-local speculation log (§3.1): the locks a run
@@ -26,17 +25,16 @@ type specLog struct {
 }
 
 // acquire logs an acquisition of l and returns the index of l's record,
-// which a speculative exclusive hold keeps (heldLock.rec) to mark the record
-// written at release without a second scan.
+// which a speculative hold keeps (heldLock.rec) so that an exclusive release
+// marks the record written without a second scan.
 func (g *specLog) acquire(l int64, write bool) int32 {
 	for i := len(g.locks) - 1; i >= 0; i-- {
 		if r := &g.locks[i]; r.lock == l {
-			r.count++
 			r.write = r.write || write
 			return int32(i)
 		}
 	}
-	g.locks = append(g.locks, lockRec{lock: l, count: 1, write: write})
+	g.locks = append(g.locks, lockRec{lock: l, write: write})
 	return int32(len(g.locks) - 1)
 }
 

@@ -14,32 +14,60 @@ import (
 // slowest obvious way. It models bookkeeping only — whether an acquisition
 // speculates is read off the engine, never re-derived.
 type logModel struct {
-	order     []int64        // L_i in first-acquisition order
-	count     map[int64]int  // acquisitions per logged lock
-	write     map[int64]bool // taken exclusively at least once
-	wrote     map[int64]bool // an exclusive section under it stored, released in the run
-	atoms     []int64        // atomically accessed locations, first-touch order
-	stores    int64          // the thread's stores and atomics so far
-	heldSpec  []heldLock     // each hold with the store count at its acquisition
-	heldConv  []heldLock
-	acquires  map[int64]int64 // what the lock table's Acquires must total
+	order     []int64         // L_i in first-acquisition order
+	write     map[int64]bool  // taken exclusively at least once
+	wrote     map[int64]bool  // an exclusive section under it stored, released in the run
+	atoms     []int64         // atomically accessed locations, first-touch order
+	stores    int64           // the thread's stores and atomics so far
+	held      []modelHold     // every hold, in acquisition order
+	owner     map[int64]int32 // what each lock's Owner must be
+	readers   map[int64]int32 // what each lock's Readers must be
 	commitSeq map[int64]int64 // what each lock's LastCommitSeq must be
 }
 
-func newLogModel() *logModel {
-	return &logModel{count: map[int64]int{}, write: map[int64]bool{}, wrote: map[int64]bool{},
-		acquires: map[int64]int64{}, commitSeq: map[int64]int64{}}
+// modelHold is a hold with its mode, its store count at acquisition, and
+// whether it is speculative: the engine keeps no such bit, because inside a
+// run every hold is speculative and outside one none is.
+type modelHold struct {
+	heldLock
+	spec bool
 }
 
-func (m *logModel) specAcquire(l int64, write bool) {
-	if m.count[l] == 0 {
-		m.order = append(m.order, l)
-	}
-	m.count[l]++
+func newLogModel() *logModel {
+	return &logModel{write: map[int64]bool{}, wrote: map[int64]bool{},
+		owner: map[int64]int32{}, readers: map[int64]int32{}, commitSeq: map[int64]int64{}}
+}
+
+// take books l as conventionally held by the model's one thread (tid 0).
+func (m *logModel) take(l int64, write bool) {
 	if write {
-		m.write[l] = true
-		m.heldSpec = append(m.heldSpec, heldLock{lock: l, stores: m.stores, rec: m.rec(l)})
+		m.owner[l] = 1
+	} else {
+		m.readers[l]++
 	}
+}
+
+func (m *logModel) acquire(l int64, write, spec bool) {
+	h := heldLock{lock: l, stores: m.stores, write: write}
+	if spec {
+		if !m.logged(l) {
+			m.order = append(m.order, l)
+		}
+		m.write[l] = m.write[l] || write
+		h.rec = m.rec(l)
+	} else {
+		m.take(l, write)
+	}
+	m.held = append(m.held, modelHold{h, spec})
+}
+
+func (m *logModel) logged(l int64) bool {
+	for _, o := range m.order {
+		if o == l {
+			return true
+		}
+	}
+	return false
 }
 
 // rec is l's position in L_i, which a speculative hold records.
@@ -52,23 +80,32 @@ func (m *logModel) rec(l int64) int32 {
 	panic(fmt.Sprintf("model: lock %d not logged", l))
 }
 
-func (m *logModel) convAcquire(l int64, write bool) {
-	m.acquires[l]++
-	if write {
-		m.heldConv = append(m.heldConv, heldLock{lock: l, stores: m.stores})
-	}
-}
-
-// dropLastOf removes the newest hold of l and reports whether the thread
-// stored while it was held.
-func (m *logModel) dropLastOf(s *[]heldLock, l int64) (stored bool) {
-	for i := len(*s) - 1; i >= 0; i-- {
-		if h := (*s)[i]; h.lock == l {
-			*s = append((*s)[:i], (*s)[i+1:]...)
-			return m.stores > h.stores
+// release drops the newest hold of l in the given mode. A speculative
+// exclusive section that stored marks l written in the log; a conventional
+// release frees l in the table, and moves its commit sequence to seq when the
+// exclusive section stored.
+func (m *logModel) release(l int64, write bool, seq int64) {
+	for i := len(m.held) - 1; i >= 0; i-- {
+		h := m.held[i]
+		if h.lock != l || h.write != write {
+			continue
 		}
+		m.held = append(m.held[:i], m.held[i+1:]...)
+		stored := m.stores > h.stores
+		switch {
+		case h.spec:
+			m.wrote[l] = m.wrote[l] || write && stored
+		case !write:
+			m.readers[l]--
+		default:
+			m.owner[l] = 0
+			if stored {
+				m.commitSeq[l] = seq
+			}
+		}
+		return
 	}
-	panic(fmt.Sprintf("model: lock %d not held", l))
+	panic(fmt.Sprintf("model: lock %d not held (write %v)", l, write))
 }
 
 func (m *logModel) touchAtomic(addr int64) {
@@ -80,51 +117,67 @@ func (m *logModel) touchAtomic(addr int64) {
 	m.atoms = append(m.atoms, addr)
 }
 
-// endRun ends the run; a committed one published at heap sequence seq.
+// endRun ends the run; a committed one published at heap sequence seq, and
+// its holds still open turn conventional in their modes, store counts and
+// all. A reverted one loses its holds.
 func (m *logModel) endRun(committed bool, seq int64) {
-	if committed {
-		for _, h := range m.heldSpec {
-			if m.stores > h.stores { // still held: its stores so far publish now
+	var kept []modelHold
+	for _, h := range m.held {
+		switch {
+		case !h.spec:
+			kept = append(kept, h)
+		case committed:
+			if h.write && m.stores > h.stores { // its stores so far publish now
 				m.wrote[h.lock] = true
 			}
+			m.take(h.lock, h.write)
+			kept = append(kept, modelHold{h.heldLock, false})
 		}
+	}
+	if committed {
 		for _, l := range m.order {
-			m.acquires[l] += int64(m.count[l])
 			if m.wrote[l] {
 				m.commitSeq[l] = seq
 			}
 		}
-		m.heldConv = append(m.heldConv, m.heldSpec...) // still-held locks turn conventional, counts and all
 	}
-	m.order, m.atoms, m.heldSpec = nil, nil, nil
-	m.count, m.write, m.wrote = map[int64]int{}, map[int64]bool{}, map[int64]bool{}
+	m.held = kept
+	m.order, m.atoms = nil, nil
+	m.write, m.wrote = map[int64]bool{}, map[int64]bool{}
 }
 
-// diff compares the engine's flat log, held lists and the lock table's
-// commit sequences with the model.
+// diff compares the engine's flat log, hold list and lock table with the
+// model.
 func (m *logModel) diff(ts *tstate, locks []detsync.Lock) error {
 	if len(ts.log.locks) != len(m.order) {
 		return fmt.Errorf("log has %d locks %v, model %v", len(ts.log.locks), ts.log.locks, m.order)
 	}
 	for i, r := range ts.log.locks {
 		l := m.order[i]
-		if r.lock != l || int(r.count) != m.count[l] || r.write != m.write[l] || r.wrote != m.wrote[l] {
-			return fmt.Errorf("log[%d] = %+v, model lock %d count %d write %v wrote %v",
-				i, r, l, m.count[l], m.write[l], m.wrote[l])
+		if r.lock != l || r.write != m.write[l] || r.wrote != m.wrote[l] {
+			return fmt.Errorf("log[%d] = %+v, model lock %d write %v wrote %v", i, r, l, m.write[l], m.wrote[l])
 		}
 	}
 	if fmt.Sprint(ts.log.atoms) != fmt.Sprint(m.atoms) {
 		return fmt.Errorf("atomic log %v, model %v", ts.log.atoms, m.atoms)
 	}
-	if fmt.Sprint(ts.heldSpec) != fmt.Sprint(m.heldSpec) {
-		return fmt.Errorf("heldSpec %v, model %v", ts.heldSpec, m.heldSpec)
+	held := make([]heldLock, len(m.held))
+	for i, h := range m.held {
+		if h.spec != ts.spec {
+			return fmt.Errorf("model hold %+v speculative %v in a thread with spec=%v", h.heldLock, h.spec, ts.spec)
+		}
+		held[i] = h.heldLock
 	}
-	if fmt.Sprint(ts.heldConv) != fmt.Sprint(m.heldConv) {
-		return fmt.Errorf("heldConv %v, model %v", ts.heldConv, m.heldConv)
+	if fmt.Sprint(ts.held) != fmt.Sprint(held) {
+		return fmt.Errorf("held %v, model %v", ts.held, held)
 	}
 	for l := range locks {
-		if got, want := locks[l].LastCommitSeq, m.commitSeq[int64(l)]; got != want {
-			return fmt.Errorf("lock %d: LastCommitSeq %d, model %d", l, got, want)
+		st, id := &locks[l], int64(l)
+		if st.Owner != m.owner[id] || st.Readers != m.readers[id] {
+			return fmt.Errorf("lock %d: Owner %d Readers %d, model %d %d", l, st.Owner, st.Readers, m.owner[id], m.readers[id])
+		}
+		if st.LastCommitSeq != m.commitSeq[id] {
+			return fmt.Errorf("lock %d: LastCommitSeq %d, model %d", l, st.LastCommitSeq, m.commitSeq[id])
 		}
 	}
 	return nil
@@ -133,11 +186,12 @@ func (m *logModel) diff(ts *tstate, locks []detsync.Lock) error {
 // TestSpecLogMatchesMapModel drives random acquire / nested acquire /
 // read-then-write upgrade / atomic / store / release / commit / revert
 // sequences through a one-thread LazyDet engine and checks the flat log
-// against the map model after every step: equal counts, write and wrote
-// flags, first-acquisition order, held locks with their acquisition store
-// counts, nothing stale after a run ends, every lock's commit sequence moved
-// exactly by the releases and commits of sections that stored, and at the
-// end the per-lock acquisition totals the commits booked.
+// against the map model after every step: equal write and wrote flags,
+// first-acquisition order, the hold list with each hold's mode and
+// acquisition store count, nothing stale after a run ends, every lock's Owner
+// and Readers (so a hold, exclusive or shared, that outlives its run's
+// commit is a conventional one), and every lock's commit sequence moved
+// exactly by the releases and commits of sections that stored.
 func TestSpecLogMatchesMapModel(t *testing.T) {
 	const locks, atomBase, steps = 6, 40, 400
 	type hold struct {
@@ -181,30 +235,18 @@ func TestSpecLogMatchesMapModel(t *testing.T) {
 				if r.spec.Commits.Load() != before {
 					m.endRun(true, e.pipe.Seq())
 				}
-				if ts.spec {
-					m.specAcquire(l, write)
-				} else {
-					m.convAcquire(l, write)
-				}
+				m.acquire(l, write, ts.spec)
 				stack = append(stack, hold{l, write})
 			}
 			release := func(i int) { // any hold, not only the newest
 				h := stack[i]
 				stack = append(stack[:i], stack[i+1:]...)
-				switch {
-				case !h.write:
+				if h.write {
+					e.Unlock(th, h.l)
+				} else {
 					e.RUnlock(th, h.l)
-				case ts.spec:
-					e.Unlock(th, h.l)
-					if m.dropLastOf(&m.heldSpec, h.l) {
-						m.wrote[h.l] = true
-					}
-				default:
-					e.Unlock(th, h.l)
-					if m.dropLastOf(&m.heldConv, h.l) {
-						m.commitSeq[h.l] = e.pipe.Seq()
-					}
 				}
+				m.release(h.l, h.write, e.pipe.Seq())
 			}
 			for step := 0; step < steps; step++ {
 				l := rng.Int63n(locks)
@@ -261,11 +303,6 @@ func TestSpecLogMatchesMapModel(t *testing.T) {
 		dvm.Run(e, []*dvm.Program{b.Build()})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for l := int64(0); l < locks; l++ {
-			if got := r.tbl.Locks[l].Acquires; got != m.acquires[l] {
-				t.Fatalf("seed %d: lock %d booked %d acquisitions, model %d", seed, l, got, m.acquires[l])
-			}
 		}
 	}
 }

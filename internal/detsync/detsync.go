@@ -33,8 +33,6 @@ type Lock struct {
 	// be reverted. It replaces the paper's G_l (§3.2), the DLC of the most
 	// recent acquisition, which a section that only read moved too.
 	LastCommitSeq int64
-	// Acquires counts total acquisitions (Table 1 statistics).
-	Acquires int64
 	// SpecHist is storage for the per-thread 64-bit success histories of
 	// core's speculation policy (paper §3.4), one word per thread so
 	// decisions stay deterministic (paper footnote 3). Allocated by NewTable,

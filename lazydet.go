@@ -18,7 +18,10 @@
 //     acquisitions run speculatively with no global coordination;
 //     determinism is enforced after the fact by validating, at a
 //     deterministic commit point, that no lock in the run's log was
-//     acquired by another thread since the run began. Failed runs roll
+//     acquired by another thread since the run began. Refined here, a
+//     foreign acquisition counts only if it is still held against the run
+//     or its critical section stored and committed past the run's heap
+//     base: a section that only read invalidates nothing. Failed runs roll
 //     back (thread state snapshot + versioned-memory revert) and re-run.
 //
 // Programs are built with the structured Builder API:
