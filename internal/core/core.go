@@ -174,6 +174,10 @@ type Engine struct {
 	// mems holds the per-thread memory windows, indexed by thread ID.
 	mems []mempipe.Thread
 
+	// started[tid] is closed when thread tid's ThreadStart has run, so a
+	// suspended thread is registered as parked before Spawn unparks it.
+	started []chan struct{}
+
 	// audit is the invariant checker, nil unless Config.CheckInvariants.
 	audit *invariant.Checker
 
@@ -183,6 +187,11 @@ type Engine struct {
 
 	// pol is the speculation and elision policy (policy.go).
 	pol policy
+
+	// waiters is every thread parked on a held lock, a live join target or
+	// the irrevocable run, in park order: one FIFO for all events, in engine
+	// state rather than on each lock, mutated only at turns.
+	waiters []waiter
 }
 
 // New builds an engine. It panics on inconsistent configuration, which is a
@@ -224,8 +233,10 @@ func New(cfg Config, d Deps) *Engine {
 	// baseAtBegin, hence its validation outcome, would depend on host
 	// scheduling (TestInitialViewBaseIgnoresStartOrder).
 	e.mems = make([]mempipe.Thread, d.Arb.N())
+	e.started = make([]chan struct{}, d.Arb.N())
 	for tid := range e.mems {
 		e.mems[tid] = e.pipe.NewThread(tid)
+		e.started[tid] = make(chan struct{})
 	}
 	if cfg.CheckInvariants {
 		e.audit = invariant.New(d.Arb, d.Tbl, d.Heap, d.OnViolation)
@@ -332,7 +343,9 @@ func (e *Engine) newTState(tid int) *tstate {
 
 // ThreadStart implements dvm.Engine. Suspended threads are registered as
 // parked, so they do not pin the global clock minimum at zero before they
-// are spawned.
+// are spawned, and Spawn waits for that registration: arriving after the
+// spawn's Unpark, it would park a running thread, and a joiner parking on
+// it would find every thread parked.
 func (e *Engine) ThreadStart(t *dvm.Thread) {
 	ts := e.newTState(t.ID)
 	t.Mem = ts.mem
@@ -352,6 +365,7 @@ func (e *Engine) ThreadStart(t *dvm.Thread) {
 	if t.Prog().StartSuspended {
 		e.arb.SetParked(t.ID)
 	}
+	close(e.started[t.ID])
 }
 
 // ThreadExit implements dvm.Engine: terminate any outstanding speculation
@@ -370,12 +384,13 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 	}
 	// Take a final turn: the exit commit publishes outstanding writes
 	// (strong mode), and Exit in place of releasing the turn makes the
-	// Exited status visible exactly at this deterministic boundary, which
-	// keeps joiners' retry counts deterministic. Exit is a cross-thread
-	// visibility point (joiners adopt this state), so deferred publications
-	// settle here.
+	// Exited status visible exactly at this deterministic boundary, where
+	// the thread's joiners are woken. Exit is a cross-thread visibility
+	// point (joiners adopt this state), so deferred publications settle
+	// here.
 	e.waitCommitTurn(t)
 	e.sync(t, ts, mempipe.Park, noLock)
+	e.wake(t, waitJoin, int64(t.ID))
 	if e.tel != nil {
 		// The thread's final clock: summed over threads this is the run's
 		// total deterministic logical work, the report's "dlc.total".
@@ -420,38 +435,27 @@ func (e *Engine) waitTurn(t *dvm.Thread) {
 	e.times.AddBlocked(t.ID, time.Since(start).Nanoseconds())
 }
 
-// The engine's logical-time costs. No caller has ever needed other values,
-// so they are constants, not configuration.
-const (
-	// quantum is the DLC increment charged when a deterministic acquisition
-	// attempt fails and the thread re-queues for the turn.
-	quantum int64 = 4
-	// syncCost is the DLC increment charged for a completed synchronization
-	// operation.
-	syncCost int64 = 2
-	// maxBackoff caps the exponential retry quantum. Retry bumps stay
-	// deterministic — they depend only on the retry count — while convoys of
-	// many threads spinning on one contended resource advance their clocks
-	// quickly instead of re-queuing at every quantum.
-	maxBackoff = 512
-)
+// syncCost is the DLC increment charged for a completed synchronization
+// operation. No caller has ever needed another value, so it is a constant,
+// not configuration.
+const syncCost int64 = 2
 
 // waitCommitTurn blocks for a turn at which the thread is allowed to commit:
 // while another thread holds irrevocable status, everyone else's commits are
-// blocked (paper §3.5), implemented as deterministic quantum bumps.
+// blocked (paper §3.5). A thread granted the turn during that time parks
+// behind the irrevocable run, and the run's commit wakes it (wake).
 //
 // With telemetry enabled the whole wait is one turn-wait span in DLC time:
 // from the clock at which the thread first requested the turn to the clock
-// at which a commit-capable turn was granted. Both stamps, and the retry
-// count, are deterministic — retries depend only on the deterministic
-// irrevocability schedule.
+// at which a commit-capable turn was granted. Both stamps, and the count of
+// turns granted while another run was irrevocable, are deterministic — they
+// depend only on the deterministic irrevocability schedule.
 func (e *Engine) waitCommitTurn(t *dvm.Thread) {
 	defer phaseBegin("grant")()
 	var d0, retries int64
 	if e.tel != nil {
 		d0 = e.arb.DLC(t.ID)
 	}
-	backoff := quantum
 	for {
 		e.waitTurn(t)
 		if e.audit != nil {
@@ -460,19 +464,80 @@ func (e *Engine) waitCommitTurn(t *dvm.Thread) {
 		if e.irrevocableOwner == -1 || e.irrevocableOwner == t.ID {
 			if e.tel != nil {
 				e.turnWaits.Add(1)
-				if retries > 0 {
-					e.tel.Count("turn.retries", retries)
-				}
 				e.tel.Span(t.ID, telemetry.SpanTurnWait, d0, e.arb.DLC(t.ID), retries)
 			}
 			return
 		}
 		retries++
-		e.arb.ReleaseTurn(t.ID, backoff)
-		if backoff < maxBackoff {
-			backoff *= 2
-		}
+		e.park(t, waiter{kind: waitIrrevocable})
 	}
+}
+
+// waitKind names the event a parked thread waits for.
+type waitKind uint8
+
+const (
+	waitLock        waitKind = iota // its lock's release
+	waitJoin                        // its target's exit
+	waitIrrevocable                 // the irrevocable run's commit
+)
+
+// waiter is a thread parked until an event frees it: a lock it cannot take
+// (in the mode write says), a join target that has not exited, or the
+// irrevocable run.
+type waiter struct {
+	tid   int
+	kind  waitKind
+	write bool  // waitLock: an exclusive acquisition
+	on    int64 // the lock, or the join target
+}
+
+// park queues thread t behind w's event and parks it until the event's turn
+// wakes it. Caller holds the turn, which it gives up; on return the thread
+// is running again, with the clock its waker gave it, and holds no turn.
+func (e *Engine) park(t *dvm.Thread, w waiter) {
+	w.tid = t.ID
+	e.waiters = append(e.waiters, w)
+	e.arb.Park(t.ID)
+	e.blockedWake(t)
+}
+
+// wake unparks, in park order, the threads that the event (kind, on) frees:
+// for a lock the head of its queue and, if the head is a reader, the readers
+// queued directly behind it; for a join or the irrevocable run every waiter.
+// The k-th woken gets clock max(own, my+1+k), my the waker's — like
+// CondBroadcast, a function of the waker's turn and the queue order, both
+// turn-ordered. A woken thread re-checks its condition at its next turn and
+// parks again, at the tail, if another took the lock first. Caller holds the
+// turn.
+func (e *Engine) wake(t *dvm.Thread, kind waitKind, on int64) {
+	if len(e.waiters) == 0 {
+		return
+	}
+	my := e.arb.DLC(t.ID)
+	var k int64
+	headWrite, done := false, false
+	kept := e.waiters[:0]
+	for _, w := range e.waiters {
+		if done || w.kind != kind || w.on != on {
+			kept = append(kept, w)
+			continue
+		}
+		if kind == waitLock && k > 0 && (headWrite || w.write) {
+			done = true
+			kept = append(kept, w)
+			continue
+		}
+		headWrite = headWrite || w.write
+		c := my + 1 + k
+		if own := e.arb.DLC(w.tid); own > c {
+			c = own
+		}
+		e.arb.Unpark(w.tid, c)
+		e.tbl.Wake(w.tid)
+		k++
+	}
+	e.waiters = kept
 }
 
 // blockedWake waits for a Wake, charging blocked time.

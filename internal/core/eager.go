@@ -55,15 +55,16 @@ func (e *Engine) release(t *dvm.Thread, l int64, write bool) {
 
 // convLock performs a deterministic eager acquisition: wait for the turn,
 // publish and refresh memory, and take the lock if it is free and was
-// released in the logical past. Otherwise charge a quantum to the clock and
-// re-queue — the Kendo retry discipline, deterministic because lock state
-// only changes at turns and release times are recorded in logical time. A
-// writer needs the lock free of readers too; a reader only of a writer. The
-// acquisition conflicts with no speculation run; only a release that stored
-// does (convUnlock).
+// released in the logical past. A writer needs the lock free of readers too;
+// a reader only of a writer. A lock held against the thread queues it and
+// parks it at this turn; the release that frees the lock hands it off (wake),
+// and the thread retries at its next turn, one DLC after the release. A free
+// lock released in the thread's logical future moves the clock to the release
+// once. Deterministic because lock state, the queue and the woken clocks
+// change only at turns. The acquisition conflicts with no speculation run;
+// only a release that stored does (convUnlock).
 func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	st := &e.tbl.Locks[l]
-	backoff := quantum
 	for {
 		e.waitCommitTurn(t)
 		// A reacquisition is not a cross-thread visibility point, so the
@@ -71,7 +72,9 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 		// same-owner elision win.
 		e.sync(t, ts, mempipe.Acquire, noLock)
 		my := e.arb.DLC(t.ID)
-		if st.Owner == 0 && (!write || st.Readers == 0) && (e.arb.Nondet() || st.ReleaseDLC <= my) {
+		free := st.Owner == 0 && (!write || st.Readers == 0)
+		switch {
+		case free && (e.arb.Nondet() || st.ReleaseDLC <= my):
 			e.pol.convAcquired(&ts.pol, len(ts.held), l, write)
 			h := heldLock{lock: l, stores: t.Stores(), write: write}
 			e.hold(t.ID, h)
@@ -82,16 +85,15 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 			e.rec.Sync(t.ID, acquireOp(write), l, my)
 			e.arb.ReleaseTurn(t.ID, syncCost)
 			return
-		}
-		e.arb.ReleaseTurn(t.ID, backoff)
-		if backoff < maxBackoff {
-			backoff *= 2
-		}
-		if e.arb.Nondet() {
-			// Nondeterministic mode has no logical clock to order the
-			// retry behind the holder's release; yield instead of
-			// spinning on the global serialization point.
+		case free:
+			e.arb.ReleaseTurn(t.ID, st.ReleaseDLC-my)
+		case e.arb.Nondet():
+			// Nondeterministic mode has no logical clock to order a wake
+			// behind the holder's release; yield and retry instead.
+			e.arb.ReleaseTurn(t.ID, 0)
 			runtime.Gosched()
+		default:
+			e.park(t, waiter{kind: waitLock, write: write, on: l})
 		}
 	}
 }
@@ -118,7 +120,9 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 		if st.Readers <= 0 {
 			panic(fmt.Sprintf("core: thread %d runlocks lock %d with no readers", t.ID, l))
 		}
-		st.Readers--
+		if st.Readers--; st.Readers == 0 {
+			e.wake(t, waitLock, l)
+		}
 		ts.drop(t, l, false)
 	} else {
 		e.pol.convReleased(&ts.pol, l, e.unlockOwned(t, ts, l).LastCommitSeq)
@@ -128,9 +132,11 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 }
 
 // unlockOwned frees the exclusively held l, recording the release time for
-// deterministic future acquires. A shared release does none of this: a
-// read-only section neither delays acquirers in logical time nor invalidates
-// any speculation. Caller holds the turn and has published.
+// deterministic future acquires, and wakes the head of its queue. A shared
+// release does none of the first: a read-only section neither delays
+// acquirers in logical time nor invalidates any speculation (convUnlock wakes
+// the queue when the last reader leaves). Caller holds the turn and has
+// published.
 func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) *detsync.Lock {
 	st := &e.tbl.Locks[l]
 	if st.Owner != int32(t.ID)+1 {
@@ -144,6 +150,7 @@ func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) *detsync.Lock {
 		// that stored nothing invalidates nobody.
 		st.LastCommitSeq = e.pipe.Seq()
 	}
+	e.wake(t, waitLock, l)
 	return st
 }
 

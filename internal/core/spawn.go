@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+
 	"lazydet/internal/dlc"
 	"lazydet/internal/dvm"
 	"lazydet/internal/mempipe"
@@ -16,11 +18,12 @@ import (
 //   - Spawn happens at the spawner's turn: the spawner publishes its memory
 //     (create has release semantics), the child's clock is derived from the
 //     spawner's, and the child is released. All deterministic.
-//   - Join retries at the joiner's turns until the target has exited.
-//     Exits become visible exactly at the exiting thread's final commit
-//     turn (the arbiter transitions Turn→Exited in place), so the retry
-//     count — and with it the joiner's clock — is deterministic. The join
-//     then refreshes the joiner's view (join has acquire semantics).
+//   - A join whose target has not exited parks the joiner at its turn. The
+//     target's final commit turn wakes it one DLC later (ThreadExit), and
+//     the exit becomes visible exactly at that turn (the arbiter
+//     transitions Turn→Exited in place), so the joiner's clock is
+//     deterministic. The join then refreshes the joiner's view (join has
+//     acquire semantics).
 
 // ThreadResume refreshes a freshly spawned thread's memory view to exactly
 // the state its spawner published: the acquire half of pthread_create's
@@ -47,6 +50,7 @@ func (e *Engine) Spawn(t *dvm.Thread, target int) {
 	e.sync(t, ts, mempipe.Signal, noLock)
 	e.tbl.SpawnSeq[target] = e.pipe.Seq()
 	my := e.arb.DLC(t.ID)
+	<-e.started[target]
 	e.arb.Unpark(target, my+1)
 	t.Group().StartThread(target)
 	e.rec.Sync(t.ID, trace.OpSpawn, int64(target), my)
@@ -61,7 +65,6 @@ func (e *Engine) Join(t *dvm.Thread, target int) {
 			return
 		}
 	}
-	backoff := quantum
 	for {
 		e.waitCommitTurn(t)
 		if e.arb.Status(target) == dlc.StatusExited {
@@ -74,9 +77,13 @@ func (e *Engine) Join(t *dvm.Thread, target int) {
 			e.arb.ReleaseTurn(t.ID, syncCost)
 			return
 		}
-		e.arb.ReleaseTurn(t.ID, backoff)
-		if backoff < maxBackoff {
-			backoff *= 2
+		if e.arb.Nondet() {
+			// The target exits without a turn in nondeterministic mode,
+			// so nothing wakes a parked joiner; yield and retry.
+			e.arb.ReleaseTurn(t.ID, 0)
+			runtime.Gosched()
+			continue
 		}
+		e.park(t, waiter{kind: waitJoin, on: int64(target)})
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"lazydet/internal/dvm"
 )
@@ -68,5 +69,43 @@ func TestInitialViewBaseIgnoresStartOrder(t *testing.T) {
 	}
 	if lateReverts != 1 {
 		t.Fatalf("%d reverts, want 1: thread 1's run began before the DLC-0 commit in logical time", lateReverts)
+	}
+}
+
+// lateStart delays one thread's ThreadStart by a wall-clock pause.
+type lateStart struct {
+	*Engine
+	late int
+}
+
+func (g lateStart) ThreadStart(t *dvm.Thread) {
+	if t.ID == g.late {
+		time.Sleep(20 * time.Millisecond)
+	}
+	g.Engine.ThreadStart(t)
+}
+
+// TestSpawnWaitsForSuspendedThreadStart: a suspended thread registers as
+// parked in its own ThreadStart, which the host may run after its spawner's
+// Spawn. Registered late, it would park a thread the spawn had already
+// unparked, and the spawner's Join, parking on it, would leave every thread
+// parked: a deadlock report for a program that has none.
+func TestSpawnWaitsForSuspendedThreadStart(t *testing.T) {
+	r := newRig(t, Config{Mode: ModeStrong}, 2, 64, 0, 0, 0)
+	deadlocks := 0
+	r.eng.arb.SetDeadlockHandler(func() { deadlocks++ })
+	m := dvm.NewBuilder("main")
+	m.Spawn(dvm.Const(1))
+	m.Join(dvm.Const(1))
+	c := dvm.NewBuilder("child")
+	c.Store(dvm.Const(8), dvm.Const(1))
+	child := c.Build()
+	child.StartSuspended = true
+	dvm.Run(lateStart{Engine: r.eng, late: 1}, []*dvm.Program{m.Build(), child})
+	if deadlocks != 0 {
+		t.Fatalf("%d deadlock reports for a spawn and a join", deadlocks)
+	}
+	if got := r.read(8); got != 1 {
+		t.Fatalf("word 8 = %d after the join, want the child's 1", got)
 	}
 }

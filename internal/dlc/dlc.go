@@ -66,10 +66,10 @@ const (
 	// globally ordered action. Their DLC still participates in the
 	// minimum, which is what serializes turn holders.
 	StatusTurn
-	// StatusParked threads are blocked on a condition variable or barrier
-	// and are excluded from the minimum computation. Threads may only be
-	// parked at a deterministic point (while holding the turn), which is
-	// what keeps exclusion deterministic.
+	// StatusParked threads are blocked on a condition variable, barrier,
+	// lock, join or irrevocable run and are excluded from the minimum
+	// computation. Threads may only be parked at a deterministic point
+	// (while holding the turn), which is what keeps exclusion deterministic.
 	StatusParked
 	// StatusExited threads have finished their program.
 	StatusExited
@@ -270,7 +270,7 @@ func (a *Arbiter) checkDeadlockLocked() {
 		a.onDeadlock()
 		return
 	}
-	panic("dlc: deterministic deadlock — every thread is parked on a condition variable or barrier and no waker remains")
+	panic("dlc: deterministic deadlock — every thread is parked on a condition variable, barrier, lock or join and no waker remains")
 }
 
 // N returns the number of threads the arbiter manages.

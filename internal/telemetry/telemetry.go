@@ -6,7 +6,7 @@
 //
 // The registry holds three metric kinds:
 //
-//   - counters: monotone int64 sums ("vheap.words_scanned", "turn.retries");
+//   - counters: monotone int64 sums ("vheap.words_scanned", "turn.waits");
 //   - gauges:   last-write-wins float64 values ("wall_ns");
 //   - histograms: int64 samples bucketed into a fixed power-of-two layout,
 //     so the bucket boundaries never depend on the data and the serialized
@@ -38,8 +38,8 @@ type SpanKind uint8
 const (
 	// SpanTurnWait covers a thread's wait for the deterministic turn, from
 	// the DLC at which it first requested the turn to the DLC at which a
-	// commit-capable turn was granted (backoff re-queues advance the clock
-	// in between).
+	// commit-capable turn was granted (parks behind an irrevocable run lie
+	// in between; Arg counts them).
 	SpanTurnWait SpanKind = iota + 1
 	// SpanSpec covers a speculation run, BEGIN_i to termination.
 	SpanSpec
