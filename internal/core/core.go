@@ -188,9 +188,10 @@ type Engine struct {
 	// pol is the speculation and elision policy (policy.go).
 	pol policy
 
-	// waiters is every thread parked on a held lock, a live join target or
-	// the irrevocable run, in park order: one FIFO for all events, in engine
-	// state rather than on each lock, mutated only at turns.
+	// waiters is every thread parked on a held lock, a live join target,
+	// the irrevocable run, a condition variable or a barrier, in park order:
+	// one FIFO for all events, in engine state rather than on each object,
+	// mutated only at turns. A thread sits in it at most once.
 	waiters []waiter
 }
 
@@ -390,7 +391,7 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 	// here.
 	e.waitCommitTurn(t)
 	e.sync(t, ts, mempipe.Park, noLock)
-	e.wake(t, waitJoin, int64(t.ID))
+	e.wake(t, waitJoin, int64(t.ID), true)
 	if e.tel != nil {
 		// The thread's final clock: summed over threads this is the run's
 		// total deterministic logical work, the report's "dlc.total".
@@ -480,16 +481,18 @@ const (
 	waitLock        waitKind = iota // its lock's release
 	waitJoin                        // its target's exit
 	waitIrrevocable                 // the irrevocable run's commit
+	waitCond                        // a signal or broadcast on its condition variable
+	waitBarrier                     // its barrier's last arrival
 )
 
 // waiter is a thread parked until an event frees it: a lock it cannot take
-// (in the mode write says), a join target that has not exited, or the
-// irrevocable run.
+// (in the mode write says), a join target that has not exited, the
+// irrevocable run, a condition variable, or a barrier.
 type waiter struct {
 	tid   int
 	kind  waitKind
-	write bool  // waitLock: an exclusive acquisition
-	on    int64 // the lock, or the join target
+	write bool  // an exclusive acquisition: a lock writer, or a condition waiter re-taking its lock
+	on    int64 // the lock, join target, condition variable or barrier
 }
 
 // park queues thread t behind w's event and parks it until the event's turn
@@ -503,17 +506,18 @@ func (e *Engine) park(t *dvm.Thread, w waiter) {
 }
 
 // wake unparks, in park order, the threads that the event (kind, on) frees:
-// for a lock the head of its queue and, if the head is a reader, the readers
-// queued directly behind it; for a join or the irrevocable run every waiter.
-// The k-th woken gets clock max(own, my+1+k), my the waker's — like
-// CondBroadcast, a function of the waker's turn and the queue order, both
-// turn-ordered. A woken thread re-checks its condition at its next turn and
-// parks again, at the tail, if another took the lock first. Caller holds the
-// turn.
-func (e *Engine) wake(t *dvm.Thread, kind waitKind, on int64) {
-	if len(e.waiters) == 0 {
-		return
-	}
+// with all, every waiter (a broadcast, a barrier's last arrival, a join, the
+// irrevocable run's commit); otherwise the head and, if the head is a reader,
+// the readers queued directly behind it (a lock release, or a signal, whose
+// waiters queue as writers). The k-th woken gets clock my+1+k, my the
+// waker's: a function of the waker's turn and the queue order, both
+// turn-ordered. In the deterministic modes the waker's turn puts my at or
+// above every parked clock, so no woken clock moves back (audited as
+// wake-clock-monotone, DESIGN.md §3b); a nondeterministic arbiter's clocks
+// move only here, and there one may. A woken lock waiter re-checks the lock
+// at its next turn and parks again, at the tail, if another took it first.
+// Caller holds the turn.
+func (e *Engine) wake(t *dvm.Thread, kind waitKind, on int64, all bool) {
 	my := e.arb.DLC(t.ID)
 	var k int64
 	headWrite, done := false, false
@@ -523,17 +527,16 @@ func (e *Engine) wake(t *dvm.Thread, kind waitKind, on int64) {
 			kept = append(kept, w)
 			continue
 		}
-		if kind == waitLock && k > 0 && (headWrite || w.write) {
+		if !all && k > 0 && (headWrite || w.write) {
 			done = true
 			kept = append(kept, w)
 			continue
 		}
 		headWrite = headWrite || w.write
-		c := my + 1 + k
-		if own := e.arb.DLC(w.tid); own > c {
-			c = own
+		if e.audit != nil {
+			e.audit.AtWake(t.ID, w.tid, my+1+k)
 		}
-		e.arb.Unpark(w.tid, c)
+		e.arb.Unpark(w.tid, my+1+k)
 		e.tbl.Wake(w.tid)
 		k++
 	}

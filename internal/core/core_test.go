@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -442,6 +443,34 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			New(c.cfg, c.deps)
 		}()
+	}
+}
+
+// TestObjectIDsAreBoundsChecked: a program naming a condition variable or a
+// barrier the table does not have fails at the call under every core engine,
+// as it does under the direct engine, although a condition variable keeps no
+// per-object state to index.
+func TestObjectIDsAreBoundsChecked(t *testing.T) {
+	for _, cfg := range []Config{{Mode: ModeStrong}, {Mode: ModeWeak}, {Mode: ModeWeakNondet}, lazyCfg()} {
+		for _, c := range []struct {
+			name, want string
+			call       func(e *Engine, th *dvm.Thread)
+		}{
+			{"wait on cv 1", "condition variable 1 of 1", func(e *Engine, th *dvm.Thread) { e.CondWait(th, 1, 0) }},
+			{"wait on cv -1", "condition variable -1 of 1", func(e *Engine, th *dvm.Thread) { e.CondWait(th, -1, 0) }},
+			{"signal cv 1", "condition variable 1 of 1", func(e *Engine, th *dvm.Thread) { e.CondSignal(th, 1) }},
+			{"broadcast cv 7", "condition variable 7 of 1", func(e *Engine, th *dvm.Thread) { e.CondBroadcast(th, 7) }},
+			{"barrier 1", "index out of range [1] with length 1", func(e *Engine, th *dvm.Thread) { e.BarrierWait(th, 1) }},
+		} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+						t.Errorf("%v %s: panic %q, want one naming %q", cfg.Mode, c.name, msg, c.want)
+					}
+				}()
+				c.call(newRig(t, cfg, 1, 64, 1, 1, 1).eng, &dvm.Thread{ID: 0})
+			}()
+		}
 	}
 }
 

@@ -54,15 +54,15 @@ func (e *Engine) release(t *dvm.Thread, l int64, write bool) {
 }
 
 // convLock performs a deterministic eager acquisition: wait for the turn,
-// publish and refresh memory, and take the lock if it is free and was
-// released in the logical past. A writer needs the lock free of readers too;
-// a reader only of a writer. A lock held against the thread queues it and
-// parks it at this turn; the release that frees the lock hands it off (wake),
-// and the thread retries at its next turn, one DLC after the release. A free
-// lock released in the thread's logical future moves the clock to the release
-// once. Deterministic because lock state, the queue and the woken clocks
-// change only at turns. The acquisition conflicts with no speculation run;
-// only a release that stored does (convUnlock).
+// publish and refresh memory, and take the lock if it is free. A writer needs
+// the lock free of readers too; a reader only of a writer. A lock held against
+// the thread queues it and parks it at this turn; the release that frees the
+// lock hands it off (wake), and the thread retries at its next turn, one DLC
+// after the release. A free lock was always released in the thread's logical
+// past: the releaser held the turn, so every clock was at least its release
+// clock then (DESIGN.md §3b). Deterministic because lock state, the queue and
+// the woken clocks change only at turns. The acquisition conflicts with no
+// speculation run; only a release that stored does (convUnlock).
 func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	st := &e.tbl.Locks[l]
 	for {
@@ -71,10 +71,8 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 		// thread's own deferred publication (if any) stays outstanding — the
 		// same-owner elision win.
 		e.sync(t, ts, mempipe.Acquire, noLock)
-		my := e.arb.DLC(t.ID)
-		free := st.Owner == 0 && (!write || st.Readers == 0)
 		switch {
-		case free && (e.arb.Nondet() || st.ReleaseDLC <= my):
+		case st.Owner == 0 && (!write || st.Readers == 0):
 			e.pol.convAcquired(&ts.pol, len(ts.held), l, write)
 			h := heldLock{lock: l, stores: t.Stores(), write: write}
 			e.hold(t.ID, h)
@@ -82,11 +80,9 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 			if e.spec != nil {
 				e.spec.TotalAcquires.Add(1)
 			}
-			e.rec.Sync(t.ID, acquireOp(write), l, my)
+			e.rec.Sync(t.ID, acquireOp(write), l, e.arb.DLC(t.ID))
 			e.arb.ReleaseTurn(t.ID, syncCost)
 			return
-		case free:
-			e.arb.ReleaseTurn(t.ID, st.ReleaseDLC-my)
 		case e.arb.Nondet():
 			// Nondeterministic mode has no logical clock to order a wake
 			// behind the holder's release; yield and retry instead.
@@ -118,10 +114,10 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	if !write {
 		st := &e.tbl.Locks[l]
 		if st.Readers <= 0 {
-			panic(fmt.Sprintf("core: thread %d runlocks lock %d with no readers", t.ID, l))
+			misuse("thread %d runlocks lock %d with no readers", t.ID, l)
 		}
 		if st.Readers--; st.Readers == 0 {
-			e.wake(t, waitLock, l)
+			e.wake(t, waitLock, l, false)
 		}
 		ts.drop(t, l, false)
 	} else {
@@ -131,27 +127,33 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
-// unlockOwned frees the exclusively held l, recording the release time for
-// deterministic future acquires, and wakes the head of its queue. A shared
-// release does none of the first: a read-only section neither delays
-// acquirers in logical time nor invalidates any speculation (convUnlock wakes
-// the queue when the last reader leaves). Caller holds the turn and has
-// published.
+// unlockOwned frees the exclusively held l, advances its commit sequence if
+// the section stored, and wakes the head of its queue. A shared release does
+// neither of the first two: a read-only section invalidates no speculation
+// (convUnlock wakes the queue when the last reader leaves). Caller holds the
+// turn and has published.
 func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) *detsync.Lock {
 	st := &e.tbl.Locks[l]
 	if st.Owner != int32(t.ID)+1 {
-		panic(fmt.Sprintf("core: thread %d unlocks lock %d owned by %d", t.ID, l, st.Owner-1))
+		misuse("thread %d unlocks lock %d owned by %d", t.ID, l, st.Owner-1)
 	}
 	st.Owner = 0
-	st.ReleaseDLC = e.arb.DLC(t.ID)
 	if _, wrote := ts.drop(t, l, true); wrote {
 		// The critical section's writes became visible with this commit;
 		// speculation runs based on older heap states conflict. A section
 		// that stored nothing invalidates nobody.
 		st.LastCommitSeq = e.pipe.Seq()
 	}
-	e.wake(t, waitLock, l)
+	e.wake(t, waitLock, l, false)
 	return st
+}
+
+// misuse panics on a program that breaks the synchronization contract: it
+// releases a hold it does not have, or names a condition variable the table
+// does not have. Such a program is wrong under every engine; the direct
+// engine fails it too.
+func misuse(format string, args ...any) {
+	panic(fmt.Sprintf("core: "+format, args...))
 }
 
 // acquireOp and releaseOp are the trace events of a hold's mode.
@@ -174,6 +176,7 @@ func releaseOp(write bool) trace.Op {
 // inter-thread communication, so a speculation run terminates first
 // (commit if possible, revert otherwise — paper footnote 2).
 func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
+	e.condID(t, cv)
 	ts := e.ts(t)
 	if ts.spec {
 		if !e.terminateRun(t, ts) {
@@ -187,23 +190,28 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 	// settle here — which also keeps any flush pinned to a later wake
 	// sequence a deterministic no-op.
 	e.sync(t, ts, mempipe.Park, noLock)
-	my := e.unlockOwned(t, ts, l).ReleaseDLC
-	c := &e.tbl.Conds[cv]
-	c.Waiters = append(c.Waiters, t.ID)
-	e.rec.Sync(t.ID, trace.OpCondWait, cv, my)
-	e.arb.Park(t.ID)
-	e.blockedWake(t)
-	// Woken: the signaler set our clock deterministically via Unpark. The
-	// view is refreshed by the deterministic re-acquisition below, never
-	// at the (wall-clock-dependent) wake moment.
+	e.unlockOwned(t, ts, l)
+	e.rec.Sync(t.ID, trace.OpCondWait, cv, e.arb.DLC(t.ID))
+	e.park(t, waiter{kind: waitCond, write: true, on: cv})
+	// Woken: the signaler set our clock deterministically. The view is
+	// refreshed by the deterministic re-acquisition below, never at the
+	// (wall-clock-dependent) wake moment.
 	e.rec.Sync(t.ID, trace.OpCondWake, cv, e.arb.DLC(t.ID))
 	e.convLock(t, ts, l, true)
 }
 
-// CondSignal implements dvm.Engine: wake the longest-parked waiter, giving
-// it a clock derived from the signaler's — deterministic because both the
-// queue order and the signal point are turn-ordered.
-func (e *Engine) CondSignal(t *dvm.Thread, cv int64) {
+// CondSignal implements dvm.Engine: wake the longest-parked waiter on cv.
+func (e *Engine) CondSignal(t *dvm.Thread, cv int64) { e.condWake(t, cv, trace.OpCondSignal) }
+
+// CondBroadcast implements dvm.Engine: wake every waiter on cv.
+func (e *Engine) CondBroadcast(t *dvm.Thread, cv int64) {
+	e.condWake(t, cv, trace.OpCondBroadcast)
+}
+
+// condWake wakes cv's queue at the thread's turn, the head only for a signal
+// and every waiter for a broadcast.
+func (e *Engine) condWake(t *dvm.Thread, cv int64, op trace.Op) {
+	e.condID(t, cv)
 	ts := e.ts(t)
 	if ts.spec {
 		if !e.terminateRun(t, ts) {
@@ -212,42 +220,24 @@ func (e *Engine) CondSignal(t *dvm.Thread, cv int64) {
 	}
 	e.waitCommitTurn(t)
 	e.sync(t, ts, mempipe.Signal, noLock)
-	my := e.arb.DLC(t.ID)
-	c := &e.tbl.Conds[cv]
-	if len(c.Waiters) > 0 {
-		w := c.Waiters[0]
-		c.Waiters = c.Waiters[1:]
-		e.arb.Unpark(w, my+1)
-		e.tbl.Wake(w)
-	}
-	e.rec.Sync(t.ID, trace.OpCondSignal, cv, my)
+	e.wake(t, waitCond, cv, op == trace.OpCondBroadcast)
+	e.rec.Sync(t.ID, op, cv, e.arb.DLC(t.ID))
 	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
-// CondBroadcast implements dvm.Engine.
-func (e *Engine) CondBroadcast(t *dvm.Thread, cv int64) {
-	ts := e.ts(t)
-	if ts.spec {
-		if !e.terminateRun(t, ts) {
-			return
-		}
+// condID fails a program that names a condition variable the table does not
+// have. A condition variable indexes no state, only waiters in the queue, so
+// nothing else would catch it.
+func (e *Engine) condID(t *dvm.Thread, cv int64) {
+	if cv < 0 || cv >= int64(e.tbl.Conds) {
+		misuse("thread %d uses condition variable %d of %d", t.ID, cv, e.tbl.Conds)
 	}
-	e.waitCommitTurn(t)
-	e.sync(t, ts, mempipe.Signal, noLock)
-	my := e.arb.DLC(t.ID)
-	c := &e.tbl.Conds[cv]
-	for k, w := range c.Waiters {
-		e.arb.Unpark(w, my+1+int64(k))
-		e.tbl.Wake(w)
-	}
-	c.Waiters = c.Waiters[:0]
-	e.rec.Sync(t.ID, trace.OpCondBroadcast, cv, my)
-	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
 // BarrierWait implements dvm.Engine: all threads of the run participate.
 // The last arriver wakes the others with clocks derived from its own.
 func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
+	b := &e.tbl.Barriers[bid]
 	ts := e.ts(t)
 	if ts.spec {
 		if !e.terminateRun(t, ts) {
@@ -255,8 +245,13 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	b := &e.tbl.Barriers[bid]
-	last := len(b.Waiting)+1 == e.tbl.NThreads
+	arrived := 1
+	for _, w := range e.waiters {
+		if w.kind == waitBarrier && w.on == bid {
+			arrived++
+		}
+	}
+	last := arrived == e.tbl.NThreads
 	// A barrier arrival is a cross-thread visibility point: every released
 	// thread re-bases on the arrivals' combined state, so deferred
 	// publications settle here — and the woken threads' RefreshTo flushes,
@@ -267,23 +262,16 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 		p = mempipe.Signal
 	}
 	e.sync(t, ts, p, noLock)
-	my := e.arb.DLC(t.ID)
-	e.rec.Sync(t.ID, trace.OpBarrier, bid, my)
+	e.rec.Sync(t.ID, trace.OpBarrier, bid, e.arb.DLC(t.ID))
 	if last {
 		// Record the state every released thread adopts: the commits of
 		// all arrivals, published by their turns.
 		b.ReleaseSeq = e.pipe.Seq()
-		for k, w := range b.Waiting {
-			e.arb.Unpark(w, my+1+int64(k))
-			e.tbl.Wake(w)
-		}
-		b.Waiting = b.Waiting[:0]
+		e.wake(t, waitBarrier, bid, true)
 		e.arb.ReleaseTurn(t.ID, syncCost)
 		return
 	}
-	b.Waiting = append(b.Waiting, t.ID)
-	e.arb.Park(t.ID)
-	e.blockedWake(t)
+	e.park(t, waiter{kind: waitBarrier, on: bid})
 	// Re-base on exactly the releasing turn's state, not on whatever has
 	// been committed by the wall-clock moment we woke.
 	ts.mem.RefreshTo(b.ReleaseSeq)

@@ -18,12 +18,14 @@ import (
 )
 
 // This file pins the hand-off of deterministic waits: a thread that finds a
-// lock held, a join target alive or another run irrevocable parks at its turn,
-// and the event that frees it wakes it one DLC after the waker's turn.
+// lock held, a join target alive or another run irrevocable, or that waits on
+// a condition variable or a barrier, parks at its turn, and the event that
+// frees it wakes it one DLC after the waker's turn (the k-th woken, k DLC
+// later still).
 
-// waitRig is an engine on a versioned heap whose trace keeps every event and
-// whose telemetry keeps spans, so tests can read the DLC of each event and
-// count each thread's turn waits.
+// waitRig is an engine on a versioned heap, with one condition variable and
+// one barrier, whose trace keeps every event and whose telemetry keeps spans,
+// so tests can read the DLC of each event and count each thread's turn waits.
 type waitRig struct {
 	eng *Engine
 	rec *trace.Recorder
@@ -34,7 +36,7 @@ func newWaitRig(cfg Config, threads, locks int) *waitRig {
 	w := &waitRig{rec: trace.NewLogging(threads), tel: telemetry.NewWithSpans(threads)}
 	w.eng = New(cfg, Deps{
 		Arb:  dlc.New(threads),
-		Tbl:  detsync.NewTable(threads, locks, 0, 0, cfg.Speculation),
+		Tbl:  detsync.NewTable(threads, locks, 1, 1, cfg.Speculation),
 		Heap: vheap.New(64),
 		Rec:  w.rec,
 		Spec: &stats.Spec{},
@@ -178,6 +180,113 @@ func TestReadersAdmittedTogether(t *testing.T) {
 		if got := w.at(t, tid, trace.OpRAcquire, 0, 0); got != rel+int64(tid) {
 			t.Errorf("reader %d admitted at DLC %d, want the release %d + %d", tid, got, rel, tid)
 		}
+	}
+}
+
+// condWaiter waits on condition variable 0 under its own lock l, so waiters
+// never contend for a lock and park at their first turn.
+func condWaiter(l int64) *dvm.Program {
+	b := dvm.NewBuilder("cond-waiter")
+	b.Lock(dvm.Const(l))
+	b.CondWait(dvm.Const(0), dvm.Const(l))
+	b.Unlock(dvm.Const(l))
+	return b.Build()
+}
+
+// TestCondSignalWakesHeadAtSignal: each signal wakes only the longest-parked
+// waiter, which resumes at the signal's DLC + 1.
+func TestCondSignalWakesHeadAtSignal(t *testing.T) {
+	w := newWaitRig(Config{Mode: ModeStrong}, 3, 2)
+	s := dvm.NewBuilder("signaller")
+	spin(s, 500)
+	s.CondSignal(dvm.Const(0))
+	spin(s, 500)
+	s.CondSignal(dvm.Const(0))
+	dvm.Run(w.eng, []*dvm.Program{condWaiter(0), condWaiter(1), s.Build()})
+
+	for tid := 0; tid < 2; tid++ {
+		sig := w.at(t, 2, trace.OpCondSignal, 0, tid)
+		if got := w.at(t, tid, trace.OpCondWake, 0, 0); got != sig+1 {
+			t.Errorf("waiter %d resumed at DLC %d, want signal %d's %d + 1", tid, got, tid, sig)
+		}
+	}
+}
+
+// TestCondBroadcastWakesAllInParkOrder: a broadcast wakes every waiter, the
+// k-th parked at the broadcast's DLC + 1 + k.
+func TestCondBroadcastWakesAllInParkOrder(t *testing.T) {
+	const waiters = 3
+	w := newWaitRig(Config{Mode: ModeStrong}, waiters+1, waiters)
+	var progs []*dvm.Program
+	for l := int64(0); l < waiters; l++ {
+		progs = append(progs, condWaiter(l))
+	}
+	b := dvm.NewBuilder("broadcaster")
+	spin(b, 500)
+	b.CondBroadcast(dvm.Const(0))
+	dvm.Run(w.eng, append(progs, b.Build()))
+
+	bc := w.at(t, waiters, trace.OpCondBroadcast, 0, 0)
+	for tid := 0; tid < waiters; tid++ {
+		if got := w.at(t, tid, trace.OpCondWake, 0, 0); got != bc+1+int64(tid) {
+			t.Errorf("waiter %d resumed at DLC %d, want the broadcast %d + %d", tid, got, bc, 1+tid)
+		}
+	}
+}
+
+// TestBarrierWakesAfterLastArrival: the last arrival wakes the
+// threads parked at the barrier, the k-th at its DLC + 1 + k. Each woken
+// thread then takes its own free lock after one unit for the barrier
+// instruction, so the acquisition reads the resume clock.
+func TestBarrierWakesAfterLastArrival(t *testing.T) {
+	const waiters = 3
+	w := newWaitRig(Config{Mode: ModeStrong}, waiters+1, waiters)
+	var progs []*dvm.Program
+	for l := int64(0); l < waiters; l++ {
+		b := dvm.NewBuilder("early")
+		spin(b, 5)
+		b.Barrier(dvm.Const(0))
+		b.Lock(dvm.Const(l))
+		b.Unlock(dvm.Const(l))
+		progs = append(progs, b.Build())
+	}
+	last := dvm.NewBuilder("last")
+	spin(last, 500)
+	last.Barrier(dvm.Const(0))
+	dvm.Run(w.eng, append(progs, last.Build()))
+
+	arrival := w.at(t, waiters, trace.OpBarrier, 0, 0)
+	for tid := 0; tid < waiters; tid++ {
+		if got := w.at(t, tid, trace.OpAcquire, int64(tid), 0) - 1; got != arrival+1+int64(tid) {
+			t.Errorf("waiter %d resumed at DLC %d, want the last arrival %d + %d", tid, got, arrival, 1+tid)
+		}
+	}
+}
+
+// TestReleaseWakesOnlyItsLock: a thread parked on condition variable 0 and one
+// parked on lock 0 share the queue and the object id; the lock's release wakes
+// the lock waiter alone, and the condition waiter resumes only at the signal.
+func TestReleaseWakesOnlyItsLock(t *testing.T) {
+	w := newWaitRig(Config{Mode: ModeStrong}, 3, 2)
+	h := dvm.NewBuilder("holder")
+	h.Lock(dvm.Const(0))
+	spin(h, 500)
+	h.Unlock(dvm.Const(0))
+	spin(h, 500)
+	h.CondSignal(dvm.Const(0))
+	l := dvm.NewBuilder("lock-waiter")
+	spin(l, 5)
+	l.Lock(dvm.Const(0))
+	l.Unlock(dvm.Const(0))
+	dvm.Run(w.eng, []*dvm.Program{condWaiter(1), h.Build(), l.Build()})
+
+	rel := w.at(t, 1, trace.OpRelease, 0, 0)
+	if got := w.at(t, 2, trace.OpAcquire, 0, 0); got != rel+1 {
+		t.Errorf("lock waiter acquired at DLC %d, want the release %d + 1", got, rel)
+	}
+	sig := w.at(t, 1, trace.OpCondSignal, 0, 0)
+	if got := w.at(t, 0, trace.OpCondWake, 0, 0); got != sig+1 {
+		t.Errorf("condition waiter resumed at DLC %d, want the signal %d + 1 (the release %d must not wake it)", got, sig, rel)
 	}
 }
 

@@ -145,11 +145,11 @@ func TestThresholdCrossing(t *testing.T) {
 }
 
 // TestLockIntact tables the conflict predicate validate and the probes share.
-// A foreign section since the run's base leaves its release time and
-// acquisition count behind either way; only one that stored also moves the
-// commit sequence, and only that one conflicts.
+// A foreign section since the run's base that only read leaves the lock's
+// state as it found it; only one that stored moves the commit sequence, and
+// only that one conflicts.
 func TestLockIntact(t *testing.T) {
-	const begin, base = 100, 7
+	const base = 7
 	for _, c := range []struct {
 		name  string
 		st    detsync.Lock
@@ -160,8 +160,8 @@ func TestLockIntact(t *testing.T) {
 		{"held exclusively", detsync.Lock{Owner: 2, LastCommitSeq: base}, false, false},
 		{"writer meets live readers", detsync.Lock{Readers: 1}, true, false},
 		{"reader meets live readers", detsync.Lock{Readers: 3}, false, true},
-		{"acquired since BEGIN by a section that stored", detsync.Lock{ReleaseDLC: begin + 1, LastCommitSeq: base + 1}, true, false},
-		{"acquired since BEGIN by a read-only section", detsync.Lock{ReleaseDLC: begin + 1, LastCommitSeq: base}, true, true},
+		{"acquired since BEGIN by a section that stored", detsync.Lock{LastCommitSeq: base + 1}, true, false},
+		{"acquired since BEGIN by a read-only section", detsync.Lock{LastCommitSeq: base}, true, true},
 		{"committed past the base", detsync.Lock{LastCommitSeq: base + 1}, false, false},
 	} {
 		var p policy
@@ -354,8 +354,8 @@ func TestPolicyProbe(t *testing.T) {
 			want    uint64
 		}{
 			{"untouched", func(*detsync.Lock) {}, marker<<1 | 1},
-			{"foreign acquisition by a section that stored", func(st *detsync.Lock) { st.ReleaseDLC, st.LastCommitSeq = 50, 9 }, marker << 1},
-			{"foreign acquisition by a read-only section", func(st *detsync.Lock) { st.ReleaseDLC = 50 }, marker<<1 | 1},
+			{"foreign acquisition by a section that stored", func(st *detsync.Lock) { st.LastCommitSeq = 9 }, marker << 1},
+			{"foreign acquisition by a read-only section", func(*detsync.Lock) {}, marker<<1 | 1},
 			{"foreign commit", func(st *detsync.Lock) { st.LastCommitSeq = 9 }, marker << 1},
 			{"live owner", func(st *detsync.Lock) { st.Owner = 2 }, marker << 1},
 		} {

@@ -197,7 +197,7 @@ func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
 	}
 	if ts.irrevocable {
 		e.irrevocableOwner = -1
-		e.wake(t, waitIrrevocable, 0)
+		e.wake(t, waitIrrevocable, 0, true)
 	}
 	e.rec.Sync(t.ID, trace.OpSpecCommit, int64(ts.runCS), my)
 	e.resetSpec(ts)

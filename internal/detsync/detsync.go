@@ -1,9 +1,12 @@
 // Package detsync holds the deterministic synchronization objects shared by
 // the eager (Consequence-style) and lazy (LazyDet) engines: the lock table
 // with its per-lock commit sequences and the storage for per-lock speculation
-// metadata, deterministic condition variables, and barriers. The metadata is
-// storage only: the speculation policy in internal/core (policy.go) seeds it
-// and is its sole reader and writer.
+// metadata, the number of condition variables, and the barriers' release
+// sequences. The metadata is storage only: the speculation policy in
+// internal/core (policy.go) seeds it and is its sole reader and writer. No
+// object holds a wait queue: every thread parked on a lock, condition
+// variable, barrier, join or irrevocable run waits in internal/core's one
+// engine-level FIFO.
 //
 // All mutable fields are read and written only while the mutating thread
 // holds the deterministic turn (see internal/dlc), except each thread's own
@@ -21,11 +24,6 @@ type Lock struct {
 	// Readers counts non-speculative shared-mode holders. Mutated only
 	// at turns, like Owner.
 	Readers int32
-	// ReleaseDLC is the logical time of the most recent release. A
-	// deterministic acquire at logical time T succeeds only if the lock
-	// is free and ReleaseDLC <= T; otherwise the release lies in the
-	// acquirer's logical future and the acquire deterministically fails.
-	ReleaseDLC int64
 	// LastCommitSeq is the heap commit sequence after the most recent
 	// commit of an exclusive critical section that stored under this lock
 	// (conventional release or validated run). A speculation run whose heap
@@ -51,16 +49,8 @@ type Lock struct {
 	ElideHist uint64
 }
 
-// Cond is a deterministic condition variable: a FIFO queue of parked
-// threads. Enqueue and dequeue happen at turns, so the order is
-// deterministic.
-type Cond struct {
-	Waiters []int
-}
-
 // Barrier is a deterministic barrier over all threads of the run.
 type Barrier struct {
-	Waiting []int
 	// ReleaseSeq is the heap sequence at the releasing arrival's turn;
 	// woken threads re-base their views on exactly this sequence.
 	ReleaseSeq int64
@@ -70,7 +60,9 @@ type Barrier struct {
 type Table struct {
 	NThreads int
 	Locks    []Lock
-	Conds    []Cond
+	// Conds is the number of condition variables: a condition variable
+	// has no state of its own, only waiters in the engine's queue.
+	Conds    int
 	Barriers []Barrier
 	// Atomics maps an atomically accessed heap address to the heap
 	// commit sequence of its most recent committed update — the
@@ -90,7 +82,7 @@ func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
 	t := &Table{
 		NThreads: nthreads,
 		Locks:    make([]Lock, nlocks),
-		Conds:    make([]Cond, nconds),
+		Conds:    nconds,
 		Barriers: make([]Barrier, nbarriers),
 		Atomics:  make(map[int64]int64),
 		SpawnSeq: make([]int64, nthreads),

@@ -4,9 +4,9 @@ import "testing"
 
 func TestNewTableAllocation(t *testing.T) {
 	tbl := NewTable(4, 10, 2, 1, true)
-	if len(tbl.Locks) != 10 || len(tbl.Conds) != 2 || len(tbl.Barriers) != 1 {
+	if len(tbl.Locks) != 10 || tbl.Conds != 2 || len(tbl.Barriers) != 1 {
 		t.Fatalf("table sizes wrong: %d locks %d conds %d barriers",
-			len(tbl.Locks), len(tbl.Conds), len(tbl.Barriers))
+			len(tbl.Locks), tbl.Conds, len(tbl.Barriers))
 	}
 	for i := range tbl.Locks {
 		if len(tbl.Locks[i].SpecHist) != 4 {

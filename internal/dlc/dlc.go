@@ -355,20 +355,6 @@ func (a *Arbiter) Tick(tid int, cost int64) {
 	}
 }
 
-// SetDLC overwrites thread tid's clock. It is used when waking a parked
-// thread, whose clock is deterministically derived from the waker's clock.
-// Must be called at a deterministic point (by a turn holder) or on the
-// thread itself before it starts running.
-func (a *Arbiter) SetDLC(tid int, v int64) {
-	a.slots[tid].dlc.Store(v)
-	if a.nondet {
-		return
-	}
-	a.mu.Lock()
-	a.publishLocked(tid)
-	a.mu.Unlock()
-}
-
 // isMinLocked reports whether tid may be granted the turn: its (DLC, tid)
 // pair is the global minimum among threads that are not parked or exited.
 // Caller holds a.mu; tid must be Waiting (its published clock exact).

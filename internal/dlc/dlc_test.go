@@ -12,9 +12,9 @@ import (
 // admitted lowest-clock first.
 func TestTurnOrderFollowsClock(t *testing.T) {
 	a := New(3)
-	a.SetDLC(0, 30)
-	a.SetDLC(1, 10)
-	a.SetDLC(2, 20)
+	a.Tick(0, 30)
+	a.Tick(1, 10)
+	a.Tick(2, 20)
 
 	var mu sync.Mutex
 	var order []int
@@ -64,9 +64,8 @@ func TestTieBreakByThreadID(t *testing.T) {
 // TestRunningThreadBlocksWaiter checks that a running thread with a lower
 // clock blocks a waiter until its clock passes the waiter's.
 func TestRunningThreadBlocksWaiter(t *testing.T) {
-	a := New(2)
-	a.SetDLC(0, 0)  // running
-	a.SetDLC(1, 50) // will wait
+	a := New(2)   // thread 0 runs at clock 0
+	a.Tick(1, 50) // will wait
 
 	granted := make(chan struct{})
 	go func() {
@@ -94,8 +93,7 @@ func TestRunningThreadBlocksWaiter(t *testing.T) {
 // TestParkedThreadExcluded checks that parked threads do not block waiters.
 func TestParkedThreadExcluded(t *testing.T) {
 	a := New(2)
-	a.SetDLC(0, 0)
-	a.SetDLC(1, 100)
+	a.Tick(1, 100)
 	a.WaitTurn(0)
 	a.Park(0) // thread 0 parks at its turn with the lower clock
 	done := make(chan struct{})
@@ -121,8 +119,7 @@ func TestParkedThreadExcluded(t *testing.T) {
 // TestExitedThreadExcluded checks that exited threads do not block waiters.
 func TestExitedThreadExcluded(t *testing.T) {
 	a := New(2)
-	a.SetDLC(0, 0)
-	a.SetDLC(1, 100)
+	a.Tick(1, 100)
 	a.Exit(0)
 	done := make(chan struct{})
 	go func() {

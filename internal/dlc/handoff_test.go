@@ -102,7 +102,7 @@ func TestHandOffThenDeadlock(t *testing.T) {
 	a := New(2)
 	fired := 0
 	a.SetDeadlockHandler(func() { fired++ })
-	a.SetDLC(1, 5)
+	a.Tick(1, 5)
 	a.WaitTurn(0)
 	done := make(chan struct{})
 	go func() {

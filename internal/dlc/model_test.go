@@ -111,7 +111,7 @@ func TestGrantOrderMatchesModel(t *testing.T) {
 				resume := make([]chan struct{}, n)
 				for i := range resume {
 					resume[i] = make(chan struct{}, 1)
-					a.SetDLC(i, start[i])
+					a.Tick(i, start[i])
 				}
 				abort := make(chan struct{})
 				var got []int // appended under the turn

@@ -79,8 +79,8 @@ func TestSetParkedDeadlockDetectionConcurrent(t *testing.T) {
 // (admitting a higher-tid one).
 func TestEqualDLCWaitersWakeInTidOrder(t *testing.T) {
 	a := New(3)
-	a.SetDLC(0, 50)
-	a.SetDLC(1, 50) // two waiters at the same clock; thread 2 runs at 0
+	a.Tick(0, 50)
+	a.Tick(1, 50) // two waiters at the same clock; thread 2 runs at 0
 	grants := make(chan int, 2)
 	for _, tid := range []int{0, 1} {
 		go func(tid int) {
@@ -121,7 +121,7 @@ func TestEqualDLCWaitersWakeInTidOrder(t *testing.T) {
 func TestTickWaiterRegistrationRace(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		a := New(2)
-		a.SetDLC(1, 10)
+		a.Tick(1, 10)
 		granted := make(chan struct{})
 		go func() {
 			a.WaitTurn(1) // registers at clock 10

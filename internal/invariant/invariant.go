@@ -12,7 +12,9 @@
 //     trees themselves are audited: published clocks never lead the true
 //     clocks, every internal node is the match of its children, and both
 //     roots agree with a direct flat scan — the tree's answer is the scan's
-//     answer.
+//     answer. A parked thread is woken at a clock past its waker's, and the
+//     waker holds the turn, so no woken clock is below the clock the thread
+//     parked at (checked at each wake).
 //  2. Versioned-heap integrity (internal/vheap): commit sequences are
 //     strictly monotone, page version chains are strictly decreasing in
 //     sequence, trimming never cuts a version a live view's base still
@@ -23,12 +25,14 @@
 //     newest commit — a stale floor cache may trim less, never more.
 //  3. Lock-table consistency (internal/detsync): a lock is never held
 //     exclusively and shared at the same time, reader counts are
-//     non-negative, and the per-lock logical timestamps — ReleaseDLC and
-//     LastCommitSeq — only advance, the latter never past the heap's newest
-//     commit. Because the
-//     checker runs at every turn grant and those fields are only allowed to
-//     mutate at turns, any off-turn or backwards mutation surfaces at the
-//     very next turn grant.
+//     non-negative, and each lock's commit sequence (LastCommitSeq) only
+//     advances, never past the heap's newest commit. Because the checker
+//     runs at every turn grant and those fields are only allowed to mutate
+//     at turns, any off-turn or backwards mutation surfaces at the very next
+//     turn grant. That a lock is acquired no earlier in logical time than
+//     its last release needs no rule of its own: the releaser held the turn,
+//     so by rule 1 every running clock was at least the release clock, and
+//     every later wake lands past a waker that holds the turn.
 //  4. Snapshot round-trip (internal/dvm + internal/core): after a
 //     speculation revert, the thread's registers, PC, scratch and PRNG state
 //     equal the BEGIN snapshot, and the view's dirty set is exactly the
@@ -62,7 +66,8 @@ import (
 // error.
 type Violation struct {
 	// Rule names the broken invariant, e.g. "turn-minimum",
-	// "heap-commit-monotone", "lock-commitseq-monotone", "revert-snapshot".
+	// "heap-commit-monotone", "lock-commitseq-monotone", "revert-snapshot",
+	// "wake-clock-monotone".
 	Rule string
 	// Thread is the turn-holding thread that observed the breach.
 	Thread int
@@ -104,12 +109,10 @@ type Checker struct {
 	// floor-monotonicity check; -1 matches the heap's pre-first-trim floor.
 	trimFloor int64
 
-	// Shadow copies of each lock's monotone timestamps, updated at every
-	// turn-grant audit. A value that moves backwards between two audits
-	// was corrupted (the fields are only allowed to advance, and only at
-	// turns).
-	releaseDLC []int64
-	commitSeq  []int64
+	// Shadow copy of each lock's commit sequence, updated at every
+	// turn-grant audit. A value that moves backwards between two audits was
+	// corrupted (the field is only allowed to advance, and only at turns).
+	commitSeq []int64
 }
 
 // New builds a checker over an engine's substrates. heap may be nil (weak
@@ -117,7 +120,6 @@ type Checker struct {
 func New(arb *dlc.Arbiter, tbl *detsync.Table, heap *vheap.Heap, report func(*Violation)) *Checker {
 	c := &Checker{arb: arb, tbl: tbl, heap: heap, report: report, trimFloor: -1}
 	if tbl != nil {
-		c.releaseDLC = make([]int64, len(tbl.Locks))
 		c.commitSeq = make([]int64, len(tbl.Locks))
 	}
 	return c
@@ -151,15 +153,13 @@ func (c *Checker) AtTurn(tid int) {
 	c.auditLocks(tid)
 }
 
-// auditLocks checks cross-field consistency and timestamp monotonicity for
-// every lock. O(locks) per turn grant: acceptable for an audit mode that is
+// auditLocks checks cross-field consistency and commit-sequence monotonicity
+// for every lock. O(locks) per turn grant: acceptable for an audit mode that is
 // off by default.
 //
-// The timestamp checks are skipped under a nondeterministic arbiter: there
-// the logical clocks never tick (only condvar/barrier unparks assign them),
-// so release and acquisition times carry no monotone meaning — which is
-// precisely why that mode guarantees nothing. Structural lock-state
-// consistency still must hold.
+// The sequence checks are skipped under a nondeterministic arbiter, where
+// turn order carries no monotone meaning — which is precisely why that mode
+// guarantees nothing. Structural lock-state consistency still must hold.
 func (c *Checker) auditLocks(tid int) {
 	nondet := c.arb.Nondet()
 	for l := range c.tbl.Locks {
@@ -176,10 +176,6 @@ func (c *Checker) auditLocks(tid int) {
 		if nondet {
 			continue
 		}
-		if st.ReleaseDLC < c.releaseDLC[l] {
-			c.violate(tid, li, "lock-release-monotone",
-				fmt.Sprintf("ReleaseDLC moved backwards: %d -> %d", c.releaseDLC[l], st.ReleaseDLC))
-		}
 		if st.LastCommitSeq < c.commitSeq[l] {
 			c.violate(tid, li, "lock-commitseq-monotone",
 				fmt.Sprintf("LastCommitSeq moved backwards: %d -> %d", c.commitSeq[l], st.LastCommitSeq))
@@ -188,8 +184,22 @@ func (c *Checker) auditLocks(tid int) {
 			c.violate(tid, li, "lock-commitseq-future",
 				fmt.Sprintf("LastCommitSeq %d is ahead of the heap's newest commit %d", st.LastCommitSeq, c.heap.Seq()))
 		}
-		c.releaseDLC[l] = st.ReleaseDLC
 		c.commitSeq[l] = st.LastCommitSeq
+	}
+}
+
+// AtWake audits a hand-off: turn holder waker is about to unpark thread
+// woken at clock dlc. Rule wake-clock-monotone: in the deterministic modes the
+// new clock is at least the clock woken parked at (frozen since), because the
+// waker holds the turn. A nondeterministic arbiter's clocks move only by
+// wakes, so its woken clocks carry no order and are not checked.
+func (c *Checker) AtWake(waker, woken int, dlc int64) {
+	if c == nil || c.arb.Nondet() {
+		return
+	}
+	if parked := c.arb.DLC(woken); dlc < parked {
+		c.violate(waker, -1, "wake-clock-monotone",
+			fmt.Sprintf("thread %d parked at DLC %d is woken at DLC %d", woken, parked, dlc))
 	}
 }
 

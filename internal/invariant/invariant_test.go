@@ -146,9 +146,38 @@ func TestCheckerCommitMonotonicity(t *testing.T) {
 	}
 }
 
+// TestCheckerWakeClockMonotone: under a deterministic arbiter a wake that
+// would set a clock below the one the thread parked at is flagged, on the
+// waking thread; wakes at or past it are not. A nondeterministic arbiter's
+// clocks carry no order, so nothing is checked there.
+func TestCheckerWakeClockMonotone(t *testing.T) {
+	arb := dlc.New(2)
+	arb.Tick(1, 40) // thread 1's clock when it parked
+	var got []*invariant.Violation
+	c := invariant.New(arb, detsync.NewTable(2, 0, 0, 0, false), nil, func(v *invariant.Violation) { got = append(got, v) })
+	c.AtWake(0, 1, 40)
+	c.AtWake(0, 1, 41)
+	if len(got) != 0 {
+		t.Fatalf("wake at or past the park clock flagged: %v", got[0])
+	}
+	c.AtWake(0, 1, 39)
+	if len(got) != 1 || got[0].Rule != "wake-clock-monotone" || got[0].Thread != 0 || got[0].Lock != -1 {
+		t.Fatalf("wake below the park clock: got %v, want one wake-clock-monotone violation on thread 0", got)
+	}
+	if !strings.Contains(got[0].Detail, "thread 1 parked at DLC 40 is woken at DLC 39") {
+		t.Fatalf("violation detail %q does not name the woken thread and both clocks", got[0].Detail)
+	}
+
+	nondet := invariant.New(dlc.NewNondet(2), detsync.NewTable(2, 0, 0, 0, false), nil, func(v *invariant.Violation) { got = append(got, v) })
+	nondet.AtWake(0, 1, -1)
+	if len(got) != 1 {
+		t.Fatalf("nondeterministic wake flagged: %v", got[1])
+	}
+}
+
 // TestCleanRunNoViolations: an unmutated multi-threaded speculative run —
-// contended locks, commits and reverts — audits clean under both LazyDet and
-// Consequence.
+// contended locks, barriers, commits and reverts — audits clean under both
+// LazyDet and Consequence.
 func TestCleanRunNoViolations(t *testing.T) {
 	for _, speculation := range []bool{false, true} {
 		r := newAuditRig(4, 4, speculation)
@@ -163,6 +192,7 @@ func TestCleanRunNoViolations(t *testing.T) {
 				b.Unlock(dvm.Const(0))
 				b.Lock(dvm.Dyn(func(th *dvm.Thread) int64 { return 1 + th.R(i)%3 }))
 				b.Unlock(dvm.Dyn(func(th *dvm.Thread) int64 { return 1 + th.R(i)%3 }))
+				b.Barrier(dvm.Const(0))
 			})
 			progs[tid] = b.Build()
 		}
