@@ -2,7 +2,6 @@ package core
 
 import (
 	"lazydet/internal/dvm"
-	"lazydet/internal/mempipe"
 	"lazydet/internal/trace"
 )
 
@@ -73,17 +72,14 @@ func (e *Engine) irrevocableAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int
 func (e *Engine) eagerAtomic(t *dvm.Thread, ts *tstate, a *dvm.Atomic) int64 {
 	e.waitCommitTurn(t)
 	addr := a.Addr(t)
-	// The read half needs fresh state but keeps deferred publications
-	// outstanding; the store below makes the window unpublished again, so the
-	// second Acquire always commits (applying any outstanding stage first) —
-	// the atomic's update is immediately cross-thread visible. Both halves
-	// are one synchronization operation to the elision policy: pending
-	// outcomes resolve at the thread's next point, not between the halves.
-	e.sync(t, ts, mempipe.Acquire, noLock)
+	// The read half needs fresh state; the store below makes the window
+	// unpublished again, so the second half always commits — the atomic's
+	// update is immediately cross-thread visible.
+	e.sync(t, ts)
 	cur := ts.mem.Load(addr)
 	store, result := a.Apply(t, cur)
 	ts.mem.Store(addr, store)
-	e.sync(t, ts, mempipe.Acquire, noLock)
+	e.sync(t, ts)
 	if e.strong() {
 		e.tbl.Atomics[addr] = e.pipe.Seq()
 	}

@@ -168,8 +168,8 @@ type Engine struct {
 	spec  *stats.Spec
 	tel   *telemetry.Recorder
 
-	// tel's per-turn and per-release counter cells, resolved once.
-	turnWaits, elided *telemetry.Counter
+	// tel's per-turn counter cell, resolved once.
+	turnWaits *telemetry.Counter
 
 	// mems holds the per-thread memory windows, indexed by thread ID.
 	mems []mempipe.Thread
@@ -185,7 +185,7 @@ type Engine struct {
 	// -1. Read and written only at deterministic turn points.
 	irrevocableOwner int
 
-	// pol is the speculation and elision policy (policy.go).
+	// pol is the speculation policy (policy.go).
 	pol policy
 
 	// waiters is every thread parked on a held lock, a live join target,
@@ -219,7 +219,6 @@ func New(cfg Config, d Deps) *Engine {
 		spec:             d.Spec,
 		tel:              d.Tel,
 		turnWaits:        d.Tel.Handle("turn.waits"),
-		elided:           d.Tel.Handle("commit.elided"),
 		irrevocableOwner: -1,
 	}
 	if cfg.Mode == ModeStrong {
@@ -242,7 +241,7 @@ func New(cfg Config, d Deps) *Engine {
 	if cfg.CheckInvariants {
 		e.audit = invariant.New(d.Arb, d.Tbl, d.Heap, d.OnViolation)
 	}
-	e.pol = newPolicy(cfg, d.Tbl, e.pipe, d.Spec)
+	e.pol = newPolicy(cfg, d.Tbl, d.Spec)
 	return e
 }
 
@@ -304,7 +303,7 @@ type tstate struct {
 	runCS        int     // critical sections in the current run
 	noSpecNext   bool    // progress guarantee after a revert (§3.2)
 
-	pol threadPolicy // the thread's histories, probe and pending elision outcome
+	pol threadPolicy // the thread's histories and probe
 }
 
 // heldLock is a held lock, its mode and the thread's store count
@@ -386,11 +385,9 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 	// Take a final turn: the exit commit publishes outstanding writes
 	// (strong mode), and Exit in place of releasing the turn makes the
 	// Exited status visible exactly at this deterministic boundary, where
-	// the thread's joiners are woken. Exit is a cross-thread visibility
-	// point (joiners adopt this state), so deferred publications settle
-	// here.
+	// the thread's joiners are woken.
 	e.waitCommitTurn(t)
-	e.sync(t, ts, mempipe.Park, noLock)
+	e.publish(t, ts)
 	e.wake(t, waitJoin, int64(t.ID), true)
 	if e.tel != nil {
 		// The thread's final clock: summed over threads this is the run's

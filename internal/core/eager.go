@@ -6,7 +6,7 @@ import (
 
 	"lazydet/internal/detsync"
 	"lazydet/internal/dvm"
-	"lazydet/internal/mempipe"
+	"lazydet/internal/telemetry"
 	"lazydet/internal/trace"
 )
 
@@ -21,6 +21,40 @@ import (
 // no-ops and the pipeline's sequence number is constant 0, so the
 // lock-table sequence updates below are inert. One choreography, every
 // engine.
+
+// sync publishes the thread's writes and re-bases its window on the newest
+// state: the memory half of every acquisition, release and signal (DESIGN.md's
+// "Visibility points" table). Caller holds the turn.
+func (e *Engine) sync(t *dvm.Thread, ts *tstate) {
+	e.publish(t, ts)
+	ts.mem.Refresh()
+}
+
+// publish makes the thread's writes visible without a re-base — a parking
+// thread's view is re-based at its deterministic wake, never at the
+// wall-clock wake moment — and records the commit in the trace. Caller holds
+// the turn.
+func (e *Engine) publish(t *dvm.Thread, ts *tstate) {
+	if !e.strong() {
+		return // flat memory: every store is already global
+	}
+	defer phaseBegin("commit")()
+	if e.audit != nil {
+		e.audit.AtWindow(t.ID, ts.mem)
+	}
+	seq, ok := ts.mem.Publish()
+	if !ok {
+		return
+	}
+	my := e.arb.DLC(t.ID)
+	e.rec.Commit(t.ID, my, seq)
+	if e.tel != nil {
+		e.tel.Span(t.ID, telemetry.SpanCommit, my, my, seq)
+	}
+	if e.audit != nil {
+		e.audit.AtCommit(t.ID, seq)
+	}
+}
 
 // Lock, RLock, Unlock and RUnlock implement dvm.Engine. A shared (read)
 // hold differs from an exclusive one only in its mode bit: readers admit each
@@ -67,10 +101,7 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	st := &e.tbl.Locks[l]
 	for {
 		e.waitCommitTurn(t)
-		// A reacquisition is not a cross-thread visibility point, so the
-		// thread's own deferred publication (if any) stays outstanding — the
-		// same-owner elision win.
-		e.sync(t, ts, mempipe.Acquire, noLock)
+		e.sync(t, ts)
 		switch {
 		case st.Owner == 0 && (!write || st.Readers == 0):
 			e.pol.convAcquired(&ts.pol, len(ts.held), l, write)
@@ -105,12 +136,11 @@ func (e *Engine) hold(tid int, h heldLock) {
 	}
 }
 
-// convUnlock releases a conventionally held lock at the turn. The release
-// publication is the elision point: when the lock's policy allows, the commit
-// is deferred at a reserved sequence instead of performed (elide.go).
+// convUnlock releases a conventionally held lock at the turn, publishing the
+// section's writes.
 func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 	e.waitCommitTurn(t)
-	e.sync(t, ts, mempipe.Release, l)
+	e.sync(t, ts)
 	if !write {
 		st := &e.tbl.Locks[l]
 		if st.Readers <= 0 {
@@ -184,12 +214,9 @@ func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
 		}
 	}
 	e.waitCommitTurn(t)
-	// Park, not Signal: the view is re-based by the deterministic
+	// Publish without a re-base: the view is re-based by the deterministic
 	// re-acquisition after the wake, never at the wall-clock wake moment.
-	// Parking is a cross-thread visibility point, so deferred publications
-	// settle here — which also keeps any flush pinned to a later wake
-	// sequence a deterministic no-op.
-	e.sync(t, ts, mempipe.Park, noLock)
+	e.publish(t, ts)
 	e.unlockOwned(t, ts, l)
 	e.rec.Sync(t.ID, trace.OpCondWait, cv, e.arb.DLC(t.ID))
 	e.park(t, waiter{kind: waitCond, write: true, on: cv})
@@ -219,7 +246,7 @@ func (e *Engine) condWake(t *dvm.Thread, cv int64, op trace.Op) {
 		}
 	}
 	e.waitCommitTurn(t)
-	e.sync(t, ts, mempipe.Signal, noLock)
+	e.sync(t, ts)
 	e.wake(t, waitCond, cv, op == trace.OpCondBroadcast)
 	e.rec.Sync(t.ID, op, cv, e.arb.DLC(t.ID))
 	e.arb.ReleaseTurn(t.ID, syncCost)
@@ -252,16 +279,14 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 		}
 	}
 	last := arrived == e.tbl.NThreads
-	// A barrier arrival is a cross-thread visibility point: every released
-	// thread re-bases on the arrivals' combined state, so deferred
-	// publications settle here — and the woken threads' RefreshTo flushes,
-	// bounded by ReleaseSeq, stay deterministic no-ops. The last arriver does
-	// not park, so it re-bases at its own turn.
-	p := mempipe.Park
+	// Every released thread re-bases on the arrivals' combined state
+	// (RefreshTo ReleaseSeq), so an arrival that parks only publishes; the
+	// last arriver does not park, so it re-bases at its own turn.
 	if last {
-		p = mempipe.Signal
+		e.sync(t, ts)
+	} else {
+		e.publish(t, ts)
 	}
-	e.sync(t, ts, p, noLock)
 	e.rec.Sync(t.ID, trace.OpBarrier, bid, e.arb.DLC(t.ID))
 	if last {
 		// Record the state every released thread adopts: the commits of

@@ -4,18 +4,16 @@ import (
 	"math/bits"
 
 	"lazydet/internal/detsync"
-	"lazydet/internal/mempipe"
 	"lazydet/internal/stats"
 )
 
-// This file is the speculation policy (paper §3.4; DESIGN.md §4, §4d, §5e,
-// §5f): every history, probe and threshold that decides whether a thread
-// speculates on a lock, how many critical sections its run may span, and
-// whether a release publishes or defers. The engine asks at its existing call
-// sites; no other file reads or writes a history word. Every transition runs
-// at the acting thread's turn and reads only state mutated at turns, so every
-// decision is a function of the deterministic schedule (DESIGN.md §4 tables
-// the transitions).
+// This file is the speculation policy (paper §3.4; DESIGN.md §4, §4d, §5e):
+// every history, probe and threshold that decides whether a thread
+// speculates on a lock and how many critical sections its run may span. The
+// engine asks at its existing call sites; no other file reads or writes a
+// history word. Every transition runs at the acting thread's turn and reads
+// only state mutated at turns, so every decision is a function of the
+// deterministic schedule (DESIGN.md §4 tables the transitions).
 
 // The policy's parameters. They were tuned once, on the hash-table
 // microbenchmark, and are the same for every workload (paper §3.4).
@@ -31,41 +29,17 @@ const (
 	// runCeiling is the earned coarsening limit: the width of the run history
 	// that earns it.
 	runCeiling = 64
-	// maxElideChain bounds how many consecutive publications one thread may
-	// defer. The retained dirty set (and with it the stage-merge and
-	// speculation-snapshot cost) grows with the chain, so an unbounded chain
-	// would turn elision's per-release win into quadratic work on lock-hot
-	// loops.
-	maxElideChain = 64
-	// elideRecentWindow is how many of the newest survival outcomes the
-	// elision decision looks at: 16 engage after 8 hits, early enough to
-	// capture most of a reacquire phase, where the full 64 would need dozens.
-	elideRecentWindow = 16
-	// elideEngagePermille is the recent survival rate at which real staging
-	// engages — far below specThresholdPermille, because a speculation miss
-	// costs a revert while an elision miss wastes only a delta copy and a hit
-	// saves a physical commit. It also keeps phase-structured workloads
-	// engaged: a burst of k publications scores (k-1)/k.
-	elideEngagePermille = 500
 )
 
-// policy is the engine-wide half: the static hints, the workload-wide elision
-// history, and handles on the storage of the per-lock histories (the lock
-// table's SpecHist and ElideHist, which only this file touches).
+// policy is the engine-wide half: the static hints and a handle on the
+// storage of the per-lock histories (the lock table's SpecHist, which only
+// this file touches).
 type policy struct {
 	on, coarsen, perLock bool
 	floor                int // run limit until earned: runFloor, 1 without coarsening
 	hints                []SpecHint
 	locks                []detsync.Lock
-	pipe                 mempipe.Pipeline // the heap sequence virtual elision outcomes compare
-	stats                *stats.Spec      // ExtendedRuns; nil disables
-
-	// elideGlobal is the workload-wide elision survival history, fed by every
-	// resolved outcome whatever its lock. Per-lock histories cannot learn on
-	// dynamically addressed lock sets (ht's per-bucket locks see a handful of
-	// releases each); a workload whose threads release in long uninterrupted
-	// runs earns engagement here.
-	elideGlobal uint64
+	stats                *stats.Spec // ExtendedRuns; nil disables
 }
 
 // threadPolicy is one thread's half, touched only at that thread's turns.
@@ -79,10 +53,6 @@ type threadPolicy struct {
 	// statistics are off (Figure 11's LAZYDET-NoPerLockStats).
 	threadHist uint64
 	probe      specProbe
-	pending    pendingElide
-	// elideChain counts consecutive deferred publications since the last
-	// physical commit, bounded by maxElideChain.
-	elideChain int
 }
 
 // specProbe is a run not taken (convAcquired): what a run begun at an
@@ -95,33 +65,14 @@ type specProbe struct {
 	left  int
 }
 
-// pendingElide is the thread's unresolved elision outcome: a real stage (a
-// deferred publication) or a virtual one (an eager publication that recorded
-// the heap sequence). There is at most one, because every Release resolves it
-// before it sets the next.
-type pendingElide struct {
-	kind elideKind
-	lock int64
-	seq  int64 // virtualElide: the heap sequence just after the publication
-}
-
-type elideKind uint8
-
-const (
-	noElide elideKind = iota
-	stagedElide
-	virtualElide
-)
-
 // newPolicy seeds the histories. The per-lock speculation histories start
 // optimistic (§3.4), all-success, except a Conflicting-hinted lock's, which
 // starts all-failure: conventional until virtual probes earn speculation back,
-// instead of paying the warm-up reverts. Elision histories start zero —
-// elision is earned through virtual outcomes, never paid for up front.
-func newPolicy(cfg Config, tbl *detsync.Table, pipe mempipe.Pipeline, spec *stats.Spec) policy {
+// instead of paying the warm-up reverts.
+func newPolicy(cfg Config, tbl *detsync.Table, spec *stats.Spec) policy {
 	p := policy{
 		on: cfg.Speculation, coarsen: !cfg.Spec.NoCoarsening, perLock: !cfg.Spec.NoPerLockStats,
-		floor: 1, hints: cfg.Hints, pipe: pipe, stats: spec,
+		floor: 1, hints: cfg.Hints, stats: spec,
 	}
 	if p.coarsen {
 		p.floor = runFloor
@@ -157,9 +108,9 @@ func (p *policy) hint(l int64) SpecHint {
 	return HintNone
 }
 
-// disjoint reports a statically Disjoint lock: it always speculates, always
-// elides, and validation skips its conflict checks (DESIGN.md §5e has the
-// soundness argument).
+// disjoint reports a statically Disjoint lock: it always speculates, and
+// validation skips its conflict checks (DESIGN.md §5e has the soundness
+// argument).
 func (p *policy) disjoint(l int64) bool { return p.hint(l) == HintDisjoint }
 
 // speculate is the adaptive decision (§3.4): speculate on l while the
@@ -262,87 +213,6 @@ func (p *policy) lockIntact(st *detsync.Lock, write bool, base int64) bool {
 	return st.LastCommitSeq <= base
 }
 
-// mayDefer resolves the thread's pending elision outcome at visibility point
-// pt (before the point is performed) and, at a Release of l, decides whether
-// the publication may be deferred: when the pending stage survived to merge
-// here (the payoff the histories only predict), for a Disjoint lock, or when
-// the recent survival rate — of l, or workload-wide for locks too cold to
-// predict anything — says a stage would survive; never past maxElideChain.
-//
-// A false costs nothing. A stage survives exactly until any other publication
-// advances the heap sequence, so whether a deferral would have survived is
-// observable without deferring: the eager release records the sequence (a
-// virtual outcome, published) and the next visibility point compares. The
-// histories fill at full release rate while stage copies, retained frames and
-// re-base rebuilds stay off, and workloads whose stages could never survive
-// pay no elision overhead at all.
-func (p *policy) mayDefer(tp *threadPolicy, pt mempipe.Point, l int64, mem mempipe.Thread) bool {
-	survived := p.resolveElide(tp, pt, mem)
-	if pt != mempipe.Release || tp.elideChain >= maxElideChain {
-		return false
-	}
-	return survived || p.disjoint(l) ||
-		recentRatePermille(p.locks[l].ElideHist, elideRecentWindow) >= elideEngagePermille ||
-		recentRatePermille(p.elideGlobal, elideRecentWindow) >= elideEngagePermille
-}
-
-// resolveElide folds the pending outcome into its lock's history and the
-// workload-wide one, and reports whether a real stage is still outstanding.
-// A deferred publication pays exactly when it survives to the owner's next
-// Release, where the sections merge into one commit: only there is an
-// unflushed stage (or, virtually, an unmoved heap sequence) a hit. A flushed
-// stage or moved sequence is a miss — the state was demanded cross-thread, or
-// committed by the owner's own publication first — and so is surviving to a
-// settling point (Signal, Park, Upgrade), where the stage flushes as its own
-// commit. An Acquire leaves an unflushed stage pending (this section's
-// release may yet extend the chain) and a virtual outcome too (the thread's
-// own publish there makes the eventual outcome a miss by itself).
-func (p *policy) resolveElide(tp *threadPolicy, pt mempipe.Point, mem mempipe.Thread) (survived bool) {
-	pe := &tp.pending
-	var hit bool
-	switch pe.kind {
-	case noElide:
-		return false
-	case stagedElide:
-		flushed, dropped := mem.Deferred()
-		if pt == mempipe.Acquire && !flushed {
-			return true
-		}
-		if dropped {
-			tp.elideChain = 0
-		}
-		survived = !flushed
-		hit = survived && pt == mempipe.Release
-	case virtualElide:
-		if pt == mempipe.Acquire {
-			return false
-		}
-		hit = pt == mempipe.Release && p.pipe.Seq() == pe.seq
-	}
-	pe.kind = noElide
-	st := &p.locks[pe.lock]
-	st.ElideHist = pushOutcome(st.ElideHist, hit)
-	p.elideGlobal = pushOutcome(p.elideGlobal, hit)
-	return survived
-}
-
-// published records what visibility point pt did with the thread's window
-// (mayDefer was the decision, out the outcome): a stage becomes the pending
-// outcome and extends the chain, a physical commit or a settling point ends
-// the chain, and an eager Release starts a virtual outcome in a stage's place.
-func (p *policy) published(tp *threadPolicy, pt mempipe.Point, l int64, mayDefer bool, out mempipe.Outcome) {
-	switch {
-	case out.Staged:
-		tp.pending = pendingElide{kind: stagedElide, lock: l}
-		tp.elideChain++
-	case out.Committed, pt == mempipe.Signal, pt == mempipe.Park:
-		tp.elideChain = 0
-	}
-	if pt == mempipe.Release && !mayDefer {
-		tp.pending = pendingElide{kind: virtualElide, lock: l, seq: p.pipe.Seq()}
-	}
-}
-
 // The history format: a 64-bit shift register of outcomes, newest at bit 0.
 
 // pushOutcome shifts outcome (1 = success) into history word h.
@@ -357,10 +227,4 @@ func pushOutcome(h uint64, success bool) uint64 {
 // successRatePermille is the success rate of history word h in thousandths.
 func successRatePermille(h uint64) int {
 	return bits.OnesCount64(h) * 1000 / 64
-}
-
-// recentRatePermille is the success rate over only the newest w outcomes of
-// h: a short window reacts in w pushes instead of 64.
-func recentRatePermille(h uint64, w int) int {
-	return bits.OnesCount64(h&(1<<w-1)) * 1000 / w
 }

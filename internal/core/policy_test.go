@@ -5,54 +5,27 @@ import (
 	"testing/quick"
 
 	"lazydet/internal/detsync"
-	"lazydet/internal/mempipe"
 	"lazydet/internal/stats"
 )
 
 // This file tests the speculation policy (policy.go) without an engine: a bare
-// policy over a small lock table, thread policies, and fakes for the two
-// questions the policy asks of memory — a window's Deferred and the heap
-// sequence. No arbiter, heap or VM; each transition is called directly, in
-// the order the test states. probe_test.go and runlimit_test.go drive the
-// same rules end to end.
-
-// fakeWindow answers the one question the policy asks a memory window.
-type fakeWindow struct {
-	mempipe.Thread
-	flushed, dropped bool
-	asked            int
-}
-
-func (w *fakeWindow) Deferred() (flushed, dropped bool) {
-	w.asked++
-	return w.flushed, w.dropped
-}
-
-// fakePipe is the heap sequence virtual elision outcomes compare.
-type fakePipe struct {
-	mempipe.Pipeline
-	seq int64
-}
-
-func (p *fakePipe) Seq() int64 { return p.seq }
+// policy over a small lock table and thread policies. No arbiter, heap or VM;
+// each transition is called directly, in the order the test states.
+// probe_test.go and runlimit_test.go drive the same rules end to end.
 
 type polRig struct {
 	tbl  *detsync.Table
 	pol  policy
 	th   []threadPolicy
-	mem  *fakeWindow
-	pipe *fakePipe
 	spec *stats.Spec
 }
 
 func newPolRig(cfg Config, threads, locks int) *polRig {
 	r := &polRig{
 		tbl:  detsync.NewTable(threads, locks, 0, 0, cfg.Speculation),
-		mem:  &fakeWindow{},
-		pipe: &fakePipe{},
 		spec: &stats.Spec{},
 	}
-	r.pol = newPolicy(cfg, r.tbl, r.pipe, r.spec)
+	r.pol = newPolicy(cfg, r.tbl, r.spec)
 	for tid := 0; tid < threads; tid++ {
 		r.th = append(r.th, newThreadPolicy(tid))
 	}
@@ -76,23 +49,6 @@ func TestSuccessRatePermille(t *testing.T) {
 	} {
 		if got := successRatePermille(c.hist); got != c.want {
 			t.Errorf("successRatePermille(%x) = %d, want %d", c.hist, got, c.want)
-		}
-	}
-}
-
-func TestRecentRatePermille(t *testing.T) {
-	for _, c := range []struct {
-		hist uint64
-		w    int
-		want int
-	}{
-		{^uint64(0), 16, 1000},
-		{0xff, 16, 500},
-		{0xff << 16, 16, 0}, // only the newest 16 count
-		{0x7f, 16, 437},
-	} {
-		if got := recentRatePermille(c.hist, c.w); got != c.want {
-			t.Errorf("recentRatePermille(%x, %d) = %d, want %d", c.hist, c.w, got, c.want)
 		}
 	}
 }
@@ -237,15 +193,12 @@ func TestPolicyPriors(t *testing.T) {
 			t.Errorf("%s: disjoint = %v", c.name, got)
 		}
 	}
-	// Disjoint speculates and defers however its histories read.
+	// Disjoint speculates however its histories read.
 	for tid := range r.th {
 		r.tbl.Locks[disjoint].SpecHist[tid] = 0
 	}
 	if !r.pol.speculate(&r.th[0], disjoint) {
 		t.Error("a Disjoint lock with an all-failure history stood down")
-	}
-	if !r.pol.mayDefer(&r.th[0], mempipe.Release, disjoint, r.mem) {
-		t.Error("a Disjoint lock with no survival evidence published eagerly")
 	}
 	// Conflicting arms a probe at its first conventional acquisition; a
 	// Disjoint lock never does.
@@ -409,146 +362,4 @@ func TestPolicyProbe(t *testing.T) {
 			t.Fatalf("history of A = %#x: the thread's own release counted as a conflict", got)
 		}
 	})
-}
-
-// TestPolicyElisionEngages: a Release defers once 8 of the newest 16 survival
-// outcomes — of its lock, or workload-wide — are hits, and never past a chain
-// of 64 deferrals, whatever the evidence.
-func TestPolicyElisionEngages(t *testing.T) {
-	for _, c := range []struct {
-		name         string
-		lock, global uint64
-		chain        int
-		survived     bool
-		want         bool
-	}{
-		{"no evidence", 0, 0, 0, false, false},
-		{"7 of 16 on the lock", 0x7f, 0, 0, false, false},
-		{"8 of 16 on the lock", 0xff, 0, 0, false, true},
-		{"8 hits, but older than 16", 0xff << 16, 0, 0, false, false},
-		{"8 of 16 workload-wide", 0, 0xff00, 0, false, true},
-		{"a surviving stage merges", 0, 0, 0, true, true},
-		{"chain of 63", ^uint64(0), 0, maxElideChain - 1, false, true},
-		{"chain cap", ^uint64(0), ^uint64(0), maxElideChain, true, false},
-	} {
-		r := newPolRig(lazyCfg(), 1, 1)
-		tp := &r.th[0]
-		r.tbl.Locks[0].ElideHist, r.pol.elideGlobal, tp.elideChain = c.lock, c.global, c.chain
-		if c.survived {
-			tp.pending = pendingElide{kind: stagedElide, lock: 0} // unflushed at this Release
-		}
-		if got := r.pol.mayDefer(tp, mempipe.Release, 0, r.mem); got != c.want {
-			t.Errorf("%s: mayDefer = %v, want %v", c.name, got, c.want)
-		}
-		for _, p := range []mempipe.Point{mempipe.Acquire, mempipe.Signal, mempipe.Park, mempipe.Upgrade} {
-			if r.pol.mayDefer(tp, p, 0, r.mem) {
-				t.Errorf("%s: a non-Release point may defer", c.name)
-			}
-		}
-	}
-}
-
-// TestPolicyElideResolution tables how the one pending outcome — a real stage
-// or a virtual one — resolves at each visibility point: pending stays, or a
-// hit or miss is pushed into its lock's history and the workload-wide one.
-func TestPolicyElideResolution(t *testing.T) {
-	const pending, hit, miss = "pending", "hit", "miss"
-	for _, c := range []struct {
-		kind     elideKind
-		p        mempipe.Point
-		moved    bool // staged: flushed; virtual: the heap sequence advanced
-		want     string
-		survived bool
-	}{
-		{stagedElide, mempipe.Acquire, false, pending, true},
-		{stagedElide, mempipe.Acquire, true, miss, false},
-		{stagedElide, mempipe.Release, false, hit, true},
-		{stagedElide, mempipe.Release, true, miss, false},
-		{stagedElide, mempipe.Signal, false, miss, true},
-		{stagedElide, mempipe.Park, false, miss, true},
-		{stagedElide, mempipe.Upgrade, false, miss, true},
-		{stagedElide, mempipe.Park, true, miss, false},
-		{virtualElide, mempipe.Acquire, false, pending, false},
-		{virtualElide, mempipe.Acquire, true, pending, false},
-		{virtualElide, mempipe.Release, false, hit, false},
-		{virtualElide, mempipe.Release, true, miss, false},
-		{virtualElide, mempipe.Signal, false, miss, false},
-		{virtualElide, mempipe.Park, false, miss, false},
-		{virtualElide, mempipe.Upgrade, false, miss, false},
-	} {
-		name := map[elideKind]string{stagedElide: "staged", virtualElide: "virtual"}[c.kind]
-		name += map[mempipe.Point]string{mempipe.Acquire: "@Acquire", mempipe.Release: "@Release",
-			mempipe.Signal: "@Signal", mempipe.Park: "@Park", mempipe.Upgrade: "@Upgrade"}[c.p]
-		r := newPolRig(lazyCfg(), 1, 2)
-		tp := &r.th[0]
-		const l = 1
-		r.pipe.seq = 40
-		tp.pending = pendingElide{kind: c.kind, lock: l, seq: 40}
-		if c.moved {
-			r.mem.flushed, r.pipe.seq = true, 41
-		}
-		got := r.pol.resolveElide(tp, c.p, r.mem)
-		if got != c.survived {
-			t.Errorf("%s moved=%v: survived = %v, want %v", name, c.moved, got, c.survived)
-		}
-		outcome := pending
-		if tp.pending.kind == noElide {
-			outcome = miss
-			if r.tbl.Locks[l].ElideHist == 1 {
-				outcome = hit
-			}
-			if r.pol.elideGlobal != r.tbl.Locks[l].ElideHist || r.tbl.Locks[0].ElideHist != 0 {
-				t.Errorf("%s moved=%v: lock %#x, global %#x: the outcome went to the wrong words",
-					name, c.moved, r.tbl.Locks[l].ElideHist, r.pol.elideGlobal)
-			}
-		} else if r.tbl.Locks[l].ElideHist != 0 || r.pol.elideGlobal != 0 {
-			t.Errorf("%s moved=%v: a pending outcome was pushed", name, c.moved)
-		}
-		if outcome != c.want {
-			t.Errorf("%s moved=%v: %s, want %s", name, c.moved, outcome, c.want)
-		}
-		if asked := r.mem.asked > 0; asked != (c.kind == stagedElide) {
-			t.Errorf("%s moved=%v: window asked %d times", name, c.moved, r.mem.asked)
-		}
-	}
-}
-
-// TestPolicyElideChain: what sets the pending outcome and the chain after a
-// visibility point, and what ends the chain.
-func TestPolicyElideChain(t *testing.T) {
-	r := newPolRig(lazyCfg(), 1, 2)
-	tp := &r.th[0]
-	r.pipe.seq = 7
-	for _, c := range []struct {
-		name     string
-		p        mempipe.Point
-		mayDefer bool
-		out      mempipe.Outcome
-		pending  pendingElide
-		chain    int
-	}{
-		{"staged release", mempipe.Release, true, mempipe.Outcome{Seq: 5, Staged: true}, pendingElide{kind: stagedElide, lock: 1}, 1},
-		{"staged again", mempipe.Release, true, mempipe.Outcome{Seq: 6, Staged: true}, pendingElide{kind: stagedElide, lock: 1}, 2},
-		{"acquire, nothing to publish", mempipe.Acquire, false, mempipe.Outcome{}, pendingElide{kind: stagedElide, lock: 1}, 2},
-		{"deferrable release with nothing to stage", mempipe.Release, true, mempipe.Outcome{}, pendingElide{}, 2},
-		{"eager release", mempipe.Release, false, mempipe.Outcome{Seq: 7, Committed: true}, pendingElide{kind: virtualElide, lock: 1, seq: 7}, 0},
-		{"staged after a commit", mempipe.Release, true, mempipe.Outcome{Seq: 8, Staged: true}, pendingElide{kind: stagedElide, lock: 1}, 1},
-		{"park with nothing to publish", mempipe.Park, false, mempipe.Outcome{}, pendingElide{kind: stagedElide, lock: 1}, 0},
-	} {
-		if c.p == mempipe.Release {
-			tp.pending = pendingElide{} // mayDefer resolved it at this Release
-		}
-		r.pol.published(tp, c.p, 1, c.mayDefer, c.out)
-		if tp.pending != c.pending || tp.elideChain != c.chain {
-			t.Errorf("%s: pending %+v chain %d, want %+v chain %d", c.name, tp.pending, tp.elideChain, c.pending, c.chain)
-		}
-	}
-	// A flushed stage whose window dropped its dirty set ends the chain when
-	// it resolves, wherever that is.
-	tp.pending, tp.elideChain = pendingElide{kind: stagedElide, lock: 1}, 9
-	r.mem.flushed, r.mem.dropped = true, true
-	r.pol.resolveElide(tp, mempipe.Acquire, r.mem)
-	if tp.elideChain != 0 {
-		t.Errorf("chain %d after a dropped stage resolved, want 0", tp.elideChain)
-	}
 }

@@ -2,12 +2,11 @@
 // the synchronization machinery are tagged with the phase they fell in —
 //
 //	engine_phase=grant      arbiter election and turn waiting
-//	engine_phase=commit     publication: eager commits, staged (elided)
-//	                        publications, and the stage flushes they imply
+//	engine_phase=commit     publication: the commits of synchronization points
 //	engine_phase=validate   speculation conflict validation
 //
 // so a -cpuprofile from lazydet-run/-bench/-sim can attribute sync-machinery
-// time to the phase the elision work targets (`go tool pprof -tagfocus
+// time to the publication path (`go tool pprof -tagfocus
 // engine_phase=commit`). Labeling costs two goroutine-label stores per
 // labeled region, so it is off unless a front end that is actually writing
 // a profile calls StartCPUProfile; disabled, each site is one atomic load

@@ -5,7 +5,6 @@ import (
 
 	"lazydet/internal/dlc"
 	"lazydet/internal/dvm"
-	"lazydet/internal/mempipe"
 	"lazydet/internal/trace"
 )
 
@@ -44,10 +43,8 @@ func (e *Engine) Spawn(t *dvm.Thread, target int) {
 		}
 	}
 	e.waitCommitTurn(t)
-	// Release semantics: the child re-bases on exactly this state, so
-	// deferred publications settle here (the child's pinned RefreshTo flush
-	// is then a deterministic no-op).
-	e.sync(t, ts, mempipe.Signal, noLock)
+	// Release semantics: the child re-bases on exactly this state.
+	e.sync(t, ts)
 	e.tbl.SpawnSeq[target] = e.pipe.Seq()
 	my := e.arb.DLC(t.ID)
 	<-e.started[target]
@@ -69,10 +66,8 @@ func (e *Engine) Join(t *dvm.Thread, target int) {
 		e.waitCommitTurn(t)
 		if e.arb.Status(target) == dlc.StatusExited {
 			// Acquire semantics: the target's final commit is already
-			// published; refresh our window to include it. Join is a
-			// cross-thread visibility point, so our own deferred
-			// publications settle too.
-			e.sync(t, ts, mempipe.Signal, noLock)
+			// published; refresh our window to include it.
+			e.sync(t, ts)
 			e.rec.Sync(t.ID, trace.OpJoin, int64(target), e.arb.DLC(t.ID))
 			e.arb.ReleaseTurn(t.ID, syncCost)
 			return

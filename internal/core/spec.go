@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"lazydet/internal/dvm"
-	"lazydet/internal/mempipe"
 	"lazydet/internal/telemetry"
 	"lazydet/internal/trace"
 )
@@ -160,15 +159,7 @@ func (e *Engine) terminateRun(t *dvm.Thread, ts *tstate) bool {
 // terminating at a condition-variable operation hold their critical-section
 // lock), and record success in the adaptive histories. Caller holds the turn.
 func (e *Engine) commitRunLocked(t *dvm.Thread, ts *tstate) {
-	// A validated run's publication is a release like any other and elides
-	// under the same per-lock policy, attributed to the run's first logged
-	// lock (the lock that began the run). An irrevocable run publishes
-	// eagerly: its deferred state was already settled at the upgrade.
-	if !ts.irrevocable && len(ts.log.locks) > 0 {
-		e.sync(t, ts, mempipe.Release, ts.log.locks[0].lock)
-	} else {
-		e.sync(t, ts, mempipe.Acquire, noLock)
-	}
+	e.sync(t, ts)
 	for _, h := range ts.held {
 		// A lock still held turns conventional in its mode. An exclusive
 		// one publishes what its section stored so far with this commit,
@@ -224,8 +215,8 @@ func (e *Engine) revertLocked(t *dvm.Thread, ts *tstate) {
 		// dirty set exactly the pre-run dirty set: snapshotting it afresh
 		// must count the words the BEGIN snapshot did.
 		e.audit.AtRevert(t, ts.snap, ts.mem.SnapshotDirtyInto(nil).Words(), ts.dirtySnap.Words())
-		// The pre-run dirty set includes any deferred (staged, un-published)
-		// state; the restore must have preserved it word for word.
+		// The restored dirty set must be tracked as exactly as the one it
+		// replaced.
 		e.audit.AtWindow(t.ID, ts.mem)
 	}
 	e.pol.runEnded(&ts.pol, ts.log.locks, ts.runCS, false)
@@ -279,10 +270,6 @@ func (e *Engine) enterIrrevocable(t *dvm.Thread, ts *tstate) bool {
 	if e.validate(ts) {
 		ts.irrevocable = true
 		e.irrevocableOwner = t.ID
-		// Settle deferred publications at the upgrade turn: the irrevocable
-		// phase reads committed state off-turn (ReadCommitted), and settling
-		// now keeps those reads' flushes deterministic no-ops.
-		e.sync(t, ts, mempipe.Upgrade, noLock)
 		if e.spec != nil {
 			e.spec.Upgrades.Add(1)
 		}

@@ -42,11 +42,6 @@ type Lock struct {
 	// not attributed to any lock. Mutated only at turns, so the count is
 	// a deterministic function of the schedule.
 	ConflictReverts int64
-	// ElideHist is storage for the lock's publication-elision survival
-	// history in core's policy: one word shared across threads, because a
-	// miss means the lock's state was demanded cross-thread, which predicts
-	// misses for every owner. Read and written only by the policy, at turns.
-	ElideHist uint64
 }
 
 // Barrier is a deterministic barrier over all threads of the run.

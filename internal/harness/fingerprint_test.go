@@ -113,9 +113,9 @@ func TestPinnedFingerprints(t *testing.T) {
 		}
 	}
 
-	// Rows where same-owner publication elision is live (commit.elided > 0):
-	// the burst shape elision_test.go targets, and the three Table 1 kernels
-	// whose releases chain.
+	// Rows where one thread releases and reacquires in long uninterrupted
+	// runs: the burst shape elision_test.go targets, and the three Table 1
+	// kernels whose releases chain.
 	for _, eng := range []harness.EngineKind{harness.Consequence, harness.LazyDet} {
 		for _, threads := range []int{4, 64} {
 			pin(fmt.Sprintf("burst/%v/t%d", eng, threads), burstWorkload(10, 20),
@@ -199,6 +199,35 @@ func TestPinnedFingerprints(t *testing.T) {
 	}
 	t.Fatalf("%s differs from this commit's runs (%d pinned, %d run); regenerate with -update only if the move is intended",
 		golden, len(want), len(got))
+}
+
+// TestPinnedPublicationIsOneCommit: every publication is one physical
+// commit, so on every pinned row that counts both, vheap.commits equals
+// mempipe.publishes.
+func TestPinnedPublicationIsOneCommit(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fingerprints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned []fingerprint
+	if err := json.Unmarshal(raw, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, f := range pinned {
+		commits, ok1 := f.Metrics["vheap.commits"]
+		pubs, ok2 := f.Metrics["mempipe.publishes"]
+		if !ok1 || !ok2 {
+			continue
+		}
+		checked++
+		if commits != pubs {
+			t.Errorf("%s: %v publications took %v physical commits", f.Run, pubs, commits)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no pinned row counts both vheap.commits and mempipe.publishes")
+	}
 }
 
 // diffFingerprints lists what moved between the pinned rows and this

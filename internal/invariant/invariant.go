@@ -215,15 +215,10 @@ type WindowAuditor interface {
 // bitmap, or the bitmap commit path is about to drop a write. Rule
 // view-page-table: the dense dirty/clean tables, generation stamps and
 // pooled frames must be mutually consistent, or a recycled frame is about to
-// leak stale words into a commit. Rule deferred-publish: every page of the
-// thread's outstanding staged publication must still hold a live frame in
-// its window, and every staged word the thread has not rewritten since must
-// carry the staged value there — otherwise the window has stopped observing
-// (or a speculation revert has corrupted) state the trace already records as
-// committed. The engine calls it before every visibility point (a commit
-// clears the dirty set), after staging a deferred publication and after
-// restoring a revert snapshot — on the owning thread (the dirty set is
-// thread-private and mutated off-turn by stores), while it holds the turn.
+// leak stale words into a commit. The engine calls it before every
+// publication (a commit clears the dirty set) and after restoring a revert
+// snapshot — on the owning thread (the dirty set is thread-private and
+// mutated off-turn by stores), while it holds the turn.
 func (c *Checker) AtWindow(tid int, m WindowAuditor) {
 	if c == nil || c.heap == nil {
 		return

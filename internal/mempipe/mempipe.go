@@ -14,8 +14,7 @@
 //
 // The flat pipeline answers the same questions degenerately: it is never
 // dirty, Publish commits nothing, Refresh has nothing to re-base, and its
-// sequence number is always 0; every visibility point answers with the zero
-// Outcome.
+// sequence number is always 0.
 package mempipe
 
 import (
@@ -38,55 +37,10 @@ type Pipeline interface {
 	ReadCommitted(addr int64) int64
 }
 
-// Point is a visibility point: one of the closed list of places where a
-// thread's writes may become visible to other threads and other threads'
-// writes to it (paper §2: "only as a result of synchronization operations").
-// Each point fixes which of publish / settle / drop / re-base a window
-// performs, in that order; DESIGN.md's "Visibility points" table maps the
-// engine's synchronization operations onto them.
-type Point uint8
-
-const (
-	// Acquire (lock and rwlock acquisition, both halves of an eager atomic, an
-	// irrevocable run's commit): publish the window's own unpublished
-	// writes and re-base on the newest state. The window's own deferred
-	// publication, if any, stays outstanding, so the re-base keeps the dirty
-	// set.
-	Acquire Point = iota
-	// Release (unlock, rwlock release, a validated run's commit): Acquire,
-	// except that with mayDefer the publication is deferred — staged at the
-	// exact sequence the commit would have used — instead of performed.
-	Release
-	// Signal (condvar signal/broadcast, spawn, join, the last barrier
-	// arrival): publish, settle every outstanding deferred publication (the
-	// window's own included), drop the now fully published dirty set, and
-	// re-base.
-	Signal
-	// Park (condvar wait, barrier arrival, thread exit): Signal without the
-	// re-base — the wake path re-bases on a pinned sequence (RefreshTo), never
-	// on "newest at the wall-clock wake moment".
-	Park
-	// Upgrade (irrevocable upgrade of a speculation run): settle only. The
-	// run's own writes stay private until it commits.
-	Upgrade
-)
-
-// Outcome is what a visibility point published, for the engine to record.
-type Outcome struct {
-	// Seq is the commit sequence the window's writes were published at —
-	// performed (Committed) or reserved (Staged). Zero when neither.
-	Seq int64
-	// Committed reports a physical commit of the window's writes at Seq.
-	Committed bool
-	// Staged reports a deferred publication at Seq: the sequence is reserved
-	// and traced now, the merge happens at the first point another thread
-	// could observe it.
-	Staged bool
-}
-
 // Thread is one thread's window onto the pipeline's memory. The VM's load
 // and store instructions dispatch straight to it (it satisfies
-// dvm.MemWindow); the engines drive Sync at synchronization points.
+// dvm.MemWindow); the engines publish and re-base it at synchronization
+// points (DESIGN.md's "Visibility points" table).
 type Thread interface {
 	// Load reads addr: the thread's own unpublished write if there is one,
 	// otherwise the published state the window is based on.
@@ -100,22 +54,10 @@ type Thread interface {
 	// contents (irrevocable atomics). Equivalent to Store on flat memory.
 	StoreDirty(addr, val int64)
 
-	// Sync performs visibility point p. mayDefer is the engine's elision
-	// policy decision and is read at Release only. The caller holds the
-	// deterministic turn. Flat windows have nothing to publish or re-base
-	// and answer every point with the zero Outcome.
-	Sync(p Point, mayDefer bool) Outcome
-	// Deferred reports the fate of the window's most recent deferred
-	// publication: flushed when another publication has applied it. If it was
-	// flushed and the window holds no writes since, the retained dirty set is
-	// fully published; Deferred releases it and reports dropped. The engine's
-	// elision policy asks before it decides the next Release. Always false on
-	// flat memory.
-	Deferred() (flushed, dropped bool)
-
-	// Publish makes the window's writes globally visible. It reports the
-	// commit sequence it published at, and false if there was nothing to
-	// publish (or the memory is flat and publication is meaningless).
+	// Publish makes the window's writes globally visible and empties its
+	// dirty set. It reports the commit sequence it published at, and false
+	// if there was nothing to publish (or the memory is flat and publication
+	// is meaningless). The caller holds the deterministic turn.
 	Publish() (seq int64, committed bool)
 	// Refresh re-bases the window on the newest published state. The dirty
 	// set must be empty (publish or revert first).
@@ -139,10 +81,9 @@ type Thread interface {
 	// memory, under the same core.New rule.
 	RevertTo(s *vheap.DirtySnapshot) (discarded int)
 
-	// Audit verifies the window's dirty tracking, page tables and deferred
-	// publication (vheap.View.AuditDirty, AuditTables, AuditDeferred),
-	// naming the invariant rule the first failure breaks. Nil on flat
-	// memory, which tracks nothing.
+	// Audit verifies the window's dirty tracking and page tables
+	// (vheap.View.AuditDirty, AuditTables), naming the invariant rule the
+	// first failure breaks. Nil on flat memory, which tracks nothing.
 	Audit() (rule string, err error)
 	// Close releases the window at thread exit.
 	Close()
@@ -186,79 +127,23 @@ func (t *versionedThread) SnapshotDirtyInto(s *vheap.DirtySnapshot) *vheap.Dirty
 	return t.v.SnapshotDirtyInto(s)
 }
 
-func (t *versionedThread) Sync(p Point, mayDefer bool) Outcome {
-	v := t.v
-	switch {
-	case p == Upgrade:
-		v.SettleDeferred()
-		return Outcome{}
-	case p == Release && mayDefer:
-		// StagePublish re-bases with the dirty set kept, and reserves a
-		// sequence only when something is unpublished — exactly when a commit
-		// would have used one.
-		seq, staged := v.StagePublish()
-		if staged {
-			t.countPublish()
-		}
-		return Outcome{Seq: seq, Staged: staged}
-	}
-	seq, committed := t.Publish()
-	switch p {
-	case Acquire, Release:
-		v.RefreshDirty()
-	case Signal, Park:
-		v.SettleDeferred()
-		v.DropClean()
-		if p == Signal {
-			v.Update()
-		}
-	}
-	return Outcome{Seq: seq, Committed: committed}
-}
-
-func (t *versionedThread) Deferred() (flushed, dropped bool) {
-	if !t.v.StageFlushed() {
-		return false, false
-	}
-	if t.v.Unpublished() {
-		return true, false
-	}
-	// Dropping now keeps later publications from re-staging or re-committing
-	// long-silent frames.
-	t.v.DropClean()
-	return true, true
-}
-
 func (t *versionedThread) Publish() (int64, bool) {
-	// Unpublished, not DirtyPages: a window retains its dirty set across
-	// deferred publications, and a point with no writes since the last one
-	// must publish nothing — exactly when an eager dirty set would have been
-	// empty.
-	if !t.v.Unpublished() {
+	if t.v.DirtyPages() == 0 {
 		return 0, false
 	}
-	t.countPublish()
-	seq, _ := t.v.Commit()
-	return seq, true
-}
-
-// countPublish records one publication, performed or deferred, and the
-// dirty-set size it found.
-func (t *versionedThread) countPublish() {
 	if t.tel != nil {
 		t.publishes.Add(1)
 		t.tel.Observe("mempipe.publish_dirty_words", int64(t.v.DirtyWords()))
 	}
+	seq, _ := t.v.Commit()
+	return seq, true
 }
 
 func (t *versionedThread) Audit() (string, error) {
 	if err := t.v.AuditDirty(); err != nil {
 		return "commit-dirty-tracking", err
 	}
-	if err := t.v.AuditTables(); err != nil {
-		return "view-page-table", err
-	}
-	return "deferred-publish", t.v.AuditDeferred()
+	return "view-page-table", t.v.AuditTables()
 }
 
 // flat is the unversioned pipeline over plain shared memory.
@@ -278,8 +163,6 @@ type flatThread struct{ m *shmem.Mem }
 func (t flatThread) Load(addr int64) int64      { return t.m.Load(addr) }
 func (t flatThread) Store(addr, val int64)      { t.m.Store(addr, val) }
 func (t flatThread) StoreDirty(addr, val int64) { t.m.Store(addr, val) }
-func (t flatThread) Sync(Point, bool) Outcome   { return Outcome{} }
-func (t flatThread) Deferred() (bool, bool)     { return false, false }
 func (t flatThread) Publish() (int64, bool)     { return 0, false }
 func (t flatThread) Refresh()                   {}
 func (t flatThread) RefreshTo(seq int64)        {}

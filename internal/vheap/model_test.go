@@ -10,13 +10,8 @@ import (
 // committed memory is one whole array per sequence number, a view is a base
 // sequence plus the words it wrote, and a publication writes every word that
 // differs from its twin (or was StoreDirty'ed) into a copy of the newest
-// array. No pages, tables, bitmaps, pools, chains or stages — which is
-// the point: those may change how a word is found, never which.
-//
-// Deferred publication has no counterpart here. At most one stage is ever
-// outstanding (every publication flushes the foreign ones first) and every
-// operation that could observe it applies it first, so the model publishes a
-// StagePublish on the spot.
+// array. No pages, tables, bitmaps, pools or chains — which is the point:
+// those may change how a word is found, never which.
 type refHeap struct{ seqs [][]int64 }
 
 type refWord struct {
@@ -27,15 +22,13 @@ type refWord struct {
 func (w refWord) differs() bool { return w.forced || w.val != w.twin }
 
 type refView struct {
-	base     int
-	dirty    map[int64]refWord
-	unstaged bool // a store since the last publication event
+	base  int
+	dirty map[int64]refWord
 }
 
 type refSnap struct {
-	dirty    map[int64]refWord
-	words    int
-	unstaged bool
+	dirty map[int64]refWord
+	words int
 }
 
 func (h *refHeap) newest() int { return len(h.seqs) - 1 }
@@ -57,7 +50,6 @@ func (v *refView) store(h *refHeap, addr, val int64, force bool) {
 		w.forced = true
 	}
 	v.dirty[addr] = w
-	v.unstaged = true
 }
 
 func (v *refView) dirtyWords() (n int) {
@@ -69,17 +61,8 @@ func (v *refView) dirtyWords() (n int) {
 	return n
 }
 
-func (v *refView) hasForced() bool {
-	for _, w := range v.dirty {
-		if w.forced {
-			return true
-		}
-	}
-	return false
-}
-
-// publish appends a new sequence: the newest array plus v's differing words.
-func (h *refHeap) publish(v *refView) (seq, changed int) {
+// commit appends a new sequence: the newest array plus v's differing words.
+func (v *refView) commit(h *refHeap) (seq, changed int) {
 	next := append([]int64(nil), h.seqs[h.newest()]...)
 	for addr, w := range v.dirty {
 		if w.differs() {
@@ -88,38 +71,20 @@ func (h *refHeap) publish(v *refView) (seq, changed int) {
 		}
 	}
 	h.seqs = append(h.seqs, next)
-	v.base, v.unstaged = h.newest(), false
-	return v.base, changed
-}
-
-func (v *refView) commit(h *refHeap) (seq, changed int) {
-	seq, changed = h.publish(v)
 	clear(v.dirty)
-	return seq, changed
-}
-
-// stagePublish keeps the dirty set: what was published becomes its own twin.
-func (v *refView) stagePublish(h *refHeap) (int, bool) {
-	if !v.unstaged {
-		v.base = h.newest()
-		return 0, false
-	}
-	seq, _ := h.publish(v)
-	for addr, w := range v.dirty {
-		v.dirty[addr] = refWord{val: w.val, twin: w.val}
-	}
-	return seq, true
+	v.base = h.newest()
+	return v.base, changed
 }
 
 func (v *refView) revert(h *refHeap) int {
 	n := v.dirtyWords()
 	clear(v.dirty)
-	v.base, v.unstaged = h.newest(), false
+	v.base = h.newest()
 	return n
 }
 
 func (v *refView) snapshot() refSnap {
-	s := refSnap{dirty: make(map[int64]refWord, len(v.dirty)), words: v.dirtyWords(), unstaged: v.unstaged}
+	s := refSnap{dirty: make(map[int64]refWord, len(v.dirty)), words: v.dirtyWords()}
 	for a, w := range v.dirty {
 		s.dirty[a] = w
 	}
@@ -132,7 +97,6 @@ func (v *refView) revertTo(s refSnap) int {
 	for a, w := range s.dirty {
 		v.dirty[a] = w
 	}
-	v.unstaged = s.unstaged
 	return n
 }
 
@@ -140,22 +104,14 @@ func (v *refView) revertTo(s refSnap) int {
 // through seeded random interleavings of every View operation, and compares
 // the heap with the model after each: loads of the touched word through all
 // three views, dirty counts, every (seq, changed) and discard count, and at
-// the end the whole committed image — with all four audits after every step.
+// the end the whole committed image — with all three audits after every step.
 //
-// Two regimes, because the word-level model is exact under two different
-// conditions. "racy": any view writes any word, publication is eager only
-// (Commit) — last committer wins, silent stores lose, StoreDirty wins.
-// "owned": view i writes only words ≡ i mod 3 but reads everything, and the
-// keep-dirty operations (StagePublish, RefreshDirty) join in — false sharing
-// of pages between views, foreign commits between a store and its
-// publication, staged values surviving re-bases. Keep-dirty re-bases rebuild
-// frames page by page, so with racing writers which twin a word ends up with
-// depends on the page layout; with one writer per word it cannot. For the
-// same reason RefreshDirty is not issued while a StoreDirty'ed word is
-// unpublished (the engine publishes right after StoreDirty).
+// Two regimes: "racy", where any view writes any word — last committer
+// wins, silent stores lose, StoreDirty wins — and "owned", where view i
+// writes only words ≡ i mod 3 but reads everything — false sharing of pages
+// between views, foreign commits between a store and its publication.
 func TestHeapMatchesModel(t *testing.T) {
 	const words, steps = 192, 500
-	b2i := map[bool]int{true: 1}
 	for _, pageWords := range []int{16, 32} {
 		for _, owned := range []bool{false, true} {
 			for seed := int64(1); seed <= 6; seed++ {
@@ -179,7 +135,7 @@ func TestHeapMatchesModel(t *testing.T) {
 							addr = addr/3*3 + int64(i)
 						}
 						val := 1 + r.Int63n(4) // few values: silent stores are common
-						op := r.Intn(16)
+						op := r.Intn(14)
 						if refSnaps[i] != nil && op >= 8 {
 							op = 8 + op%2 // an open run only stores, loads and ends
 						}
@@ -209,13 +165,6 @@ func TestHeapMatchesModel(t *testing.T) {
 						case op == 13 && len(m.dirty) == 0:
 							v.Update()
 							m.base = ref.newest()
-						case op == 14 && owned:
-							seq, staged := v.StagePublish()
-							mseq, mstaged := m.stagePublish(ref)
-							got, want = [2]int{int(seq), b2i[staged]}, [2]int{mseq, b2i[mstaged]}
-						case op == 15 && owned && !m.hasForced():
-							v.RefreshDirty()
-							m.base = ref.newest()
 						}
 						if got != want {
 							t.Fatalf("step %d view %d op %d: heap returned %v, model %v", step, i, op, got, want)
@@ -233,7 +182,7 @@ func TestHeapMatchesModel(t *testing.T) {
 							if g, w := views[j].DirtyPages() != 0, len(refs[j].dirty) != 0; g != w {
 								t.Fatalf("step %d (view %d op %d): view %d dirty = %v, model %v", step, i, op, j, g, w)
 							}
-							for _, err := range []error{views[j].AuditDirty(), views[j].AuditTables(), views[j].AuditDeferred()} {
+							for _, err := range []error{views[j].AuditDirty(), views[j].AuditTables()} {
 								if err != nil {
 									t.Fatalf("step %d (view %d op %d): view %d: %v", step, i, op, j, err)
 								}

@@ -82,8 +82,8 @@ type page struct {
 	words []int64
 }
 
-// Heap is the shared versioned memory. Lock order, where several are held:
-// stageMu before mu before viewMu.
+// Heap is the shared versioned memory. Lock order, where both are held: mu
+// before viewMu.
 type Heap struct {
 	pageWords int
 	pageShift uint
@@ -125,12 +125,6 @@ type Heap struct {
 	viewMu sync.Mutex // guards the live-view registry
 	views  []*View    // live views in no particular order, for trim floor computation
 
-	// Outstanding deferred publications (see stage.go). nstaged mirrors
-	// len(stages) so the no-elision fast path is one atomic load.
-	stageMu sync.Mutex
-	stages  []*stage
-	nstaged atomic.Int32
-
 	commits      atomic.Int64 // total commits (stats)
 	pagesWritten atomic.Int64 // total page versions published (stats)
 	wordsMerged  atomic.Int64 // total words merged across commits (stats)
@@ -152,7 +146,6 @@ type Heap struct {
 // name. All nil (and nil-safe) without telemetry.
 type heapCounters struct {
 	commits, pages, words, scanned               *telemetry.Counter
-	stagePublishes, stageFlushes                 *telemetry.Counter
 	frameHits, frameMisses, pageHits, pageMisses *telemetry.Counter
 }
 
@@ -209,16 +202,14 @@ func New(words int64, opts ...Option) *Heap {
 		lastFloor: -1,
 		tel:       cfg.tel,
 		ctr: heapCounters{
-			commits:        cfg.tel.Handle("vheap.commits"),
-			pages:          cfg.tel.Handle("vheap.pages_committed"),
-			words:          cfg.tel.Handle("vheap.words_committed"),
-			scanned:        cfg.tel.Handle("vheap.words_scanned"),
-			stagePublishes: cfg.tel.Handle("vheap.stage_publishes"),
-			stageFlushes:   cfg.tel.Handle("vheap.stage_flushes"),
-			frameHits:      cfg.tel.Handle("vheap.frame_pool_hits"),
-			frameMisses:    cfg.tel.Handle("vheap.frame_pool_misses"),
-			pageHits:       cfg.tel.Handle("vheap.page_pool_hits"),
-			pageMisses:     cfg.tel.Handle("vheap.page_pool_misses"),
+			commits:     cfg.tel.Handle("vheap.commits"),
+			pages:       cfg.tel.Handle("vheap.pages_committed"),
+			words:       cfg.tel.Handle("vheap.words_committed"),
+			scanned:     cfg.tel.Handle("vheap.words_scanned"),
+			frameHits:   cfg.tel.Handle("vheap.frame_pool_hits"),
+			frameMisses: cfg.tel.Handle("vheap.frame_pool_misses"),
+			pageHits:    cfg.tel.Handle("vheap.page_pool_hits"),
+			pageMisses:  cfg.tel.Handle("vheap.page_pool_misses"),
 		},
 	}
 	h.zero = &page{seq: 0, words: make([]int64, cfg.pageWords)}
@@ -265,11 +256,8 @@ func (h *Heap) SetInitial(addr, val int64) {
 }
 
 // ReadCommitted returns the committed value of addr at the newest version.
-// It is used by validation and by the harness after a run completes. Any
-// outstanding deferred publication is applied first: "newest committed"
-// includes every reserved sequence.
+// It is used by validation and by the harness after a run completes.
 func (h *Heap) ReadCommitted(addr int64) int64 {
-	h.flushStages(nil, flushAll)
 	p := h.slots[addr>>h.pageShift].Load()
 	return p.words[addr&h.pageMask]
 }
@@ -327,7 +315,6 @@ func (h *Heap) cachedFloor() int64 {
 // Hash returns an FNV-1a hash of the newest committed heap contents. Two
 // deterministic runs of the same program must produce equal hashes.
 func (h *Heap) Hash() uint64 {
-	h.flushStages(nil, flushAll) // hash the state including deferred publications
 	f := fnv.New64a()
 	var buf [8]byte
 	h.mu.Lock()
@@ -353,8 +340,7 @@ type CommitStats struct {
 	// Commits is the number of Commit calls.
 	Commits int64
 	// Pages is the number of page versions published: one per page a
-	// commit or applied stage changed, none for a page whose stores were
-	// all silent.
+	// commit changed, none for a page whose stores were all silent.
 	Pages int64
 	// Words is the number of words merged onto head versions — the change
 	// set size the paper's Figure 12 plots.
@@ -390,7 +376,6 @@ func (h *Heap) Stats() CommitStats {
 // lists: the retention DDRF pays (paper §4.2). The DLRC-style count, every
 // version ever written, is the page count plus Stats().Pages.
 func (h *Heap) LiveVersions() int {
-	h.flushStages(nil, flushAll)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := 0
@@ -413,27 +398,11 @@ func (h *Heap) LiveVersions() int {
 // descriptive error on the first breach. Used by the invariant checker
 // (internal/invariant).
 func (h *Heap) Audit() error {
-	// Snapshot the outstanding stages before taking mu (flushes acquire
-	// stageMu before mu; Audit must not invert that).
-	h.stageMu.Lock()
-	stages := append([]*stage(nil), h.stages...)
-	h.stageMu.Unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.viewMu.Lock()
 	defer h.viewMu.Unlock()
 	top := h.seq.Load()
-	for _, s := range stages {
-		if s.seq > top {
-			return fmt.Errorf("vheap: outstanding stage at seq %d is ahead of the newest commit %d", s.seq, top)
-		}
-		for _, pi := range s.pis {
-			if head := h.slots[pi].Load(); head.seq >= s.seq {
-				return fmt.Errorf("vheap: page %d head version %d has overtaken an outstanding stage at seq %d — its flush could no longer head-insert",
-					pi, head.seq, s.seq)
-			}
-		}
-	}
 	floor := h.trimFloorLocked()
 	for _, v := range h.views {
 		if b := v.base.Load(); b > top {
@@ -495,10 +464,6 @@ type dirtyPage struct {
 	words []int64
 	twin  []int64 // snapshot of the base contents at first write
 	dirty []uint64
-	// baseSeq is the sequence of the page version the twin was snapshotted
-	// from, so a keep-dirty re-base (stage.go) can tell whether the frame's
-	// base page advanced without storing the page pointer itself.
-	baseSeq int64
 	// snapKeep is RevertTo's transient sweep mark: set on frames the
 	// snapshot reinstates, cleared again before RevertTo returns.
 	snapKeep bool
@@ -552,24 +517,9 @@ type View struct {
 	frameMiss int64
 	closed    bool // Close happened; further Closes are no-ops
 	slot      int  // index in h.views while registered; guarded by h.viewMu
-
-	// stg is the view's deferred publication (stage.go), nil until the first
-	// elided publish. unstaged records whether any store happened since the
-	// last publication event (Commit or StagePublish) — the elided analogue
-	// of "is the dirty set non-empty", which staging no longer clears.
-	stg      *stage
-	unstaged bool
 }
 
-// NewView creates a view based on the newest committed state. It does NOT
-// flush outstanding deferred publications: views are created at thread
-// start, which can race with already-running threads' turns, and a
-// wall-clock flush here would make elision outcomes (and the gated elision
-// counters) nondeterministic. The base may therefore sit above an unapplied
-// stage — harmless, because a thread's pre-first-synchronization loads can
-// only touch state no other thread has written (anything else is a data
-// race), and the engine re-bases the view, flushing at its own turn, before
-// any cross-thread state is read.
+// NewView creates a view based on the newest committed state.
 func (h *Heap) NewView() *View {
 	v := &View{
 		h:        h,
@@ -592,16 +542,6 @@ func (h *Heap) NewView() *View {
 // thread state twice cannot invalidate the trim-floor cache spuriously or
 // unregister a recreated view by aliasing.
 func (v *View) Close() {
-	// A closing view's outstanding deferred publication is still committed
-	// state (it is in the trace at its reserved sequence); apply it rather
-	// than lose it — dropping is only legal when the owner commits the
-	// retained dirty set itself, which a Close does not.
-	if v.stg != nil && v.stg.queued {
-		// Bounded by the stage's own reserved sequence: prefix closure pulls
-		// in every earlier stage the application depends on, and later
-		// stages (possibly created at turns still running) are left alone.
-		v.h.flushStages(nil, v.stg.seq)
-	}
 	v.h.viewMu.Lock()
 	unregistered := false
 	if !v.closed {
@@ -818,14 +758,12 @@ func (v *View) Load(addr int64) int64 {
 func (v *View) Store(addr, val int64) {
 	pi := int(addr >> v.h.pageShift)
 	off := addr & v.h.pageMask
-	v.unstaged = true
 	d := v.dirtyTab[pi]
 	if d == nil {
 		base := v.resolve(pi)
 		d = v.frame()
 		copy(d.words, base.words)
 		copy(d.twin, base.words)
-		d.baseSeq = base.seq
 		v.dirtyTab[pi] = d
 		v.dirtyIdx = append(v.dirtyIdx, pi)
 	}
@@ -913,12 +851,6 @@ func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits,
 // while holding the turn); the mutex only protects the data structures.
 func (v *View) Commit() (seq int64, changed int) {
 	h := v.h
-	// Deferred-publication rule: a physical commit first applies every
-	// outstanding stage — the view's own included, at its reserved sequence,
-	// so the traced elided publications reach the chains with exactly the
-	// values the trace promised — and only then merges the delta written
-	// since the last publication event at the new sequence.
-	h.flushStages(nil, flushAll)
 	oldBase := v.base.Load()
 	newSeq := h.seq.Load() + 1
 	scanned := int64(0)
@@ -950,14 +882,13 @@ func (v *View) Commit() (seq int64, changed int) {
 	h.countCommit(pages, int64(changed), scanned, frameHits, frameMiss, pageHits, pageMisses)
 	v.base.Store(newSeq)
 	h.noteRebase(oldBase)
-	v.unstaged = false
 	v.clearDirty()
 	v.invalidateClean()
 	return newSeq, changed
 }
 
-// countCommit publishes one physical commit (a view's or a flushed stage's)
-// into telemetry. A pool counter that never fired stays out of the snapshot.
+// countCommit publishes one commit into telemetry. A pool counter that never
+// fired stays out of the snapshot.
 func (h *Heap) countCommit(pages, changed, scanned, frameHits, frameMiss, pageHits, pageMisses int64) {
 	if h.tel == nil {
 		return
@@ -1018,7 +949,6 @@ func (v *View) Update() {
 	if v.DirtyPages() != 0 {
 		panic("vheap: Update with non-empty dirty set")
 	}
-	v.h.flushStages(v, flushAll)
 	oldBase := v.base.Load()
 	v.base.Store(v.h.seq.Load())
 	v.h.noteRebase(oldBase)
@@ -1033,10 +963,6 @@ func (v *View) UpdateTo(seq int64) {
 	if v.DirtyPages() != 0 {
 		panic("vheap: UpdateTo with non-empty dirty set")
 	}
-	// Bounded flush: UpdateTo executes at a wall-clock wake moment, so it may
-	// only consume stages at or below the pinned sequence — all of which were
-	// settled at their owners' turns, making this a deterministic no-op.
-	v.h.flushStages(nil, seq)
 	cur := v.base.Load()
 	if seq < cur {
 		panic(fmt.Sprintf("vheap: UpdateTo(%d) would move the base backwards from %d", seq, cur))
@@ -1050,12 +976,6 @@ func (v *View) UpdateTo(seq int64) {
 // newest committed state, as LazyDet does when a speculation run fails.
 // It returns the number of discarded (non-silent) dirty words.
 func (v *View) Revert() (discarded int) {
-	// A full revert discards the entire dirty set, which may include words
-	// whose deferred publication is already in the trace; applying every
-	// outstanding stage (own included) first keeps those publications — they
-	// are committed state, not private modifications.
-	v.h.flushStages(nil, flushAll)
-	v.unstaged = false
 	discarded = v.DirtyWords()
 	oldBase := v.base.Load()
 	v.base.Store(v.h.seq.Load())
@@ -1075,20 +995,7 @@ type DirtySnapshot struct {
 	pis   []int
 	pages []*dirtyPage // deep copies, parallel to pis
 	spare []*dirtyPage // retained frames not used by the current contents
-	// cleanPis records frames that had no marked words at snapshot time —
-	// frames retained across an elided publication, whose twin was
-	// re-snapshotted to the frame values at the last publication event and
-	// is immutable during a speculative run. Such a frame needs no deep
-	// copy at BEGIN: a revert restores its words from its own twin and
-	// clears its marks. This keeps the snapshot cost of a retained dirty
-	// set (the elision steady state) at zero page copies instead of one
-	// per retained frame per speculation attempt.
-	cleanPis []int
-	words    int
-	// unstaged preserves the view's writes-since-last-publication flag, so a
-	// revert restores the elision machinery's delta tracking along with the
-	// dirty set.
-	unstaged bool
+	words int
 }
 
 // Words returns the number of non-silent dirty words in the snapshot.
@@ -1105,12 +1012,11 @@ func (s *DirtySnapshot) frame(h *Heap) *dirtyPage {
 	return h.newFrame()
 }
 
-// copyInto deep-copies src over dst, bitmap and base stamp included.
+// copyInto deep-copies src over dst, bitmap included.
 func copyInto(dst, src *dirtyPage) {
 	copy(dst.words, src.words)
 	copy(dst.twin, src.twin)
 	copy(dst.dirty, src.dirty)
-	dst.baseSeq = src.baseSeq
 }
 
 // SnapshotDirty deep-copies the view's dirty set into a fresh snapshot.
@@ -1132,21 +1038,9 @@ func (v *View) SnapshotDirtyInto(s *DirtySnapshot) *DirtySnapshot {
 	}
 	s.pages = s.pages[:0]
 	s.pis = s.pis[:0]
-	s.cleanPis = s.cleanPis[:0]
 	s.words = 0
-	s.unstaged = v.unstaged
-	// A frame with no marked words — retained across an elided publication,
-	// its twin re-snapshotted to the frame values at that publication event —
-	// is recorded by page number only: the twin is immutable for the
-	// snapshot's lifetime (stores touch words and marks; twins change only at
-	// publication events, which cannot happen inside a speculative run), so
-	// RevertTo restores the frame from its own twin without a deep copy here.
 	for _, pi := range v.dirtyIdx {
 		d := v.dirtyTab[pi]
-		if !hasMarks(d) {
-			s.cleanPis = append(s.cleanPis, pi)
-			continue
-		}
 		dst := s.frame(v.h)
 		copyInto(dst, d)
 		s.pis = append(s.pis, pi)
@@ -1154,17 +1048,6 @@ func (v *View) SnapshotDirtyInto(s *DirtySnapshot) *DirtySnapshot {
 		s.words += diffWords(d)
 	}
 	return s
-}
-
-// hasMarks reports whether any word of the frame is marked written since the
-// last publication event.
-func hasMarks(d *dirtyPage) bool {
-	for _, m := range d.dirty {
-		if m != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // RevertTo discards the run's modifications and reinstates the dirty set
@@ -1177,25 +1060,12 @@ func (v *View) RevertTo(s *DirtySnapshot) (discarded int) {
 	if discarded < 0 {
 		discarded = 0
 	}
-	v.unstaged = s.unstaged
-	// Frames recorded clean restore from their own immutable twins; frames
-	// the snapshot deep-copied reinstate into the frame already holding the
-	// page (no publication happened during the run, so a snapshotted page's
-	// frame is still live); frames for pages the run dirtied after the
-	// snapshot are released. The snapKeep mark makes the sweep linear.
-	for _, pi := range s.cleanPis {
-		d := v.dirtyTab[pi]
-		copy(d.words, d.twin)
-		clear(d.dirty)
-		d.snapKeep = true
-	}
-	var missing []int
+	// Snapshotted pages reinstate into the frame already holding the page
+	// (no publication happened during the run, so a snapshotted page's frame
+	// is still live); frames for pages the run dirtied after the snapshot are
+	// released. The snapKeep mark makes the sweep linear.
 	for i, pi := range s.pis {
 		d := v.dirtyTab[pi]
-		if d == nil {
-			missing = append(missing, i)
-			continue
-		}
 		copyInto(d, s.pages[i])
 		d.snapKeep = true
 	}
@@ -1212,12 +1082,5 @@ func (v *View) RevertTo(s *DirtySnapshot) (discarded int) {
 		v.dirtyTab[pi] = nil
 	}
 	v.dirtyIdx = v.dirtyIdx[:n]
-	for _, i := range missing {
-		pi := s.pis[i]
-		d := v.frame()
-		copyInto(d, s.pages[i])
-		v.dirtyTab[pi] = d
-		v.dirtyIdx = append(v.dirtyIdx, pi)
-	}
 	return discarded
 }

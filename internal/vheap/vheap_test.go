@@ -141,8 +141,7 @@ func TestTrimmedChainsStayBounded(t *testing.T) {
 
 // TestPagesCountsEachNewVersion pins what the DLRC version count (paper
 // §4.2) is derived from: Stats().Pages rises by exactly one for every page a
-// publication links a new version into — on the direct Commit path and on
-// the deferred-stage path alike — and not at all for a page whose stores
+// commit links a new version into, and not at all for a page whose stores
 // were all silent. A DLRC heap retains every linked version, so its count
 // is the page population plus Stats().Pages.
 func TestPagesCountsEachNewVersion(t *testing.T) {
@@ -152,7 +151,6 @@ func TestPagesCountsEachNewVersion(t *testing.T) {
 		t.Helper()
 		before := h.Stats().Pages
 		publish()
-		v.SettleDeferred()
 		if got := h.Stats().Pages - before; got != wantPages {
 			t.Fatalf("%s: Stats().Pages rose by %d, want %d", what, got, wantPages)
 		}
@@ -167,21 +165,15 @@ func TestPagesCountsEachNewVersion(t *testing.T) {
 		v.Store(50, 50)
 		v.Commit()
 	})
-	step("staged publication touching pages 1 and 3", 2, func() {
+	step("commit touching pages 1 and 3", 2, func() {
 		v.Store(17, 17)
 		v.Store(51, 51)
-		if _, staged := v.StagePublish(); !staged {
-			t.Fatal("StagePublish did not stage")
-		}
+		v.Commit()
 	})
 	step("silent commit", 0, func() {
 		v.Store(1, 10)
 		v.Store(33, 30)
 		v.Commit()
-	})
-	step("silent staged publication", 0, func() {
-		v.Store(2, 20)
-		v.StagePublish()
 	})
 }
 
