@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Runs the ten-pair parent-vs-change protocol: the six BENCHMARK.json
+# workloads on seeds 1-10, one untraced run per side per seed, alternating
+# which side runs first (the parent on odd seeds, the change on even ones), then
+# compares the two sets and prints both sides' H4 link addresses (EXPERIMENTS.md
+# H4: compute and stencil-bulk walls move with the 64-byte phase of these
+# functions, whatever the change touched).
+#
+#   bash bench/pairs.sh PARENT CHANGE OUTDIR
+#
+# PARENT and CHANGE are two checkouts of the repository; each builds its own
+# benchmark from its own source (benchmark/run.sh). Reports go to
+# OUTDIR/parent.jsonl and OUTDIR/change.jsonl (truncated first) and the
+# comparison to stdout. SECONDS_PER_RUN (default 21) shortens each run for a
+# smoke test; only the default is the accepted protocol. Nothing is written
+# inside either checkout except its benchmark/run.sh build directory.
+set -euo pipefail
+if [ $# -ne 3 ]; then
+	echo "usage: bash bench/pairs.sh PARENT CHANGE OUTDIR" >&2
+	exit 2
+fi
+parent="$(cd "$1" && pwd)"
+change="$(cd "$2" && pwd)"
+mkdir -p "$3"
+out="$(cd "$3" && pwd)"
+seconds="${SECONDS_PER_RUN:-21}"
+
+: >"$out/parent.jsonl"
+: >"$out/change.jsonl"
+run() { # side workload seed
+	local dir="$parent"
+	if [ "$1" = change ]; then
+		dir="$change"
+	fi
+	bash "$dir/benchmark/run.sh" --workload "$2" --seed "$3" --seconds "$seconds" \
+		--trace 0 --out "$out/$1.jsonl" >/dev/null
+}
+for workload in ht-fine own-lock hot-lock stencil-bulk sim-open compute; do
+	for seed in $(seq 1 10); do
+		if [ $((seed % 2)) -eq 1 ]; then
+			run parent "$workload" "$seed"
+			run change "$workload" "$seed"
+		else
+			run change "$workload" "$seed"
+			run parent "$workload" "$seed"
+		fi
+	done
+done
+
+bash "$change/benchmark/run.sh" --compare "$out/parent.jsonl" "$out/change.jsonl"
+echo
+echo "H4 link addresses (go tool nm -n .bench_build/benchmark):"
+for side in parent change; do
+	dir="$parent"
+	if [ "$side" = change ]; then
+		dir="$change"
+	fi
+	echo "$side:"
+	GOTOOLCHAIN=local go tool nm -n "$dir/.bench_build/benchmark" | grep -E 'runInterp$|buildCompute\.func1$'
+done

@@ -132,8 +132,8 @@ const (
 	HintDisjoint
 	// HintConflicting: two sections provably write-overlap on a constant
 	// address, so speculation is wasted work. The engine seeds the lock's
-	// success histories at all-failure (conventional until virtual probes
-	// earn speculation back) instead of the optimistic all-success default.
+	// success histories at all-failure, instead of the optimistic all-success
+	// default: the lock is acquired conventionally for the whole execution.
 	HintConflicting
 )
 
@@ -303,7 +303,7 @@ type tstate struct {
 	runCS        int     // critical sections in the current run
 	noSpecNext   bool    // progress guarantee after a revert (§3.2)
 
-	pol threadPolicy // the thread's histories and probe
+	pol threadPolicy // the thread's histories
 }
 
 // heldLock is a held lock, its mode and the thread's store count

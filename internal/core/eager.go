@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"lazydet/internal/detsync"
 	"lazydet/internal/dvm"
 	"lazydet/internal/telemetry"
 	"lazydet/internal/trace"
@@ -104,7 +103,6 @@ func (e *Engine) convLock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 		e.sync(t, ts)
 		switch {
 		case st.Owner == 0 && (!write || st.Readers == 0):
-			e.pol.convAcquired(&ts.pol, len(ts.held), l, write)
 			h := heldLock{lock: l, stores: t.Stores(), write: write}
 			e.hold(t.ID, h)
 			ts.held = append(ts.held, h)
@@ -151,7 +149,7 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 		}
 		ts.drop(t, l, false)
 	} else {
-		e.pol.convReleased(&ts.pol, l, e.unlockOwned(t, ts, l).LastCommitSeq)
+		e.unlockOwned(t, ts, l)
 	}
 	e.rec.Sync(t.ID, releaseOp(write), l, e.arb.DLC(t.ID))
 	e.arb.ReleaseTurn(t.ID, syncCost)
@@ -162,7 +160,7 @@ func (e *Engine) convUnlock(t *dvm.Thread, ts *tstate, l int64, write bool) {
 // neither of the first two: a read-only section invalidates no speculation
 // (convUnlock wakes the queue when the last reader leaves). Caller holds the
 // turn and has published.
-func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) *detsync.Lock {
+func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) {
 	st := &e.tbl.Locks[l]
 	if st.Owner != int32(t.ID)+1 {
 		misuse("thread %d unlocks lock %d owned by %d", t.ID, l, st.Owner-1)
@@ -175,7 +173,6 @@ func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) *detsync.Lock {
 		st.LastCommitSeq = e.pipe.Seq()
 	}
 	e.wake(t, waitLock, l, false)
-	return st
 }
 
 // misuse panics on a program that breaks the synchronization contract: it

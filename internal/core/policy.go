@@ -8,12 +8,12 @@ import (
 )
 
 // This file is the speculation policy (paper §3.4; DESIGN.md §4, §4d, §5e):
-// every history, probe and threshold that decides whether a thread
-// speculates on a lock and how many critical sections its run may span. The
-// engine asks at its existing call sites; no other file reads or writes a
-// history word. Every transition runs at the acting thread's turn and reads
-// only state mutated at turns, so every decision is a function of the
-// deterministic schedule (DESIGN.md §4 tables the transitions).
+// every history and threshold that decides whether a thread speculates on a
+// lock and how many critical sections its run may span. The engine asks at
+// its existing call sites; no other file reads or writes a history word. Every
+// transition runs at the acting thread's turn and reads only state mutated at
+// turns, so every decision is a function of the deterministic schedule
+// (DESIGN.md §4 tables the transitions).
 
 // The policy's parameters. They were tuned once, on the hash-table
 // microbenchmark, and are the same for every workload (paper §3.4).
@@ -33,7 +33,9 @@ const (
 
 // policy is the engine-wide half: the static hints and a handle on the
 // storage of the per-lock histories (the lock table's SpecHist, which only
-// this file touches).
+// this file touches). Nothing reads on; deleting it moves the benchmark's
+// compute loop to another 64-byte phase and its walls by 10-20 %
+// (EXPERIMENTS.md H4, H27), so it stays until that sensitivity is gone.
 type policy struct {
 	on, coarsen, perLock bool
 	floor                int // run limit until earned: runFloor, 1 without coarsening
@@ -52,23 +54,12 @@ type threadPolicy struct {
 	// threadHist is the thread's one speculation history when per-lock
 	// statistics are off (Figure 11's LAZYDET-NoPerLockStats).
 	threadHist uint64
-	probe      specProbe
-}
-
-// specProbe is a run not taken (convAcquired): what a run begun at an
-// outermost conventional acquisition of lock would have validated against,
-// and how many more outermost acquisitions it stays open for (0: no probe).
-type specProbe struct {
-	write bool
-	lock  int64
-	base  int64
-	left  int
 }
 
 // newPolicy seeds the histories. The per-lock speculation histories start
 // optimistic (§3.4), all-success, except a Conflicting-hinted lock's, which
-// starts all-failure: conventional until virtual probes earn speculation back,
-// instead of paying the warm-up reverts.
+// starts all-failure: conventional for the whole execution, instead of paying
+// the warm-up reverts.
 func newPolicy(cfg Config, tbl *detsync.Table, spec *stats.Spec) policy {
 	p := policy{
 		on: cfg.Speculation, coarsen: !cfg.Spec.NoCoarsening, perLock: !cfg.Spec.NoPerLockStats,
@@ -114,10 +105,12 @@ func (p *policy) hint(l int64) SpecHint {
 func (p *policy) disjoint(l int64) bool { return p.hint(l) == HintDisjoint }
 
 // speculate is the adaptive decision (§3.4): speculate on l while the
-// thread's history for it is at the threshold. Below it the history fills
-// from virtual probes (convAcquired), not from real retries. The noSpecNext
-// progress guarantee is the caller's, checked first, so a Disjoint prior
-// cannot starve a reverted thread.
+// thread's history for it is at the threshold. Only runs push outcomes, so a
+// history below it stays there unless a run that logged l anyway (nested under
+// a lock the thread still speculates on) commits: a stand-down is final, and
+// the thread never retries l (DESIGN.md §4d). The noSpecNext progress
+// guarantee is the caller's, checked first, so a Disjoint prior cannot starve a
+// reverted thread.
 func (p *policy) speculate(tp *threadPolicy, l int64) bool {
 	return p.disjoint(l) || successRatePermille(p.hist(tp, l)) >= specThresholdPermille
 }
@@ -167,45 +160,10 @@ func (p *policy) runEnded(tp *threadPolicy, log []lockRec, runCS int, ok bool) {
 	}
 }
 
-// convAcquired is the virtual probe (DESIGN.md §4d), the policy's evidence
-// below the threshold, at no cost: a conventional acquisition takes the turn
-// anyway, and whether a run begun there would have validated is what
-// lockIntact asks of the base the acquisition defines (the lock's commit
-// sequence). Called with the turn held, l free and not yet taken.
-// Like a real run, a virtual one stays open for the floor's worth of
-// outermost acquisitions (it prices the runs a stood-down thread would begin
-// with, not the ones it could earn), which begin nothing; it resolves into its
-// lock's history at the last of them, or sooner if the thread comes back to
-// the lock. Then l arms one, unless l speculates: a conventional acquisition
-// there is the post-revert progress guarantee and proves nothing.
-func (p *policy) convAcquired(tp *threadPolicy, depth int, l int64, write bool) {
-	if !p.on || depth > 0 {
-		return
-	}
-	if pr := &tp.probe; pr.left > 0 {
-		if pr.left--; pr.left > 0 && pr.lock != l {
-			return
-		}
-		p.push(tp, pr.lock, p.lockIntact(&p.locks[pr.lock], pr.write, pr.base))
-	}
-	if !p.speculate(tp, l) {
-		tp.probe = specProbe{write: write, lock: l, base: p.locks[l].LastCommitSeq, left: p.floor}
-	}
-}
-
-// convReleased moves an open probe's base past the thread's own release of l
-// (seq, the lock's commit sequence after it): a virtual run's own section is
-// not a conflict.
-func (p *policy) convReleased(tp *threadPolicy, l, seq int64) {
-	if tp.probe.left > 0 && tp.probe.lock == l {
-		tp.probe.base = seq
-	}
-}
-
-// lockIntact is conflict detection for one lock (§3.2), shared by validate
-// and the virtual probes so the two cannot drift: a run that logged st
-// (exclusively if write) on heap base base is still valid iff st is not held
-// against it and no section that stored under it committed past the base.
+// lockIntact is conflict detection for one lock (§3.2), validate's predicate:
+// a run that logged st (exclusively if write) on heap base base is still valid
+// iff st is not held against it and no section that stored under it committed
+// past the base.
 func (p *policy) lockIntact(st *detsync.Lock, write bool, base int64) bool {
 	if st.Owner != 0 || write && st.Readers != 0 {
 		return false // held exclusively, or our write meets live readers

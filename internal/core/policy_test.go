@@ -11,7 +11,7 @@ import (
 // This file tests the speculation policy (policy.go) without an engine: a bare
 // policy over a small lock table and thread policies. No arbiter, heap or VM;
 // each transition is called directly, in the order the test states.
-// probe_test.go and runlimit_test.go drive the same rules end to end.
+// standdown_test.go and runlimit_test.go drive the same rules end to end.
 
 type polRig struct {
 	tbl  *detsync.Table
@@ -30,12 +30,6 @@ func newPolRig(cfg Config, threads, locks int) *polRig {
 		r.th = append(r.th, newThreadPolicy(tid))
 	}
 	return r
-}
-
-// acquire is an outermost conventional acquisition of l by thread tid, l
-// free.
-func (r *polRig) acquire(tid int, l int64) {
-	r.pol.convAcquired(&r.th[tid], 0, l, true)
 }
 
 func TestSuccessRatePermille(t *testing.T) {
@@ -100,7 +94,7 @@ func TestThresholdCrossing(t *testing.T) {
 	}
 }
 
-// TestLockIntact tables the conflict predicate validate and the probes share.
+// TestLockIntact tables validate's conflict predicate.
 // A foreign section since the run's base that only read leaves the lock's
 // state as it found it; only one that stored moves the commit sequence, and
 // only that one conflicts.
@@ -128,12 +122,14 @@ func TestLockIntact(t *testing.T) {
 }
 
 // TestPolicyStandDownAndReengagement: an all-success (lock, thread) history
-// stands down at the tenth failed run and speculates again after 55
-// consecutive probe hits, the first rate at or above 850 permille; the
-// histories of other threads and locks do not move.
+// stands down at the tenth failed run, and the histories of other threads and
+// locks do not move. Only runs push outcomes, so a stood-down history climbs
+// back only through committed runs that logged the lock anyway (nested under a
+// lock the thread still speculates on): 55 of them, the first rate at or above
+// 850 permille. A conventional acquisition has no policy call at all.
 func TestPolicyStandDownAndReengagement(t *testing.T) {
 	for _, perLock := range []bool{true, false} {
-		cfg := noCoarsening() // a probe lives one acquisition
+		cfg := noCoarsening()
 		cfg.Spec.NoPerLockStats = !perLock
 		r := newPolRig(cfg, 2, 2)
 		tp := &r.th[0]
@@ -147,16 +143,15 @@ func TestPolicyStandDownAndReengagement(t *testing.T) {
 		if perLock && (!r.pol.speculate(&r.th[1], 0) || !r.pol.speculate(tp, 1)) {
 			t.Fatalf("a failed run on (lock 0, thread 0) moved another thread's or lock's history")
 		}
-		r.acquire(0, 0) // arms a probe on 0
-		hits := 0
+		commits := 0
 		for !r.pol.speculate(tp, 0) {
-			if hits++; hits > 64 {
-				t.Fatalf("perLock=%v: 64 probe hits did not re-engage", perLock)
+			if commits++; commits > 64 {
+				t.Fatalf("perLock=%v: 64 committed runs did not re-engage", perLock)
 			}
-			r.acquire(0, 0) // resolves the probe as a hit, arms the next
+			r.pol.runEnded(tp, log, 1, true)
 		}
-		if hits != 55 {
-			t.Errorf("perLock=%v: re-engaged after %d probe hits, want 55", perLock, hits)
+		if commits != 55 {
+			t.Errorf("perLock=%v: re-engaged after %d committed runs, want 55", perLock, commits)
 		}
 		if got := r.pol.hist(tp, 0); successRatePermille(got) < specThresholdPermille || successRatePermille(got>>1) >= specThresholdPermille {
 			t.Errorf("perLock=%v: history %#x does not sit at the threshold", perLock, got)
@@ -200,16 +195,6 @@ func TestPolicyPriors(t *testing.T) {
 	if !r.pol.speculate(&r.th[0], disjoint) {
 		t.Error("a Disjoint lock with an all-failure history stood down")
 	}
-	// Conflicting arms a probe at its first conventional acquisition; a
-	// Disjoint lock never does.
-	r.acquire(1, disjoint)
-	if r.th[1].probe.left != 0 {
-		t.Errorf("a Disjoint acquisition armed %+v", r.th[1].probe)
-	}
-	r.acquire(1, conflicting)
-	if p := r.th[1].probe; p.lock != conflicting || p.left != runFloor {
-		t.Errorf("a Conflicting acquisition armed %+v", p)
-	}
 }
 
 // TestPolicyRunLimit: the earned ceiling. A thread's first 63 committed runs
@@ -252,114 +237,4 @@ func TestPolicyRunLimit(t *testing.T) {
 	if got := r.spec.ExtendedRuns.Load(); got != 2 {
 		t.Errorf("%d extended runs counted, want 2", got)
 	}
-}
-
-// TestPolicyProbe: a probe arms at an outermost conventional acquisition of a
-// stood-down lock, stays open for the floor's acquisitions or until the thread
-// comes back to the lock, resolves through lockIntact, and is re-based by the
-// thread's own release.
-func TestPolicyProbe(t *testing.T) {
-	const A, B, C = 0, 1, 2
-	stoodDown := func(cfg Config) *polRig {
-		r := newPolRig(cfg, 2, 3)
-		for l := range r.tbl.Locks {
-			r.tbl.Locks[l].SpecHist[0] = marker
-		}
-		return r
-	}
-
-	t.Run("arm", func(t *testing.T) {
-		r := stoodDown(lazyCfg())
-		r.tbl.Locks[A].LastCommitSeq = 5
-		r.pol.convAcquired(&r.th[0], 0, A, false)
-		want := specProbe{write: false, lock: A, base: 5, left: runFloor}
-		if got := r.th[0].probe; got != want {
-			t.Fatalf("armed %+v, want %+v", got, want)
-		}
-	})
-
-	t.Run("what does not arm", func(t *testing.T) {
-		for _, c := range []struct {
-			name  string
-			cfg   Config
-			depth int
-			l     int64
-		}{
-			{"nested", lazyCfg(), 1, A},
-			{"speculating lock (the progress guarantee)", lazyCfg(), 0, B},
-			{"no speculation (Consequence)", Config{Mode: ModeStrong}, 0, A},
-		} {
-			r := newPolRig(c.cfg, 1, 3)
-			if c.cfg.Speculation {
-				r.tbl.Locks[A].SpecHist[0] = marker
-			}
-			r.pol.convAcquired(&r.th[0], c.depth, c.l, true)
-			if p := r.th[0].probe; p.left != 0 {
-				t.Errorf("%s: armed %+v", c.name, p)
-			}
-		}
-	})
-
-	t.Run("resolve", func(t *testing.T) {
-		for _, c := range []struct {
-			name    string
-			foreign func(st *detsync.Lock)
-			want    uint64
-		}{
-			{"untouched", func(*detsync.Lock) {}, marker<<1 | 1},
-			{"foreign acquisition by a section that stored", func(st *detsync.Lock) { st.LastCommitSeq = 9 }, marker << 1},
-			{"foreign acquisition by a read-only section", func(*detsync.Lock) {}, marker<<1 | 1},
-			{"foreign commit", func(st *detsync.Lock) { st.LastCommitSeq = 9 }, marker << 1},
-			{"live owner", func(st *detsync.Lock) { st.Owner = 2 }, marker << 1},
-		} {
-			r := stoodDown(noCoarsening())
-			r.acquire(0, A)
-			c.foreign(&r.tbl.Locks[A])
-			r.acquire(0, B)
-			if got := r.tbl.Locks[A].SpecHist[0]; got != c.want {
-				t.Errorf("%s: history %#x, want %#x", c.name, got, c.want)
-			}
-			if p := r.th[0].probe; p.lock != B || p.left != 1 {
-				t.Errorf("%s: resolving acquisition armed %+v, want a probe on B", c.name, p)
-			}
-		}
-	})
-
-	t.Run("scope", func(t *testing.T) {
-		r := stoodDown(lazyCfg())
-		r.acquire(0, A)
-		for i := 1; i < runFloor; i++ {
-			r.acquire(0, B)
-			if got := r.tbl.Locks[A].SpecHist[0]; got != marker || r.th[0].probe.lock != A {
-				t.Fatalf("acquisition %d inside A's virtual run: history %#x, probe %+v", i, got, r.th[0].probe)
-			}
-		}
-		r.acquire(0, C)
-		if got := r.tbl.Locks[A].SpecHist[0]; got != marker<<1|1 {
-			t.Fatalf("history of A = %#x after %d acquisitions, want a hit", got, runFloor)
-		}
-		if got := r.tbl.Locks[B].SpecHist[0]; got != marker {
-			t.Fatalf("B, acquired inside the virtual run, took an outcome: %#x", got)
-		}
-		r.acquire(0, B)
-		r.acquire(0, C) // back at C: resolves at once
-		if got := r.tbl.Locks[C].SpecHist[0]; got != marker<<1|1 {
-			t.Fatalf("history of C = %#x on re-acquisition, want a hit", got)
-		}
-	})
-
-	t.Run("own release re-bases, a foreign lock's does not", func(t *testing.T) {
-		r := stoodDown(noCoarsening())
-		r.acquire(0, A)
-		r.tbl.Locks[A].LastCommitSeq = 3 // the thread's own release of A
-		r.pol.convReleased(&r.th[0], B, 7)
-		if got := r.th[0].probe.base; got != 0 {
-			t.Fatalf("a release of B re-based the probe on A to %d", got)
-		}
-		r.pol.convReleased(&r.th[0], A, 3)
-		r.acquire(0, B)
-		if got := r.tbl.Locks[A].SpecHist[0]; got != marker<<1|1 {
-			t.Fatalf("history of A = %#x: the thread's own release counted as a conflict", got)
-		}
-	})
 }

@@ -29,15 +29,15 @@ func TestReadOnlySectionsDoNotConflict(t *testing.T) {
 			h := newHand(t, lazyCfg(), 2, 3)
 			section := func(tid int) {
 				if c.stores {
-					h.section(tid, L, true)
+					h.section(tid, L)
 				} else {
 					h.lockedRead(tid, L)
 				}
 			}
 			// Each thread opens a run on a lock of its own (1, 2), then
 			// takes L inside it, after the other thread's run is open too.
-			h.section(0, 1, true)
-			h.section(1, 2, true)
+			h.section(0, 1)
+			h.section(1, 2)
 			section(0)
 			section(1)
 			if !h.ts(0).spec || !h.ts(1).spec {

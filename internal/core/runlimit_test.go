@@ -10,10 +10,72 @@ import (
 
 // This file tests earned coarsening (policy.go's runLimit) end to end: a run
 // may pass the floor, up to 64 critical sections, only while the thread's last
-// 64 runs all committed. The hand rig of probe_test.go drives real Lock/Unlock
-// calls, so run lengths are read off the engine's own commit statistics.
+// 64 runs all committed. The hand rig below drives real Lock/Unlock calls, so
+// run lengths are read off the engine's own commit statistics.
 
 const floor, ceiling = runFloor, runCeiling
+
+// hand drives engine calls for several simulated threads from the test's own
+// goroutine. Every thread is parked in the arbiter except the one acting, and
+// each action happens at a later logical time than all before it — the order
+// the turn would impose — so the calls run the real acquire/release/commit
+// paths, turn and all, in exactly the order the test states.
+type hand struct {
+	*rig
+	th    []*dvm.Thread
+	clock int64
+}
+
+func newHand(t *testing.T, cfg Config, threads, locks int) *hand {
+	h := &hand{rig: newRig(t, cfg, threads, 64, locks, 0, 0)}
+	arb := h.eng.arb
+	arb.SetDeadlockHandler(func() {}) // all-parked is this rig's resting state
+	for tid := 0; tid < threads; tid++ {
+		th := &dvm.Thread{ID: tid, Regs: make([]int64, 1)}
+		ts := h.eng.newTState(tid)
+		th.Mem, th.EngineData = ts.mem, ts
+		h.th = append(h.th, th)
+		arb.SetParked(tid)
+	}
+	return h
+}
+
+func (h *hand) ts(tid int) *tstate { return h.eng.ts(h.th[tid]) }
+
+// do runs f as thread tid, alone in arbitration, at the next logical instant.
+func (h *hand) do(tid int, f func(e *Engine, th *dvm.Thread)) {
+	arb := h.eng.arb
+	h.clock += 10
+	arb.Unpark(tid, h.clock)
+	f(h.eng, h.th[tid])
+	if d := arb.DLC(tid); d > h.clock {
+		h.clock = d
+	}
+	arb.SetParked(tid)
+}
+
+// section runs one exclusive critical section on l as thread tid, storing
+// under it so the release publishes a commit.
+func (h *hand) section(tid int, l int64) {
+	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Lock(th, l) })
+	h.th[tid].Store(8+l, h.clock)
+	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Unlock(th, l) })
+}
+
+// lockedRead runs one exclusive critical section on l as thread tid that
+// stores nothing, so its release conflicts with no run that logged l.
+func (h *hand) lockedRead(tid int, l int64) {
+	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Lock(th, l) })
+	h.do(tid, func(e *Engine, th *dvm.Thread) { e.Unlock(th, l) })
+}
+
+// noCoarsening is the configuration under which every run spans exactly one
+// critical section (the floor is 1).
+func noCoarsening() Config {
+	cfg := lazyCfg()
+	cfg.Spec.NoCoarsening = true
+	return cfg
+}
 
 // runLengths runs n exclusive critical sections as thread tid, each on the
 // next of the rig's locks, and returns the length of every run that committed
@@ -22,7 +84,7 @@ func (h *hand) runLengths(tid, n int) []int64 {
 	var lens []int64
 	for i := 0; i < n; i++ {
 		commits, cs := h.spec.Commits.Load(), h.spec.CommittedCS.Load()
-		h.section(tid, int64(i%len(h.tbl.Locks)), true)
+		h.section(tid, int64(i%len(h.tbl.Locks)))
 		if h.spec.Commits.Load() != commits {
 			lens = append(lens, h.spec.CommittedCS.Load()-cs)
 		}
@@ -117,7 +179,7 @@ func runLimitAfterForeignSection(t *testing.T, stores bool) {
 		}
 		return
 	}
-	h.section(1, 0, true)
+	h.section(1, 0)
 	h.do(0, func(e *Engine, th *dvm.Thread) {
 		if e.terminateRun(th, e.ts(th)) {
 			t.Error("thread 0's run committed across a foreign section that stored under its lock")
@@ -128,7 +190,7 @@ func runLimitAfterForeignSection(t *testing.T, stores bool) {
 	}
 	// The section after a revert is conventional (§3.2), then runs resume: 64
 	// of them at the floor, and the 65th is extended again.
-	h.section(0, 0, true)
+	h.section(0, 0)
 	if h.ts(0).spec {
 		t.Fatal("the section after a revert speculated")
 	}

@@ -97,7 +97,7 @@ func TestSpeculativeRevertPreservesDeferredState(t *testing.T) {
 	// The heap is the counter's final value, the same under every schedule;
 	// the trace is the schedule in which lock waiters park until the release
 	// (30 reverts).
-	const wantTrace, wantHeap uint64 = 0xd74cb9390442986e, 0x0c55bc8426c4eda9
+	const wantTrace, wantHeap uint64 = 0x5bc5068021dba978, 0x0c55bc8426c4eda9
 	if res.TraceSig != wantTrace || res.HeapHash != wantHeap {
 		t.Errorf("trace %#x heap %#x, pinned %#x %#x", res.TraceSig, res.HeapHash, wantTrace, wantHeap)
 	}
