@@ -33,15 +33,13 @@ const (
 
 // policy is the engine-wide half: the static hints and a handle on the
 // storage of the per-lock histories (the lock table's SpecHist, which only
-// this file touches). Nothing reads on; deleting it moves the benchmark's
-// compute loop to another 64-byte phase and its walls by 10-20 %
-// (EXPERIMENTS.md H4, H27), so it stays until that sensitivity is gone.
+// this file touches).
 type policy struct {
-	on, coarsen, perLock bool
-	floor                int // run limit until earned: runFloor, 1 without coarsening
-	hints                []SpecHint
-	locks                []detsync.Lock
-	stats                *stats.Spec // ExtendedRuns; nil disables
+	coarsen, perLock bool
+	floor            int // run limit until earned: runFloor, 1 without coarsening
+	hints            []SpecHint
+	locks            []detsync.Lock
+	stats            *stats.Spec // ExtendedRuns; nil disables
 }
 
 // threadPolicy is one thread's half, touched only at that thread's turns.
@@ -62,7 +60,7 @@ type threadPolicy struct {
 // the warm-up reverts.
 func newPolicy(cfg Config, tbl *detsync.Table, spec *stats.Spec) policy {
 	p := policy{
-		on: cfg.Speculation, coarsen: !cfg.Spec.NoCoarsening, perLock: !cfg.Spec.NoPerLockStats,
+		coarsen: !cfg.Spec.NoCoarsening, perLock: !cfg.Spec.NoPerLockStats,
 		floor: 1, hints: cfg.Hints, stats: spec,
 	}
 	if p.coarsen {

@@ -19,8 +19,9 @@
 //     strictly monotone, page version chains are strictly decreasing in
 //     sequence, trimming never cuts a version a live view's base still
 //     needs, and — checked at each publication, before the commit consumes
-//     the dirty set — the dirty-word bitmaps agree with the twin diffs, so
-//     the bitmap commit path publishes exactly what the full scan would.
+//     the dirty set — every dirty page diffs against the version the view's
+//     base resolves to, so the bitmap commit path publishes exactly the
+//     words that differ from what the view read.
 //     The sequence of trim floors never decreases and never passes the
 //     newest commit — a stale floor cache may trim less, never more.
 //  3. Lock-table consistency (internal/detsync): a lock is never held
@@ -211,8 +212,9 @@ type WindowAuditor interface {
 }
 
 // AtWindow audits a thread's memory window. Rule commit-dirty-tracking:
-// every word the full twin diff would publish must be marked in the dirty
-// bitmap, or the bitmap commit path is about to drop a write. Rule
+// every dirty page must diff against the version the view's base resolves
+// to, and only marked words may be forced, or the bitmap commit path is
+// about to publish the wrong words. Rule
 // view-page-table: the dense dirty/clean tables, generation stamps and
 // pooled frames must be mutually consistent, or a recycled frame is about to
 // leak stale words into a commit. The engine calls it before every

@@ -225,7 +225,7 @@ func TestCheckerAtWindow(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("clean dirty audit flagged: %v", got[0])
 	}
-	c.AtWindow(0, faultyAuditor{err: errors.New("page 3 word 7 differs from its twin but is not marked dirty")})
+	c.AtWindow(0, faultyAuditor{err: errors.New("page 3 dirty frame diffs against version 5, not the view base 2's version 1")})
 	if len(got) != 1 {
 		t.Fatalf("failed dirty audit reported %d violations, want 1", len(got))
 	}
@@ -236,7 +236,7 @@ func TestCheckerAtWindow(t *testing.T) {
 	if v.Thread != 0 {
 		t.Fatalf("violation names thread %d, want 0 (%v)", v.Thread, v)
 	}
-	if !strings.Contains(v.Detail, "not marked dirty") {
+	if !strings.Contains(v.Detail, "diffs against version 5") {
 		t.Fatalf("violation detail %q does not carry the audit error", v.Detail)
 	}
 }
@@ -254,7 +254,7 @@ func TestEndToEndDirtyAuditClean(t *testing.T) {
 			b.Lock(dvm.Const(0))
 			b.Load(v, dvm.Const(0))
 			b.Store(dvm.Const(0), dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(v) + 1 }))
-			// A silent store: marked in the bitmap, equal to the twin.
+			// A silent store: marked in the bitmap, equal to the base version.
 			b.Store(dvm.Const(1), dvm.Const(0))
 			b.Unlock(dvm.Const(0))
 		})

@@ -70,7 +70,7 @@ type Thread interface {
 	// BaseSeq returns the commit sequence the window reads at.
 	BaseSeq() int64
 
-	// SnapshotDirtyInto deep-copies the unpublished write set into s at a
+	// SnapshotDirtyInto copies the unpublished write set into s at a
 	// speculation run's begin, recycling its buffers (nil s allocates a
 	// fresh snapshot) so steady-state runs allocate nothing. Flat memory has
 	// no write set: it returns s unchanged (core.New rejects speculation

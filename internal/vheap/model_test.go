@@ -9,17 +9,17 @@ import (
 // refHeap is the naive model every heap operation is checked against:
 // committed memory is one whole array per sequence number, a view is a base
 // sequence plus the words it wrote, and a publication writes every word that
-// differs from its twin (or was StoreDirty'ed) into a copy of the newest
+// differs from the view's base (or was StoreDirty'ed) into a copy of the newest
 // array. No pages, tables, bitmaps, pools or chains — which is the point:
 // those may change how a word is found, never which.
 type refHeap struct{ seqs [][]int64 }
 
 type refWord struct {
-	val, twin int64
-	forced    bool // StoreDirty hit a word equal to its twin: publish regardless
+	val, base int64 // base: the word's value at the view's base
+	forced    bool  // StoreDirty hit a word equal to its base: publish regardless
 }
 
-func (w refWord) differs() bool { return w.forced || w.val != w.twin }
+func (w refWord) differs() bool { return w.forced || w.val != w.base }
 
 type refView struct {
 	base  int
@@ -43,10 +43,10 @@ func (v *refView) load(h *refHeap, addr int64) int64 {
 func (v *refView) store(h *refHeap, addr, val int64, force bool) {
 	w, ok := v.dirty[addr]
 	if !ok {
-		w.twin = h.seqs[v.base][addr]
+		w.base = h.seqs[v.base][addr]
 	}
 	w.val = val
-	if force && w.twin == val {
+	if force && w.base == val {
 		w.forced = true
 	}
 	v.dirty[addr] = w

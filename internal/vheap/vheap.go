@@ -10,11 +10,16 @@
 //     number that produced it.
 //   - A thread reads and writes through a View. Reads resolve against the
 //     newest page version no newer than the view's base sequence; the first
-//     write to a page makes a private working copy plus a "twin" (a snapshot
-//     of the base contents used for diffing) and a dirty-word bitmap. Every
-//     store marks its word in the bitmap.
+//     write to a page takes a private frame that remembers that base version
+//     and copies nothing. Every store writes its word into the frame and
+//     marks it in a dirty-word bitmap; a word the view never stored to is
+//     still read from the base version.
 //   - Commit publishes, for every dirty page, the marked words that differ
-//     from the twin, merged word-by-word onto the current head version.
+//     from the base version, merged word-by-word onto the current head
+//     version. The base version is the diff reference (what other systems
+//     keep a private "twin" copy for): a view's base cannot move while it
+//     has a dirty page, so the version it resolved at the first write is
+//     exactly what a twin would hold.
 //     Commit work is therefore proportional to the number of words written,
 //     not the page size. Commits are serialized (in this repository, by the
 //     deterministic turn), so the merge order — and therefore the heap
@@ -31,8 +36,8 @@
 //   - Clean-resolution entries are validated by a per-view generation
 //     stamp: re-basing the view (Commit, Update, Revert) bumps the
 //     generation instead of clearing or reallocating the table.
-//   - dirtyPage frames (working copy + twin + bitmap) come from a per-view
-//     free list, recycled at every Commit/Revert, and published page
+//   - dirtyPage frames (private words + bitmaps + base pointer) come from a
+//     per-view free list, recycled at every Commit/Revert, and published page
 //     versions come from a per-heap free list refilled by chain trimming —
 //     steady-state sync epochs allocate nothing.
 //
@@ -52,12 +57,13 @@
 // page population plus Stats().Pages, which counts exactly one per linked
 // version.
 //
-// Word-level twin diffing gives the same write-isolation semantics as the
-// paper's system, including its documented limitation: a "silent store" (a
-// store that writes the value already present) produces no diff and is lost
-// if another thread commits a different value for the same word. The bitmap
-// commit preserves this exactly: a marked word merges only when it differs
-// from the twin.
+// Word-level diffing against the base version gives the same
+// write-isolation semantics as the paper's system, including its documented
+// limitation: a "silent store" (a store that writes the value the base
+// version already holds) produces no diff and is lost if another thread
+// commits a different value for the same word. The bitmap commit preserves
+// this exactly: a marked word merges only when it differs from the base
+// version, or when StoreDirty forced it.
 package vheap
 
 import (
@@ -96,7 +102,7 @@ type Heap struct {
 	// appear in many chains at once, so trimming must never recycle it.
 	zero *page
 
-	mu sync.Mutex // guards the version chains, pagePool, lastFloor and trims
+	mu sync.Mutex // guards the version chains, pagePool, lastFloor, stats and trims
 
 	// pagePool is the free list of published page frames, refilled by chain
 	// trimming: a version cut below the trim floor is unreachable by every
@@ -125,15 +131,9 @@ type Heap struct {
 	viewMu sync.Mutex // guards the live-view registry
 	views  []*View    // live views in no particular order, for trim floor computation
 
-	commits      atomic.Int64 // total commits (stats)
-	pagesWritten atomic.Int64 // total page versions published (stats)
-	wordsMerged  atomic.Int64 // total words merged across commits (stats)
-	wordsScanned atomic.Int64 // total words examined by commits to find them
-
-	frameHits   atomic.Int64 // dirty-page frames served from a view free list
-	frameMisses atomic.Int64 // dirty-page frames freshly allocated
-	pageHits    atomic.Int64 // published page frames served from the heap pool
-	pageMisses  atomic.Int64 // published page frames freshly allocated
+	// stats are the cumulative commit counters, added to by each Commit in
+	// the same critical section that merges its pages. Guarded by mu.
+	stats CommitStats
 
 	// tel, if non-nil, receives commit metrics ("vheap.*" counters and the
 	// commit-size histogram). Nil costs one pointer compare per commit.
@@ -360,16 +360,10 @@ type CommitStats struct {
 
 // Stats returns cumulative commit statistics.
 func (h *Heap) Stats() CommitStats {
-	return CommitStats{
-		Commits:      h.commits.Load(),
-		Pages:        h.pagesWritten.Load(),
-		Words:        h.wordsMerged.Load(),
-		WordsScanned: h.wordsScanned.Load(),
-		FrameHits:    h.frameHits.Load(),
-		FrameMisses:  h.frameMisses.Load(),
-		PageHits:     h.pageHits.Load(),
-		PageMisses:   h.pageMisses.Load(),
-	}
+	h.mu.Lock()
+	st := h.stats
+	h.mu.Unlock()
+	return st
 }
 
 // LiveVersions counts page versions currently reachable from the version
@@ -457,13 +451,21 @@ func (h *Heap) Audit() error {
 	return nil
 }
 
-// dirtyPage is a view's private working copy of one page. dirty has one bit
-// per word, set by every store; commit walks the set bits instead of
-// re-diffing the whole page against the twin.
+// dirtyPage is a view's private state for one page it has written. words
+// holds a value only where dirty has the word's bit set (one bit per word,
+// set by every store); every other word reads from base, the version the view
+// resolved at the first write. base is also the diff reference: a view's base
+// sequence cannot move while it has a dirty page (Update/UpdateTo refuse,
+// Commit and Revert empty the dirty set, RevertTo keeps the base), so base is
+// exactly the page a twin copy would hold, and commit walks the set bits
+// comparing against it instead of re-diffing the whole page.
 type dirtyPage struct {
 	words []int64
-	twin  []int64 // snapshot of the base contents at first write
+	base  *page
 	dirty []uint64
+	// force marks words StoreDirty wrote with their base value: they merge
+	// although they do not differ from base. A later store keeps the mark.
+	force []uint64
 	// snapKeep is RevertTo's transient sweep mark: set on frames the
 	// snapshot reinstates, cleared again before RevertTo returns.
 	snapKeep bool
@@ -475,12 +477,20 @@ func (d *dirtyPage) mark(off int64) { d.dirty[off>>6] |= 1 << (uint(off) & 63) }
 // marked reports whether word i has been written.
 func (d *dirtyPage) marked(i int) bool { return d.dirty[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// changed reports whether marked word i is a change to publish: it differs
+// from the base version, or StoreDirty forced it.
+func (d *dirtyPage) changed(i int) bool {
+	return d.words[i] != d.base.words[i] || d.force[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
 // newFrame allocates a dirty-page frame sized for the heap's pages.
 func (h *Heap) newFrame() *dirtyPage {
+	n := (h.pageWords + 63) / 64
+	bitmaps := make([]uint64, 2*n)
 	return &dirtyPage{
 		words: make([]int64, h.pageWords),
-		twin:  make([]int64, h.pageWords),
-		dirty: make([]uint64, (h.pageWords+63)/64),
+		dirty: bitmaps[:n:n],
+		force: bitmaps[n:],
 	}
 }
 
@@ -493,9 +503,10 @@ type View struct {
 	h    *Heap
 	base atomic.Int64 // committed sequence the view reads at
 
-	// dirtyTab[pi] is the private working copy of page pi, nil if the page
-	// is clean. dirtyIdx lists the dirty page numbers in first-write order
-	// (the deterministic iteration order for commits and snapshots).
+	// dirtyTab[pi] is the private frame of page pi (its written words and
+	// base version), nil if the page is clean. dirtyIdx lists the dirty page
+	// numbers in first-write order (the deterministic iteration order for
+	// commits and snapshots).
 	dirtyTab []*dirtyPage
 	dirtyIdx []int
 
@@ -565,9 +576,9 @@ func (v *View) BaseSeq() int64 { return v.base.Load() }
 // DirtyPages returns the number of privately modified pages.
 func (v *View) DirtyPages() int { return len(v.dirtyIdx) }
 
-// DirtyWords returns the number of words that differ from the twins — the
+// DirtyWords returns the number of words a commit would publish — the
 // "change set size" reported in the paper's Figure 12. Silent stores (marked
-// but equal to the twin) do not count.
+// but equal to the base version, and not forced) do not count.
 func (v *View) DirtyWords() int {
 	n := 0
 	for _, pi := range v.dirtyIdx {
@@ -576,15 +587,15 @@ func (v *View) DirtyWords() int {
 	return n
 }
 
-// diffWords counts words differing from the twin, walking only marked words
-// (an unmarked word was never stored to, so it cannot differ).
+// diffWords counts the marked words a commit would publish (an unmarked word
+// was never stored to, so it cannot differ).
 func diffWords(d *dirtyPage) int {
 	n := 0
 	for bi, mask := range d.dirty {
 		for mask != 0 {
 			i := bi<<6 + bits.TrailingZeros64(mask)
 			mask &= mask - 1
-			if d.words[i] != d.twin[i] {
+			if d.changed(i) {
 				n++
 			}
 		}
@@ -592,27 +603,29 @@ func diffWords(d *dirtyPage) int {
 	return n
 }
 
-// AuditDirty verifies the view's dirty tracking: every word of every dirty
-// page that differs from its twin must be marked in the bitmap — otherwise
-// the bitmap commit would silently drop that write. (The converse, a marked
-// word equal to its twin, is a legal silent store.) Must be called by the
-// view's owning thread, before Commit clears the dirty set. Used by the
-// invariant checker.
+// AuditDirty verifies the view's dirty tracking: every dirty page must diff
+// against the version the view's base resolves to — a frame holding any
+// other base would merge the wrong words, and its unwritten words would read
+// another version than the view's — and a word may be forced only if it is
+// marked. (A marked word equal to its base is a legal silent store.) Must be
+// called by the view's owning thread, before Commit clears the dirty set.
+// Used by the invariant checker.
 func (v *View) AuditDirty() error {
+	base := v.base.Load()
 	for _, pi := range v.dirtyIdx {
-		if err := auditDirtyPage(pi, v.dirtyTab[pi]); err != nil {
-			return err
+		d := v.dirtyTab[pi]
+		if want := v.h.pageAt(pi, base); d.base != want {
+			got := int64(-1)
+			if d.base != nil {
+				got = d.base.seq
+			}
+			return fmt.Errorf("vheap: page %d dirty frame diffs against version %d, not the view base %d's version %d — the bitmap commit would publish the wrong words",
+				pi, got, base, want.seq)
 		}
-	}
-	return nil
-}
-
-// auditDirtyPage checks one page's bitmap against its twin diff.
-func auditDirtyPage(pi int, d *dirtyPage) error {
-	for i := range d.words {
-		if d.words[i] != d.twin[i] && !d.marked(i) {
-			return fmt.Errorf("vheap: page %d word %d differs from its twin (%d vs %d) but is not marked dirty — the bitmap commit would drop this write",
-				pi, i, d.words[i], d.twin[i])
+		for bi, f := range d.force {
+			if f&^d.dirty[bi] != 0 {
+				return fmt.Errorf("vheap: page %d word group %d has forced words that are not marked dirty", pi, bi)
+			}
 		}
 	}
 	return nil
@@ -622,8 +635,9 @@ func auditDirtyPage(pi int, d *dirtyPage) error {
 // dirtyTab must agree exactly (every listed page has a frame, every frame is
 // listed once), clean-cache entries stamped with the current generation must
 // equal a fresh version-chain resolution at the view's base, and pooled
-// frames must be page-sized with cleared bitmaps and must not alias a live
-// dirty frame. Used by the invariant checker at every publication.
+// frames must be page-sized with cleared bitmaps and no base version, and
+// must not alias a live dirty frame. Used by the invariant checker at every
+// publication.
 func (v *View) AuditTables() error {
 	if len(v.dirtyTab) != v.h.npages || len(v.cleanTab) != v.h.npages || len(v.cleanGen) != v.h.npages {
 		return fmt.Errorf("vheap: page tables sized %d/%d/%d, want the heap's %d pages",
@@ -682,22 +696,26 @@ func (v *View) AuditTables() error {
 		if live[d] {
 			return fmt.Errorf("vheap: frame pool entry %d aliases a live dirty frame — its contents would be overwritten under the view", i)
 		}
-		if len(d.words) != v.h.pageWords || len(d.twin) != v.h.pageWords || len(d.dirty) != (v.h.pageWords+63)/64 {
+		if n := (v.h.pageWords + 63) / 64; len(d.words) != v.h.pageWords || len(d.dirty) != n || len(d.force) != n {
 			return fmt.Errorf("vheap: frame pool entry %d sized %d/%d/%d, want %d-word pages",
-				i, len(d.words), len(d.twin), len(d.dirty), v.h.pageWords)
+				i, len(d.words), len(d.dirty), len(d.force), v.h.pageWords)
 		}
-		for bi, mask := range d.dirty {
-			if mask != 0 {
-				return fmt.Errorf("vheap: frame pool entry %d has residual dirty bits (word group %d) — a recycled frame must start clean", i, bi)
+		for bi := range d.dirty {
+			if d.dirty[bi] != 0 || d.force[bi] != 0 {
+				return fmt.Errorf("vheap: frame pool entry %d has residual dirty or forced bits (word group %d) — a recycled frame must start clean", i, bi)
 			}
+		}
+		if d.base != nil {
+			return fmt.Errorf("vheap: frame pool entry %d still holds base version %d — a recycled frame must start clean", i, d.base.seq)
 		}
 	}
 	return nil
 }
 
 // frame takes a dirty-page frame from the view's free list, or allocates
-// one. Recycled frames have cleared bitmaps (releaseFrame's contract); words
-// and twin are fully overwritten by the caller.
+// one. Recycled frames have cleared bitmaps and no base (releaseFrame's
+// contract); their words are stale, and each is written before its bit is
+// set.
 func (v *View) frame() *dirtyPage {
 	if n := len(v.free); n > 0 {
 		d := v.free[n-1]
@@ -710,9 +728,12 @@ func (v *View) frame() *dirtyPage {
 	return v.h.newFrame()
 }
 
-// releaseFrame returns a frame to the free list with its bitmap cleared.
+// releaseFrame returns a frame to the free list with its bitmaps cleared and
+// its base dropped.
 func (v *View) releaseFrame(d *dirtyPage) {
 	clear(d.dirty)
+	clear(d.force)
+	d.base = nil
 	v.free = append(v.free, d)
 }
 
@@ -741,29 +762,31 @@ func (v *View) resolve(pi int) *page {
 	return p
 }
 
-// Load reads addr through the view: private copy if the page is dirty,
-// otherwise the newest committed version no newer than the base.
+// Load reads addr through the view: the private value if the view stored to
+// the word, otherwise the newest committed version no newer than the base
+// (for a dirty page, the base version its frame holds).
 func (v *View) Load(addr int64) int64 {
 	pi := int(addr >> v.h.pageShift)
 	off := addr & v.h.pageMask
 	if d := v.dirtyTab[pi]; d != nil {
-		return d.words[off]
+		if d.marked(int(off)) {
+			return d.words[off]
+		}
+		return d.base.words[off]
 	}
 	return v.resolve(pi).words[off]
 }
 
-// Store writes addr privately, creating a working copy, twin and dirty
-// bitmap on the first write to a page, and marking the written word. The
-// frame comes from the view's free list.
+// Store writes addr privately and marks the word. The first write to a page
+// takes a frame from the view's free list and records the page's base
+// version in it; nothing is copied.
 func (v *View) Store(addr, val int64) {
 	pi := int(addr >> v.h.pageShift)
 	off := addr & v.h.pageMask
 	d := v.dirtyTab[pi]
 	if d == nil {
-		base := v.resolve(pi)
 		d = v.frame()
-		copy(d.words, base.words)
-		copy(d.twin, base.words)
+		d.base = v.resolve(pi)
 		v.dirtyTab[pi] = d
 		v.dirtyIdx = append(v.dirtyIdx, pi)
 	}
@@ -772,16 +795,17 @@ func (v *View) Store(addr, val int64) {
 }
 
 // StoreDirty writes addr like Store, but guarantees the word is treated as
-// modified at commit even when the stored value equals the page's base
-// contents. Needed when the value was computed against state newer than the
-// view's base (irrevocable atomics), where a "silent" store must still win
-// the merge.
+// modified at commit even when the stored value equals the base version's.
+// Needed when the value was computed against state newer than the view's
+// base (irrevocable atomics), where a "silent" store must still win the
+// merge. The word stays forced through later stores until the dirty set is
+// published or discarded.
 func (v *View) StoreDirty(addr, val int64) {
 	v.Store(addr, val)
 	d := v.dirtyTab[addr>>v.h.pageShift]
 	off := addr & v.h.pageMask
-	if d.twin[off] == val {
-		d.twin[off] = ^val
+	if d.base.words[off] == val {
+		d.force[off>>6] |= 1 << (uint(off) & 63)
 	}
 }
 
@@ -791,11 +815,10 @@ func (v *View) StoreDirty(addr, val int64) {
 // caller before publication.
 func (h *Heap) newPageLocked(seq int64, hits, misses *int64) *page {
 	if n := len(h.pagePool); n > 0 {
-		p := h.pagePool[n-1]
+		p := h.pagePool[n-1] // prev is already nil: trimming unlinked it
 		h.pagePool[n-1] = nil
 		h.pagePool = h.pagePool[:n-1]
 		p.seq = seq
-		p.prev.Store(nil)
 		*hits++
 		return p
 	}
@@ -816,7 +839,7 @@ func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits,
 			i := bi<<6 + bits.TrailingZeros64(mask)
 			mask &= mask - 1
 			*scanned++
-			if d.words[i] != d.twin[i] {
+			if d.changed(i) {
 				if merged == nil {
 					merged = h.newPageLocked(newSeq, pageHits, pageMisses)
 					copy(merged.words, head.words)
@@ -835,17 +858,18 @@ func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits,
 	return n
 }
 
-// Commit publishes the view's modifications: for every dirty page, the words
-// that differ from the twin are merged onto the current head version, and a
-// new page version is linked in. Only the bitmap's marked words are
-// examined. The view is re-based on the new committed state and its dirty
-// set cleared — the frames are recycled, and trimmed-off page versions
-// refill the published-page pool. Returns the new sequence number and the
-// number of words merged.
+// Commit publishes the view's modifications: for every dirty page, the marked
+// words that differ from the base version (or were forced) are merged onto
+// the current head version, and a new page version is linked in. Only the
+// bitmap's marked words are examined. The view is re-based on the new
+// committed state and its dirty set cleared — the frames are recycled, and
+// trimmed-off page versions refill the published-page pool. Returns the new
+// sequence number and the number of words merged.
 //
-// Every page is merged and trimmed under one acquisition of h.mu. The
-// committed sequence is advanced only after every page is published, so a
-// view registering concurrently still bases on a fully published state.
+// Every page is merged and trimmed, and the commit counted into the heap's
+// stats, under one acquisition of h.mu. The committed sequence is advanced
+// only after every page is published, so a view registering concurrently
+// still bases on a fully published state.
 //
 // Callers must serialize commits deterministically (all engines here commit
 // while holding the turn); the mutex only protects the data structures.
@@ -856,6 +880,8 @@ func (v *View) Commit() (seq int64, changed int) {
 	scanned := int64(0)
 	pages := int64(0)
 	var pageHits, pageMisses int64
+	frameHits, frameMiss := v.frameHits, v.frameMiss
+	v.frameHits, v.frameMiss = 0, 0
 	h.mu.Lock()
 	for _, pi := range v.dirtyIdx {
 		if n := h.commitPage(pi, v.dirtyTab[pi], newSeq, &scanned, &pageHits, &pageMisses); n > 0 {
@@ -863,22 +889,17 @@ func (v *View) Commit() (seq int64, changed int) {
 			changed += n
 		}
 	}
+	st := &h.stats
+	st.Commits++
+	st.Pages += pages
+	st.Words += int64(changed)
+	st.WordsScanned += scanned
+	st.FrameHits += frameHits
+	st.FrameMisses += frameMiss
+	st.PageHits += pageHits
+	st.PageMisses += pageMisses
 	h.mu.Unlock()
 	h.seq.Store(newSeq)
-	h.commits.Add(1)
-	h.pagesWritten.Add(pages)
-	h.wordsMerged.Add(int64(changed))
-	h.wordsScanned.Add(scanned)
-	frameHits, frameMiss := v.frameHits, v.frameMiss
-	if frameHits != 0 || frameMiss != 0 {
-		h.frameHits.Add(frameHits)
-		h.frameMisses.Add(frameMiss)
-		v.frameHits, v.frameMiss = 0, 0
-	}
-	if pageHits != 0 || pageMisses != 0 {
-		h.pageHits.Add(pageHits)
-		h.pageMisses.Add(pageMisses)
-	}
 	h.countCommit(pages, int64(changed), scanned, frameHits, frameMiss, pageHits, pageMisses)
 	v.base.Store(newSeq)
 	h.noteRebase(oldBase)
@@ -932,6 +953,9 @@ func (h *Heap) trimChainLocked(head *page, floor int64) {
 	// p is the newest version <= floor; it becomes the terminal node, and
 	// everything below it is unreachable from this chain.
 	tail := p.prev.Load()
+	if tail == nil {
+		return
+	}
 	p.prev.Store(nil)
 	for q := tail; q != nil; {
 		next := q.prev.Load()
@@ -985,7 +1009,7 @@ func (v *View) Revert() (discarded int) {
 	return discarded
 }
 
-// DirtySnapshot is a deep copy of a view's private modifications, taken when
+// DirtySnapshot is a copy of a view's private modifications, taken when
 // a speculation run begins so that a revert can restore the thread's
 // pre-speculation writes (which were made before the run and must survive
 // its failure). Snapshots are reusable: SnapshotDirtyInto recycles the
@@ -993,7 +1017,7 @@ func (v *View) Revert() (discarded int) {
 // allocate nothing.
 type DirtySnapshot struct {
 	pis   []int
-	pages []*dirtyPage // deep copies, parallel to pis
+	pages []*dirtyPage // copies (marked words, bitmaps, base), parallel to pis
 	spare []*dirtyPage // retained frames not used by the current contents
 	words int
 }
@@ -1012,17 +1036,27 @@ func (s *DirtySnapshot) frame(h *Heap) *dirtyPage {
 	return h.newFrame()
 }
 
-// copyInto deep-copies src over dst, bitmap included.
+// copyInto copies src's state over dst: the base pointer, both bitmaps and
+// the marked words. Per 64-word group it copies the span from the lowest to
+// the highest marked word; the unmarked words inside the span carry stale
+// values nobody reads.
 func copyInto(dst, src *dirtyPage) {
-	copy(dst.words, src.words)
-	copy(dst.twin, src.twin)
+	dst.base = src.base
 	copy(dst.dirty, src.dirty)
+	copy(dst.force, src.force)
+	for bi, mask := range src.dirty {
+		if mask != 0 {
+			lo := bi<<6 + bits.TrailingZeros64(mask)
+			hi := bi<<6 + 64 - bits.LeadingZeros64(mask)
+			copy(dst.words[lo:hi], src.words[lo:hi])
+		}
+	}
 }
 
-// SnapshotDirty deep-copies the view's dirty set into a fresh snapshot.
+// SnapshotDirty copies the view's dirty set into a fresh snapshot.
 func (v *View) SnapshotDirty() *DirtySnapshot { return v.SnapshotDirtyInto(nil) }
 
-// SnapshotDirtyInto deep-copies the view's dirty set into s, reusing its
+// SnapshotDirtyInto copies the view's dirty set into s, reusing its
 // page frames and slices; a nil s allocates a fresh snapshot. The returned
 // snapshot is s (or the fresh one). Frames the previous contents used but
 // the new contents do not are retained on the snapshot's spare list, so

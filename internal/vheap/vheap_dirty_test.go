@@ -1,6 +1,9 @@
 package vheap
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // This file tests the dirty-word bitmap commit: the bitmap must never miss a
 // modified word (AuditDirty), a marked-but-silent word must not merge, and
@@ -8,14 +11,14 @@ import "testing"
 // words a commit publishes is checked against the word-level model in
 // model_test.go.)
 
-// TestBitmapPreservesSilentStoreSemantics: a marked word equal to its twin
-// must still merge as silent (lost to a concurrent commit).
+// TestBitmapPreservesSilentStoreSemantics: a marked word equal to its base
+// version must still merge as silent (lost to a concurrent commit).
 func TestBitmapPreservesSilentStoreSemantics(t *testing.T) {
 	h := New(64, WithPageWords(16))
 	h.SetInitial(3, 7)
 	a := h.NewView()
 	b := h.NewView()
-	a.Store(3, 7) // silent: marked in the bitmap, equal to the twin
+	a.Store(3, 7) // silent: marked in the bitmap, equal to the base version
 	b.Store(3, 9)
 	b.Commit()
 	a.Commit()
@@ -28,24 +31,128 @@ func TestBitmapPreservesSilentStoreSemantics(t *testing.T) {
 	}
 }
 
-// TestAuditDirtyCatchesUnmarkedWord corrupts a page's bitmap and checks the
-// audit reports the word the bitmap commit would drop.
-func TestAuditDirtyCatchesUnmarkedWord(t *testing.T) {
+// TestAuditDirtyCatchesStaleBase points a dirty frame at a version other
+// than the one the view's base resolves to — the frame would diff against,
+// and read its unwritten words from, the wrong page — and checks AuditDirty
+// (the commit-dirty-tracking rule's audit) reports it, as it does a forced
+// word that is not marked.
+func TestAuditDirtyCatchesStaleBase(t *testing.T) {
 	h := New(64, WithPageWords(16))
 	v := h.NewView()
+	w := h.NewView()
 	v.Store(3, 9)
+	v.Store(4, 0) // silent store: marked, equal to the base — legal
+	w.Store(5, 1)
+	w.Commit() // page 0 now has a version newer than v's base
 	if err := v.AuditDirty(); err != nil {
 		t.Fatalf("clean dirty set audited dirty: %v", err)
 	}
 	d := v.dirtyTab[0]
-	d.dirty[0] = 0 // word 3 differs from its twin but is no longer marked
-	if err := v.AuditDirty(); err == nil {
-		t.Fatal("unmarked modified word not caught by AuditDirty")
+	good := d.base
+	for _, bad := range []*page{h.slots[0].Load(), nil} {
+		d.base = bad
+		err := v.AuditDirty()
+		if err == nil {
+			t.Fatalf("dirty frame diffing against %v instead of the base version not caught", bad)
+		}
+		if !strings.Contains(err.Error(), "page 0") {
+			t.Fatalf("audit error %q does not name the page", err)
+		}
 	}
-	d.mark(3)
-	v.Store(4, 0) // silent store: marked, equal to twin — legal
+	d.base = good
+	d.force[0] = 1 << 6 // word 6 forced but never stored
+	if err := v.AuditDirty(); err == nil {
+		t.Fatal("forced unmarked word not caught by AuditDirty")
+	}
+	d.force[0] = 0
 	if err := v.AuditDirty(); err != nil {
-		t.Fatalf("marked silent store flagged: %v", err)
+		t.Fatalf("restored frame audited dirty: %v", err)
+	}
+}
+
+// TestUnwrittenWordReadsBase: a dirty page holds private values only for the
+// words the view stored; every other word reads the view's base version —
+// not a newer commit, not a recycled frame's stale value — also after
+// RevertTo reinstates a snapshot over the run's writes.
+func TestUnwrittenWordReadsBase(t *testing.T) {
+	h := New(64, WithPageWords(16))
+	for i := int64(0); i < 16; i++ {
+		h.SetInitial(i, 100+i)
+	}
+	v := h.NewView()
+	w := h.NewView()
+	check := func(when string, want map[int64]int64) {
+		t.Helper()
+		for addr, val := range want {
+			if got := v.Load(addr); got != val {
+				t.Fatalf("%s: word %d = %d, want %d", when, addr, got, val)
+			}
+		}
+	}
+	// Leave stale values in v's pooled frame: the next frame is this one.
+	for i := int64(0); i < 16; i++ {
+		v.Store(i, -1)
+	}
+	v.Revert()
+	v.Store(3, 9)
+	w.Store(4, 44) // a newer commit v's base must not see
+	w.Commit()
+	check("after first write", map[int64]int64{3: 9, 4: 104, 5: 105})
+
+	s := v.SnapshotDirty()
+	v.Store(4, 11) // the run's writes: one beside the pre-run write...
+	v.Store(3, 12) // ...and one over it
+	check("during the run", map[int64]int64{3: 12, 4: 11, 5: 105})
+	if d := v.RevertTo(s); d != 1 {
+		t.Fatalf("RevertTo discarded %d words, want 1 (word 4; word 3 is pre-run)", d)
+	}
+	check("after RevertTo", map[int64]int64{3: 9, 4: 104, 5: 105})
+	if err := v.AuditDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := v.Commit(); n != 1 {
+		t.Fatalf("commit merged %d words, want 1", n)
+	}
+	if got := h.ReadCommitted(4); got != 44 {
+		t.Fatalf("committed word 4 = %d, want w's 44 (v never wrote it)", got)
+	}
+	check("after commit", map[int64]int64{3: 9, 4: 44, 5: 105})
+}
+
+// TestStoreDirtyForcedThroughLaterStore: StoreDirty of the base value wins
+// the merge against a concurrent commit, and a later plain store keeps the
+// word forced — of the same value (which alone would be silent), and of the
+// base value's complement (which a twin flipped to mark the force once read
+// as silent).
+func TestStoreDirtyForcedThroughLaterStore(t *testing.T) {
+	h := New(64, WithPageWords(16))
+	h.SetInitial(3, 7)
+	for _, later := range []string{"none", "same", "complement"} {
+		a := h.NewView()
+		b := h.NewView()
+		base := a.Load(3)
+		a.StoreDirty(3, base)
+		want := base
+		switch later {
+		case "same":
+			a.Store(3, base)
+		case "complement":
+			want = ^base
+			a.Store(3, want)
+		}
+		if got := a.DirtyWords(); got != 1 {
+			t.Fatalf("later store %s: DirtyWords = %d, want 1 (the forced word)", later, got)
+		}
+		b.Store(3, base+2)
+		b.Commit()
+		if _, n := a.Commit(); n != 1 {
+			t.Fatalf("later store %s: commit merged %d words, want 1", later, n)
+		}
+		if got := h.ReadCommitted(3); got != want {
+			t.Fatalf("later store %s: word 3 = %d, want %d", later, got, want)
+		}
+		a.Close()
+		b.Close()
 	}
 }
 

@@ -43,7 +43,7 @@ func TestCloseIdempotent(t *testing.T) {
 // TestAuditTablesCatchesCorruption corrupts each flat-table invariant in
 // turn and checks AuditTables reports it: a frame missing from the dirty
 // index, a stale clean-cache stamp, and a pooled frame with residual dirty
-// bits.
+// or forced bits or a base version left over.
 func TestAuditTablesCatchesCorruption(t *testing.T) {
 	fresh := func() (*Heap, *View) {
 		h := New(128, WithPageWords(32))
@@ -80,6 +80,22 @@ func TestAuditTablesCatchesCorruption(t *testing.T) {
 	v.free = append(v.free, d)
 	if err := v.AuditTables(); err == nil {
 		t.Fatal("pooled frame with residual dirty bits not caught")
+	}
+
+	h, v = fresh()
+	d = h.newFrame()
+	d.force[0] = 1 << 5 // a recycled frame must start with no forced word
+	v.free = append(v.free, d)
+	if err := v.AuditTables(); err == nil {
+		t.Fatal("pooled frame with residual forced bits not caught")
+	}
+
+	h, v = fresh()
+	d = h.newFrame()
+	d.base = h.zero // a recycled frame must not keep its last base version
+	v.free = append(v.free, d)
+	if err := v.AuditTables(); err == nil {
+		t.Fatal("pooled frame holding a base version not caught")
 	}
 
 	_, v = fresh()

@@ -66,7 +66,7 @@ func TestSilentStoreLost(t *testing.T) {
 	h.SetInitial(3, 7)
 	a := h.NewView()
 	b := h.NewView()
-	a.Store(3, 7) // silent: same value as the twin
+	a.Store(3, 7) // silent: same value as the base version
 	b.Store(3, 9)
 	b.Commit()
 	a.Commit()
