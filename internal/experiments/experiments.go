@@ -579,7 +579,8 @@ func Versions(cfg Config) error {
 	cfg.printf("%-34s %14s %10s\n", "retention policy", "page versions", "wall")
 	cfg.printf("%-34s %14d %10v\n", "DDRF (coalesced version list)", ddrf.LiveVersions, ddrf.Wall)
 	cfg.printf("%-34s %14d\n", "DLRC-style (full retention)", pages+ddrf.PagesCommitted)
-	cfg.printf("heap population is %d pages; DDRF retains ~1 version per page,\n", pages)
+	cfg.printf("heap population is %d pages, %d of them touched; DDRF retains %.2f versions per page,\n",
+		pages, ddrf.TouchedPages, float64(ddrf.LiveVersions)/float64(pages))
 	cfg.printf("full retention grows with every commit (%d page versions written)\n", ddrf.PagesCommitted)
 	return nil
 }

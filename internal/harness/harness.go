@@ -164,9 +164,11 @@ type Result struct {
 	// WordsScanned counts the words commits examined to find the committed
 	// ones (strong engines only): the dirty bitmaps' population.
 	WordsScanned int64
-	// LiveVersions counts page versions still reachable after the run
-	// (strong engines only).
-	LiveVersions int
+	// LiveVersions counts page versions still reachable after the run, and
+	// TouchedPages the pages a commit or the workload's Init wrote (strong
+	// engines only). LiveVersions depends on when views re-based and closed
+	// against the trim floor, so it is reported as timing, not a metric.
+	LiveVersions, TouchedPages int
 	// ArbiterWakes/ArbiterGrantWork are the turn arbiter's cost counters
 	// (deterministic engines only): cross-thread grants (turns handed to a
 	// sleeping waiter, one wakeup each), and key-comparison work done
@@ -311,7 +313,7 @@ func Run(w *Workload, opt Options) (*Result, error) {
 			st := heap.Stats()
 			res.Commits, res.PagesCommitted, res.WordsCommitted = st.Commits, st.Pages, st.Words
 			res.WordsScanned = st.WordsScanned
-			res.LiveVersions = heap.LiveVersions()
+			res.LiveVersions, res.TouchedPages = heap.LiveVersions(), heap.TouchedPages()
 		}()
 
 	case TotalOrderWeak, TotalOrderWeakNondet:

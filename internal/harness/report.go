@@ -45,9 +45,6 @@ func absorbStats(tel *telemetry.Recorder, res *Result) {
 	if res.Recorder != nil {
 		tel.Count("sync.events", res.SyncEvents)
 	}
-	if res.LiveVersions > 0 {
-		tel.SetGauge("vheap.live_versions", float64(res.LiveVersions))
-	}
 }
 
 // timingCounters names telemetry counters that carry wall time rather than
@@ -115,6 +112,11 @@ func BuildReport(res *Result) telemetry.RunReport {
 	r.Timing["cpu_ns"] = float64(res.CPU.Nanoseconds())
 	if res.Allocs > 0 {
 		r.Timing["allocs"] = float64(res.Allocs)
+	}
+	// Which versions the trim floor still pins depends on when each view
+	// re-based and closed, which the host scheduler decides.
+	if res.LiveVersions > 0 {
+		r.Timing["vheap.live_versions"] = float64(res.LiveVersions)
 	}
 	if res.Times != nil {
 		r.Timing["utilization_pct"] = res.UtilizationPct

@@ -97,6 +97,12 @@ func TestBuildReportDeterministic(t *testing.T) {
 	if _, ok := r1.Timing["wall_ns"]; !ok {
 		t.Error("report missing wall_ns timing")
 	}
+	if v := r1.Timing["vheap.live_versions"]; v <= 0 {
+		t.Errorf("report timing vheap.live_versions = %v, want the heap's live version count", v)
+	}
+	if _, ok := r1.Metrics["vheap.live_versions"]; ok {
+		t.Error("vheap.live_versions is a metric; it depends on host scheduling")
+	}
 }
 
 // TestTelemetryCountersMatchResult: the registry's heap counters agree with

@@ -25,6 +25,7 @@ package opensim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lazydet/internal/harness"
 	"lazydet/internal/stats"
@@ -252,9 +253,12 @@ func (r *Result) summarize() {
 		}
 		depthSum += q.Depth
 	}
-	ps := stats.DLCPercentiles(lats, 50, 95, 99)
-	r.LatP50, r.LatP95, r.LatP99 = ps[0], ps[1], ps[2]
-	r.WaitP95 = stats.DLCPercentiles(waits, 95)[0]
+	slices.Sort(lats) // both are scratch: sort in place
+	slices.Sort(waits)
+	r.LatP50 = stats.Percentile(lats, 50)
+	r.LatP95 = stats.Percentile(lats, 95)
+	r.LatP99 = stats.Percentile(lats, 99)
+	r.WaitP95 = stats.Percentile(waits, 95)
 	r.QDepthMean = float64(depthSum) / float64(n)
 	r.MakespanDLC = maxFinish - minAdmit
 	if r.MakespanDLC > 0 {

@@ -38,7 +38,9 @@ type plan struct {
 }
 
 // buildPlan draws the cell's arrival schedule and request bodies from the
-// seed's partitioned streams.
+// seed's partitioned streams. Gaps and classes come first, which fixes the
+// operation count, so the operation arrays are allocated once at their final
+// size; each stream is still drawn in request order.
 func buildPlan(cfg Config) *plan {
 	arrivals := newStream(cfg.Seed, "arrivals")
 	mixSel := newStream(cfg.Seed, "mix")
@@ -55,6 +57,7 @@ func buildPlan(cfg Config) *plan {
 		mix:      make([]int32, cfg.Requests),
 		opOff:    make([]int32, cfg.Requests+1),
 	}
+	ops := 0
 	for i := 0; i < cfg.Requests; i++ {
 		gap := arrivals.expGap(cfg.MeanGap)
 		iters := (gap + burnStep/2) / burnStep
@@ -71,24 +74,28 @@ func buildPlan(cfg Config) *plan {
 			cls++
 		}
 		p.mix[i] = int32(cls)
+		ops += cfg.Mix[cls].Ops
+		p.opOff[i+1] = int32(ops)
+	}
 
-		for op := 0; op < cfg.Mix[cls].Ops; op++ {
+	p.opKey = make([]int32, ops)
+	p.opRead = make([]byte, ops)
+	for i := 0; i < cfg.Requests; i++ {
+		readPct := int64(cfg.Mix[p.mix[i]].ReadPct)
+		for op := p.opOff[i]; op < p.opOff[i+1]; op++ {
 			var key int64
 			if keySel.intn(100) < int64(cfg.HotPct) {
 				key = keySel.intn(int64(cfg.HotKeys))
 			} else {
 				key = keySel.intn(int64(cfg.Keys))
 			}
-			read := rwSel.intn(100) < int64(cfg.Mix[cls].ReadPct)
-			p.opKey = append(p.opKey, int32(key))
-			if read {
-				p.opRead = append(p.opRead, 1)
+			p.opKey[op] = int32(key)
+			if rwSel.intn(100) < readPct {
+				p.opRead[op] = 1
 			} else {
-				p.opRead = append(p.opRead, 0)
 				p.writes++
 			}
 		}
-		p.opOff[i+1] = int32(len(p.opKey))
 	}
 	return p
 }

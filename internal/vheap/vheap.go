@@ -49,10 +49,16 @@
 // reads, audits) memory-safe.
 //
 // Version chains are trimmed below the oldest base sequence still referenced
-// by a live view. This is the space advantage the paper ascribes to DDRF
-// (§4.2): the heap holds one version per page plus short tails for in-flight
-// views (t views → at most t extra bases), rather than the l+t versions a
-// DLRC-style system must retain. That DLRC count needs no second heap mode:
+// by a live view (the floor). A commit trims each chain it publishes to; a
+// chain left with versions below its head goes on a tail list, which a later
+// commit sweeps at the newer floor once the floor has moved and as many
+// pages have been committed as the list holds — so a page that stops
+// receiving commits still drops the versions no view can read, at O(1)
+// amortized cost per committed page. This is the space advantage the paper
+// ascribes to DDRF (§4.2): the heap holds one version per page plus short
+// tails for in-flight views (t views → at most t extra bases), rather than
+// the l+t versions a DLRC-style system must retain. That DLRC count needs no
+// second heap mode:
 // a DLRC heap keeps every version it ever linked, so it holds the initial
 // page population plus Stats().Pages, which counts exactly one per linked
 // version.
@@ -102,7 +108,7 @@ type Heap struct {
 	// appear in many chains at once, so trimming must never recycle it.
 	zero *page
 
-	mu sync.Mutex // guards the version chains, pagePool, lastFloor, stats and trims
+	mu sync.Mutex // guards the version chains, pagePool, lastFloor, the tail list, stats and trims
 
 	// pagePool is the free list of published page frames, refilled by chain
 	// trimming: a version cut below the trim floor is unreachable by every
@@ -127,6 +133,15 @@ type Heap struct {
 	// so the sequence of floors trims use must never decrease — the
 	// monotonicity invariant the checker audits. Guarded by mu.
 	lastFloor int64
+
+	// tails lists, in the order they were queued, the pages whose chain
+	// holds versions below its head; tailed[pi] says whether pi is listed.
+	// sweptFloor is the floor of the last sweep and sinceSweep the pages
+	// committed since (sweepTailsLocked). Guarded by mu.
+	tails      []int
+	tailed     []bool
+	sweptFloor int64
+	sinceSweep int64
 
 	viewMu sync.Mutex // guards the live-view registry
 	views  []*View    // live views in no particular order, for trim floor computation
@@ -194,13 +209,15 @@ func New(words int64, opts ...Option) *Heap {
 		np = 1
 	}
 	h := &Heap{
-		pageWords: cfg.pageWords,
-		pageShift: shift,
-		pageMask:  int64(cfg.pageWords - 1),
-		npages:    np,
-		slots:     make([]atomic.Pointer[page], np),
-		lastFloor: -1,
-		tel:       cfg.tel,
+		pageWords:  cfg.pageWords,
+		pageShift:  shift,
+		pageMask:   int64(cfg.pageWords - 1),
+		npages:     np,
+		slots:      make([]atomic.Pointer[page], np),
+		lastFloor:  -1,
+		tailed:     make([]bool, np),
+		sweptFloor: -1,
+		tel:        cfg.tel,
 		ctr: heapCounters{
 			commits:     cfg.tel.Handle("vheap.commits"),
 			pages:       cfg.tel.Handle("vheap.pages_committed"),
@@ -381,13 +398,29 @@ func (h *Heap) LiveVersions() int {
 	return n
 }
 
+// TouchedPages counts the pages whose head is not the shared zero page: a
+// commit or SetInitial gave them data of their own. Once no view can read
+// an older version, LiveVersions is this count plus one per untouched page.
+func (h *Heap) TouchedPages() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for i := range h.slots {
+		if h.slots[i].Load() != h.zero {
+			n++
+		}
+	}
+	return n
+}
+
 // Audit verifies the heap's structural invariants: every page version chain
 // is strictly decreasing in commit sequence, no version is newer than the
 // heap's committed sequence, while any view is live the oldest retained
 // version of every chain is at or below the trim floor (the minimum base of
 // the live views) so no live view's base has been trimmed out from under it,
 // no pooled page frame is still reachable from a version chain (a reachable
-// frame would be overwritten by the commit that reuses it), and the cached
+// frame would be overwritten by the commit that reuses it), every chain with
+// versions below its head is on the tail list exactly once, and the cached
 // and last-used trim floors are at or below the true floor. Returns a
 // descriptive error on the first breach. Used by the invariant checker
 // (internal/invariant).
@@ -427,10 +460,23 @@ func (h *Heap) Audit() error {
 		}
 		pooled[p] = true
 	}
+	listed := make(map[int]bool, len(h.tails))
+	for _, pi := range h.tails {
+		if listed[pi] || !h.tailed[pi] {
+			return fmt.Errorf("vheap: page %d is on the tail list twice or without its mark", pi)
+		}
+		listed[pi] = true
+	}
 	for pi := range h.slots {
 		p := h.slots[pi].Load()
 		if p.seq > top {
 			return fmt.Errorf("vheap: page %d head version %d is ahead of the newest commit %d", pi, p.seq, top)
+		}
+		if h.tailed[pi] != listed[pi] {
+			return fmt.Errorf("vheap: page %d tail mark %v disagrees with the tail list", pi, h.tailed[pi])
+		}
+		if p.prev.Load() != nil && !listed[pi] {
+			return fmt.Errorf("vheap: page %d holds versions below its head but is not on the tail list — no sweep would reclaim them", pi)
 		}
 		oldest := p.seq
 		for q := p; q != nil; q = q.prev.Load() {
@@ -828,9 +874,10 @@ func (h *Heap) newPageLocked(seq int64, hits, misses *int64) *page {
 
 // commitPage merges one dirty page onto its head version and publishes the
 // result, returning the number of merged words (0 means every store was
-// silent and nothing was published). When trimming is on, the page's chain
-// is then trimmed at the current floor. Caller holds h.mu.
-func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits, pageMisses *int64) int {
+// silent and nothing was published). The page's chain is then trimmed at
+// floor, and queued on the tail list if versions below the new head remain.
+// Caller holds h.mu.
+func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq, floor int64, scanned, pageHits, pageMisses *int64) int {
 	head := h.slots[pi].Load()
 	var merged *page
 	n := 0
@@ -854,8 +901,37 @@ func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits,
 	}
 	merged.prev.Store(head)
 	h.slots[pi].Store(merged)
-	h.trimChainLocked(merged, h.cachedFloor())
+	h.trimChainLocked(merged, floor)
+	if merged.prev.Load() != nil && !h.tailed[pi] {
+		h.tailed[pi] = true
+		h.tails = append(h.tails, pi)
+	}
 	return n
+}
+
+// sweepTailsLocked trims every chain on the tail list at floor and drops
+// from the list each page whose head is now its only version. It runs when
+// the floor has moved since the last sweep and at least as many pages have
+// been committed since then as the list holds, so its cost is O(1)
+// amortized per committed page. Caller holds h.mu, at the turn: sweeps run
+// in commit order.
+func (h *Heap) sweepTailsLocked(floor int64) {
+	if floor <= h.sweptFloor || h.sinceSweep < int64(len(h.tails)) {
+		return
+	}
+	kept := h.tails[:0]
+	for _, pi := range h.tails {
+		head := h.slots[pi].Load()
+		h.trimChainLocked(head, floor)
+		if head.prev.Load() != nil {
+			kept = append(kept, pi)
+		} else {
+			h.tailed[pi] = false
+		}
+	}
+	h.tails = kept
+	h.sweptFloor = floor
+	h.sinceSweep = 0
 }
 
 // Commit publishes the view's modifications: for every dirty page, the marked
@@ -866,10 +942,11 @@ func (h *Heap) commitPage(pi int, d *dirtyPage, newSeq int64, scanned, pageHits,
 // trimmed-off page versions refill the published-page pool. Returns the new
 // sequence number and the number of words merged.
 //
-// Every page is merged and trimmed, and the commit counted into the heap's
-// stats, under one acquisition of h.mu. The committed sequence is advanced
-// only after every page is published, so a view registering concurrently
-// still bases on a fully published state.
+// The tail list is swept first (sweepTailsLocked), so the versions it frees
+// serve this commit's pages. Every page is merged and trimmed, and the commit
+// counted into the heap's stats, under one acquisition of h.mu. The committed
+// sequence is advanced only after every page is published, so a view
+// registering concurrently still bases on a fully published state.
 //
 // Callers must serialize commits deterministically (all engines here commit
 // while holding the turn); the mutex only protects the data structures.
@@ -883,12 +960,15 @@ func (v *View) Commit() (seq int64, changed int) {
 	frameHits, frameMiss := v.frameHits, v.frameMiss
 	v.frameHits, v.frameMiss = 0, 0
 	h.mu.Lock()
+	floor := h.cachedFloor()
+	h.sweepTailsLocked(floor)
 	for _, pi := range v.dirtyIdx {
-		if n := h.commitPage(pi, v.dirtyTab[pi], newSeq, &scanned, &pageHits, &pageMisses); n > 0 {
+		if n := h.commitPage(pi, v.dirtyTab[pi], newSeq, floor, &scanned, &pageHits, &pageMisses); n > 0 {
 			pages++
 			changed += n
 		}
 	}
+	h.sinceSweep += pages
 	st := &h.stats
 	st.Commits++
 	st.Pages += pages
@@ -938,8 +1018,10 @@ func (h *Heap) countCommit(pages, changed, scanned, frameHits, frameMiss, pageHi
 // walking the chain hold bases >= floor, so they never traverse past the new
 // terminal node — which is what makes the cut-off tail unreachable and its
 // frames safe to recycle into the page pool (the shared zero page excepted:
-// it can sit in many chains at once). The floor is recorded as lastFloor for
-// the monotonicity audit. Caller holds h.mu.
+// it can sit in many chains at once). It runs on the chain a commit just
+// published to and, from sweepTailsLocked, on every chain the tail list
+// holds. The floor is recorded as lastFloor for the monotonicity audit.
+// Caller holds h.mu.
 func (h *Heap) trimChainLocked(head *page, floor int64) {
 	h.lastFloor = floor
 	p := head
