@@ -41,7 +41,8 @@ run() { # side workload seed
 }
 # h4 prints both sides' addresses and phases and a warning per symbol whose
 # phase differs. Each side's binary is the one its benchmark/run.sh built.
-h4syms='runInterp$|buildCompute\.func1(\.[12])?$'
+# The For closures are the loop step and condition compute runs every iteration.
+h4syms='runInterp$|buildCompute\.func1(\.[12])?$|\(\*Builder\)\.For\.func(1|2\.1)$'
 h4() {
 	echo "H4 link addresses and 64-byte phases (go tool nm -n .bench_build/benchmark):"
 	local side dir

@@ -174,10 +174,6 @@ type Engine struct {
 	// mems holds the per-thread memory windows, indexed by thread ID.
 	mems []mempipe.Thread
 
-	// started[tid] is closed when thread tid's ThreadStart has run, so a
-	// suspended thread is registered as parked before Spawn unparks it.
-	started []chan struct{}
-
 	// audit is the invariant checker, nil unless Config.CheckInvariants.
 	audit *invariant.Checker
 
@@ -188,10 +184,10 @@ type Engine struct {
 	// pol is the speculation policy (policy.go).
 	pol policy
 
-	// waiters is every thread parked on a held lock, a live join target,
-	// the irrevocable run, a condition variable or a barrier, in park order:
-	// one FIFO for all events, in engine state rather than on each object,
-	// mutated only at turns. A thread sits in it at most once.
+	// waiters is every thread parked on a held lock, the irrevocable run, a
+	// condition variable or a barrier, in park order: one FIFO for all
+	// events, in engine state rather than on each object, mutated only at
+	// turns. A thread sits in it at most once.
 	waiters []waiter
 }
 
@@ -233,10 +229,8 @@ func New(cfg Config, d Deps) *Engine {
 	// baseAtBegin, hence its validation outcome, would depend on host
 	// scheduling (TestInitialViewBaseIgnoresStartOrder).
 	e.mems = make([]mempipe.Thread, d.Arb.N())
-	e.started = make([]chan struct{}, d.Arb.N())
 	for tid := range e.mems {
 		e.mems[tid] = e.pipe.NewThread(tid)
-		e.started[tid] = make(chan struct{})
 	}
 	if cfg.CheckInvariants {
 		e.audit = invariant.New(d.Arb, d.Tbl, d.Heap, d.OnViolation)
@@ -341,11 +335,7 @@ func (e *Engine) newTState(tid int) *tstate {
 	return &tstate{mem: e.mems[tid], pol: newThreadPolicy(tid)}
 }
 
-// ThreadStart implements dvm.Engine. Suspended threads are registered as
-// parked, so they do not pin the global clock minimum at zero before they
-// are spawned, and Spawn waits for that registration: arriving after the
-// spawn's Unpark, it would park a running thread, and a joiner parking on
-// it would find every thread parked.
+// ThreadStart implements dvm.Engine.
 func (e *Engine) ThreadStart(t *dvm.Thread) {
 	ts := e.newTState(t.ID)
 	t.Mem = ts.mem
@@ -362,10 +352,6 @@ func (e *Engine) ThreadStart(t *dvm.Thread) {
 		// is published as gateable metrics at thread exit.
 		t.EnableRetiredCounts()
 	}
-	if t.Prog().StartSuspended {
-		e.arb.SetParked(t.ID)
-	}
-	close(e.started[t.ID])
 }
 
 // ThreadExit implements dvm.Engine: terminate any outstanding speculation
@@ -383,12 +369,12 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 		return true
 	}
 	// Take a final turn: the exit commit publishes outstanding writes
-	// (strong mode), and Exit in place of releasing the turn makes the
-	// Exited status visible exactly at this deterministic boundary, where
-	// the thread's joiners are woken.
+	// (strong mode); the view closes before the turn is given up, so
+	// whether the next commit's trim floor counts it does not depend on
+	// the host schedule; and Exit in place of releasing the turn makes the
+	// Exited status visible exactly at this deterministic boundary.
 	e.waitCommitTurn(t)
 	e.publish(t, ts)
-	e.wake(t, waitJoin, int64(t.ID), true)
 	if e.tel != nil {
 		// The thread's final clock: summed over threads this is the run's
 		// total deterministic logical work, the report's "dlc.total".
@@ -405,10 +391,15 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 			}
 		}
 	}
-	e.arb.Exit(t.ID)
 	ts.mem.Close()
+	e.arb.Exit(t.ID)
 	return true
 }
+
+// Spawn and Join implement dvm.Engine's pthread_create/join hooks, which no
+// instruction reaches: every thread starts with the run.
+func (e *Engine) Spawn(*dvm.Thread, int) {}
+func (e *Engine) Join(*dvm.Thread, int)  {}
 
 // Tick implements dvm.Engine. The interpreter batches retired-instruction
 // cost (dlc.TickWindow), so this runs once per batch, not per instruction.
@@ -476,20 +467,19 @@ type waitKind uint8
 
 const (
 	waitLock        waitKind = iota // its lock's release
-	waitJoin                        // its target's exit
 	waitIrrevocable                 // the irrevocable run's commit
 	waitCond                        // a signal or broadcast on its condition variable
 	waitBarrier                     // its barrier's last arrival
 )
 
 // waiter is a thread parked until an event frees it: a lock it cannot take
-// (in the mode write says), a join target that has not exited, the
-// irrevocable run, a condition variable, or a barrier.
+// (in the mode write says), the irrevocable run, a condition variable, or a
+// barrier.
 type waiter struct {
 	tid   int
 	kind  waitKind
 	write bool  // an exclusive acquisition: a lock writer, or a condition waiter re-taking its lock
-	on    int64 // the lock, join target, condition variable or barrier
+	on    int64 // the lock, condition variable or barrier
 }
 
 // park queues thread t behind w's event and parks it until the event's turn
@@ -503,7 +493,7 @@ func (e *Engine) park(t *dvm.Thread, w waiter) {
 }
 
 // wake unparks, in park order, the threads that the event (kind, on) frees:
-// with all, every waiter (a broadcast, a barrier's last arrival, a join, the
+// with all, every waiter (a broadcast, a barrier's last arrival, the
 // irrevocable run's commit); otherwise the head and, if the head is a reader,
 // the readers queued directly behind it (a lock release, or a signal, whose
 // waiters queue as writers). The k-th woken gets clock my+1+k, my the

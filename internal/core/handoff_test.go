@@ -110,25 +110,6 @@ func TestLockWaiterAcquiresAtRelease(t *testing.T) {
 	}
 }
 
-// TestJoinerResumesAtExit: a join on a thread still running parks, and the
-// target's exit turn wakes the joiner, which joins at the exit DLC + 1.
-func TestJoinerResumesAtExit(t *testing.T) {
-	w := newWaitRig(Config{Mode: ModeStrong}, 2, 0)
-	m := dvm.NewBuilder("main")
-	m.Spawn(dvm.Const(1))
-	m.Join(dvm.Const(1))
-	c := dvm.NewBuilder("child")
-	spin(c, 500)
-	child := c.Build()
-	child.StartSuspended = true
-	dvm.Run(w.eng, []*dvm.Program{m.Build(), child})
-
-	exit := w.eng.arb.DLC(1) // an exit takes its last turn without a charge
-	if got := w.at(t, 0, trace.OpJoin, 1, 0); got != exit+1 {
-		t.Errorf("joined at DLC %d, want the target's exit %d + 1", got, exit)
-	}
-}
-
 // TestCommitBlockedByIrrevocableRun: a thread that reaches its commit turn
 // while another run is irrevocable parks, and that run's commit wakes it: it
 // commits at that commit's DLC + 1.
@@ -319,7 +300,7 @@ func TestLockInversionDeadlockPanics(t *testing.T) {
 		t.Fatalf("the inverted run was still going after 30 s; output:\n%s", out)
 	}
 	if err == nil || !strings.Contains(string(out), "dlc: deterministic deadlock") ||
-		!strings.Contains(string(out), "lock or join") {
+		!strings.Contains(string(out), "lock or irrevocable run") {
 		t.Fatalf("want the deterministic-deadlock panic naming lock waits, got err %v; output:\n%s", err, out)
 	}
 }

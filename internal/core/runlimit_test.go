@@ -35,7 +35,8 @@ func newHand(t *testing.T, cfg Config, threads, locks int) *hand {
 		ts := h.eng.newTState(tid)
 		th.Mem, th.EngineData = ts.mem, ts
 		h.th = append(h.th, th)
-		arb.SetParked(tid)
+		arb.WaitTurn(tid) // the lowest live ID: every earlier thread is parked
+		arb.Park(tid)
 	}
 	return h
 }
@@ -51,7 +52,8 @@ func (h *hand) do(tid int, f func(e *Engine, th *dvm.Thread)) {
 	if d := arb.DLC(tid); d > h.clock {
 		h.clock = d
 	}
-	arb.SetParked(tid)
+	arb.WaitTurn(tid) // alone in arbitration: the turn is immediate
+	arb.Park(tid)
 }
 
 // section runs one exclusive critical section on l as thread tid, storing

@@ -5,7 +5,7 @@
 // sequences. The metadata is storage only: the speculation policy in
 // internal/core (policy.go) seeds it and is its sole reader and writer. No
 // object holds a wait queue: every thread parked on a lock, condition
-// variable, barrier, join or irrevocable run waits in internal/core's one
+// variable, barrier or irrevocable run waits in internal/core's one
 // engine-level FIFO.
 //
 // All mutable fields are read and written only while the mutating thread
@@ -64,10 +64,7 @@ type Table struct {
 	// location-level analogue of each lock's LastCommitSeq, used by the
 	// speculative-atomics extension (paper §7). Mutated only at turns.
 	Atomics map[int64]int64
-	// SpawnSeq records, per thread, the heap sequence published at the
-	// turn that spawned it; the thread re-bases its view there on resume.
-	SpawnSeq []int64
-	wake     []chan struct{}
+	wake    []chan struct{}
 }
 
 // NewTable allocates nlocks locks, nconds condition variables and nbarriers
@@ -80,7 +77,6 @@ func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
 		Conds:    nconds,
 		Barriers: make([]Barrier, nbarriers),
 		Atomics:  make(map[int64]int64),
-		SpawnSeq: make([]int64, nthreads),
 		wake:     make([]chan struct{}, nthreads),
 	}
 	for i := range t.wake {

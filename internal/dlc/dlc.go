@@ -67,7 +67,7 @@ const (
 	// minimum, which is what serializes turn holders.
 	StatusTurn
 	// StatusParked threads are blocked on a condition variable, barrier,
-	// lock, join or irrevocable run and are excluded from the minimum
+	// lock or irrevocable run and are excluded from the minimum
 	// computation. Threads may only be parked at a deterministic point
 	// (while holding the turn), which is what keeps exclusion deterministic.
 	StatusParked
@@ -270,7 +270,7 @@ func (a *Arbiter) checkDeadlockLocked() {
 		a.onDeadlock()
 		return
 	}
-	panic("dlc: deterministic deadlock — every thread is parked on a condition variable, barrier, lock or join and no waker remains")
+	panic("dlc: deterministic deadlock — every thread is parked on a condition variable, barrier, lock or irrevocable run and no waker remains")
 }
 
 // N returns the number of threads the arbiter manages.
@@ -547,31 +547,13 @@ func (a *Arbiter) Unpark(tid int, newDLC int64) {
 
 // Exit removes the thread from arbitration permanently. It may be called
 // while holding the turn (the exit then becomes visible exactly at that
-// deterministic boundary, which is what makes join retries deterministic)
-// or while running.
+// deterministic boundary) or while running.
 func (a *Arbiter) Exit(tid int) {
 	a.mu.Lock()
 	a.setStatusLocked(tid, StatusExited)
 	if !a.nondet {
 		a.replayLocked(a.minTree, tid, false)
 		a.replayLocked(a.waitTree, tid, false)
-	}
-	a.handOffLocked()
-	a.checkDeadlockLocked()
-	a.mu.Unlock()
-}
-
-// SetParked marks a thread parked before it has ever run: the state of a
-// suspended (not yet spawned) thread, which must not participate in turn
-// arbitration until Unpark. Like Park and Exit it must check for deadlock:
-// a suspended thread parks itself from its own goroutine, so the program's
-// last live thread can exit before its peers reach this point, making the
-// SetParked here the transition into the all-parked state.
-func (a *Arbiter) SetParked(tid int) {
-	a.mu.Lock()
-	a.setStatusLocked(tid, StatusParked)
-	if !a.nondet {
-		a.replayLocked(a.minTree, tid, false)
 	}
 	a.handOffLocked()
 	a.checkDeadlockLocked()

@@ -20,54 +20,6 @@ func waitStatus(t *testing.T, a *Arbiter, tid int, st Status) {
 	}
 }
 
-// TestSetParkedDeadlockDetection is the regression test for the SetParked
-// bugfix: marking a never-run thread parked can itself complete the
-// all-parked state, exactly like Park and Exit, and must fire the deadlock
-// handler. The shape reproduces the real hang: a program whose suspended
-// threads park themselves from their own goroutines (core.Engine's
-// ThreadStart does this for StartSuspended programs) races them against the
-// last live thread's exit — if the exit lands first, the final SetParked is
-// the transition into deadlock, and before the fix nothing ever checked it.
-func TestSetParkedDeadlockDetection(t *testing.T) {
-	a := New(3)
-	fired := 0
-	a.SetDeadlockHandler(func() { fired++ })
-	a.Exit(0) // the last live thread leaves first...
-	a.SetParked(1)
-	if fired != 0 {
-		t.Fatal("deadlock reported while thread 2 was still runnable")
-	}
-	a.SetParked(2) // ...then its peers suspend: all-parked, no waker
-	if fired != 1 {
-		t.Fatalf("deadlock handler fired %d times after the last SetParked, want 1", fired)
-	}
-}
-
-// TestSetParkedDeadlockDetectionConcurrent drives the same shape through
-// real goroutines: peers SetParked themselves concurrently with the last
-// live thread's exit. Whatever the interleaving, the handler must fire
-// exactly once — before the fix, interleavings where Exit preceded the
-// final SetParked hung forever.
-func TestSetParkedDeadlockDetectionConcurrent(t *testing.T) {
-	for round := 0; round < 100; round++ {
-		a := New(4)
-		fired := make(chan struct{}, 1)
-		a.SetDeadlockHandler(func() { fired <- struct{}{} })
-		var wg sync.WaitGroup
-		wg.Add(3)
-		go func() { defer wg.Done(); a.SetParked(1) }()
-		go func() { defer wg.Done(); a.SetParked(2) }()
-		go func() { defer wg.Done(); a.Exit(0) }()
-		wg.Wait()
-		a.SetParked(3)
-		select {
-		case <-fired:
-		default:
-			t.Fatalf("round %d: all threads parked or exited but the deadlock handler never fired", round)
-		}
-	}
-}
-
 // TestEqualDLCWaitersWakeInTidOrder pins the equal-DLC half of the
 // minWaiter-cache audit: the cache stores only a DLC, dropping the tid half
 // of the key, so when several waiters share the minimum clock the cache
@@ -246,8 +198,14 @@ func TestAuditTreeDetectsCorruption(t *testing.T) {
 // against AuditTurn's scan across a mix of transitions.
 func TestIncrementalCountsMatchScan(t *testing.T) {
 	a := New(6)
-	a.SetParked(4)
-	a.SetParked(5)
+	for tid := 0; tid < 4; tid++ {
+		a.WaitTurn(tid) // the lowest clock: every earlier thread moved past it
+		a.ReleaseTurn(tid, 5)
+	}
+	for tid := 4; tid < 6; tid++ {
+		a.WaitTurn(tid) // still at 0, below threads 0-3
+		a.Park(tid)
+	}
 	a.Exit(3)
 	a.Unpark(4, 9)
 	a.WaitTurn(0)

@@ -187,17 +187,6 @@ func (b *Builder) Syscall(s *Syscall) {
 	b.emit(Instr{Op: OpSyscall, Sys: s})
 }
 
-// Spawn emits a thread creation: the suspended thread named by target
-// starts running (pthread_create).
-func (b *Builder) Spawn(target Val) {
-	b.emit(Instr{Op: OpSpawn, Addr: target.fn, SAddr: target.Static()})
-}
-
-// Join emits a wait for the named thread's exit (pthread_join).
-func (b *Builder) Join(target Val) {
-	b.emit(Instr{Op: OpJoin, Addr: target.fn, SAddr: target.Static()})
-}
-
 // Halt emits an explicit thread termination.
 func (b *Builder) Halt() {
 	b.emit(Instr{Op: OpHalt})

@@ -531,12 +531,6 @@ func lowerEngineOp(in *Instr) func(*Thread, Engine) {
 	case OpAtomic:
 		a := in.Atom
 		return func(t *Thread, eng Engine) { t.Atomic(a) }
-	case OpSpawn:
-		a := operand(in.Addr, in.SAddr)
-		return func(t *Thread, eng Engine) { eng.Spawn(t, int(a(t))) }
-	case OpJoin:
-		a := operand(in.Addr, in.SAddr)
-		return func(t *Thread, eng Engine) { eng.Join(t, int(a(t))) }
 	}
 	panic(fmt.Sprintf("dvm: compile: %v is not an engine op", in.Op))
 }

@@ -76,10 +76,6 @@ const (
 	OpSyscall
 	// OpAtomic performs an atomic read-modify-write on a heap word.
 	OpAtomic
-	// OpSpawn starts a suspended thread (pthread_create).
-	OpSpawn
-	// OpJoin blocks until a thread exits (pthread_join).
-	OpJoin
 	// OpHalt terminates the thread.
 	OpHalt
 
@@ -95,7 +91,7 @@ var opcodeNames = [numOpcodes]string{
 	OpRLock: "rlock", OpRUnlock: "runlock", OpCondWait: "cond_wait",
 	OpCondSignal: "cond_signal", OpCondBroadcast: "cond_broadcast",
 	OpBarrier: "barrier", OpSyscall: "syscall", OpAtomic: "atomic",
-	OpSpawn: "spawn", OpJoin: "join", OpHalt: "halt",
+	OpHalt: "halt",
 }
 
 // String returns the opcode's short name (used in telemetry counter keys
@@ -219,10 +215,6 @@ type Program struct {
 	Code    []Instr
 	NumRegs int
 	Scratch int
-	// StartSuspended threads do not run until another thread spawns them
-	// (the pthread_create model). Every suspended thread must be spawned
-	// exactly once, or the run deadlocks (deterministically).
-	StartSuspended bool
 }
 
 // MemWindow is a thread's window onto shared memory: the VM's load and
@@ -282,9 +274,10 @@ type Engine interface {
 	// Atomic performs an atomic read-modify-write, returning the value
 	// for the destination register.
 	Atomic(t *Thread, a *Atomic) int64
-	// Spawn starts the suspended thread target (pthread_create).
+	// Spawn and Join (pthread_create/join) are reached by no instruction:
+	// every thread starts with Run. They stay because the benchmark's
+	// tracing wrapper forwards them; engines implement them as no-ops.
 	Spawn(t *Thread, target int)
-	// Join blocks until thread target exits (pthread_join).
 	Join(t *Thread, target int)
 }
 
@@ -327,40 +320,11 @@ type Thread struct {
 
 	prog *Program
 	eng  Engine
-	grp  *Group
 
 	// EngineData carries per-thread engine state (views, speculation
 	// logs). It is opaque to the VM.
 	EngineData any
 }
-
-// Group is the run-wide thread registry, giving engines access to start
-// and completion signals for spawn/join.
-type Group struct {
-	start []chan struct{}
-	done  []chan struct{}
-}
-
-// StartThread releases suspended thread target. Spawning a thread twice,
-// or spawning one that was not marked StartSuspended, is a loud error.
-func (g *Group) StartThread(target int) {
-	//lazydet:nondeterministic non-blocking closed-check on a close-once channel; both cases are mutually exclusive by channel state
-	select {
-	case <-g.start[target]:
-		panic(fmt.Sprintf("dvm: thread %d spawned twice or not marked StartSuspended", target))
-	default:
-		close(g.start[target])
-	}
-}
-
-// Done returns a channel closed when thread target has fully exited.
-func (g *Group) Done(target int) <-chan struct{} { return g.done[target] }
-
-// Group returns the thread's run group.
-func (t *Thread) Group() *Group { return t.grp }
-
-// Prog returns the program the thread runs.
-func (t *Thread) Prog() *Program { return t.prog }
 
 // Halt stops the thread after the current instruction.
 func (t *Thread) Halt() { t.halted = true }
@@ -605,10 +569,6 @@ func (t *Thread) runInterp() {
 				eng.Syscall(t, in.Sys)
 			case OpAtomic:
 				t.Atomic(in.Atom)
-			case OpSpawn:
-				eng.Spawn(t, int(in.Addr(t)))
-			case OpJoin:
-				eng.Join(t, int(in.Addr(t)))
 			default:
 				panic(fmt.Sprintf("dvm: unknown opcode %d", in.Op))
 			}
@@ -657,23 +617,16 @@ func WithExecs(execs []Exec) RunOption {
 }
 
 // Run executes one program per thread under the given engine and blocks
-// until every thread exits. Thread i runs progs[i] with ID i. Threads whose
-// program is marked StartSuspended wait (registered with the engine, so
-// they do not block deterministic turn arbitration) until spawned.
+// until every thread exits. Thread i runs progs[i] with ID i; every thread
+// starts at once.
 func Run(eng Engine, progs []*Program, opts ...RunOption) {
 	var cfg runConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	execs := cfg.execs
-	grp := &Group{
-		start: make([]chan struct{}, len(progs)),
-		done:  make([]chan struct{}, len(progs)),
-	}
 	threads := make([]*Thread, len(progs))
 	for i, p := range progs {
-		grp.start[i] = make(chan struct{})
-		grp.done[i] = make(chan struct{})
 		threads[i] = &Thread{
 			ID:      i,
 			Regs:    newFile(p.NumRegs),
@@ -681,10 +634,6 @@ func Run(eng Engine, progs []*Program, opts ...RunOption) {
 			rng:     uint64(i)*0x9E3779B97F4A7C15 + 0x853C49E6748FEA9B,
 			prog:    p,
 			eng:     eng,
-			grp:     grp,
-		}
-		if !p.StartSuspended {
-			close(grp.start[i])
 		}
 	}
 	var wg sync.WaitGroup
@@ -696,17 +645,7 @@ func Run(eng Engine, progs []*Program, opts ...RunOption) {
 		}
 		go func(t *Thread, x Exec) {
 			defer wg.Done()
-			defer close(t.grp.done[t.ID])
 			t.eng.ThreadStart(t)
-			<-t.grp.start[t.ID]
-			if t.prog.StartSuspended {
-				// The spawner published its memory before releasing
-				// us; let the engine refresh this thread's state (the
-				// acquire half of pthread_create's happens-before).
-				if r, ok := t.eng.(interface{ ThreadResume(*Thread) }); ok {
-					r.ThreadResume(t)
-				}
-			}
 			for {
 				x.run(t)
 				if t.eng.ThreadExit(t) {

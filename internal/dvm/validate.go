@@ -49,7 +49,7 @@ func (p *Program) Validate() error {
 			if in.Target < 0 || in.Target > n {
 				return fail("branch target %d out of range [0,%d]", in.Target, n)
 			}
-		case OpLock, OpUnlock, OpRLock, OpRUnlock, OpCondSignal, OpCondBroadcast, OpBarrier, OpSpawn, OpJoin:
+		case OpLock, OpUnlock, OpRLock, OpRUnlock, OpCondSignal, OpCondBroadcast, OpBarrier:
 			if in.Addr == nil {
 				return fail("missing object closure")
 			}
@@ -192,7 +192,7 @@ func (p *Program) validateFlow() error {
 
 // successors returns the control-flow successors of instruction pc; the
 // pseudo-node len(Code) represents leaving the program without OpHalt.
-// OpCondWait, OpJoin and the rest block or have effects but always continue
+// OpCondWait and the rest block or have effects but always continue
 // to pc+1.
 func (p *Program) successors(pc int) []int {
 	in := &p.Code[pc]

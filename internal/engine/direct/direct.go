@@ -175,21 +175,10 @@ func (e *Engine) Syscall(t *dvm.Thread, s *dvm.Syscall) {
 	}
 }
 
-// Spawn implements dvm.Engine.
-func (e *Engine) Spawn(t *dvm.Thread, target int) {
-	t.Group().StartThread(target)
-}
-
-// Join implements dvm.Engine.
-func (e *Engine) Join(t *dvm.Thread, target int) {
-	if e.Times == nil {
-		<-t.Group().Done(target)
-		return
-	}
-	start := time.Now()
-	<-t.Group().Done(target)
-	e.Times.AddBlocked(t.ID, time.Since(start).Nanoseconds())
-}
+// Spawn and Join implement dvm.Engine's pthread_create/join hooks, which no
+// instruction reaches: every thread starts with the run.
+func (e *Engine) Spawn(*dvm.Thread, int) {}
+func (e *Engine) Join(*dvm.Thread, int)  {}
 
 // Atomic implements dvm.Engine with hardware atomics.
 func (e *Engine) Atomic(t *dvm.Thread, a *dvm.Atomic) int64 {

@@ -187,36 +187,3 @@ func TestAtomics(t *testing.T) {
 		t.Fatalf("atomic counter = %d, want 4000", got)
 	}
 }
-
-func TestSpawnJoin(t *testing.T) {
-	mem := shmem.New(16)
-	e := New(mem, 3, 1, 0, 0)
-
-	main := dvm.NewBuilder("main")
-	v, sum := main.Reg(), main.Reg()
-	main.Store(dvm.Const(0), dvm.Const(5))
-	main.Spawn(dvm.Const(1))
-	main.Spawn(dvm.Const(2))
-	main.Join(dvm.Const(1))
-	main.Join(dvm.Const(2))
-	for w := int64(1); w <= 2; w++ {
-		main.Load(v, dvm.Const(w))
-		main.Do(func(th *dvm.Thread) { th.AddR(sum, th.R(v)) })
-	}
-	main.Store(dvm.Const(3), dvm.FromReg(sum))
-
-	progs := []*dvm.Program{main.Build()}
-	for w := 1; w <= 2; w++ {
-		b := dvm.NewBuilder("worker")
-		x := b.Reg()
-		b.Load(x, dvm.Const(0))
-		b.Store(dvm.Dyn(func(th *dvm.Thread) int64 { return int64(th.ID) }), dvm.Dyn(func(th *dvm.Thread) int64 { return th.R(x) * int64(th.ID) }))
-		p := b.Build()
-		p.StartSuspended = true
-		progs = append(progs, p)
-	}
-	run(t, e, progs)
-	if got := mem.Load(3); got != 5*1+5*2 {
-		t.Fatalf("join sum = %d, want 15", got)
-	}
-}

@@ -64,7 +64,7 @@ type Thread interface {
 	Refresh()
 	// RefreshTo re-bases the window on a specific commit sequence — used
 	// when a woken thread must adopt exactly the state its waker published
-	// (barrier releases, spawns), where "newest at wake time" would be a
+	// (barrier releases), where "newest at wake time" would be a
 	// wall-clock race. No-op on flat memory (seq is always 0 there).
 	RefreshTo(seq int64)
 	// BaseSeq returns the commit sequence the window reads at.

@@ -203,8 +203,6 @@ func TestFootprintMidSectionCommitDemotes(t *testing.T) {
 		{"cond-signal", func(b *dvm.Builder) { b.CondSignal(dvm.Const(9)) }},
 		{"cond-broadcast", func(b *dvm.Builder) { b.CondBroadcast(dvm.Const(9)) }},
 		{"barrier", func(b *dvm.Builder) { b.Barrier(dvm.Const(0)) }},
-		{"spawn", func(b *dvm.Builder) { b.Spawn(dvm.Const(1)) }},
-		{"join", func(b *dvm.Builder) { b.Join(dvm.Const(1)) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

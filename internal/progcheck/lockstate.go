@@ -155,8 +155,7 @@ type progSummary struct {
 
 	edges        []lockEdge
 	accesses     map[int]*access
-	usesSpawn    bool // OpSpawn/OpJoin present: inter-thread HB the race pass does not model
-	usesCondSync bool // OpCondSignal/Broadcast/Wait present: same caveat, but locksets still checked
+	usesCondSync bool // OpCondSignal/Broadcast/Wait present: inter-thread HB the race pass does not model, but locksets still checked
 
 	// Footprint analysis inputs (footprint.go). Unlike the race pass,
 	// which drops tainted states because they would only manufacture
@@ -420,10 +419,6 @@ func analyzeProgram(p *dvm.Program, threads []int) *progSummary {
 		case dvm.OpAtomic:
 			ps.recordAccess(w.pc, accAtomic, in.SAddr, st)
 			ps.recordFootprint(w.pc, accAtomic, in, st)
-
-		case dvm.OpSpawn, dvm.OpJoin:
-			ps.usesSpawn = true
-			ps.demoteHeld(st, w.pc, "held across spawn/join")
 
 		case dvm.OpHalt:
 			ps.demoteHeld(st, w.pc, "held at thread exit")

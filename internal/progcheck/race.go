@@ -9,16 +9,8 @@ import (
 // constant address, or the same declared address class — (b) conflict (at
 // least one write, not both atomic), (c) can overlap in time (barrier phases
 // intersect), and (d) are not ordered by a common lock in some reachable
-// pair of locksets. Program sets using Spawn/Join are skipped wholesale:
-// create/join edges impose happens-before the pass does not model, and
-// reporting through them would be guessing.
+// pair of locksets.
 func findRaces(summaries []*progSummary) []Finding {
-	for _, ps := range summaries {
-		if ps.usesSpawn {
-			return nil
-		}
-	}
-
 	type owned struct {
 		a  *access
 		ps *progSummary

@@ -20,7 +20,6 @@ func (e Event) String() string {
 		OpBarrier: "barrier", OpSyscall: "syscall",
 		OpSpecCommit: "spec-commit", OpSpecRevert: "spec-revert",
 		OpAtomic: "atomic", OpRAcquire: "racquire", OpRRelease: "rrelease",
-		OpSpawn: "spawn", OpJoin: "join",
 	}
 	n := names[e.Kind]
 	if n == "" {

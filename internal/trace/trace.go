@@ -30,8 +30,6 @@ const (
 	OpAtomic
 	OpRAcquire
 	OpRRelease
-	OpSpawn
-	OpJoin
 )
 
 const (

@@ -183,8 +183,8 @@ func WithPageWords(n int) Option { return func(c *heapConfig) { c.pageWords = n 
 // "vheap.page_pool_hits"/"vheap.page_pool_misses" (published page frames).
 // The commit counters are deterministic for deterministic engines (commit
 // contents and order are turn-ordered); the pool counters can depend on
-// wall-clock view registration order (a suspended thread's view pins the
-// trim floor from a nondeterministic instant), so the harness reports them
+// when, in wall-clock time, a view moves the trim floor (a thread woken at
+// a barrier re-bases after its turn has passed), so the harness reports them
 // in the non-gated Timing half.
 func WithTelemetry(rec *telemetry.Recorder) Option {
 	return func(c *heapConfig) { c.tel = rec }
@@ -1062,8 +1062,8 @@ func (v *View) Update() {
 }
 
 // UpdateTo re-bases the view on a specific committed sequence, used when a
-// woken thread must adopt the exact state its waker published (barrier
-// releases, thread spawns): re-basing on "newest" at wake time would depend
+// woken thread must adopt the exact state its waker published (a barrier
+// release): re-basing on "newest" at wake time would depend
 // on wall-clock timing and break determinism.
 func (v *View) UpdateTo(seq int64) {
 	if v.DirtyPages() != 0 {
