@@ -397,7 +397,8 @@ func (e *Engine) ThreadExit(t *dvm.Thread) bool {
 }
 
 // Spawn and Join implement dvm.Engine's pthread_create/join hooks, which no
-// instruction reaches: every thread starts with the run.
+// instruction reaches: every thread starts with the run. They remain only
+// because dvm.Engine still declares them.
 func (e *Engine) Spawn(*dvm.Thread, int) {}
 func (e *Engine) Join(*dvm.Thread, int)  {}
 

@@ -18,10 +18,10 @@ import (
 )
 
 // This file pins the hand-off of deterministic waits: a thread that finds a
-// lock held, a join target alive or another run irrevocable, or that waits on
-// a condition variable or a barrier, parks at its turn, and the event that
-// frees it wakes it one DLC after the waker's turn (the k-th woken, k DLC
-// later still).
+// lock held or another run irrevocable, or that waits on a condition
+// variable or a barrier, parks at its turn, and the event that frees it
+// wakes it one DLC after the waker's turn (the k-th woken, k DLC later
+// still).
 
 // waitRig is an engine on a versioned heap, with one condition variable and
 // one barrier, whose trace keeps every event and whose telemetry keeps spans,
