@@ -213,18 +213,23 @@ func TestUpdatePanicsWithDirtyPages(t *testing.T) {
 }
 
 // TestQuickMergeDisjointWriters is a property test: concurrent committers
-// writing disjoint word sets must all survive the merge.
+// writing disjoint word sets must all survive the merge. The writers store
+// concurrently; their commits are serialized, as Commit's contract requires
+// (the engines commit at their turns), by a mutex standing in for the turn.
 func TestQuickMergeDisjointWriters(t *testing.T) {
 	f := func(vals [4]int64) bool {
 		h := New(64, WithPageWords(16))
 		var wg sync.WaitGroup
+		var commitMu sync.Mutex
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
 				v := h.NewView()
 				v.Store(int64(i), vals[i]|1) // |1 keeps it nonzero and non-silent
+				commitMu.Lock()
 				v.Commit()
+				commitMu.Unlock()
 			}(i)
 		}
 		wg.Wait()
