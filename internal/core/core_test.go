@@ -448,8 +448,8 @@ func TestConfigValidation(t *testing.T) {
 
 // TestObjectIDsAreBoundsChecked: a program naming a condition variable or a
 // barrier the table does not have fails at the call under every core engine,
-// as it does under the direct engine, although a condition variable keeps no
-// per-object state to index.
+// as it does under the direct engine, although neither keeps per-object state
+// to index.
 func TestObjectIDsAreBoundsChecked(t *testing.T) {
 	for _, cfg := range []Config{{Mode: ModeStrong}, {Mode: ModeWeak}, {Mode: ModeWeakNondet}, lazyCfg()} {
 		for _, c := range []struct {
@@ -460,7 +460,8 @@ func TestObjectIDsAreBoundsChecked(t *testing.T) {
 			{"wait on cv -1", "condition variable -1 of 1", func(e *Engine, th *dvm.Thread) { e.CondWait(th, -1, 0) }},
 			{"signal cv 1", "condition variable 1 of 1", func(e *Engine, th *dvm.Thread) { e.CondSignal(th, 1) }},
 			{"broadcast cv 7", "condition variable 7 of 1", func(e *Engine, th *dvm.Thread) { e.CondBroadcast(th, 7) }},
-			{"barrier 1", "index out of range [1] with length 1", func(e *Engine, th *dvm.Thread) { e.BarrierWait(th, 1) }},
+			{"barrier 1", "barrier 1 of 1", func(e *Engine, th *dvm.Thread) { e.BarrierWait(th, 1) }},
+			{"barrier -1", "barrier -1 of 1", func(e *Engine, th *dvm.Thread) { e.BarrierWait(th, -1) }},
 		} {
 			func() {
 				defer func() {

@@ -176,8 +176,8 @@ func (e *Engine) unlockOwned(t *dvm.Thread, ts *tstate, l int64) {
 }
 
 // misuse panics on a program that breaks the synchronization contract: it
-// releases a hold it does not have, or names a condition variable the table
-// does not have. Such a program is wrong under every engine; the direct
+// releases a hold it does not have, or names a condition variable or barrier
+// the table does not have. Such a program is wrong under every engine; the direct
 // engine fails it too.
 func misuse(format string, args ...any) {
 	panic(fmt.Sprintf("core: "+format, args...))
@@ -203,7 +203,7 @@ func releaseOp(write bool) trace.Op {
 // inter-thread communication, so a speculation run terminates first
 // (commit if possible, revert otherwise — paper footnote 2).
 func (e *Engine) CondWait(t *dvm.Thread, cv, l int64) {
-	e.condID(t, cv)
+	e.objectID(t, "condition variable", cv, e.tbl.Conds)
 	ts := e.ts(t)
 	if ts.spec {
 		if !e.terminateRun(t, ts) {
@@ -235,7 +235,7 @@ func (e *Engine) CondBroadcast(t *dvm.Thread, cv int64) {
 // condWake wakes cv's queue at the thread's turn, the head only for a signal
 // and every waiter for a broadcast.
 func (e *Engine) condWake(t *dvm.Thread, cv int64, op trace.Op) {
-	e.condID(t, cv)
+	e.objectID(t, "condition variable", cv, e.tbl.Conds)
 	ts := e.ts(t)
 	if ts.spec {
 		if !e.terminateRun(t, ts) {
@@ -249,19 +249,19 @@ func (e *Engine) condWake(t *dvm.Thread, cv int64, op trace.Op) {
 	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
-// condID fails a program that names a condition variable the table does not
-// have. A condition variable indexes no state, only waiters in the queue, so
-// nothing else would catch it.
-func (e *Engine) condID(t *dvm.Thread, cv int64) {
-	if cv < 0 || cv >= int64(e.tbl.Conds) {
-		misuse("thread %d uses condition variable %d of %d", t.ID, cv, e.tbl.Conds)
+// objectID fails a program that names a condition variable or barrier the
+// table does not have. Neither indexes any state, only waiters in the queue,
+// so nothing else would catch it.
+func (e *Engine) objectID(t *dvm.Thread, kind string, id int64, n int) {
+	if id < 0 || id >= int64(n) {
+		misuse("thread %d uses %s %d of %d", t.ID, kind, id, n)
 	}
 }
 
 // BarrierWait implements dvm.Engine: all threads of the run participate.
 // The last arriver wakes the others with clocks derived from its own.
 func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
-	b := &e.tbl.Barriers[bid]
+	e.objectID(t, "barrier", bid, e.tbl.Barriers)
 	ts := e.ts(t)
 	if ts.spec {
 		if !e.terminateRun(t, ts) {
@@ -275,28 +275,25 @@ func (e *Engine) BarrierWait(t *dvm.Thread, bid int64) {
 			arrived++
 		}
 	}
-	last := arrived == e.tbl.NThreads
-	// Every released thread re-bases on the arrivals' combined state
-	// (RefreshTo ReleaseSeq), so an arrival that parks only publishes; the
-	// last arriver does not park, so it re-bases at its own turn.
-	if last {
-		e.sync(t, ts)
-	} else {
+	if arrived < e.tbl.NThreads {
 		e.publish(t, ts)
-	}
-	e.rec.Sync(t.ID, trace.OpBarrier, bid, e.arb.DLC(t.ID))
-	if last {
-		// Record the state every released thread adopts: the commits of
-		// all arrivals, published by their turns.
-		b.ReleaseSeq = e.pipe.Seq()
-		e.wake(t, waitBarrier, bid, true)
-		e.arb.ReleaseTurn(t.ID, syncCost)
+		e.rec.Sync(t.ID, trace.OpBarrier, bid, e.arb.DLC(t.ID))
+		e.park(t, waiter{kind: waitBarrier, on: bid})
 		return
 	}
-	e.park(t, waiter{kind: waitBarrier, on: bid})
-	// Re-base on exactly the releasing turn's state, not on whatever has
-	// been committed by the wall-clock moment we woke.
-	ts.mem.RefreshTo(b.ReleaseSeq)
+	e.sync(t, ts)
+	// A parked arrival only published, so its dirty set is empty: re-base it
+	// on the commits of all arrivals here, at the releasing turn, before wake
+	// hands it back. The wake's channel send orders this write before the
+	// thread resumes.
+	for _, w := range e.waiters {
+		if w.kind == waitBarrier && w.on == bid {
+			e.mems[w.tid].Refresh()
+		}
+	}
+	e.rec.Sync(t.ID, trace.OpBarrier, bid, e.arb.DLC(t.ID))
+	e.wake(t, waitBarrier, bid, true)
+	e.arb.ReleaseTurn(t.ID, syncCost)
 }
 
 // Syscall implements dvm.Engine. Outside speculation the call runs

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -241,6 +242,29 @@ func TestBarrierWakesAfterLastArrival(t *testing.T) {
 		if got := w.at(t, tid, trace.OpAcquire, int64(tid), 0) - 1; got != arrival+1+int64(tid) {
 			t.Errorf("waiter %d resumed at DLC %d, want the last arrival %d + %d", tid, got, arrival, 1+tid)
 		}
+	}
+}
+
+// TestBarrierReleaseRebasesAtTheTurn: the last arrival re-bases every parked
+// arrival at its own turn, so the moment its BarrierWait returns, the parked
+// thread's window already reads the last arrival's commit. On one P the woken
+// goroutine has not run yet, so a re-base it made itself would not show.
+func TestBarrierReleaseRebasesAtTheTurn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := newWaitRig(Config{Mode: ModeStrong}, 2, 0)
+	last := dvm.NewBuilder("last")
+	spin(last, 500)
+	last.Store(dvm.Const(3), dvm.Const(7))
+	last.Barrier(dvm.Const(0))
+	var base, seq int64
+	last.Do(func(*dvm.Thread) { base, seq = w.eng.mems[1].BaseSeq(), w.eng.pipe.Seq() })
+	early := dvm.NewBuilder("early")
+	spin(early, 5)
+	early.Barrier(dvm.Const(0))
+	dvm.Run(w.eng, []*dvm.Program{last.Build(), early.Build()})
+
+	if base != seq {
+		t.Errorf("parked arrival based at %d when the release returned, want the releasing turn's %d", base, seq)
 	}
 }
 

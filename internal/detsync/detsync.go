@@ -1,12 +1,11 @@
 // Package detsync holds the deterministic synchronization objects shared by
 // the eager (Consequence-style) and lazy (LazyDet) engines: the lock table
 // with its per-lock commit sequences and the storage for per-lock speculation
-// metadata, the number of condition variables, and the barriers' release
-// sequences. The metadata is storage only: the speculation policy in
-// internal/core (policy.go) seeds it and is its sole reader and writer. No
-// object holds a wait queue: every thread parked on a lock, condition
-// variable, barrier or irrevocable run waits in internal/core's one
-// engine-level FIFO.
+// metadata, and the numbers of condition variables and barriers. The metadata
+// is storage only: the speculation policy in internal/core (policy.go) seeds
+// it and is its sole reader and writer. No object holds a wait queue: every
+// thread parked on a lock, condition variable, barrier or irrevocable run
+// waits in internal/core's one engine-level FIFO.
 //
 // All mutable fields are read and written only while the mutating thread
 // holds the deterministic turn (see internal/dlc), except each thread's own
@@ -44,21 +43,14 @@ type Lock struct {
 	ConflictReverts int64
 }
 
-// Barrier is a deterministic barrier over all threads of the run.
-type Barrier struct {
-	// ReleaseSeq is the heap sequence at the releasing arrival's turn;
-	// woken threads re-base their views on exactly this sequence.
-	ReleaseSeq int64
-}
-
 // Table bundles the synchronization objects of one run.
 type Table struct {
 	NThreads int
 	Locks    []Lock
-	// Conds is the number of condition variables: a condition variable
-	// has no state of its own, only waiters in the engine's queue.
-	Conds    int
-	Barriers []Barrier
+	// Conds and Barriers are the numbers of condition variables and
+	// barriers: neither has state of its own, only waiters in the engine's
+	// queue. A barrier spans all NThreads threads.
+	Conds, Barriers int
 	// Atomics maps an atomically accessed heap address to the heap
 	// commit sequence of its most recent committed update — the
 	// location-level analogue of each lock's LastCommitSeq, used by the
@@ -67,15 +59,15 @@ type Table struct {
 	wake    []chan struct{}
 }
 
-// NewTable allocates nlocks locks, nconds condition variables and nbarriers
-// barriers for nthreads threads, and, if specMeta is true, the per-(lock,
+// NewTable allocates nlocks locks for nthreads threads, with nconds condition
+// variables and nbarriers barriers, and, if specMeta is true, the per-(lock,
 // thread) speculation metadata, which core's policy seeds.
 func NewTable(nthreads, nlocks, nconds, nbarriers int, specMeta bool) *Table {
 	t := &Table{
 		NThreads: nthreads,
 		Locks:    make([]Lock, nlocks),
 		Conds:    nconds,
-		Barriers: make([]Barrier, nbarriers),
+		Barriers: nbarriers,
 		Atomics:  make(map[int64]int64),
 		wake:     make([]chan struct{}, nthreads),
 	}

@@ -530,13 +530,13 @@ func ArbiterSweep(cfg Config) error {
 	if cfg.Threads > 0 {
 		counts = []int{cfg.Threads}
 	}
-	csvf, err := cfg.csvFile("arbsweep", "threads", "arbiter", "wall_s", "wakes", "grant_work", "work_per_grant")
+	csvf, err := cfg.csvFile("arbsweep", "threads", "wall_s", "wakes", "grant_work", "work_per_grant")
 	if err != nil {
 		return err
 	}
 	defer csvf.close()
 	cfg.printf("arbiter cost vs threads: ht, constant total ops, LazyDet\n")
-	cfg.printf("%8s %6s %12s %12s %14s %16s\n", "threads", "arb", "wall", "wakes", "grant work", "work/grant")
+	cfg.printf("%8s %12s %12s %14s %16s\n", "threads", "wall", "wakes", "grant work", "work/grant")
 	for _, threads := range counts {
 		htCfg := workloads.DefaultHTConfig(workloads.HT)
 		htCfg.OpsPerThread = 16384 / threads
@@ -550,9 +550,9 @@ func ArbiterSweep(cfg Config) error {
 			return err
 		}
 		perGrant := float64(last.ArbiterGrantWork) / float64(max(last.SyncEvents, 1))
-		cfg.printf("%8d %6s %12.4fs %12d %14d %16.1f\n",
-			threads, "tree", mean, last.ArbiterWakes, last.ArbiterGrantWork, perGrant)
-		csvf.row(threads, "tree", mean, last.ArbiterWakes, last.ArbiterGrantWork, perGrant)
+		cfg.printf("%8d %12.4fs %12d %14d %16.1f\n",
+			threads, mean, last.ArbiterWakes, last.ArbiterGrantWork, perGrant)
+		csvf.row(threads, mean, last.ArbiterWakes, last.ArbiterGrantWork, perGrant)
 	}
 	return nil
 }

@@ -127,6 +127,12 @@ func TestPinnedFingerprints(t *testing.T) {
 		}
 	}
 
+	// The §4.2 cell: the run experiments.Versions reports, whose
+	// vheap.live_versions is DDRF's retained versions and whose
+	// vheap.pages_committed gives DLRC's.
+	pin("versions/LazyDet/t8", workloads.NewHashTable(workloads.DefaultHTConfig(workloads.HT)),
+		harness.Options{Engine: harness.LazyDet, Threads: 8})
+
 	// A row where earned coarsening is live at t=4: own-lock streaks long
 	// enough that every thread's runs go past the coarsening floor (core's runLimit), with
 	// the seed's random operations on both sides of them.

@@ -166,8 +166,8 @@ type Result struct {
 	WordsScanned int64
 	// LiveVersions counts page versions still reachable after the run, and
 	// TouchedPages the pages a commit or the workload's Init wrote (strong
-	// engines only). LiveVersions depends on when views re-based and closed
-	// against the trim floor, so it is reported as timing, not a metric.
+	// engines only). Views re-base and close only at turns, so LiveVersions
+	// is a deterministic metric.
 	LiveVersions, TouchedPages int
 	// ArbiterWakes/ArbiterGrantWork are the turn arbiter's cost counters
 	// (deterministic engines only): cross-thread grants (turns handed to a

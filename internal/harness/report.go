@@ -51,13 +51,6 @@ func absorbStats(tel *telemetry.Recorder, res *Result) {
 // deterministic counts; BuildReport routes them into the never-pinned Timing
 // section so Metrics stays reproducible across machines.
 var timingCounters = map[string]bool{
-	// The frame/page pool hit ratios depend on when the runtime scheduler
-	// lets views register against the trim floor — an allocation detail,
-	// not deterministic machine state — so they are informational only.
-	"vheap.frame_pool_hits":   true,
-	"vheap.frame_pool_misses": true,
-	"vheap.page_pool_hits":    true,
-	"vheap.page_pool_misses":  true,
 	// Arbiter wakes count cross-thread grants (the grantee was already
 	// asleep when its turn came; a thread that arrives as the minimum grants
 	// itself) and grant work how many key comparisons elections cost — both
@@ -113,10 +106,10 @@ func BuildReport(res *Result) telemetry.RunReport {
 	if res.Allocs > 0 {
 		r.Timing["allocs"] = float64(res.Allocs)
 	}
-	// Which versions the trim floor still pins depends on when each view
-	// re-based and closed, which the host scheduler decides.
+	// Every view exists from the run's start and re-bases and closes only at
+	// a turn, so the versions the trim floor still pins are deterministic.
 	if res.LiveVersions > 0 {
-		r.Timing["vheap.live_versions"] = float64(res.LiveVersions)
+		r.Metrics["vheap.live_versions"] = float64(res.LiveVersions)
 	}
 	if res.Times != nil {
 		r.Timing["utilization_pct"] = res.UtilizationPct

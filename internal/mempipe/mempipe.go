@@ -62,11 +62,6 @@ type Thread interface {
 	// Refresh re-bases the window on the newest published state. The dirty
 	// set must be empty (publish or revert first).
 	Refresh()
-	// RefreshTo re-bases the window on a specific commit sequence — used
-	// when a woken thread must adopt exactly the state its waker published
-	// (barrier releases), where "newest at wake time" would be a
-	// wall-clock race. No-op on flat memory (seq is always 0 there).
-	RefreshTo(seq int64)
 	// BaseSeq returns the commit sequence the window reads at.
 	BaseSeq() int64
 
@@ -118,7 +113,6 @@ func (t *versionedThread) Load(addr int64) int64               { return t.v.Load
 func (t *versionedThread) Store(addr, val int64)               { t.v.Store(addr, val) }
 func (t *versionedThread) StoreDirty(addr, val int64)          { t.v.StoreDirty(addr, val) }
 func (t *versionedThread) Refresh()                            { t.v.Update() }
-func (t *versionedThread) RefreshTo(seq int64)                 { t.v.UpdateTo(seq) }
 func (t *versionedThread) BaseSeq() int64                      { return t.v.BaseSeq() }
 func (t *versionedThread) RevertTo(s *vheap.DirtySnapshot) int { return t.v.RevertTo(s) }
 func (t *versionedThread) Close()                              { t.v.Close() }
@@ -165,7 +159,6 @@ func (t flatThread) Store(addr, val int64)      { t.m.Store(addr, val) }
 func (t flatThread) StoreDirty(addr, val int64) { t.m.Store(addr, val) }
 func (t flatThread) Publish() (int64, bool)     { return 0, false }
 func (t flatThread) Refresh()                   {}
-func (t flatThread) RefreshTo(seq int64)        {}
 func (t flatThread) BaseSeq() int64             { return 0 }
 func (t flatThread) Audit() (string, error)     { return "", nil }
 func (t flatThread) Close()                     {}

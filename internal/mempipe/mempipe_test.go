@@ -193,7 +193,6 @@ func TestPublicationContract(t *testing.T) {
 				th.Store(4, 9)
 				publish("Publish after a second store", true)
 				th.Refresh()
-				th.RefreshTo(p.Seq())
 				if th.BaseSeq() != p.Seq() {
 					t.Fatalf("window based at %d, pipeline at %d", th.BaseSeq(), p.Seq())
 				}

@@ -153,9 +153,8 @@ type progSummary struct {
 	statesExplored int
 	unknownSyncOps int
 
-	edges        []lockEdge
-	accesses     map[int]*access
-	usesCondSync bool // OpCondSignal/Broadcast/Wait present: inter-thread HB the race pass does not model, but locksets still checked
+	edges    []lockEdge
+	accesses map[int]*access
 
 	// Footprint analysis inputs (footprint.go). Unlike the race pass,
 	// which drops tainted states because they would only manufacture
@@ -363,7 +362,6 @@ func analyzeProgram(p *dvm.Program, threads []int) *progSummary {
 			}
 
 		case dvm.OpCondWait:
-			ps.usesCondSync = true
 			// A run terminating at a condition-variable operation commits
 			// with its critical-section locks still held, converting them
 			// to conventional ownership — a conversion the Disjoint
@@ -390,7 +388,6 @@ func analyzeProgram(p *dvm.Program, threads []int) *progSummary {
 			// unchanged afterwards, but arbitrary interleavings happened.
 
 		case dvm.OpCondSignal, dvm.OpCondBroadcast:
-			ps.usesCondSync = true
 			// Signal/broadcast terminate a speculation run mid-critical
 			// section; see the OpCondWait demotion rationale.
 			ps.demoteHeld(st, w.pc, "held across cond-signal/broadcast")

@@ -181,11 +181,10 @@ func WithPageWords(n int) Option { return func(c *heapConfig) { c.pageWords = n 
 // per-commit merged word counts, and the pool counters
 // "vheap.frame_pool_hits"/"vheap.frame_pool_misses" (dirty-page frames) and
 // "vheap.page_pool_hits"/"vheap.page_pool_misses" (published page frames).
-// The commit counters are deterministic for deterministic engines (commit
-// contents and order are turn-ordered); the pool counters can depend on
-// when, in wall-clock time, a view moves the trim floor (a thread woken at
-// a barrier re-bases after its turn has passed), so the harness reports them
-// in the non-gated Timing half.
+// All of them are deterministic for deterministic engines, which make every
+// view before the run and commit, re-base, revert and close views only at
+// turns: commit contents and order, and every move of the trim floor, are
+// turn-ordered.
 func WithTelemetry(rec *telemetry.Recorder) Option {
 	return func(c *heapConfig) { c.tel = rec }
 }
@@ -501,7 +500,7 @@ func (h *Heap) Audit() error {
 // holds a value only where dirty has the word's bit set (one bit per word,
 // set by every store); every other word reads from base, the version the view
 // resolved at the first write. base is also the diff reference: a view's base
-// sequence cannot move while it has a dirty page (Update/UpdateTo refuse,
+// sequence cannot move while it has a dirty page (Update refuses,
 // Commit and Revert empty the dirty set, RevertTo keeps the base), so base is
 // exactly the page a twin copy would hold, and commit walks the set bits
 // comparing against it instead of re-diffing the whole page.
@@ -1058,23 +1057,6 @@ func (v *View) Update() {
 	oldBase := v.base.Load()
 	v.base.Store(v.h.seq.Load())
 	v.h.noteRebase(oldBase)
-	v.invalidateClean()
-}
-
-// UpdateTo re-bases the view on a specific committed sequence, used when a
-// woken thread must adopt the exact state its waker published (a barrier
-// release): re-basing on "newest" at wake time would depend
-// on wall-clock timing and break determinism.
-func (v *View) UpdateTo(seq int64) {
-	if v.DirtyPages() != 0 {
-		panic("vheap: UpdateTo with non-empty dirty set")
-	}
-	cur := v.base.Load()
-	if seq < cur {
-		panic(fmt.Sprintf("vheap: UpdateTo(%d) would move the base backwards from %d", seq, cur))
-	}
-	v.base.Store(seq)
-	v.h.noteRebase(cur)
 	v.invalidateClean()
 }
 
